@@ -20,6 +20,7 @@ from sparsedom import young  # noqa: E402
 from sparsedom.bench import (domination_battery, endpoint_check,  # noqa: E402
                              parse_scenario, strong_cf_check)
 from sparsedom.dyadic import Grid, cube_mask, cube_slices  # noqa: E402
+from sparsedom.frozen import BATTERY_VERSION  # noqa: E402
 from sparsedom.operators import (grand_maximal_truncated, hormander_estimate,  # noqa: E402
                                  make_hilbert, maximal, apply_operator,
                                  parse_kernel)
@@ -254,7 +255,7 @@ def main():
     lines.append(f"    \"counting_alpha\": {count_alpha!r},")
     lines.append("}")
     lines.append("")
-    lines.append("BATTERY_VERSION = 3")
+    lines.append(f"BATTERY_VERSION = {BATTERY_VERSION + 1}")
     lines.append("")
     with open(TARGET, "w") as fh:
         fh.write("\n".join(lines))

@@ -411,7 +411,7 @@ def counterexample_probe(scn: Scenario) -> dict:
     kernel's log factor |log|x||^(-(1+beta)(1/r+1/2)).  So
     S(L) = sup_lambda lambda^p w({|Tf| > lambda}) grows like (1/h)^e in the
     cell width h, with e = gamma - 3p/(2r'), while the control
-    sum |f| w vol (the integral of |f|^p w at p = 1) stays finite.
+    sum |f|^p w vol, the integral of |f|^p w, stays finite.
 
     Blow-up is predicted only for gamma > 3p/(2r').  On and below that line
     (gamma <= 3p/(2r')) no blow-up is predicted, although _validate accepts
@@ -454,7 +454,7 @@ def counterexample_probe(scn: Scenario) -> dict:
             if v > best:
                 best, best_lam = v, lam
         svals[L] = best
-        controls[L] = float((np.abs(fc) * wc).sum()) * vol
+        controls[L] = float((np.abs(fc) ** scn.p * wc).sum()) * vol
         rows.append(_row(L, best, controls[L], True))
         consts[f"S_L{L}"] = best
         consts[f"control_L{L}"] = controls[L]

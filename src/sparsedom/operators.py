@@ -1,13 +1,21 @@
 """Kernel constructors, discrete singular-integral application, iterated
 commutators, maximal operators and kernel-smoothness (annulus sum) estimates.
 
-Convolution kernels are evaluated once per grid on the difference lattice,
-so one operator application is a set of sliding dot products: O(N^2) work,
-O(N) kernel evaluations, fixed summation order (bit-reproducible).
+Convolution kernels are evaluated once per grid on the difference lattice
+(the profile), so a 1D operator is a Toeplitz matrix that is never built
+whole.  It is applied by one of two chunked primitives, each keeping its
+temporaries at or below _CHUNK elements: `_toeplitz_1d` multiplies and adds
+the two cells at distance m from x elementwise before each row is summed,
+so odd kernels cancel exactly on even data (apply_operator and its
+adjoint); `_toeplitz_rows` copies out blocks of the Toeplitz matrix and
+multiplies them into many rows of data at once (the truncation maximal
+operator, one product per dyadic level).  Both do O(N^2) work from O(N)
+kernel evaluations.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from dataclasses import dataclass, field
@@ -16,9 +24,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import young
-from .dyadic import (Cube, GeometryError, Grid, GridFunction, base_cubes,
-                     build_lattices, cube_slices, descendants, dilate,
-                     is_clipped)
+from .dyadic import (BASE, Cube, GeometryError, Grid, GridFunction,
+                     base_cubes, build_lattices, cube_slices, descendants,
+                     dilate, is_clipped)
 
 E = math.e
 
@@ -55,6 +63,17 @@ class Kernel:
         u1 = np.asarray(x[0], dtype=float) - np.asarray(y[0], dtype=float)
         u2 = np.asarray(x[1], dtype=float) - np.asarray(y[1], dtype=float)
         return self.conv(u1, u2, h)
+
+    def spec(self, grid: Grid) -> tuple:
+        """Canonical content key of the kernel on a grid: family and params,
+        or for a kernel without params a sha256 of its matrix or of its
+        profile on the grid."""
+        if self.params:
+            return (self.family, self.n, self.singular,
+                    tuple(sorted(self.params.items())))
+        data = self.matrix if self.matrix is not None else self.profile(grid)
+        digest = hashlib.sha256(np.ascontiguousarray(data).tobytes())
+        return (self.family, self.n, self.singular, digest.hexdigest())
 
     def profile(self, grid: Grid) -> np.ndarray:
         """Kernel values on the displacement lattice of a grid, cached."""
@@ -257,34 +276,80 @@ def apply_operator(K: Kernel, f: GridFunction) -> GridFunction:
         raise OperatorError("kernel dimension does not match grid")
     if grid.n == 1:
         return GridFunction(grid, _apply_1d(K, grid, f.cells))
-    return GridFunction(grid, _apply_2d(K, grid, f.cells))
+    return GridFunction(grid, _apply_2d(K.profile(grid), grid, f.cells))
 
 
 def _apply_1d(K: Kernel, grid: Grid, cells: np.ndarray) -> np.ndarray:
-    N = grid.cells_per_side
-    kvec = K.profile(grid)  # kvec[N-1+i-j] = K(x_i, y_j)
+    return _toeplitz_1d(K.profile(grid), cells) * grid.cell_width
+
+
+# float64 elements per temporary of the chunked kernels below (256 KB)
+_CHUNK = 1 << 15
+
+
+def _toeplitz_1d(kvec: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """sum_j kvec[N-1+i-j] cells[j] for every i, without the cell width.
+
+    For each distance m = 1..N-1 the terms kvec[N-1-m] f[i+m] and
+    kvec[N-1+m] f[i-m] are added elementwise before the row is summed, with
+    zero padding past the ends.  Row i and its mirror row N-1-i sum the
+    same number of pairs in the same order, so an odd profile on even data
+    gives an exactly odd result.  Rows are done in chunks of at most _CHUNK
+    pairs, a chunk of the first half together with its mirror chunk; a
+    chunk stops at the farthest cell any of its rows reaches.
+    """
+    N = cells.size
     kright = kvec[N - 2::-1]  # distance m = 1..N-1 to the right
     kleft = kvec[N:]          # distance m = 1..N-1 to the left
+    pad = np.zeros(N - 1)
+    fpad = np.concatenate([pad, cells, pad])
+    right = sliding_window_view(fpad, N - 1)  # right[N+i, m-1] = f[i+m]
+    # left[i, m-1] = f[i-m], read forward from a reversed copy
+    left = sliding_window_view(fpad[::-1].copy(), N - 1)[::-1]
+    rows = max(1, _CHUNK // (N - 1))
+    pair = np.empty(rows * (N - 1))
+    tmp = np.empty(rows * (N - 1))
     out = np.empty(N)
-    for i in range(N):
-        fr = cells[i + 1:]
-        fl = cells[i - 1::-1] if i else cells[:0]
-        m0 = min(len(fr), len(fl))
-        s = 0.0
-        if m0:
-            s += float((kright[:m0] * fr[:m0] + kleft[:m0] * fl[:m0]).sum())
-        if len(fr) > m0:
-            s += float((kright[m0:len(fr)] * fr[m0:]).sum())
-        if len(fl) > m0:
-            s += float((kleft[m0:len(fl)] * fl[m0:]).sum())
-        s += float(kvec[N - 1] * cells[i])
-        out[i] = s
-    return out * grid.cell_width
+    half = N // 2
+    for i0 in range(0, half, rows):
+        i1 = min(i0 + rows, half)
+        reach = N - 1 - i0  # farthest distance any row here or mirrored needs
+        for a, b in ((i0, i1), (N - i1, N - i0)):
+            p = pair[:(b - a) * reach].reshape(b - a, reach)
+            t = tmp[:(b - a) * reach].reshape(b - a, reach)
+            np.multiply(right[N + a:N + b, :reach], kright[:reach], out=p)
+            np.multiply(left[a:b, :reach], kleft[:reach], out=t)
+            p += t
+            p.sum(axis=1, out=out[a:b])
+    out += kvec[N - 1] * cells
+    return out
 
 
-def _apply_2d(K: Kernel, grid: Grid, cells: np.ndarray) -> np.ndarray:
+def _toeplitz_rows(kvec: np.ndarray, G: np.ndarray, d: int,
+                   rows: int) -> np.ndarray:
+    """out[r, t] = sum_u kvec[N-1+d+t-u] G[r, u] for t < rows.
+
+    The rows x width block of the profile is the same for every row of G;
+    it is copied out in chunks of at most _CHUNK elements, each multiplied
+    into G as one matrix product, so large blocks are never built whole.
+    Every displacement d+t-u must lie in [-(N-1), N-1].
+    """
+    N = (kvec.size + 1) // 2
+    width = G.shape[1]
+    # block row t is rev[N-1-d-t : N-1-d-t+width], rev = kvec reversed
+    win = sliding_window_view(kvec[::-1], width)
+    step = max(1, _CHUNK // width)
+    out = np.empty((G.shape[0], rows))
+    for t0 in range(0, rows, step):
+        t1 = min(t0 + step, rows)
+        blk = np.ascontiguousarray(win[N - d - t1:N - d - t0][::-1])
+        out[:, t0:t1] = G @ blk.T
+    return out
+
+
+def _apply_2d(kmat: np.ndarray, grid: Grid, cells: np.ndarray) -> np.ndarray:
+    """kmat is the profile, kmat[N-1+i1-j1, N-1+i2-j2] = K(x_i, y_j)."""
     N = grid.cells_per_side
-    kmat = K.profile(grid)  # kmat[N-1+i1-j1, N-1+i2-j2]
     out = np.empty((N, N))
     for i1 in range(N):
         rows = kmat[N - 1 + i1 - (N - 1):N + i1, :][::-1]
@@ -308,8 +373,10 @@ def _apply_2d(K: Kernel, grid: Grid, cells: np.ndarray) -> np.ndarray:
 def apply_windowed(K: Kernel, f: GridFunction, out_slice, in_slice) -> np.ndarray:
     """T(f restricted to in_slice) evaluated on the out_slice cells only.
 
-    1D fast path used by the truncation maximal operator; plain dot
-    products, deterministic order, no symmetric pairing.
+    1D convolution kernels take plain dot products over the window, with no
+    symmetric pairing; 2D grids and matrix kernels apply T to the
+    restricted f and keep out_slice, which is how the truncation maximal
+    operator uses it there.
     """
     grid = f.grid
     if grid.n != 1 or K.matrix is not None:
@@ -352,14 +419,15 @@ def operator_norm_l2(K: Kernel, grid: Grid, iters: int = 20) -> float:
 
 
 def _apply_adjoint(K: Kernel, grid: Grid, cells: np.ndarray) -> np.ndarray:
+    """T* f: the transposed matrix, or the profile reversed along every
+    axis, since K(y, x) = K(-(x - y))."""
     if K.matrix is not None:
         return (K.matrix.T @ cells.ravel()).reshape(grid.shape) \
             * grid.cell_volume
-    flipped = Kernel(K.family, K.n, K.singular,
-                     conv=(lambda u, h: K.conv(-u, h)) if K.n == 1 else
-                          (lambda u1, u2, h: K.conv(-u1, -u2, h)),
-                     c_k=K.c_k)
-    return apply_operator(flipped, GridFunction(grid, cells)).cells
+    kflip = K.profile(grid)[(slice(None, None, -1),) * grid.n]
+    if grid.n == 1:
+        return _toeplitz_1d(kflip, cells) * grid.cell_width
+    return _apply_2d(kflip, grid, cells)
 
 
 # -- commutators --------------------------------------------------------------
@@ -404,20 +472,6 @@ def commutator_recursive(K: Kernel, spec: CommutatorSpec,
 
 
 # -- maximal operators --------------------------------------------------------
-
-
-def _cube_batches(grid: Grid, shifted: bool):
-    """Yield (cube list, stacked value-extraction) groups by level/lattice."""
-    levels = list(range(0, grid.level + 1))
-    out = []
-    for k in levels:
-        s = 1 << (grid.level - k)
-        out.append(("base", k, s))
-    if shifted:
-        for lat in build_lattices(grid):
-            for k in levels:
-                out.append((lat, k, 3 * (1 << (grid.level - k))))
-    return out
 
 
 def maximal(f: GridFunction, variant: str = "M", A=None, delta: float = None,
@@ -557,56 +611,52 @@ def grand_maximal_truncated(K: Kernel, f: GridFunction,
     T(f chi_{3Q0 \\ 3Q}) = T(f chi_{3Q0}) - T(f chi_{3Q}).
     """
     grid = f.grid
+    if grid.n != 1 or K.matrix is not None or Q0.lattice != BASE:
+        return _gmt_walk(K, f, Q0)
+    N = grid.cells_per_side
+    kvec = K.profile(grid)
+    h = grid.cell_width
+    o, S = Q0.origin[0], Q0.side
+    # f chi_{3Q0} on the cells o-S .. o+2S-1, zero outside the domain
+    lo, hi = max(o - S, 0), min(o + 2 * S, N)
+    g = np.zeros(3 * S)
+    g[lo - o + S:hi - o + S] = f.cells[lo:hi]
+    # T(f chi_{3Q0}) on Q0, from the cells of 3Q0 inside the domain
+    base = _toeplitz_rows(kvec, g[None, lo - o + S:hi - o + S], o - lo, S)
+    base = base[0] * h
+    out = np.zeros(N)
+    outq = out[o:o + S]
+    for k in range(Q0.level + 1, grid.level + 1):
+        s = S >> (k - Q0.level)
+        # row j holds f chi_{3q} for the j-th cube q of side s in Q0
+        wins = np.ascontiguousarray(
+            sliding_window_view(g, 3 * s)[S - s::s][:S // s])
+        part = _toeplitz_rows(kvec, wins, s, s) * h
+        v = np.abs(base.reshape(-1, s) - part).max(axis=1)
+        np.maximum(outq, np.repeat(v, s), out=outq)
+    return GridFunction(grid, out)
+
+
+def _gmt_walk(K: Kernel, f: GridFunction, Q0: Cube) -> GridFunction:
+    """grand_maximal_truncated for 2D grids and matrix kernels: one
+    windowed application per dyadic descendant of Q0."""
+    grid = f.grid
     s0 = cube_slices(dilate(Q0, 3), grid)
     f3 = np.zeros(grid.shape)
     f3[s0] = f.cells[s0]
     g3 = GridFunction(grid, f3)
-    support = _support_slices(f3, grid)
     q0sl = cube_slices(Q0, grid)
     base = np.zeros(grid.shape)
-    if support is not None:
-        base[q0sl] = apply_windowed(K, g3, q0sl, support)
-
+    base[q0sl] = apply_windowed(K, g3, q0sl, s0)
     out = np.zeros(grid.shape)
     for q in descendants(Q0, grid.level):
         if q == Q0:
             continue
         qsl = cube_slices(q, grid)
-        t3q = _triple_slices(q, grid)
-        insl = _intersect_slices(_intersect_slices(t3q, s0, grid),
-                                 support, grid)
-        part = apply_windowed(K, g3, qsl, insl) if insl is not None \
-            else np.zeros([sl.stop - sl.start for sl in qsl])
-        diff = np.abs(base[qsl] - part)
-        v = float(diff.max()) if diff.size else 0.0
+        part = apply_windowed(K, g3, qsl, cube_slices(dilate(q, 3), grid))
+        v = float(np.abs(base[qsl] - part).max())
         np.maximum(out[qsl], v, out=out[qsl])
     return GridFunction(grid, out)
-
-
-def _triple_slices(q: Cube, grid: Grid):
-    N = grid.cells_per_side
-    return tuple(slice(max(c - q.side, 0), min(c + 2 * q.side, N))
-                 for c in q.origin)
-
-
-def _intersect_slices(a, b, grid):
-    if a is None or b is None:
-        return None
-    out = []
-    for sa, sb in zip(a, b):
-        lo = max(sa.start, sb.start)
-        hi = min(sa.stop, sb.stop)
-        if hi <= lo:
-            return None
-        out.append(slice(lo, hi))
-    return tuple(out)
-
-
-def _support_slices(cells: np.ndarray, grid: Grid):
-    nz = np.nonzero(cells)
-    if len(nz[0]) == 0:
-        return None
-    return tuple(slice(int(ix.min()), int(ix.max()) + 1) for ix in nz)
 
 
 # -- kernel smoothness (annulus sums) ----------------------------------------

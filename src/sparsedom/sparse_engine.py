@@ -61,15 +61,18 @@ _l2_cache: dict = {}
 def estimate_ct(K: Kernel, A: young.YoungFunction, grid: Grid,
                 cube_budget: int = 24, k_max: int = 6) -> dict:
     """Operator-size gauge: kernel smoothness estimate plus the discrete
-    L2 operator norm.  Cached per (kernel, grid, gauge)."""
-    key = (id(K), grid, young.format_young(A))
+    L2 operator norm.  Cached per (kernel content, grid, gauge), so a new
+    kernel object with the same spec reuses the entry and no other kernel
+    can."""
+    spec = K.spec(grid)
+    key = (spec, grid, young.format_young(A))
     if key not in _ct_cache:
         if K.matrix is not None:
             h, tail = 0.0, 0.0
         else:
             h, tail = hormander_estimate(K, A, grid, cube_budget=cube_budget,
                                          k_max=k_max)
-        l2key = (id(K), grid)
+        l2key = (spec, grid)
         if l2key not in _l2_cache:
             _l2_cache[l2key] = operator_norm_l2(K, grid)
         l2 = _l2_cache[l2key]

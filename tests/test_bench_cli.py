@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from sparsedom import bench, cli
 
@@ -55,6 +56,42 @@ def test_counterexample_parameter_window(tmp_path):
                            p=1, r=2, gamma=0.3, beta=1)
     with pytest.raises(bench.ScenarioError):
         bench.parse_scenario(bad_gamma)
+
+
+def test_counterexample_control_is_lp_integral():
+    # at p = 2 the control is sum |f|^2 w vol, the integral of |f|^p w for
+    # the cell-averaged f and w; here the cell averages come from quadrature
+    scn = bench.Scenario(name="p2", kind="counterexample", levels=(6, 7),
+                         origin=(-6.0,), side=12.0, p=2.0, r=1.1, beta=0.05,
+                         gamma=0.95)
+    bench._validate(scn)
+    consts = bench.counterexample_probe(scn)["constants"]
+    rp = scn.r / (scn.r - 1.0)
+    a = (1.0 - scn.p / (2.0 * rp)) / scn.p  # f(y) = |y + 4|^(-a), |y + 4| < 1
+
+    def f_mass(lo, hi):
+        # the integral of |y + 4|^(-a) over [lo, hi]; a cell holding the
+        # singularity is split there and weighted by the singular factor
+        if not lo < -4.0 < hi:
+            return quad(lambda y: abs(y + 4.0) ** -a, lo, hi)[0]
+        return (quad(lambda y: 1.0, lo, -4.0, weight="alg",
+                     wvar=(0.0, -a))[0]
+                + quad(lambda y: 1.0, -4.0, hi, weight="alg",
+                       wvar=(-a, 0.0))[0])
+
+    for L in scn.levels:
+        grid = scn.grid(L)
+        h = grid.cell_width
+        want = 0.0
+        for x in grid.cell_centers(0):
+            lo, hi = max(x - h / 2, -5.0), min(x + h / 2, -3.0)
+            if hi <= lo:
+                continue
+            fc = f_mass(lo, hi) / h
+            wc = quad(lambda y: abs(y) ** -scn.gamma,
+                      x - h / 2, x + h / 2)[0] / h
+            want += fc ** scn.p * wc * h
+        assert consts[f"control_L{L}"] == pytest.approx(want, rel=1e-9)
 
 
 def test_strong_check_scales_linearly(tmp_path):

@@ -7,7 +7,8 @@ from sparsedom import sparse_engine as eng
 from sparsedom import young
 from sparsedom.dyadic import (Grid, GridFunction, check_sparse, cube_mask,
                               cube_slices)
-from sparsedom.operators import make_hilbert
+from sparsedom.operators import (hormander_estimate, make_hilbert,
+                                 operator_norm_l2, parse_kernel)
 from sparsedom.weights import parse_profile
 
 
@@ -118,3 +119,21 @@ def test_estimate_ct_components():
     info = eng.estimate_ct(K, young.llogl(1), grid)
     assert info["ct"] == pytest.approx(info["hormander"] + info["l2_norm"])
     assert info["ct"] > 0
+
+
+def test_estimate_ct_keyed_on_kernel_content():
+    # each kernel below is freed right after its call, so the next one may
+    # get the same id; the cache must still give every kernel its own ct
+    grid = Grid(1, (-0.5,), 1.0, 6)
+    A = young.llogl(1)
+    texts = ("hilbert", "dini(ck=3)")
+    fresh = {}
+    for text in texts:
+        K = parse_kernel(text)
+        h, _ = hormander_estimate(K, A, grid, cube_budget=24, k_max=6)
+        fresh[text] = h + operator_norm_l2(K, grid)
+    assert fresh["hilbert"] != fresh["dini(ck=3)"]
+    for i in range(20):
+        text = texts[i % 2]
+        assert eng.estimate_ct(parse_kernel(text), A, grid)["ct"] \
+            == fresh[text]

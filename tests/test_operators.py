@@ -8,7 +8,8 @@ import pytest
 
 from sparsedom import operators as op
 from sparsedom import young
-from sparsedom.dyadic import Grid, GridFunction, grid_function
+from sparsedom.dyadic import (BASE, Cube, Grid, GridFunction, descendants,
+                              grid_function)
 from sparsedom.frozen import FROZEN
 from sparsedom.weights import parse_profile
 
@@ -89,6 +90,70 @@ def test_odd_kernel_exact_antisymmetry(sym_grid):
     f = grid_function(sym_grid, lambda x: np.exp(-x ** 2))
     out = op.apply_operator(op.make_hilbert(), f).cells
     assert np.array_equal(out, -out[::-1])
+
+
+def test_odd_kernel_exact_antisymmetry_across_chunks():
+    # at L=12 the rows of the paired primitive span many chunks
+    grid = Grid(1, (-0.5,), 1.0, 12)
+    assert op._CHUNK // (grid.cells_per_side - 1) < grid.cells_per_side // 8
+    f = grid_function(grid, lambda x: np.exp(-x ** 2))
+    for K in (op.make_hilbert(), op.make_dini()):
+        out = op.apply_operator(K, f).cells
+        assert np.array_equal(out, -out[::-1])
+
+
+def _random_conv_kernel(N, rng):
+    """A non-symmetric convolution kernel: an independent random value at
+    every displacement of a grid with N cells."""
+    table = rng.standard_normal(2 * N - 1)
+
+    def conv(u, h):
+        return table[np.rint(np.asarray(u) / h).astype(int) + N - 1]
+    return op.Kernel("random", 1, False, conv=conv)
+
+
+def _oracle_kernels(L, rng):
+    unit = Grid(1, (-0.5,), 1.0, L)
+    return [(op.make_hilbert(), unit), (op.make_dini(), unit),
+            (op.make_counter(), Grid(1, (-6.0,), 12.0, L)),
+            (_random_conv_kernel(1 << L, rng), Grid(1, (0.0,), 1.0, L))]
+
+
+def _dense(K, grid):
+    """The matrix K(x_i, y_j) |cell|, evaluated at the exact lattice
+    displacements (i - j) h."""
+    N, h = grid.cells_per_side, grid.cell_width
+    ij = np.subtract.outer(np.arange(N), np.arange(N))
+    D = np.asarray(K.conv(ij * h, h), dtype=float)
+    if K.singular:
+        np.fill_diagonal(D, 0.0)
+    return D * h
+
+
+@pytest.mark.parametrize("L", (5, 6, 7))
+def test_apply_and_adjoint_match_dense_matrix(L, rng):
+    for K, grid in _oracle_kernels(L, rng):
+        D = _dense(K, grid)
+        f = rng.standard_normal(grid.shape)
+        tol = 1e-13 * float((np.abs(D) @ np.abs(f)).max())
+        got = op.apply_operator(K, GridFunction(grid, f)).cells
+        assert np.abs(got - D @ f).max() <= tol, K.family
+        tol = 1e-13 * float((np.abs(D.T) @ np.abs(f)).max())
+        adj = op._apply_adjoint(K, grid, f)
+        assert np.abs(adj - D.T @ f).max() <= tol, K.family
+
+
+def test_operator_norm_l2_matches_dense_power_iteration(rng):
+    for K, grid in _oracle_kernels(6, rng):
+        D = _dense(K, grid)
+        v = np.random.default_rng(12345).standard_normal(grid.shape)
+        v /= np.linalg.norm(v)
+        for _ in range(20):
+            w = D.T @ (D @ v)
+            sigma = math.sqrt(abs(float(v @ w)))
+            v = w / np.linalg.norm(w)
+        assert op.operator_norm_l2(K, grid) == pytest.approx(sigma,
+                                                             rel=1e-10)
 
 
 def test_apply_operator_linear(sym_grid, rng):
@@ -245,6 +310,40 @@ def test_grand_maximal_zero_input(sym_grid):
     out = op.grand_maximal_truncated(op.make_hilbert(), f,
                                      sym_grid.root_cube())
     assert np.all(out.cells == 0.0)
+
+
+def _gmt_brute(D, f, Q0, grid):
+    """M_{T,Q0} f from its definition: every dyadic Q in Q0 raises the cells
+    of Q to the cell max over Q of |T(f chi_{3Q0 minus 3Q})|."""
+    cells = np.arange(grid.cells_per_side)
+
+    def in_triple(q):
+        lo = q.origin[0] - q.side
+        return (cells >= lo) & (cells < lo + 3 * q.side)
+    out = np.zeros(grid.shape)
+    for q in descendants(Q0, grid.level):
+        g = np.where(in_triple(Q0) & ~in_triple(q), f, 0.0)
+        sl = slice(q.origin[0], q.origin[0] + q.side)
+        out[sl] = np.maximum(out[sl], np.abs(D[sl] @ g).max())
+    return out
+
+
+@pytest.mark.parametrize("L", (5, 6, 7))
+def test_grand_maximal_matches_definition(L, rng):
+    N = 1 << L
+    cubes = {"root": Cube(BASE, 0, (0,), N),
+             "interior": Cube(BASE, 3, (3 * N // 8,), N // 8),
+             "clipped left": Cube(BASE, 2, (0,), N // 4),
+             "clipped right": Cube(BASE, 3, (N - N // 8,), N // 8)}
+    for K, grid in _oracle_kernels(L, rng):
+        D = _dense(K, grid)
+        f = rng.standard_normal(grid.shape)
+        tol = 1e-12 * float((np.abs(D) @ np.abs(f)).max())
+        for name, Q0 in cubes.items():
+            got = op.grand_maximal_truncated(K, GridFunction(grid, f),
+                                             Q0).cells
+            want = _gmt_brute(D, f, Q0, grid)
+            assert np.abs(got - want).max() <= tol, (K.family, name)
 
 
 def test_truncation_frozen_bounds():
