@@ -6,14 +6,12 @@
     lab sparse <scenario.ini> [--dump-family out.json] [--level L] [--out dir]
 
 Exit codes: 0 all checks pass, 1 at least one quantitative check fails,
-2 configuration or scenario error.  LAB_THREADS caps battery parallelism;
-reports are byte-identical regardless of the thread count.
+2 configuration or scenario error.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import glob
 import json
 import os
@@ -109,26 +107,15 @@ def cmd_battery(args) -> int:
     paths = sorted(glob.glob(os.path.join(args.directory, "*.ini")))
     out_root = args.out or "battery.out"
     os.makedirs(out_root, exist_ok=True)
-    threads = max(1, int(os.environ.get("LAB_THREADS", "1")))
-
-    def job(path):
+    results = {}
+    for path in paths:
         name = os.path.splitext(os.path.basename(path))[0]
-        out_dir = os.path.join(out_root, name)
         scn = _load(path, args.level, args.seed)
         t0 = time.monotonic()
-        rep = run_scenario(scn, out_dir=out_dir)
-        return name, rep, time.monotonic() - t0
-
-    results = {}
-    if threads == 1:
-        done = [job(p) for p in paths]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-            done = list(pool.map(job, paths))
-    for name, rep, dt in done:
+        rep = run_scenario(scn, out_dir=os.path.join(out_root, name))
         results[name] = {"kind": rep["kind"], "pass": rep["pass"]}
-        print(f"{name}: {'pass' if rep['pass'] else 'FAIL'} ({dt:.1f}s)",
-              file=sys.stderr)
+        print(f"{name}: {'pass' if rep['pass'] else 'FAIL'} "
+              f"({time.monotonic() - t0:.1f}s)", file=sys.stderr)
     summary = {
         "battery_version": BATTERY_VERSION,
         "scenarios": results,

@@ -313,6 +313,54 @@ def scope_cubes(grid: Grid, shifted: bool = True) -> list:
     return out
 
 
+def scope_max(grid: Grid, shifted: bool, reduce, *arrays) -> np.ndarray:
+    """At each cell, the max over the scope cubes containing it (those of
+    scope_cubes) of reduce(mask, *blocks), an array with one value per cube.
+
+    Blocks stack the arrays over one tiling of a level as (cubes, side**n),
+    each row in the cube's row-major cell order; cells outside the domain
+    read 0, and mask is 1 on domain cells and 0 on them.  Per level of
+    side s, each array is copied once into a zero frame with margins 2s
+    before and 3s after the domain on every axis (none without shifted
+    lattices), so the base tiling (origin at the domain) and the shifted
+    tilings (origins 2s, 0, s for the digits 0, 1, 2) are all reshapes of
+    that frame.
+    """
+    n, N = grid.n, grid.cells_per_side
+    axes = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
+    out = np.full(grid.shape, -np.inf)
+    for k in range(grid.level + 1):
+        s = 1 << (grid.level - k)
+        lo, hi = (2 * s, 3 * s) if shifted else (0, 0)
+        dom = (slice(lo, lo + N),) * n
+        frames = []
+        for a in (1.0,) + arrays:  # the mask, then the arrays
+            fr = np.zeros((lo + N + hi,) * n)
+            fr[dom] = a
+            frames.append(fr)
+        top = np.full((lo + N + hi,) * n, -np.inf)
+        tilings = [(s, (lo,) * n)]
+        if shifted:
+            tilings += [(3 * s, o) for o in product((2 * s, 0, s), repeat=n)]
+        for side, origin in tilings:
+            # the cubes of this tiling that meet the domain, per axis
+            counts = [-(-(lo + N - o) // side) for o in origin]
+            win = tuple(slice(o, o + c * side) for o, c in zip(origin, counts))
+            split = [x for c in counts for x in (c, side)]
+            blocks = [fr[win].reshape(split).transpose(axes)
+                      .reshape(-1, side ** n) for fr in frames]
+            view = top[win].reshape(split)
+            vals = reduce(*blocks).reshape([x for c in counts for x in (c, 1)])
+            np.maximum(view, vals, out=view)
+        np.maximum(out, top[dom], out=out)
+    return out
+
+
+def block_mean(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per-cube average over the domain cells of a scope_max block."""
+    return (values * mask).sum(axis=1) / mask.sum(axis=1)
+
+
 def descendants(cube: Cube, max_level: int) -> list:
     out = []
     stack = [cube]

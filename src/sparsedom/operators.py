@@ -25,8 +25,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import young
 from .dyadic import (BASE, Cube, GeometryError, Grid, GridFunction,
-                     base_cubes, build_lattices, cube_slices, descendants,
-                     dilate, is_clipped)
+                     base_cubes, block_mean, cube_slices, descendants, dilate,
+                     is_clipped, scope_max)
 
 E = math.e
 
@@ -371,34 +371,10 @@ def _apply_2d(kmat: np.ndarray, grid: Grid, cells: np.ndarray) -> np.ndarray:
 
 
 def apply_windowed(K: Kernel, f: GridFunction, out_slice, in_slice) -> np.ndarray:
-    """T(f restricted to in_slice) evaluated on the out_slice cells only.
-
-    1D convolution kernels take plain dot products over the window, with no
-    symmetric pairing; 2D grids and matrix kernels apply T to the
-    restricted f and keep out_slice, which is how the truncation maximal
-    operator uses it there.
-    """
-    grid = f.grid
-    if grid.n != 1 or K.matrix is not None:
-        fr = np.zeros(grid.shape)
-        fr[in_slice] = f.cells[in_slice]
-        full = apply_operator(K, GridFunction(grid, fr)).cells
-        return full[out_slice]
-    N = grid.cells_per_side
-    a, b = in_slice[0].start or 0, in_slice[0].stop
-    b = N if b is None else b
-    oa, ob = out_slice[0].start or 0, out_slice[0].stop
-    ob = N if ob is None else ob
-    if b <= a or ob <= oa:
-        return np.zeros(max(ob - oa, 0))
-    kvec = K.profile(grid)
-    s = b - a
-    # row for output cell i: kvec[N-1+i-j], j = a..b-1 (descending indices)
-    win = sliding_window_view(kvec, s)
-    base = N - 1 + oa - (b - 1)
-    W = win[base:base + (ob - oa)]
-    fwin = f.cells[a:b][::-1]
-    return (W @ fwin) * grid.cell_width
+    """T(f restricted to in_slice) evaluated on the out_slice cells only."""
+    fr = np.zeros(f.grid.shape)
+    fr[in_slice] = f.cells[in_slice]
+    return apply_operator(K, GridFunction(f.grid, fr)).cells[out_slice]
 
 
 def operator_norm_l2(K: Kernel, grid: Grid, iters: int = 20) -> float:
@@ -488,115 +464,31 @@ def maximal(f: GridFunction, variant: str = "M", A=None, delta: float = None,
         raise OperatorError(f"unknown maximal variant {variant!r}")
     if variant in ("MA", "MAW") and A is None:
         raise OperatorError(f"{variant} needs a Young function")
+    if variant == "MAW" and w is None:
+        raise OperatorError("MAW needs a weight")
     if variant == "Mdelta":
         if not (delta and 0 < delta < 1):
             raise OperatorError("delta must lie in (0, 1)")
         g = GridFunction(grid, np.abs(f.cells) ** delta)
         base = maximal(g, "M", shifted=shifted)
         return GridFunction(grid, base.cells ** (1.0 / delta))
-    if variant == "MA" and A is not None and A.family == young.POWER \
-            and A.params[1] == 1.0:
+    if variant == "MA" and A.family == young.POWER and A.params[1] == 1.0:
         r = A.params[0]
         g = GridFunction(grid, np.abs(f.cells) ** r)
         base = maximal(g, "M", shifted=shifted)
         return GridFunction(grid, base.cells ** (1.0 / r))
 
     vals = np.abs(f.cells)
-    out = np.zeros(grid.shape)
-    N = grid.cells_per_side
-
-    def cube_value(values, weights):
-        if variant == "M":
-            return float((values * weights).sum() / weights.sum())
-        if variant == "MA":
-            return young.luxemburg_norm(values, weights, A)
-        if variant == "MAW":
-            return young.luxemburg_norm(values, weights, A)
-        raise OperatorError(f"unknown maximal variant {variant!r}")
-
-    wcells = w.cells if variant == "MAW" else None
-    if variant == "MAW" and wcells is None:
-        raise OperatorError("MAW needs a weight")
-
-    # base lattice, whole levels at once
-    for k in range(0, grid.level + 1):
-        s = 1 << (grid.level - k)
-        if grid.n == 1:
-            V = vals.reshape(-1, s)
-            Wt = wcells.reshape(-1, s) if wcells is not None \
-                else np.ones_like(V)
-        else:
-            V = vals.reshape(N // s, s, N // s, s).transpose(0, 2, 1, 3)
-            V = V.reshape(-1, s * s)
-            if wcells is not None:
-                Wt = wcells.reshape(N // s, s, N // s, s)
-                Wt = Wt.transpose(0, 2, 1, 3).reshape(-1, s * s)
-            else:
-                Wt = np.ones_like(V)
-        if variant == "M":
-            cv = (V * Wt).sum(axis=1) / Wt.sum(axis=1)
-        else:
-            cv = young.luxemburg_norm_batch(V, Wt, A)
-        if grid.n == 1:
-            lvl = np.repeat(cv, s)
-        else:
-            lvl = np.repeat(np.repeat(cv.reshape(N // s, N // s), s, axis=0),
-                            s, axis=1)
-        np.maximum(out, lvl, out=out)
-
-    if shifted:
-        if grid.n == 1:
-            _shifted_max_1d(grid, vals, wcells, variant, A, out)
-        else:
-            for lat in build_lattices(grid):
-                for k in range(0, grid.level + 1):
-                    for q in lat.cubes_at_level(k):
-                        sl = cube_slices(q, grid)
-                        vv = vals[sl].ravel()
-                        ww = wcells[sl].ravel() if wcells is not None \
-                            else np.ones_like(vv)
-                        v = cube_value(vv, ww)
-                        np.maximum(out[sl], v, out=out[sl])
+    if variant == "M":
+        out = scope_max(grid, shifted, block_mean, vals)
+    elif variant == "MA":
+        out = scope_max(grid, shifted,
+                        lambda m, v: young.luxemburg_norm_batch(v, m, A), vals)
+    else:
+        out = scope_max(grid, shifted,
+                        lambda m, v, wt: young.luxemburg_norm_batch(v, wt, A),
+                        vals, w.cells)
     return GridFunction(grid, out)
-
-
-def _shifted_max_1d(grid, vals, wcells, variant, A, out):
-    """Fold shifted-lattice cube values into out, whole levels at a time."""
-    N = grid.cells_per_side
-    ones = None if wcells is not None else np.ones_like(vals)
-    wts = wcells if wcells is not None else ones
-    for k in range(0, grid.level + 1):
-        s = 1 << (grid.level - k)
-        side = 3 * s
-        for d in (0, 1, 2):
-            first = d * s - side if d > 0 else 0
-            # interior cubes, batched
-            o0 = first if first >= 0 else first + side
-            m = max((N - o0) // side, 0)
-            if m:
-                V = vals[o0:o0 + m * side].reshape(m, side)
-                Wt = wts[o0:o0 + m * side].reshape(m, side)
-                if variant == "M":
-                    cv = (V * Wt).sum(axis=1) / Wt.sum(axis=1)
-                else:
-                    cv = young.luxemburg_norm_batch(V, Wt, A)
-                seg = out[o0:o0 + m * side].reshape(m, side)
-                np.maximum(seg, cv[:, None], out=seg)
-            # boundary cubes (clipped), at most one on each end
-            edges = []
-            if first < 0:
-                edges.append(slice(0, first + side))
-            last = o0 + m * side
-            if last < N:
-                edges.append(slice(last, N))
-            for sl in edges:
-                vv = vals[sl]
-                ww = wts[sl]
-                if variant == "M":
-                    v = float((vv * ww).sum() / ww.sum())
-                else:
-                    v = young.luxemburg_norm(vv, ww, A)
-                np.maximum(out[sl], v, out=out[sl])
 
 
 # -- grand maximal truncated operator ----------------------------------------

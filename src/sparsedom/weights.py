@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import young
-from .dyadic import (Cube, GeometryError, Grid, GridFunction, cube_slices,
-                     cube_values, scope_cubes)
+from .dyadic import (Cube, Grid, GridFunction, block_mean, cube_slices,
+                     cube_values, scope_cubes, scope_max)
 from .operators import maximal
 
 
@@ -27,11 +27,6 @@ def as_weight(w: GridFunction) -> GridFunction:
     if np.any(w.cells <= 0):
         raise WeightError("weights must be strictly positive on every cell")
     return w
-
-
-def _iter_scope(grid: Grid, shifted: bool):
-    for q in scope_cubes(grid, shifted=shifted):
-        yield q, cube_slices(q, grid)
 
 
 _wc_cache: dict = {}
@@ -63,18 +58,17 @@ def _weight_constant(w, kind, p, C, shifted):
         if p is None or p <= 1:
             raise WeightError("Ap needs p > 1")
         dual = w.cells ** (-1.0 / (p - 1.0))
-        best = 0.0
-        for q, sl in _iter_scope(grid, shifted):
-            a = float(w.cells[sl].mean())
-            d = float(dual[sl].mean())
-            best = max(best, a * d ** (p - 1.0))
-        return best
+        return float(scope_max(
+            grid, shifted,
+            lambda m, a, d: block_mean(m, a) * block_mean(m, d) ** (p - 1.0),
+            w.cells, dual).max())
     if kind == "A1":
         mw = maximal(w, "M", shifted=shifted)
         return float((mw.cells / w.cells).max())
     if kind == "AinfFW":
         best = 0.0
-        for q, sl in _iter_scope(grid, shifted):
+        for q in scope_cubes(grid, shifted=shifted):
+            sl = cube_slices(q, grid)
             chi = np.zeros(grid.shape)
             chi[sl] = w.cells[sl]
             m = maximal(GridFunction(grid, chi), "M", shifted=shifted)
@@ -86,13 +80,11 @@ def _weight_constant(w, kind, p, C, shifted):
         if p is None or p <= 1 or C is None:
             raise WeightError("ApBump needs p > 1 and a bump Young function")
         bump = w.cells ** (-1.0 / p)
-        best = 0.0
-        for q, sl in _iter_scope(grid, shifted):
-            a = float(w.cells[sl].mean())
-            mu = np.full(w.cells[sl].size, grid.cell_volume)
-            nrm = young.luxemburg_norm(bump[sl].ravel(), mu, C)
-            best = max(best, a * nrm ** p)
-        return best
+        return float(scope_max(
+            grid, shifted,
+            lambda m, a, u: (block_mean(m, a)
+                             * young.luxemburg_norm_batch(u, m, C) ** p),
+            w.cells, bump).max())
     raise WeightError(f"unknown weight constant kind {kind!r}")
 
 
@@ -141,11 +133,10 @@ def reverse_holder_check(w: GridFunction, Q: Cube, tau_n: float,
 
 def bmo_norm(b: GridFunction, shifted: bool = True) -> float:
     """sup over scope cubes of the mean oscillation (1/|Q|) int_Q |b - b_Q|."""
-    best = 0.0
-    for q, sl in _iter_scope(b.grid, shifted):
-        vals = b.cells[sl]
-        best = max(best, float(np.abs(vals - vals.mean()).mean()))
-    return best
+    def osc(m, v):
+        return block_mean(m, np.abs(v - block_mean(m, v)[:, None]))
+
+    return float(scope_max(b.grid, shifted, osc, b.cells).max())
 
 
 @dataclass(frozen=True)

@@ -302,6 +302,12 @@ def test_maximal_rejects_bad_variant(unit_grid):
         op.maximal(f, "MQ")
 
 
+def test_maximal_weighted_needs_a_weight(unit_grid):
+    f = parse_profile("const(1)", unit_grid)
+    with pytest.raises(op.OperatorError, match="weight"):
+        op.maximal(f, "MAW", A=young.llogl(1))
+
+
 # -- truncation maximal and frozen bounds --------------------------------------
 
 

@@ -1,0 +1,126 @@
+"""dyadic.scope_max and its callers against brute force over scope_cubes.
+
+Every oracle walks dyadic.scope_cubes one cube at a time and reads the
+cube's cells with cube_slices, so shifted cubes clipped at the domain
+boundary are included exactly as the scope defines them.
+"""
+
+import numpy as np
+import pytest
+
+from sparsedom import operators as op
+from sparsedom import weights as W
+from sparsedom import young
+from sparsedom.dyadic import (Grid, GridFunction, cube_slices, scope_cubes,
+                              scope_max)
+
+GRIDS = [Grid(1, (-0.5,), 1.0, 5), Grid(2, (-0.5, -0.5), 1.0, 3)]
+CASES = [(g, sh) for g in GRIDS for sh in (False, True)]
+IDS = [f"{g.n}d-L{g.level}-{'shifted' if sh else 'base'}" for g, sh in CASES]
+
+
+def _pointwise(grid, shifted, cube_value):
+    """At each cell, the max of cube_value(sl) over the scope cubes
+    containing it."""
+    out = np.full(grid.shape, -np.inf)
+    for q in scope_cubes(grid, shifted=shifted):
+        sl = cube_slices(q, grid)
+        out[sl] = np.maximum(out[sl], cube_value(sl))
+    return out
+
+
+def _sup(grid, shifted, cube_value):
+    return max(cube_value(cube_slices(q, grid))
+               for q in scope_cubes(grid, shifted=shifted))
+
+
+def _block(q, sl, cells):
+    """The cube's full block, zero on its cells outside the domain."""
+    block = np.zeros((q.side,) * q.n)
+    block[tuple(slice(s.start - c, s.stop - c)
+                for s, c in zip(sl, q.origin))] = cells[sl]
+    return block.ravel()
+
+
+def _data(grid, seed):
+    rng = np.random.default_rng(seed)
+    f = GridFunction(grid, rng.standard_normal(grid.shape))
+    w = GridFunction(grid, rng.lognormal(0.0, 1.0, grid.shape))
+    return f, w
+
+
+@pytest.mark.parametrize("grid,shifted", CASES, ids=IDS)
+def test_scope_max_reduces_each_scope_cube_once(grid, shifted):
+    # cells carry their own ids, so a block row names its cube's cells in
+    # block order, with 0 on padding
+    ids = np.arange(1.0, grid.cells_per_side ** grid.n + 1).reshape(grid.shape)
+    ones = np.ones(grid.shape)
+    seen = []
+
+    def record(m, v):
+        seen.extend(zip(map(tuple, m), map(tuple, v)))
+        return np.zeros(len(v))
+
+    scope_max(grid, shifted, record, ids)
+    want = [(tuple(_block(q, sl, ones)), tuple(_block(q, sl, ids)))
+            for q in scope_cubes(grid, shifted=shifted)
+            for sl in [cube_slices(q, grid)]]
+    assert sorted(seen) == sorted(want)
+
+
+@pytest.mark.parametrize("grid,shifted", CASES, ids=IDS)
+def test_maximal_variants_match_brute_force(grid, shifted):
+    f, w = _data(grid, 3)
+    v = np.abs(f.cells)
+    A = young.llogl(1)
+
+    def mean(sl):
+        return float(v[sl].mean())
+
+    def orlicz(sl):
+        return young.luxemburg_norm(v[sl].ravel(), np.ones(v[sl].size), A)
+
+    def weighted(sl):
+        return young.luxemburg_norm(v[sl].ravel(), w.cells[sl].ravel(), A)
+
+    def delta_mean(sl):
+        return float((v[sl] ** 0.5).mean())
+
+    cases = [
+        (op.maximal(f, "M", shifted=shifted), _pointwise(grid, shifted, mean)),
+        (op.maximal(f, "MA", A=A, shifted=shifted),
+         _pointwise(grid, shifted, orlicz)),
+        (op.maximal(f, "MAW", A=A, w=w, shifted=shifted),
+         _pointwise(grid, shifted, weighted)),
+        (op.maximal(f, "Mdelta", delta=0.5, shifted=shifted),
+         _pointwise(grid, shifted, delta_mean) ** 2.0),
+    ]
+    for got, want in cases:
+        assert np.allclose(got.cells, want, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("grid,shifted", CASES, ids=IDS)
+def test_weight_constants_and_bmo_match_brute_force(grid, shifted):
+    f, w = _data(grid, 4)
+    p = 2.5
+    C = young.llogl(1)
+    dual = w.cells ** (-1.0 / (p - 1.0))
+    bump = w.cells ** (-1.0 / p)
+
+    def ap(sl):
+        return float(w.cells[sl].mean()) * float(dual[sl].mean()) ** (p - 1.0)
+
+    def ap_bump(sl):
+        nrm = young.luxemburg_norm(bump[sl].ravel(), np.ones(bump[sl].size), C)
+        return float(w.cells[sl].mean()) * nrm ** p
+
+    def osc(sl):
+        return float(np.abs(f.cells[sl] - f.cells[sl].mean()).mean())
+
+    assert W.weight_constant(w, "Ap", p=p, shifted=shifted) == \
+        pytest.approx(_sup(grid, shifted, ap), rel=1e-12)
+    assert W.weight_constant(w, "ApBump", p=p, C=C, shifted=shifted) == \
+        pytest.approx(_sup(grid, shifted, ap_bump), rel=1e-10)
+    assert W.bmo_norm(f, shifted=shifted) == \
+        pytest.approx(_sup(grid, shifted, osc), rel=1e-12)
+
