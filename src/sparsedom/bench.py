@@ -368,7 +368,7 @@ def expdecay_check(scn: Scenario) -> dict:
             rows.append(_row(lam, ms, env, ms <= env * 1.0001))
         ok = ok and fit_ok and all(r["pass"] for r in rows[-keep.sum():])
         # counting function of the engine family
-        form = build_sparse_family(K, b, m, A, f, Q)
+        form = build_sparse_family(K, b, m, A, f, Q, seed=scn.seed)
         count = np.zeros(grid.shape)
         for q in form.family.cubes:
             count[cube_slices(q, grid)] += 1.0
@@ -484,7 +484,8 @@ def sparse_rows(scn: Scenario) -> dict:
         grid = scn.grid(L)
         f = _profile(scn.f, grid)
         b = _profile(scn.b, grid)
-        rep = domination_report(K, b, scn.m, A, f, grid.root_cube())
+        rep = domination_report(K, b, scn.m, A, f, grid.root_cube(),
+                                seed=scn.seed)
         cstars.append(rep.c_star)
         families.append(rep)
         consts[f"c_star_L{L}"] = rep.c_star
@@ -523,7 +524,7 @@ def constants_dump(scn: Scenario) -> dict:
                             weight_constant(w, "Ap", p=scn.p)))
             entries.append(("w", f"bump_p{scn.p:g}_L{L}",
                             weight_constant(w, "ApBump", p=scn.p, C=A)))
-        info = estimate_ct(K, A, grid)
+        info = estimate_ct(K, A, grid, scn.seed)
         entries.append(("T", f"hormander_L{L}", info["hormander"]))
         entries.append(("T", f"l2_norm_L{L}", info["l2_norm"]))
     kra, finite = young.krA_constant(A, max(scn.r, 1.0))

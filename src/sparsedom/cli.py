@@ -1,9 +1,10 @@
 """Command line front end.
 
     lab run <scenario.ini> [--level L] [--out dir] [--seed u64]
-    lab battery <dir> [--out dir] [--seed u64]
-    lab constants <scenario.ini> [--out dir]
-    lab sparse <scenario.ini> [--dump-family out.json] [--level L] [--out dir]
+    lab battery <dir> [--level L] [--out dir] [--seed u64]
+    lab constants <scenario.ini> [--level L] [--out dir] [--seed u64]
+    lab sparse <scenario.ini> [--dump-family out.json] [--level L]
+               [--out dir] [--seed u64]
 
 Exit codes: 0 all checks pass, 1 at least one quantitative check fails,
 2 configuration or scenario error.

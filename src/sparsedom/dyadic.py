@@ -11,7 +11,7 @@ shifted lattice, which is the point of carrying them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np

@@ -583,12 +583,11 @@ def hormander_estimate(K: Kernel, A, grid: Grid, side: int = 1,
         half = Cube(q.lattice, q.level,
                     tuple(c + q.side // 4 for c in q.origin), q.side // 2)
         pts = _stencil_cells(half, grid)
-        for xi in range(len(pts)):
-            for zi in range(xi + 1, len(pts)):
-                val, tail = _annulus_sum(K, A, grid, q, pts[xi], pts[zi],
-                                         side, k_max)
-                if val > best:
-                    best, best_tail = val, tail
+        pairs = [(x, z) for i, x in enumerate(pts) for z in pts[i + 1:]]
+        for val, tail in zip(*_annulus_sums(K, A, grid, q, pairs, side,
+                                            k_max)):
+            if val > best:
+                best, best_tail = val, tail
     return best, best_tail
 
 
@@ -601,14 +600,20 @@ def _stencil_cells(q: Cube, grid: Grid) -> list:
     return [tuple(ix) for ix in _p(*axes)]
 
 
-def _annulus_sum(K: Kernel, A, grid: Grid, q: Cube, xcell, zcell,
-                 side: int, k_max: int) -> tuple:
-    N = grid.cells_per_side
+def _annulus_sums(K: Kernel, A, grid: Grid, q: Cube, pairs: list,
+                  side: int, k_max: int) -> tuple:
+    """Annulus sums of one cube q for every cell pair (x, z) in pairs:
+    (totals, tails), one entry per pair.  Each annulus 2^k q minus
+    2^(k-1) q costs one kernel evaluation on (pairs x cells of 2^k q) and
+    one batched Luxemburg norm."""
+    n = grid.n
     h = grid.cell_width
-    x = tuple(grid.origin[i] + (xcell[i] + 0.5) * h for i in range(grid.n))
-    z = tuple(grid.origin[i] + (zcell[i] + 0.5) * h for i in range(grid.n))
-    total = 0.0
-    kept = []
+    # centers of x and z per axis, shaped (pairs, 1, ..., 1)
+    pts = np.asarray(grid.origin) + (np.asarray(pairs, dtype=float) + 0.5) * h
+    col = (len(pairs),) + (1,) * n
+    xs = [pts[:, 0, i].reshape(col) for i in range(n)]
+    zs = [pts[:, 1, i].reshape(col) for i in range(n)]
+    terms = []
     for k in range(1, k_max + 1):
         try:
             big = dilate(q, 1 << k)
@@ -618,44 +623,31 @@ def _annulus_sum(K: Kernel, A, grid: Grid, q: Cube, xcell, zcell,
         if is_clipped(big, grid):
             break
         sl = cube_slices(big, grid)
-        if grid.n == 1:
-            ys = grid.cell_centers(0)[sl[0]]
-            if side == 1:
-                dvals = K.conv(x[0] - ys, h) - K.conv(z[0] - ys, h)
-            else:
-                dvals = K.conv(ys - x[0], h) - K.conv(ys - z[0], h)
-            coords = [np.arange(sl[0].start, sl[0].stop)]
+        ys = np.meshgrid(*(grid.cell_centers(i)[sl[i]] for i in range(n)),
+                         indexing="ij", sparse=True)
+        if side == 1:
+            dvals = K.conv(*(x - y for x, y in zip(xs, ys)), h) \
+                - K.conv(*(z - y for z, y in zip(zs, ys)), h)
         else:
-            y1 = grid.cell_centers(0)[sl[0]][:, None]
-            y2 = grid.cell_centers(1)[sl[1]][None, :]
-            if side == 1:
-                dvals = K.conv(x[0] - y1, x[1] - y2, h) \
-                    - K.conv(z[0] - y1, z[1] - y2, h)
-            else:
-                dvals = K.conv(y1 - x[0], y2 - x[1], h) \
-                    - K.conv(y1 - z[0], y2 - z[1], h)
-            coords = [np.arange(s.start, s.stop) for s in sl]
-        # annulus mask: inside big, outside small
-        inside_small = np.ones(dvals.shape, dtype=bool)
-        for ax, cs in enumerate(coords):
-            lo, hi = small.origin[ax], small.origin[ax] + small.side
-            ok = (cs >= lo) & (cs < hi)
-            shape = [1] * grid.n
-            shape[ax] = len(cs)
-            inside_small &= ok.reshape(shape)
-        dvals = np.where(inside_small, 0.0, dvals)
-        # exclude the singular diagonal region (cells at x or z)
-        norm = young.luxemburg_norm(np.abs(dvals).ravel(),
-                                    np.full(dvals.size, grid.cell_volume), A)
-        term = ((1 << k) * q.length(grid)) ** grid.n * norm
-        total += term
-        kept.append(term)
-    if len(kept) >= 2 and kept[-2] > 0:
-        rho = kept[-1] / kept[-2]
-        tail = kept[-1] * rho / (1.0 - rho) if rho < 1 else math.inf
-    else:
-        tail = 0.0
-    return total, tail
+            dvals = K.conv(*(y - x for x, y in zip(xs, ys)), h) \
+                - K.conv(*(y - z for z, y in zip(zs, ys)), h)
+        # annulus: zero the inner cube 2^(k-1) q
+        dvals[(slice(None),) + tuple(
+            slice(s - o, s - o + small.side)
+            for s, o in zip(small.origin, big.origin))] = 0.0
+        dvals = np.abs(dvals).reshape(len(pairs), -1)
+        norms = young.luxemburg_norm_batch(
+            dvals, np.full(dvals.shape, grid.cell_volume), A)
+        terms.append(((1 << k) * q.length(grid)) ** n * norms)
+    totals = sum(terms, np.zeros(len(pairs)))
+    tails = [0.0] * len(pairs)
+    if len(terms) >= 2:
+        for i, (prev, last) in enumerate(zip(terms[-2].tolist(),
+                                             terms[-1].tolist())):
+            if prev > 0:
+                rho = last / prev
+                tails[i] = last * rho / (1.0 - rho) if rho < 1 else math.inf
+    return totals.tolist(), tails
 
 
 # -- angular modulus for homogeneous kernels ---------------------------------
@@ -665,21 +657,18 @@ def omega_modulus(omega_samples, B, t: float, shifts: int = 16) -> float:
     """sup over rotations |y| <= t of the Luxemburg B-norm on the circle of
     Omega(. + y) - Omega(.)."""
     om = np.asarray(omega_samples, dtype=float)
-    M = len(om)
-    dtheta = 2 * math.pi / M
-    mu = np.full(M, dtheta)
-    best = 0.0
     if t <= 0:
         return 0.0
+    M = len(om)
+    dtheta = 2 * math.pi / M
     angles = np.linspace(0.0, t, shifts + 1)[1:]
     theta_grid = np.arange(M) * dtheta
     theta_ext = np.concatenate([theta_grid, [2 * math.pi]])
     om_ext = np.concatenate([om, om[:1]])
-    for a in angles:
-        shifted = np.interp(np.mod(theta_grid + a, 2 * math.pi),
-                            theta_ext, om_ext)
-        best = max(best, young.luxemburg_norm(shifted - om, mu, B))
-    return best
+    shifted = np.interp(np.mod(theta_grid + angles[:, None], 2 * math.pi),
+                        theta_ext, om_ext)
+    return float(young.luxemburg_norm_batch(
+        shifted - om, np.full(shifted.shape, dtheta), B).max())
 
 
 def dini_integral(omega_samples, B, t_min: float = 1e-4,

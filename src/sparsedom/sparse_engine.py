@@ -59,19 +59,20 @@ _l2_cache: dict = {}
 
 
 def estimate_ct(K: Kernel, A: young.YoungFunction, grid: Grid,
-                cube_budget: int = 24, k_max: int = 6) -> dict:
+                seed: int = 0) -> dict:
     """Operator-size gauge: kernel smoothness estimate plus the discrete
-    L2 operator norm.  Cached per (kernel content, grid, gauge), so a new
-    kernel object with the same spec reuses the entry and no other kernel
-    can."""
+    L2 operator norm.  Cached per (kernel content, grid, gauge, seed), so a
+    new kernel or gauge object with the same content reuses the entry and
+    no other kernel or gauge can.  seed draws the smoothness estimate's
+    sample of cubes."""
     spec = K.spec(grid)
-    key = (spec, grid, young.format_young(A))
+    key = (spec, grid, A, seed)
     if key not in _ct_cache:
         if K.matrix is not None:
             h, tail = 0.0, 0.0
         else:
-            h, tail = hormander_estimate(K, A, grid, cube_budget=cube_budget,
-                                         k_max=k_max)
+            h, tail = hormander_estimate(K, A, grid, cube_budget=24, k_max=6,
+                                         seed=seed)
         l2key = (spec, grid)
         if l2key not in _l2_cache:
             _l2_cache[l2key] = operator_norm_l2(K, grid)
@@ -81,7 +82,7 @@ def estimate_ct(K: Kernel, A: young.YoungFunction, grid: Grid,
     return _ct_cache[key]
 
 
-def _local_data(K, f, b, m, A, Q0, ct):
+def _local_data(K, f, b, m, A, Q0):
     """Per-node quantities: 3Q0-clipped f, oscillation powers, norms and the
     truncation maximal values for each commutator split h."""
     grid = f.grid
@@ -90,17 +91,12 @@ def _local_data(K, f, b, m, A, Q0, ct):
     f3[s3] = f.cells[s3]
     b3 = float(b.cells[s3].mean())
     osc = np.abs(b.cells - b3)
-    mu3 = np.full(f3[s3].size, grid.cell_volume)
-    norms = []
-    mts = []
-    for h in range(m + 1):
-        gh = osc ** h * f3
-        norms.append(young.luxemburg_norm(gh[s3].ravel(), mu3, A))
-        if norms[-1] > 0:
-            mts.append(grand_maximal_truncated(
-                K, GridFunction(grid, gh), Q0).cells)
-        else:
-            mts.append(None)
+    gs = [osc ** h * f3 for h in range(m + 1)]
+    rows = np.stack([g[s3].ravel() for g in gs])
+    norms = young.luxemburg_norm_batch(
+        rows, np.full(rows.shape, grid.cell_volume), A).tolist()
+    mts = [grand_maximal_truncated(K, GridFunction(grid, g), Q0).cells
+           if norm > 0 else None for g, norm in zip(gs, norms)]
     return f3, b3, osc, norms, mts
 
 
@@ -114,7 +110,7 @@ def exceptional_set(K: Kernel, f: GridFunction, b: GridFunction, h: int,
     grid = f.grid
     if ct is None:
         ct = estimate_ct(K, A, grid)["ct"]
-    f3, b3, osc, norms, mts = _local_data(K, f, b, h, A, Q0, ct)
+    f3, b3, osc, norms, mts = _local_data(K, f, b, h, A, Q0)
     return _exceptional_mask(grid, Q0, osc, f3, norms[h], mts[h], h,
                              alpha, ct)
 
@@ -133,7 +129,8 @@ def _exceptional_mask(grid, Q0, osc, f3, norm, mt, h, alpha, ct):
 def build_sparse_family(K: Kernel, b: GridFunction, m: int,
                         A: young.YoungFunction, f: GridFunction, Q0: Cube,
                         max_depth: int = None, node_budget: int = 100000,
-                        alpha_cap: float = 2.0 ** 40) -> SparseForm:
+                        alpha_cap: float = 2.0 ** 40,
+                        seed: int = 0) -> SparseForm:
     """Stopping-time recursion producing a half-sparse family with
     certificates.
 
@@ -141,7 +138,7 @@ def build_sparse_family(K: Kernel, b: GridFunction, m: int,
     exceptional set fills at most 2^-(n+2) of the node; its indicator is
     Calderon-Zygmund decomposed at height 2^-(n+1) into the children, whose
     total measure is then at most half the node.  The node keeps the witness
-    set Q minus its children.
+    set Q minus its children.  seed goes to estimate_ct.
     """
     if not 0 <= m <= 4:
         raise EngineError("commutator order must be in 0..4")
@@ -149,7 +146,7 @@ def build_sparse_family(K: Kernel, b: GridFunction, m: int,
     n = grid.n
     if max_depth is None:
         max_depth = grid.level
-    ct_info = estimate_ct(K, A, grid)
+    ct_info = estimate_ct(K, A, grid, seed)
     ct = max(ct_info["ct"], 1e-12)
 
     form = SparseForm(SparseFamily(grid, [], 0.5, certificate={}),
@@ -160,7 +157,7 @@ def build_sparse_family(K: Kernel, b: GridFunction, m: int,
         if len(form.family.cubes) >= node_budget:
             form.exhausted = True
             break
-        f3, b3, osc, norms, mts = _local_data(K, f, b, m, A, q, ct)
+        f3, b3, osc, norms, mts = _local_data(K, f, b, m, A, q)
         form.family.cubes.append(q)
         form.coeffs[q] = tuple(norms)
         form.b_avgs[q] = b3
@@ -225,11 +222,11 @@ def sparse_form_eval(form: SparseForm, b: GridFunction) -> dict:
 
 def domination_report(K: Kernel, b: GridFunction, m: int,
                       A: young.YoungFunction, f: GridFunction, Q0: Cube,
-                      **opts) -> DominationReport:
+                      seed: int = 0) -> DominationReport:
     """Builds the family, evaluates the sparse form, and compares it
-    cellwise against |T_b^m f| on Q0."""
+    cellwise against |T_b^m f| on Q0.  seed goes to estimate_ct."""
     grid = f.grid
-    form = build_sparse_family(K, b, m, A, f, Q0, **opts)
+    form = build_sparse_family(K, b, m, A, f, Q0, seed=seed)
     ev = sparse_form_eval(form, b)
     total = ev["total"].cells
 

@@ -40,8 +40,7 @@ def weight_constant(w: GridFunction, kind: str, p: float = None,
     Ap needs p > 1; ApBump needs p > 1 and a Young function C for the
     Orlicz bump norm of w^(-1/p).  Results are memoized on the cell data.
     """
-    key = (w.cells.tobytes(), w.grid, kind, p,
-           young.format_young(C) if C is not None else None, shifted)
+    key = (w.cells.tobytes(), w.grid, kind, p, C, shifted)
     if key in _wc_cache:
         return _wc_cache[key]
     val = _weight_constant(w, kind, p, C, shifted)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -304,25 +303,9 @@ def conjugate_value(A: YoungFunction, t: float) -> float:
         hi *= 2.0
     else:
         raise UnboundedConjugateError("A is sublinear on the search range")
-    lo = 0.0
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1 = obj(x1)
-    f2 = obj(x2)
-    for _ in range(200):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = obj(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = obj(x1)
-        if b - a <= 1e-14 * max(b, 1.0):
-            break
-    return max(obj(0.5 * (a + b)), 0.0)
+    s = _golden_min(lambda s: -obj(s), 0.0, hi, 200,
+                    lambda b: 1e-14 * max(b, 1.0))
+    return max(obj(s), 0.0)
 
 
 def conjugate_inverse_value(A: YoungFunction, y: float) -> float:
@@ -359,23 +342,29 @@ def conjugate_inverse_value(A: YoungFunction, y: float) -> float:
         ghi = g(hi)
     lo -= step
     hi += step
+    return g(_golden_min(g, lo, hi, 120, lambda b: 1e-13))
+
+
+def _golden_min(fn, a, b, iters: int, tol) -> float:
+    """Golden-section search for the minimum of a unimodal fn on [a, b]:
+    at most iters steps, stopping once b - a <= tol(b); returns the final
+    midpoint."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
-    f1, f2 = g(x1), g(x2)
-    for _ in range(120):
+    f1, f2 = fn(x1), fn(x2)
+    for _ in range(iters):
         if f1 > f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
-            f2 = g(x2)
+            f2 = fn(x2)
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
-            f1 = g(x1)
-        if b - a <= 1e-13:
+            f1 = fn(x1)
+        if b - a <= tol(b):
             break
-    return g(0.5 * (a + b))
+    return 0.5 * (a + b)
 
 
 def complementary(A: YoungFunction, t_min: float = 1e-6, t_max: float = 1e9,
@@ -406,53 +395,29 @@ def complementary(A: YoungFunction, t_min: float = 1e-6, t_max: float = 1e9,
 # -- Luxemburg norms --------------------------------------------------------
 
 
-def luxemburg_norm(values, measures, A: YoungFunction,
-                   rel_tol: float = 1e-12) -> float:
+def luxemburg_norm(values, measures, A: YoungFunction) -> float:
     """inf{lam > 0 : sum A(|v|/lam) mu / sum mu <= 1} over one cube.
 
     `values` are cell values on the cube, `measures` the per-cell measure
-    (Lebesgue cell volumes, or w * volume for a weighted norm).
+    (Lebesgue cell volumes, or w * volume for a weighted norm).  This is
+    the one-row case of luxemburg_norm_batch.
     """
-    v = np.abs(np.asarray(values, dtype=float))
-    mu = np.asarray(measures, dtype=float)
+    v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise YoungError("empty cube")
-    total = float(mu.sum())
-    if total <= 0:
-        raise YoungError("cube has nonpositive measure")
-    vmax = float(v.max())
-    if vmax == 0.0:
-        return 0.0
-    if A.family == LINF:
-        (c,) = A.params
-        return vmax / c
-
-    def modular(lam):
-        return float((A._eval(v / lam) * mu).sum()) / total
-
-    ainv1 = float(A.inverse(1.0))
-    hi = vmax * max(1.0, 1.0 / ainv1)
-    lo = hi * 1e-18
-    # monotonicity sanity: modular must not increase with lam
-    if modular(hi) > 1.0 + 1e-9:
-        hi *= 4.0
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if modular(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo - 1.0 <= rel_tol:
-            break
-    return hi
+    mu = np.asarray(measures, dtype=float)
+    return float(luxemburg_norm_batch(v.reshape(1, -1), mu.reshape(1, -1),
+                                      A)[0])
 
 
-def luxemburg_norm_batch(values, measures, A: YoungFunction,
-                         rel_tol: float = 1e-12):
+def luxemburg_norm_batch(values, measures, A: YoungFunction):
     """Vectorized Luxemburg norms for a stack of same-size cubes.
 
     values/measures have shape (ncubes, cells_per_cube); returns (ncubes,).
-    Used by maximal operators and weight-constant sweeps.
+    The bisection runs in log lam from hi/lo = 1e18 and halves log(hi/lo)
+    at every step whichever half it keeps, so every row meets the relative
+    tolerance 1e-12 at the same step: a row's norm does not depend on the
+    other rows of the batch.
     """
     v = np.abs(np.asarray(values, dtype=float))
     mu = np.asarray(measures, dtype=float)
@@ -473,6 +438,7 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction,
         return out
     ainv1 = float(A.inverse(1.0))
     hi = vmax * max(1.0, 1.0 / ainv1)
+    # monotonicity sanity: the modular must not increase with lam
     bad = (A._eval(v / hi[:, None]) * mu).sum(axis=1) / tot > 1.0 + 1e-9
     hi[bad] *= 4.0
     lo = hi * 1e-18
@@ -482,7 +448,7 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction,
         up = mod > 1.0
         lo = np.where(up, mid, lo)
         hi = np.where(up, hi, mid)
-        if np.all(hi / lo - 1.0 <= rel_tol):
+        if np.all(hi / lo - 1.0 <= 1e-12):
             break
     out[act] = hi
     return out

@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from sparsedom import bench, cli
+from sparsedom import sparse_engine as eng
 
 
 BATTERY_DIR = os.path.join(os.path.dirname(__file__), "..", "battery")
@@ -194,3 +195,25 @@ def test_cli_level_override(tmp_path):
     assert cli.main(["run", path, "--level", "5", "--out", str(out)]) == 0
     data = json.loads((out / "report.json").read_text())
     assert data["scenario"]["levels"] == [5]
+
+
+@pytest.mark.parametrize("command,kind", [("sparse", "sparse"),
+                                          ("run", "expdecay"),
+                                          ("constants", "constants")])
+def test_cli_seed_reaches_smoothness_estimate(tmp_path, monkeypatch, command,
+                                              kind):
+    seeds = []
+    real = eng.hormander_estimate
+
+    def spy(*args, seed=None, **kwargs):
+        seeds.append(seed)
+        return real(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(eng, "hormander_estimate", spy)
+    monkeypatch.setattr(eng, "_ct_cache", {})
+    path = _write_ini(tmp_path / "s.ini", kind=kind, levels=6,
+                      kernel="hilbert", gauge_a="llogl(1)",
+                      f="indicator(0,0.25)", b="const(0)", w="const(1)",
+                      origin=-0.5, side=1)
+    cli.main([command, path, "--seed", "7", "--out", str(tmp_path / "o")])
+    assert seeds == [7]

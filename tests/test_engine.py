@@ -7,8 +7,9 @@ from sparsedom import sparse_engine as eng
 from sparsedom import young
 from sparsedom.dyadic import (Grid, GridFunction, check_sparse, cube_mask,
                               cube_slices)
-from sparsedom.operators import (hormander_estimate, make_hilbert,
-                                 operator_norm_l2, parse_kernel)
+from sparsedom.operators import (counter_young, hormander_estimate,
+                                 make_counter, make_hilbert, operator_norm_l2,
+                                 parse_kernel)
 from sparsedom.weights import parse_profile
 
 
@@ -137,3 +138,17 @@ def test_estimate_ct_keyed_on_kernel_content():
         text = texts[i % 2]
         assert eng.estimate_ct(parse_kernel(text), A, grid)["ct"] \
             == fresh[text]
+
+
+def test_estimate_ct_keyed_on_gauge_content(monkeypatch):
+    # both counter gauges are 1201-knot tables that print alike; each must
+    # get its own smoothness estimate
+    monkeypatch.setattr(eng, "_ct_cache", {})
+    grid = Grid(1, (-6.0,), 12.0, 6)
+    K = make_counter()
+    gauges = (counter_young(2.0, 1.0), counter_young(1.5, 0.5))
+    fresh = [hormander_estimate(K, A, grid, cube_budget=24, k_max=6)[0]
+             for A in gauges]
+    assert fresh[0] != fresh[1]
+    for A, h in zip(gauges, fresh):
+        assert eng.estimate_ct(K, A, grid)["hormander"] == h

@@ -8,8 +8,9 @@ import pytest
 
 from sparsedom import operators as op
 from sparsedom import young
-from sparsedom.dyadic import (BASE, Cube, Grid, GridFunction, descendants,
-                              grid_function)
+from sparsedom.dyadic import (BASE, Cube, Grid, GridFunction, base_cubes,
+                              cube_slices, descendants, dilate, grid_function,
+                              is_clipped)
 from sparsedom.frozen import FROZEN
 from sparsedom.weights import parse_profile
 
@@ -405,6 +406,95 @@ def test_hormander_counter_stable_across_levels():
         v, _ = op.hormander_estimate(K, A, grid, cube_budget=24, k_max=6)
         vals.append(v)
     assert max(vals) / min(vals) <= 1.1
+
+
+def _annulus_reference(K, A, grid, q, x, z, side, k_max):
+    """One pair's annulus sum from pointwise kernel differences on the
+    whole of 2^k q, with the cells of 2^(k-1) q set to zero."""
+    n, h = grid.n, grid.cell_width
+    xc = tuple(grid.origin[i] + (x[i] + 0.5) * h for i in range(n))
+    zc = tuple(grid.origin[i] + (z[i] + 0.5) * h for i in range(n))
+    kept = []
+    for k in range(1, k_max + 1):
+        big, small = dilate(q, 2 ** k), dilate(q, 2 ** (k - 1))
+        if is_clipped(big, grid):
+            break
+        sl = cube_slices(big, grid)
+        idx = np.meshgrid(*(np.arange(s.start, s.stop) for s in sl),
+                          indexing="ij")
+        ys = [grid.cell_centers(i)[idx[i]] for i in range(n)]
+        y = ys[0] if n == 1 else ys
+        px, pz = (xc[0], zc[0]) if n == 1 else (xc, zc)
+        if side == 1:
+            d = K.evaluate(px, y, h) - K.evaluate(pz, y, h)
+        else:
+            d = K.evaluate(y, px, h) - K.evaluate(y, pz, h)
+        inner = np.ones(d.shape, dtype=bool)
+        for i in range(n):
+            inner &= (idx[i] >= small.origin[i]) \
+                & (idx[i] < small.origin[i] + small.side)
+        d = np.where(inner, 0.0, d)
+        norm = young.luxemburg_norm(np.abs(d).ravel(),
+                                    np.full(d.size, grid.cell_volume), A)
+        kept.append((2 ** k * q.length(grid)) ** n * norm)
+    total = 0.0
+    for term in kept:
+        total += term
+    tail = 0.0
+    if len(kept) >= 2 and kept[-2] > 0:
+        rho = kept[-1] / kept[-2]
+        tail = kept[-1] * rho / (1.0 - rho) if rho < 1 else math.inf
+    return total, tail
+
+
+def _asymmetric_table(M=48):
+    th = np.arange(M) * 2 * math.pi / M
+    return np.cos(2 * th) + 0.5 * np.sin(th) + 0.25 * np.sin(3 * th)
+
+
+@pytest.mark.parametrize("name", ["hilbert", "dini", "counter", "homog"])
+@pytest.mark.parametrize("side", [1, 2])
+def test_annulus_sums_match_per_pair_reference(name, side):
+    if name == "homog":
+        K, A = op.make_homog(_asymmetric_table()), young.llogl(1)
+        grid = Grid(2, (-0.5, -0.5), 1.0, 5)
+    elif name == "counter":
+        K, A = op.make_counter(), op.counter_young(2.0, 1.0)
+        grid = Grid(1, (-6.0,), 12.0, 8)
+    else:
+        K = op.make_hilbert() if name == "hilbert" else \
+            op.parse_kernel("dini(omega=power(0.5),ck=1)")
+        A, grid = young.llogl(1), Grid(1, (-0.5,), 1.0, 8)
+    N = grid.cells_per_side
+    cand = [q for q in base_cubes(grid, min_level=1) if 4 <= q.side < N]
+    # every side, near the edge and inside, so annuli stop at several k
+    picks = cand[::max(1, len(cand) // 9)] + cand[-3:]
+    for q in picks:
+        half = Cube(q.lattice, q.level,
+                    tuple(c + q.side // 4 for c in q.origin), q.side // 2)
+        pts = op._stencil_cells(half, grid)
+        pairs = [(x, z) for i, x in enumerate(pts) for z in pts[i + 1:]]
+        totals, tails = op._annulus_sums(K, A, grid, q, pairs, side, 6)
+        want = [_annulus_reference(K, A, grid, q, x, z, side, 6)
+                for x, z in pairs]
+        assert list(zip(totals, tails)) == want, (name, side, q)
+
+
+def test_omega_modulus_matches_rotation_loop():
+    om = _asymmetric_table(64)
+    M = len(om)
+    theta = np.arange(M) * 2 * math.pi / M
+    theta_ext = np.append(theta, 2 * math.pi)
+    om_ext = np.append(om, om[0])
+    for B in (young.power(1), young.power(2), young.llogl(1)):
+        for t in (0.01, 0.1, 0.7, 3.0):
+            want = 0.0
+            for a in np.linspace(0.0, t, 17)[1:]:
+                rot = np.interp(np.mod(theta + a, 2 * math.pi), theta_ext,
+                                om_ext)
+                want = max(want, young.luxemburg_norm(
+                    rot - om, np.full(M, 2 * math.pi / M), B))
+            assert op.omega_modulus(om, B, t) == want, (B, t)
 
 
 def test_hormander_input_checks(sym_grid):

@@ -11,6 +11,7 @@ from sparsedom import weights as W
 from sparsedom import young
 from sparsedom.dyadic import Grid, GridFunction
 from sparsedom.frozen import FROZEN
+from sparsedom.operators import counter_young
 
 
 def test_unit_weight_constants_are_one(unit_grid):
@@ -56,6 +57,19 @@ def test_ap_bump_dominates_ap(unit_grid, rng):
     plain = W.weight_constant(w, "Ap", p)
     bumped = W.weight_constant(w, "ApBump", p, C=young.llogl(1))
     assert bumped >= plain * (1 - 1e-9)
+
+
+def test_weight_constant_keyed_on_gauge_content(unit_grid, rng,
+                                               monkeypatch):
+    # both counter gauges are 1201-knot tables that print alike; each must
+    # get its own bump constant
+    monkeypatch.setattr(W, "_wc_cache", {})
+    w = GridFunction(unit_grid, rng.lognormal(0.0, 1.0, 64))
+    gauges = (counter_young(2.0, 1.0), counter_young(1.5, 0.5))
+    fresh = [W._weight_constant(w, "ApBump", 2.0, C, True) for C in gauges]
+    assert fresh[0] != fresh[1]
+    for C, v in zip(gauges, fresh):
+        assert W.weight_constant(w, "ApBump", p=2.0, C=C) == v
 
 
 def test_sigma_duality_identity(unit_grid, rng):

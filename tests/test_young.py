@@ -215,13 +215,17 @@ def test_luxemburg_domination_transfer(seed):
 
 
 def test_luxemburg_batch_matches_scalar(rng):
-    vals = rng.lognormal(0.0, 1.0, (5, 16))
-    mu = np.full((5, 16), 1.0 / 16)
-    A = young.llogl(1)
-    batch = young.luxemburg_norm_batch(vals, mu, A)
-    for i in range(5):
-        assert batch[i] == pytest.approx(
-            young.luxemburg_norm(vals[i], mu[i], A), rel=1e-9)
+    # every row of a batch is bitwise its norm alone, whatever the scale of
+    # the other rows; an all-zero row has norm 0
+    scale = np.array([1e-9, 1e-3, 1.0, 1e4, 1e12, 0.0])
+    vals = rng.lognormal(0.0, 1.0, (6, 16)) * scale[:, None]
+    mu = rng.uniform(0.5, 2.0, (6, 16))
+    for A in (young.llogl(1), young.power(2), young.expl(1),
+              counter_young(2.0, 1.0)):
+        batch = young.luxemburg_norm_batch(vals, mu, A)
+        assert batch[-1] == 0.0
+        for i in range(6):
+            assert batch[i] == young.luxemburg_norm(vals[i], mu[i], A)
 
 
 # -- Holder defect ------------------------------------------------------------
