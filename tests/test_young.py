@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import quad
 
 from sparsedom import young
 from sparsedom.operators import counter_young
@@ -284,6 +285,48 @@ def test_bp_power_closed_form():
         val, conv = young.bp_check(young.power(r), p)
         assert conv
         assert val == pytest.approx(1.0 / (p - r), rel=1e-5)
+
+
+def test_bp_power_truncated_closed_form():
+    # int_1^T t^(r-p-1) dt = (1 - T^(r-p)) / (p - r), T = 1e12
+    for r, p in ((1.0, 2.5), (2.0, 3.0), (1.5, 4.0)):
+        val, conv = young.bp_check(young.power(r), p)
+        assert conv
+        assert val == pytest.approx((1.0 - 1e12 ** (r - p)) / (p - r),
+                                    rel=1e-12)
+
+
+def _quad_chunks(f, t_max=1e12):
+    """Reference: scipy quad of a scalar integrand on the same u = log t
+    chunks as the Gauss-Legendre rule."""
+    u_max = math.log(t_max)
+    edges = np.linspace(0.0, u_max, int(u_max * 4) + 2)
+    return sum(quad(lambda u: f(math.exp(u)) * math.exp(u), a, b,
+                    limit=200)[0] for a, b in zip(edges[:-1], edges[1:]))
+
+
+def test_log_quadrature_matches_quad_reference():
+    # A = phi = t: the kappa integrand is 1 / (t log(e+t))
+    kap, conv = young.kappa_phi(young.power(1), young.power(1))
+    assert not conv
+    assert kap == pytest.approx(
+        _quad_chunks(lambda t: 1.0 / (t * math.log(E + t))), rel=1e-12)
+    val, conv = young.bp_check(young.llogl(1), 2.0)
+    assert conv
+    assert val == pytest.approx(
+        _quad_chunks(lambda t: math.log(E + t) / t**2), rel=1e-12)
+
+
+def test_log_quadrature_gauss_exact_to_degree_47():
+    # t_max = e^0.2 is one chunk in u; its rule integrates every polynomial
+    # of degree <= 2 * 24 - 1 in u exactly.  sum_k P_k(2u/h - 1), k <= 47,
+    # integrates to h over [0, h].
+    h = 0.2
+    coef = np.ones(48)
+    val, _ = young._log_quadrature(
+        lambda t: np.polynomial.legendre.legval(2.0 * np.log(t) / h - 1.0,
+                                                coef) / t, math.exp(h))
+    assert val == pytest.approx(h, rel=1e-13)
 
 
 def test_bp_critical_exponent_diverges():
