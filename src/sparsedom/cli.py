@@ -66,8 +66,7 @@ def _default_out(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0] + ".out"
 
 
-def _run_one(path: str, level, out, seed, dump_family=None) -> dict:
-    scn = _load(path, level, seed)
+def _run_one(scn: Scenario, path: str, out, dump_family=None) -> dict:
     out_dir = out or _default_out(path)
     if dump_family is None and scn.kind == "sparse":
         dump_family = os.path.join(out_dir, "family.json")
@@ -80,7 +79,8 @@ def _run_one(path: str, level, out, seed, dump_family=None) -> dict:
 
 
 def cmd_run(args) -> int:
-    report = _run_one(args.scenario, args.level, args.out, args.seed)
+    scn = _load(args.scenario, args.level, args.seed)
+    report = _run_one(scn, args.scenario, args.out)
     return 0 if report["pass"] else 1
 
 
@@ -99,7 +99,7 @@ def cmd_sparse(args) -> int:
     if scn.kind != "sparse":
         raise ScenarioError("the sparse command needs a kind = sparse "
                             "scenario")
-    report = _run_one(args.scenario, args.level, args.out, args.seed,
+    report = _run_one(scn, args.scenario, args.out,
                       dump_family=args.dump_family)
     return 0 if report["pass"] else 1
 

@@ -2,15 +2,14 @@
 commutators, maximal operators and kernel-smoothness (annulus sum) estimates.
 
 Convolution kernels are evaluated once per grid on the difference lattice
-(the profile), so a 1D operator is a Toeplitz matrix that is never built
-whole.  It is applied by one of two chunked primitives, each keeping its
-temporaries at or below _CHUNK elements: `_toeplitz_1d` multiplies and adds
-the two cells at distance m from x elementwise before each row is summed,
-so odd kernels cancel exactly on even data (apply_operator and its
-adjoint); `_toeplitz_rows` copies out blocks of the Toeplitz matrix and
-multiplies them into many rows of data at once (the truncation maximal
-operator, one product per dyadic level).  Both do O(N^2) work from O(N)
-kernel evaluations.
+(the profile), so an operator is a Toeplitz matrix (block Toeplitz in 2D)
+that is never built whole.  Every application goes through one chunked
+primitive, `_toeplitz_rows`, which copies out blocks of that matrix and
+multiplies them into many rows of data at once: the truncation maximal
+operator makes one product per dyadic level, and apply_operator and its
+adjoint make two, one per half of the displacements, joined by a flip
+identity that keeps odd kernels exactly odd on even data (`_apply`).  The
+work is O(N^2) per axis pair from O(N) kernel evaluations per axis.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import young
 from .dyadic import (BASE, Cube, GeometryError, Grid, GridFunction,
-                     base_cubes, block_mean, cube_slices, descendants, dilate,
-                     is_clipped, scope_max)
+                     base_cubes, block_mean, cube_slices, dilate, is_clipped,
+                     scope_max)
 
 E = math.e
 
@@ -263,8 +262,7 @@ def _split_args(body: str) -> list:
 def apply_operator(K: Kernel, f: GridFunction) -> GridFunction:
     """Tf(x) = sum_y K(x, y) f(y) |cell|, diagonal skipped when singular.
 
-    Cells symmetric about x are paired elementwise before reduction, so odd
-    kernels cancel exactly on even data.
+    Odd kernels give an exactly odd result on even data (see _apply).
     """
     grid = f.grid
     if K.matrix is not None:
@@ -274,70 +272,66 @@ def apply_operator(K: Kernel, f: GridFunction) -> GridFunction:
         return GridFunction(grid, out.reshape(grid.shape))
     if K.n != grid.n:
         raise OperatorError("kernel dimension does not match grid")
-    if grid.n == 1:
-        return GridFunction(grid, _apply_1d(K, grid, f.cells))
-    return GridFunction(grid, _apply_2d(K.profile(grid), grid, f.cells))
+    out = _apply(K.profile(grid), f.cells) * grid.cell_volume
+    return GridFunction(grid, out)
 
 
-def _apply_1d(K: Kernel, grid: Grid, cells: np.ndarray) -> np.ndarray:
-    return _toeplitz_1d(K.profile(grid), cells) * grid.cell_width
+def _apply(kprof: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """sum_j kprof[N-1+i-j] cells[j] for each cell i (index per axis),
+    without the cell volume, as T f = K(0) f + H(K, f) + R H(RK, Rf).
 
-
-# float64 elements per temporary of the chunked kernels below (256 KB)
-_CHUNK = 1 << 15
-
-
-def _toeplitz_1d(kvec: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """sum_j kvec[N-1+i-j] cells[j] for every i, without the cell width.
-
-    For each distance m = 1..N-1 the terms kvec[N-1-m] f[i+m] and
-    kvec[N-1+m] f[i-m] are added elementwise before the row is summed, with
-    zero padding past the ends.  Row i and its mirror row N-1-i sum the
-    same number of pairs in the same order, so an odd profile on even data
-    gives an exactly odd result.  Rows are done in chunks of at most _CHUNK
-    pairs, a chunk of the first half together with its mirror chunk; a
-    chunk stops at the farthest cell any of its rows reaches.
+    R reverses every axis.  H sums over the displacements i - j after 0 in
+    row-major order: one _toeplitz_rows product with a copy of the profile
+    zeroed up to its center.  For odd K (RK = -K) and even f the second H
+    is the first with every input negated, so T f is exactly odd.  Both
+    products need C-contiguous data: numpy's matmul on a reversed view
+    sums in another order.
     """
-    N = cells.size
-    kright = kvec[N - 2::-1]  # distance m = 1..N-1 to the right
-    kleft = kvec[N:]          # distance m = 1..N-1 to the left
-    pad = np.zeros(N - 1)
-    fpad = np.concatenate([pad, cells, pad])
-    right = sliding_window_view(fpad, N - 1)  # right[N+i, m-1] = f[i+m]
-    # left[i, m-1] = f[i-m], read forward from a reversed copy
-    left = sliding_window_view(fpad[::-1].copy(), N - 1)[::-1]
-    rows = max(1, _CHUNK // (N - 1))
-    pair = np.empty(rows * (N - 1))
-    tmp = np.empty(rows * (N - 1))
-    out = np.empty(N)
-    half = N // 2
-    for i0 in range(0, half, rows):
-        i1 = min(i0 + rows, half)
-        reach = N - 1 - i0  # farthest distance any row here or mirrored needs
-        for a, b in ((i0, i1), (N - i1, N - i0)):
-            p = pair[:(b - a) * reach].reshape(b - a, reach)
-            t = tmp[:(b - a) * reach].reshape(b - a, reach)
-            np.multiply(right[N + a:N + b, :reach], kright[:reach], out=p)
-            np.multiply(left[a:b, :reach], kleft[:reach], out=t)
-            p += t
-            p.sum(axis=1, out=out[a:b])
-    out += kvec[N - 1] * cells
+    flip = (slice(None, None, -1),) * cells.ndim
+
+    def half(kp, g):
+        kz = kp.copy()
+        kz.flat[:kz.size // 2 + 1] = 0.0
+        return _toeplitz_rows(kz, np.ascontiguousarray(g)[None],
+                              (0,) * g.ndim, g.shape)[0]
+    out = kprof.flat[kprof.size // 2] * cells + half(kprof, cells)
+    out += half(kprof[flip], cells[flip])[flip]
     return out
 
 
-def _toeplitz_rows(kvec: np.ndarray, G: np.ndarray, d: int,
-                   rows: int) -> np.ndarray:
-    """out[r, t] = sum_u kvec[N-1+d+t-u] G[r, u] for t < rows.
+# float64 elements per temporary of _toeplitz_rows (256 KB)
+_CHUNK = 1 << 15
 
-    The rows x width block of the profile is the same for every row of G;
-    it is copied out in chunks of at most _CHUNK elements, each multiplied
-    into G as one matrix product, so large blocks are never built whole.
-    Every displacement d+t-u must lie in [-(N-1), N-1].
+
+def _toeplitz_rows(kprof: np.ndarray, G: np.ndarray, d: tuple,
+                   rows: tuple) -> np.ndarray:
+    """out[r, t] = sum_u kprof[N-1+d+t-u] G[r, u] for t < rows, with t, u,
+    d and rows one entry per axis of kprof; G is (data rows,) + window.
+
+    In 1D the rows x width block of the profile, the same for every row of
+    G, is copied out in chunks of at most _CHUNK elements, each multiplied
+    into G as one matrix product.  In 2D the result is a sum over the row
+    displacements e = t1 - u1, each the 1D product of profile row
+    N-1+d1+e with the rows of G it pairs, stacked; all-zero profile rows
+    are skipped.  Every displacement d+t-u must lie in [-(N-1), N-1].
     """
-    N = (kvec.size + 1) // 2
+    N = (kprof.shape[0] + 1) // 2
+    if kprof.ndim == 2:
+        R, W1, W2 = G.shape
+        out = np.zeros((R, *rows))
+        for e in range(1 - W1, rows[0]):
+            krow = kprof[N - 1 + d[0] + e]
+            if not krow.any():
+                continue
+            lo, hi = max(0, -e), min(W1, rows[0] - e)
+            part = _toeplitz_rows(krow, G[:, lo:hi].reshape(-1, W2), d[1:],
+                                  rows[1:])
+            out[:, lo + e:hi + e] += part.reshape(R, hi - lo, rows[1])
+        return out
+    (d,), (rows,) = d, rows
     width = G.shape[1]
-    # block row t is rev[N-1-d-t : N-1-d-t+width], rev = kvec reversed
-    win = sliding_window_view(kvec[::-1], width)
+    # block row t is rev[N-1-d-t : N-1-d-t+width], rev = kprof reversed
+    win = sliding_window_view(kprof[::-1], width)
     step = max(1, _CHUNK // width)
     out = np.empty((G.shape[0], rows))
     for t0 in range(0, rows, step):
@@ -345,29 +339,6 @@ def _toeplitz_rows(kvec: np.ndarray, G: np.ndarray, d: int,
         blk = np.ascontiguousarray(win[N - d - t1:N - d - t0][::-1])
         out[:, t0:t1] = G @ blk.T
     return out
-
-
-def _apply_2d(kmat: np.ndarray, grid: Grid, cells: np.ndarray) -> np.ndarray:
-    """kmat is the profile, kmat[N-1+i1-j1, N-1+i2-j2] = K(x_i, y_j)."""
-    N = grid.cells_per_side
-    out = np.empty((N, N))
-    for i1 in range(N):
-        rows = kmat[N - 1 + i1 - (N - 1):N + i1, :][::-1]
-        for i2 in range(N):
-            block = rows[:, N - 1 + i2 - (N - 1):N + i2][:, ::-1]
-            arr = block * cells
-            # fold the largest box centered at (i1, i2) so opposite
-            # displacements are added elementwise (exact odd cancellation)
-            r1 = min(i1, N - 1 - i1)
-            r2 = min(i2, N - 1 - i2)
-            box = arr[i1 - r1:i1 + r1 + 1, i2 - r2:i2 + r2 + 1]
-            folded = box + box[::-1, ::-1]
-            s = 0.5 * float(folded.sum())
-            rest = arr.copy()
-            rest[i1 - r1:i1 + r1 + 1, i2 - r2:i2 + r2 + 1] = 0.0
-            s += float(rest.sum())
-            out[i1, i2] = s
-    return out * grid.cell_volume
 
 
 def apply_windowed(K: Kernel, f: GridFunction, out_slice, in_slice) -> np.ndarray:
@@ -400,10 +371,8 @@ def _apply_adjoint(K: Kernel, grid: Grid, cells: np.ndarray) -> np.ndarray:
     if K.matrix is not None:
         return (K.matrix.T @ cells.ravel()).reshape(grid.shape) \
             * grid.cell_volume
-    kflip = K.profile(grid)[(slice(None, None, -1),) * grid.n]
-    if grid.n == 1:
-        return _toeplitz_1d(kflip, cells) * grid.cell_width
-    return _apply_2d(kflip, grid, cells)
+    return _apply(K.profile(grid)[(slice(None, None, -1),) * grid.n],
+                  cells) * grid.cell_volume
 
 
 # -- commutators --------------------------------------------------------------
@@ -499,55 +468,59 @@ def grand_maximal_truncated(K: Kernel, f: GridFunction,
     """M_{T,Q0} f: at each cell x of Q0, the max over dyadic Q with
     x in Q subset Q0 of the cell-max of |T(f chi_{3Q0 \\ 3Q})| over Q.
 
-    f is read on 3Q0 (clipped to the domain) only.  Computed top-down via
-    T(f chi_{3Q0 \\ 3Q}) = T(f chi_{3Q0}) - T(f chi_{3Q}).
+    f is read on 3Q0 (clipped to the domain) only.  Computed level by level
+    via T(f chi_{3Q0 \\ 3Q}) = T(f chi_{3Q0}) - T(f chi_{3Q}), with one
+    product for all the cubes Q of a level.
     """
     grid = f.grid
-    if grid.n != 1 or K.matrix is not None or Q0.lattice != BASE:
-        return _gmt_walk(K, f, Q0)
-    N = grid.cells_per_side
-    kvec = K.profile(grid)
-    h = grid.cell_width
-    o, S = Q0.origin[0], Q0.side
-    # f chi_{3Q0} on the cells o-S .. o+2S-1, zero outside the domain
-    lo, hi = max(o - S, 0), min(o + 2 * S, N)
-    g = np.zeros(3 * S)
-    g[lo - o + S:hi - o + S] = f.cells[lo:hi]
-    # T(f chi_{3Q0}) on Q0, from the cells of 3Q0 inside the domain
-    base = _toeplitz_rows(kvec, g[None, lo - o + S:hi - o + S], o - lo, S)
-    base = base[0] * h
-    out = np.zeros(N)
-    outq = out[o:o + S]
+    if Q0.lattice != BASE:
+        raise OperatorError("the truncation maximal operator needs a "
+                            "base-lattice cube Q0")
+    if K.n != grid.n:
+        raise OperatorError("kernel dimension does not match grid")
+    n, N, S = grid.n, grid.cells_per_side, Q0.side
+    if K.matrix is not None:
+        if K.matrix.shape[0] != N:
+            raise OperatorError("matrix kernel size does not match grid")
+        Mp = np.pad(K.matrix, ((0, 0), (N, N)))  # cell c in column N + c
+
+        def apply(G, d, s):
+            # the rows of the j-th cube of side s in Q0 and the columns of
+            # its window G[j], which starts d cells before the cube
+            j = Q0.origin[0] + s * np.arange(len(G))
+            blk = sliding_window_view(Mp, (s, G.shape[1]))[j, j + N - d[0]]
+            return (blk @ G[..., None])[..., 0]
+    else:
+        kprof = K.profile(grid)
+
+        def apply(G, d, s):
+            return _toeplitz_rows(kprof, G, d, (s,) * n)
+    # f chi_{3Q0} on the cells o-S .. o+2S-1 per axis, zero outside the
+    # domain; T(f chi_{3Q0}) on Q0 reads only the cells inside it
+    s3 = cube_slices(dilate(Q0, 3), grid)
+    inner = tuple(slice(a.start - o + S, a.stop - o + S)
+                  for a, o in zip(s3, Q0.origin))
+    g = np.zeros((3 * S,) * n)
+    g[inner] = f.cells[s3]
+    d0 = tuple(o - a.start for a, o in zip(s3, Q0.origin))
+    base = apply(g[(None,) + inner], d0, S)[0] * grid.cell_volume
+    out = np.zeros(grid.shape)
+    axes = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
     for k in range(Q0.level + 1, grid.level + 1):
         s = S >> (k - Q0.level)
-        # row j holds f chi_{3q} for the j-th cube q of side s in Q0
-        wins = np.ascontiguousarray(
-            sliding_window_view(g, 3 * s)[S - s::s][:S // s])
-        part = _toeplitz_rows(kvec, wins, s, s) * h
-        v = np.abs(base.reshape(-1, s) - part).max(axis=1)
-        np.maximum(outq, np.repeat(v, s), out=outq)
-    return GridFunction(grid, out)
-
-
-def _gmt_walk(K: Kernel, f: GridFunction, Q0: Cube) -> GridFunction:
-    """grand_maximal_truncated for 2D grids and matrix kernels: one
-    windowed application per dyadic descendant of Q0."""
-    grid = f.grid
-    s0 = cube_slices(dilate(Q0, 3), grid)
-    f3 = np.zeros(grid.shape)
-    f3[s0] = f.cells[s0]
-    g3 = GridFunction(grid, f3)
-    q0sl = cube_slices(Q0, grid)
-    base = np.zeros(grid.shape)
-    base[q0sl] = apply_windowed(K, g3, q0sl, s0)
-    out = np.zeros(grid.shape)
-    for q in descendants(Q0, grid.level):
-        if q == Q0:
-            continue
-        qsl = cube_slices(q, grid)
-        part = apply_windowed(K, g3, qsl, cube_slices(dilate(q, 3), grid))
-        v = float(np.abs(base[qsl] - part).max())
-        np.maximum(out[qsl], v, out=out[qsl])
+        c = S // s
+        # (S,)*n arrays seen as (c,)*n cubes of (s,)*n cells; splitting
+        # axes keeps a view a view
+        split = [x for _ in range(n) for x in (c, s)]
+        # f chi_{3q} for each cube q of side s in Q0, in row-major order
+        wins = np.ascontiguousarray(sliding_window_view(g, (3 * s,) * n)[
+            (slice(S - s, 2 * S - s, s),) * n])
+        part = apply(wins.reshape((-1,) + wins.shape[n:]), (s,) * n, s)
+        diff = np.abs(base.reshape(split).transpose(axes)
+                      - part.reshape((c,) * n + (s,) * n) * grid.cell_volume)
+        view = out[cube_slices(Q0, grid)].reshape(split).transpose(axes)
+        np.maximum(view, diff.max(axis=tuple(range(n, 2 * n)), keepdims=True),
+                   out=view)
     return GridFunction(grid, out)
 
 

@@ -174,6 +174,22 @@ def test_cli_sparse_dumps_family(tmp_path):
                           "witness_cells"}
 
 
+@pytest.mark.parametrize("command", ["run", "sparse"])
+def test_cli_parses_the_scenario_once(tmp_path, monkeypatch, command):
+    calls = []
+    real = cli.parse_scenario
+
+    def spy(path):
+        calls.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli, "parse_scenario", spy)
+    path = os.path.join(BATTERY_DIR, "sparse_hilbert_m0.ini")
+    assert cli.main([command, path, "--level", "5",
+                     "--out", str(tmp_path / "o")]) == 0
+    assert calls == [path]
+
+
 def test_cli_sparse_rejects_other_kinds(tmp_path):
     path = os.path.join(BATTERY_DIR, "strong_hilbert_m0.ini")
     assert cli.main(["sparse", path]) == 2

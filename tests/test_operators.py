@@ -10,7 +10,7 @@ from sparsedom import operators as op
 from sparsedom import young
 from sparsedom.dyadic import (BASE, Cube, Grid, GridFunction, base_cubes,
                               cube_slices, descendants, dilate, grid_function,
-                              is_clipped)
+                              is_clipped, triple)
 from sparsedom.frozen import FROZEN
 from sparsedom.weights import parse_profile
 
@@ -94,13 +94,29 @@ def test_odd_kernel_exact_antisymmetry(sym_grid):
 
 
 def test_odd_kernel_exact_antisymmetry_across_chunks():
-    # at L=12 the rows of the paired primitive span many chunks
+    # at L=12 the Toeplitz blocks span many chunks
     grid = Grid(1, (-0.5,), 1.0, 12)
     assert op._CHUNK // (grid.cells_per_side - 1) < grid.cells_per_side // 8
     f = grid_function(grid, lambda x: np.exp(-x ** 2))
     for K in (op.make_hilbert(), op.make_dini()):
         out = op.apply_operator(K, f).cells
         assert np.array_equal(out, -out[::-1])
+
+
+@pytest.mark.parametrize("L", (3, 5, 7))
+def test_odd_kernel_exact_antisymmetry_2d(L, rng):
+    # the Riesz kernel u1 / |u|^3 is exactly odd in floating point
+    def conv(u1, u2, h):
+        rho2 = u1 * u1 + u2 * u2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(rho2 == 0.0, 0.0, u1 / rho2 ** 1.5)
+    K = op.Kernel("riesz", 2, True, conv=conv)
+    grid = Grid(2, (-0.5, -0.5), 1.0, L)
+    g = rng.standard_normal(grid.shape)
+    out = op.apply_operator(K, GridFunction(grid, g + g[::-1, ::-1])).cells
+    assert np.array_equal(out, -out[::-1, ::-1])
+    adj = op._apply_adjoint(K, grid, g + g[::-1, ::-1])
+    assert np.array_equal(adj, -out)
 
 
 def _random_conv_kernel(N, rng):
@@ -114,34 +130,46 @@ def _random_conv_kernel(N, rng):
 
 
 def _oracle_kernels(L, rng):
+    """1D kernels at level L, a random matrix kernel among them, and at
+    L <= 4 a 2D homogeneous kernel with an asymmetric angular part."""
     unit = Grid(1, (-0.5,), 1.0, L)
-    return [(op.make_hilbert(), unit), (op.make_dini(), unit),
-            (op.make_counter(), Grid(1, (-6.0,), 12.0, L)),
-            (_random_conv_kernel(1 << L, rng), Grid(1, (0.0,), 1.0, L))]
+    N = 1 << L
+    out = [(op.make_hilbert(), unit), (op.make_dini(), unit),
+           (op.make_counter(), Grid(1, (-6.0,), 12.0, L)),
+           (_random_conv_kernel(N, rng), Grid(1, (0.0,), 1.0, L)),
+           (op.make_matrix(rng.standard_normal((N, N))), unit)]
+    if L <= 4:
+        out.append((op.make_homog(_asymmetric_table()),
+                    Grid(2, (-0.5, -0.5), 1.0, L)))
+    return out
 
 
 def _dense(K, grid):
-    """The matrix K(x_i, y_j) |cell|, evaluated at the exact lattice
-    displacements (i - j) h."""
-    N, h = grid.cells_per_side, grid.cell_width
-    ij = np.subtract.outer(np.arange(N), np.arange(N))
-    D = np.asarray(K.conv(ij * h, h), dtype=float)
+    """The matrix K(x_i, y_j) |cell| over the cells in row-major order,
+    evaluated at the exact lattice displacements (i - j) h."""
+    if K.matrix is not None:
+        return K.matrix * grid.cell_volume
+    h = grid.cell_width
+    idx = np.indices(grid.shape).reshape(grid.n, -1)
+    u = [np.subtract.outer(i, i) * h for i in idx]
+    D = np.asarray(K.conv(*u, h), dtype=float)
     if K.singular:
         np.fill_diagonal(D, 0.0)
-    return D * h
+    return D * grid.cell_volume
 
 
-@pytest.mark.parametrize("L", (5, 6, 7))
+@pytest.mark.parametrize("L", (3, 4, 5, 6, 7))
 def test_apply_and_adjoint_match_dense_matrix(L, rng):
     for K, grid in _oracle_kernels(L, rng):
         D = _dense(K, grid)
         f = rng.standard_normal(grid.shape)
-        tol = 1e-13 * float((np.abs(D) @ np.abs(f)).max())
-        got = op.apply_operator(K, GridFunction(grid, f)).cells
-        assert np.abs(got - D @ f).max() <= tol, K.family
-        tol = 1e-13 * float((np.abs(D.T) @ np.abs(f)).max())
-        adj = op._apply_adjoint(K, grid, f)
-        assert np.abs(adj - D.T @ f).max() <= tol, K.family
+        fv = f.ravel()
+        tol = 1e-13 * float((np.abs(D) @ np.abs(fv)).max())
+        got = op.apply_operator(K, GridFunction(grid, f)).cells.ravel()
+        assert np.abs(got - D @ fv).max() <= tol, K.family
+        tol = 1e-13 * float((np.abs(D.T) @ np.abs(fv)).max())
+        adj = op._apply_adjoint(K, grid, f).ravel()
+        assert np.abs(adj - D.T @ fv).max() <= tol, K.family
 
 
 def test_operator_norm_l2_matches_dense_power_iteration(rng):
@@ -321,36 +349,50 @@ def test_grand_maximal_zero_input(sym_grid):
 
 def _gmt_brute(D, f, Q0, grid):
     """M_{T,Q0} f from its definition: every dyadic Q in Q0 raises the cells
-    of Q to the cell max over Q of |T(f chi_{3Q0 minus 3Q})|."""
-    cells = np.arange(grid.cells_per_side)
+    of Q to the cell max over Q of |T(f chi_{3Q0 minus 3Q})|, with D the
+    dense matrix of T over the cells in row-major order."""
+    idx = np.indices(grid.shape)
 
-    def in_triple(q):
-        lo = q.origin[0] - q.side
-        return (cells >= lo) & (cells < lo + 3 * q.side)
+    def inside(q, lo, side):
+        return np.all([(i >= c + lo) & (i < c + lo + side)
+                       for i, c in zip(idx, q.origin)], axis=0)
     out = np.zeros(grid.shape)
     for q in descendants(Q0, grid.level):
-        g = np.where(in_triple(Q0) & ~in_triple(q), f, 0.0)
-        sl = slice(q.origin[0], q.origin[0] + q.side)
-        out[sl] = np.maximum(out[sl], np.abs(D[sl] @ g).max())
+        g = np.where(inside(Q0, -Q0.side, 3 * Q0.side)
+                     & ~inside(q, -q.side, 3 * q.side), f, 0.0)
+        on = inside(q, 0, q.side)
+        v = np.abs(D @ g.ravel()).reshape(grid.shape)[on].max()
+        out[on] = np.maximum(out[on], v)
     return out
 
 
-@pytest.mark.parametrize("L", (5, 6, 7))
+@pytest.mark.parametrize("L", (3, 4, 5, 6, 7))
 def test_grand_maximal_matches_definition(L, rng):
     N = 1 << L
-    cubes = {"root": Cube(BASE, 0, (0,), N),
-             "interior": Cube(BASE, 3, (3 * N // 8,), N // 8),
-             "clipped left": Cube(BASE, 2, (0,), N // 4),
-             "clipped right": Cube(BASE, 3, (N - N // 8,), N // 8)}
     for K, grid in _oracle_kernels(L, rng):
+        n = grid.n
+        cubes = {"root": Cube(BASE, 0, (0,) * n, N),
+                 "interior": Cube(BASE, 3, (3 * N // 8,) * n, N // 8),
+                 "clipped left": Cube(BASE, 2, (0,) * n, N // 4),
+                 "clipped right": Cube(BASE, 3, (N - N // 8,) * n, N // 8)}
+        if n == 2:
+            cubes["clipped on one axis"] = Cube(BASE, 2, (0, N // 4), N // 4)
         D = _dense(K, grid)
         f = rng.standard_normal(grid.shape)
-        tol = 1e-12 * float((np.abs(D) @ np.abs(f)).max())
+        tol = 1e-12 * float((np.abs(D) @ np.abs(f.ravel())).max())
         for name, Q0 in cubes.items():
             got = op.grand_maximal_truncated(K, GridFunction(grid, f),
                                              Q0).cells
             want = _gmt_brute(D, f, Q0, grid)
             assert np.abs(got - want).max() <= tol, (K.family, name)
+
+
+def test_grand_maximal_rejects_shifted_cube(sym_grid):
+    f = parse_profile("const(1)", sym_grid)
+    Q = Cube(BASE, 2, (16,), 16)
+    with pytest.raises(op.OperatorError, match="base-lattice"):
+        op.grand_maximal_truncated(op.make_hilbert(), f,
+                                   triple(Q, sym_grid))
 
 
 def test_truncation_frozen_bounds():
