@@ -313,6 +313,19 @@ def scope_cubes(grid: Grid, shifted: bool = True) -> list:
     return out
 
 
+def scope_tilings(grid: Grid, k: int, shifted: bool) -> list:
+    """The tilings of level k in the scope of scope_cubes, as (side, origin)
+    in cell coordinates: the base tiling (side s = 2^(L-k), origin 0), then
+    with shifted lattices the 3^n tilings of side 3s whose origin is 0, -2s
+    or -s per axis (digits 0, 1, 2), in lattice-id order.  Each tiling
+    covers the domain once."""
+    s = 1 << (grid.level - k)
+    out = [(s, (0,) * grid.n)]
+    if shifted:
+        out += [(3 * s, o) for o in product((0, -2 * s, -s), repeat=grid.n)]
+    return out
+
+
 def scope_max(grid: Grid, shifted: bool, reduce, *arrays) -> np.ndarray:
     """At each cell, the max over the scope cubes containing it (those of
     scope_cubes) of reduce(mask, *blocks), an array with one value per cube.
@@ -323,8 +336,7 @@ def scope_max(grid: Grid, shifted: bool, reduce, *arrays) -> np.ndarray:
     side s, each array is copied once into a zero frame with margins 2s
     before and 3s after the domain on every axis (none without shifted
     lattices), so the base tiling (origin at the domain) and the shifted
-    tilings (origins 2s, 0, s for the digits 0, 1, 2) are all reshapes of
-    that frame.
+    tilings of scope_tilings are all reshapes of that frame.
     """
     n, N = grid.n, grid.cells_per_side
     axes = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
@@ -339,10 +351,8 @@ def scope_max(grid: Grid, shifted: bool, reduce, *arrays) -> np.ndarray:
             fr[dom] = a
             frames.append(fr)
         top = np.full((lo + N + hi,) * n, -np.inf)
-        tilings = [(s, (lo,) * n)]
-        if shifted:
-            tilings += [(3 * s, o) for o in product((2 * s, 0, s), repeat=n)]
-        for side, origin in tilings:
+        for side, origin in scope_tilings(grid, k, shifted):
+            origin = [o + lo for o in origin]  # in frame coordinates
             # the cubes of this tiling that meet the domain, per axis
             counts = [-(-(lo + N - o) // side) for o in origin]
             win = tuple(slice(o, o + c * side) for o, c in zip(origin, counts))

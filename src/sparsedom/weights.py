@@ -15,7 +15,7 @@ import numpy as np
 
 from . import young
 from .dyadic import (Cube, Grid, GridFunction, block_mean, cube_slices,
-                     cube_values, scope_cubes, scope_max)
+                     cube_values, scope_max, scope_tilings)
 from .operators import maximal
 
 
@@ -37,8 +37,15 @@ def weight_constant(w: GridFunction, kind: str, p: float = None,
                     shifted: bool = True) -> float:
     """[w] constants: kind in {"Ap", "A1", "AinfFW", "ApBump"}.
 
-    Ap needs p > 1; ApBump needs p > 1 and a Young function C for the
-    Orlicz bump norm of w^(-1/p).  Results are memoized on the cell data.
+    Every supremum runs over the scope cubes Q of dyadic.scope_cubes (the
+    base lattice, plus the shifted lattices when shifted), clipped to the
+    domain.  AinfFW is the Fujii-Wilson constant
+    sup_Q w(Q)^(-1) int_Q M(w chi_Q), where M is the dyadic maximal
+    operator over the same scope (Hytonen-Perez, "Sharp weighted bounds
+    involving A_infty", Anal. PDE 2013); it is at least 1, and at most
+    [w]_A1.  Ap needs p > 1; ApBump needs p > 1 and a Young function C for
+    the Orlicz bump norm of w^(-1/p).  Results are memoized on the cell
+    data.
     """
     key = (w.cells.tobytes(), w.grid, kind, p, C, shifted)
     if key in _wc_cache:
@@ -65,16 +72,7 @@ def _weight_constant(w, kind, p, C, shifted):
         mw = maximal(w, "M", shifted=shifted)
         return float((mw.cells / w.cells).max())
     if kind == "AinfFW":
-        best = 0.0
-        for q in scope_cubes(grid, shifted=shifted):
-            sl = cube_slices(q, grid)
-            chi = np.zeros(grid.shape)
-            chi[sl] = w.cells[sl]
-            m = maximal(GridFunction(grid, chi), "M", shifted=shifted)
-            num = float(m.cells[sl].sum())
-            den = float(w.cells[sl].sum())
-            best = max(best, num / den)
-        return best
+        return _fujii_wilson(w, shifted)
     if kind == "ApBump":
         if p is None or p <= 1 or C is None:
             raise WeightError("ApBump needs p > 1 and a bump Young function")
@@ -85,6 +83,84 @@ def _weight_constant(w, kind, p, C, shifted):
                              * young.luxemburg_norm_batch(u, m, C) ** p),
             w.cells, bump).max())
     raise WeightError(f"unknown weight constant kind {kind!r}")
+
+
+def _window_sums(w: GridFunction) -> tuple:
+    """Sums of w over 1, 2 and 3 consecutive blocks per axis, per level.
+
+    At level k (blocks of side 2^(L-k), c = 2^k per axis) the sums form an
+    array of shape (3,)*n + (c,)*n: entry (l, i) is the sum over the blocks
+    i to i + l per axis.  Entries that run off the domain are never read.
+    Returns the levels flattened into one array and each level's offset.
+    """
+    grid = w.grid
+    n, L = grid.n, grid.level
+    parts, offsets, at = [], [], 0
+    for k in range(L + 1):
+        c, t = 1 << k, 1 << (L - k)
+        b = w.cells.reshape([x for _ in range(n) for x in (c, t)]).sum(
+            axis=tuple(range(1, 2 * n, 2)))
+        for ax in range(n):  # data axis ax sits after ax window axes
+            two = b + np.roll(b, -1, axis=2 * ax)
+            b = np.stack([b, two, two + np.roll(b, -2, axis=2 * ax)], axis=ax)
+        parts.append(b.ravel())
+        offsets.append(at)
+        at += b.size
+    return np.concatenate(parts), np.array(offsets)
+
+
+def _fujii_wilson(w: GridFunction, shifted: bool) -> float:
+    """sup_Q w(Q)^(-1) int_Q M(w chi_Q) over the scope, in one pass.
+
+    For a cell x of Q, M(w chi_Q)(x) is the max over the scope cubes R
+    containing x of w(Q n R) / |R|, both clipped to the domain.  Each
+    tiling of scope_tilings covers the domain once, so every pair (Q, x)
+    is one copy of the cells per Q tiling, with Q found by integer
+    division; each R tiling then updates a running max per pair.  The ends
+    of Q n R are multiples of t = min(side Q, side R), and it spans at most
+    3 blocks of side t per axis, so w(Q n R) is one read of _window_sums: a
+    sum of positive terms, with no cancellation.
+    """
+    grid = w.grid
+    n, L, N = grid.n, grid.level, grid.cells_per_side
+    sums, offsets = _window_sums(w)
+    cells = np.indices(grid.shape).reshape(n, -1)
+    qlo, qhi, qlev, qid = [], [], [], []
+    nq = 0
+    for k in range(L + 1):
+        for side, origin in scope_tilings(grid, k, shifted):
+            o = np.array(origin)[:, None]
+            q = (cells - o) // side
+            counts = [-(-(N - c) // side) for c in origin]
+            lo = o + q * side
+            qlo.append(np.maximum(lo, 0))
+            qhi.append(np.minimum(lo + side, N))
+            qlev.append(np.full(cells.shape[1], k))
+            qid.append(nq + np.ravel_multi_index(q, counts))
+            nq += math.prod(counts)
+    reps = len(qid)  # the Q tilings
+    x = np.tile(cells, reps)
+    qlo, qhi = np.concatenate(qlo, axis=1), np.concatenate(qhi, axis=1)
+    qlev, qid = np.concatenate(qlev), np.concatenate(qid)
+    best = np.zeros(qid.size)
+    for k in range(L + 1):
+        j = np.maximum(qlev, k)  # the level of t
+        shift, base, c = L - j, offsets[j], 1 << j
+        for side, origin in scope_tilings(grid, k, shifted):
+            o = np.array(origin)[:, None]
+            rlo = o + (x - o) // side * side
+            rhi = np.minimum(rlo + side, N)
+            rlo = np.maximum(rlo, 0)
+            lo = np.maximum(qlo, rlo) >> shift
+            span = (np.minimum(qhi, rhi) >> shift) - lo - 1
+            pos, win = 0, 0
+            for ax in range(n):
+                pos, win = pos * c + lo[ax], win * 3 + span[ax]
+            val = sums[base + win * c ** n + pos] / np.prod(rhi - rlo, axis=0)
+            np.maximum(best, val, out=best)
+    num = np.bincount(qid, weights=best)
+    den = np.bincount(qid, weights=np.tile(w.cells.ravel(), reps))
+    return float((num / den).max())
 
 
 def sigma_dual(w: GridFunction, p: float, r: float = 1.0) -> GridFunction:
@@ -150,7 +226,8 @@ def jn_profile(b: GridFunction, Q: Cube, n_alpha: int = 32) -> DecayFit:
     """Least-squares fit of log(|{|b - b_Q| > alpha}| / |Q|) against alpha.
 
     Raises on constant b (no level sets to fit)."""
-    vals = np.abs(cube_values(b, Q) - cube_values(b, Q).mean()).ravel()
+    vals = cube_values(b, Q)
+    vals = np.abs(vals - vals.mean()).ravel()
     top = float(vals.max())
     if top <= 0:
         raise WeightError("oscillation vanishes, nothing to fit")
@@ -172,7 +249,8 @@ def osc_exp_norm(b: GridFunction, Q: Cube, w: GridFunction, j: int) -> float:
     if j < 1:
         raise WeightError("j must be >= 1")
     as_weight(w)
-    osc = np.abs(cube_values(b, Q) - cube_values(b, Q).mean()).ravel()
+    vals = cube_values(b, Q)
+    osc = np.abs(vals - vals.mean()).ravel()
     mu = cube_values(w, Q).ravel() * b.grid.cell_volume
     return young.luxemburg_norm(osc ** j, mu, young.expl(1.0 / j))
 

@@ -124,3 +124,22 @@ def test_weight_constants_and_bmo_match_brute_force(grid, shifted):
     assert W.bmo_norm(f, shifted=shifted) == \
         pytest.approx(_sup(grid, shifted, osc), rel=1e-12)
 
+
+@pytest.mark.parametrize("sigma", [1.0, 3.0])
+@pytest.mark.parametrize("grid,shifted", CASES, ids=IDS)
+def test_fujii_wilson_matches_brute_force(grid, shifted, sigma):
+    rng = np.random.default_rng(5)
+    w = GridFunction(grid, rng.lognormal(0.0, sigma, grid.shape))
+
+    def ratio(sl):
+        # w(Q)^-1 int_Q M(w chi_Q), with the maximal operator on the grid
+        chi = np.zeros(grid.shape)
+        chi[sl] = w.cells[sl]
+        m = op.maximal(GridFunction(grid, chi), "M", shifted=shifted)
+        return float(m.cells[sl].sum()) / float(w.cells[sl].sum())
+
+    assert W.weight_constant(w, "AinfFW", shifted=shifted) == \
+        pytest.approx(_sup(grid, shifted, ratio), rel=1e-12)
+    one = GridFunction(grid, np.ones(grid.shape))
+    assert W.weight_constant(one, "AinfFW", shifted=shifted) == 1.0
+

@@ -31,10 +31,15 @@ def test_ap_constant_at_least_one(seed, p):
 
 
 def test_a1_dominates_ainf_style_monotonicity(unit_grid, rng):
-    w = GridFunction(unit_grid, rng.lognormal(0.0, 0.4, unit_grid.shape))
-    a1 = W.weight_constant(w, "A1")
-    a2 = W.weight_constant(w, "Ap", 2.0)
-    assert a2 <= a1 * (1 + 1e-9)
+    # on Q, w <= M(w chi_Q) <= Mw <= [w]_A1 w, so 1 <= [w]_Ainf <= [w]_A1;
+    # Jensen gives [w]_A2 <= [w]_A1 as well
+    for grid in (unit_grid, Grid(2, (0.0, 0.0), 1.0, 3)):
+        w = GridFunction(grid, rng.lognormal(0.0, 0.4, grid.shape))
+        a1 = W.weight_constant(w, "A1")
+        ainf = W.weight_constant(w, "AinfFW")
+        assert 1.0 <= ainf <= a1 * (1 + 1e-12)
+        assert ainf > 1.0
+        assert W.weight_constant(w, "Ap", 2.0) <= a1 * (1 + 1e-9)
 
 
 def test_weight_constant_input_checks(unit_grid):
