@@ -19,7 +19,8 @@ import os
 import sys
 import time
 
-from .bench import Scenario, ScenarioError, parse_scenario, run_scenario
+from .bench import (Scenario, ScenarioError, _write_atomic, parse_scenario,
+                    run_scenario)
 from .frozen import BATTERY_VERSION
 
 
@@ -42,9 +43,7 @@ def _build_parser():
     common(sub.add_parser("run", help="run one scenario"))
     bp = sub.add_parser("battery", help="run every scenario in a directory")
     bp.add_argument("directory", help="directory of .ini scenarios")
-    bp.add_argument("--level", type=int, default=None)
-    bp.add_argument("--out", default=None)
-    bp.add_argument("--seed", type=int, default=0)
+    common(bp, scenario_arg=False)
     common(sub.add_parser("constants",
                           help="dump the constants table of a scenario"))
     spp = sub.add_parser("sparse", help="build and dump a sparse family")
@@ -122,10 +121,8 @@ def cmd_battery(args) -> int:
         "scenarios": results,
         "pass": all(v["pass"] for v in results.values()),
     }
-    tmp = os.path.join(out_root, "battery.json.tmp")
-    with open(tmp, "w") as fh:
-        fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    os.replace(tmp, os.path.join(out_root, "battery.json"))
+    _write_atomic(os.path.join(out_root, "battery.json"),
+                  json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return 0 if summary["pass"] else 1
 
 
@@ -135,9 +132,6 @@ def main(argv=None) -> int:
                 "constants": cmd_constants, "sparse": cmd_sparse}
     try:
         return handlers[args.command](args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -51,7 +51,6 @@ class Kernel:
     matrix: object = None  # ndarray (cells, cells)
     c_k: float = 1.0
     params: dict = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def evaluate(self, x, y, h: float = 0.0):
         if self.matrix is not None:
@@ -75,10 +74,7 @@ class Kernel:
         return (self.family, self.n, self.singular, digest.hexdigest())
 
     def profile(self, grid: Grid) -> np.ndarray:
-        """Kernel values on the displacement lattice of a grid, cached."""
-        key = (grid.n, grid.origin, grid.side, grid.level)
-        if key in self._cache:
-            return self._cache[key]
+        """Kernel values on the displacement lattice of a grid."""
         N = grid.cells_per_side
         h = grid.cell_width
         if grid.n == 1:
@@ -92,8 +88,6 @@ class Kernel:
                               dtype=float)
             if self.singular:
                 vals[N - 1, N - 1] = 0.0
-        vals.setflags(write=False)
-        self._cache[key] = vals
         return vals
 
 

@@ -29,9 +29,6 @@ def as_weight(w: GridFunction) -> GridFunction:
     return w
 
 
-_wc_cache: dict = {}
-
-
 def weight_constant(w: GridFunction, kind: str, p: float = None,
                     C: young.YoungFunction = None,
                     shifted: bool = True) -> float:
@@ -44,20 +41,8 @@ def weight_constant(w: GridFunction, kind: str, p: float = None,
     operator over the same scope (Hytonen-Perez, "Sharp weighted bounds
     involving A_infty", Anal. PDE 2013); it is at least 1, and at most
     [w]_A1.  Ap needs p > 1; ApBump needs p > 1 and a Young function C for
-    the Orlicz bump norm of w^(-1/p).  Results are memoized on the cell
-    data.
+    the Orlicz bump norm of w^(-1/p).
     """
-    key = (w.cells.tobytes(), w.grid, kind, p, C, shifted)
-    if key in _wc_cache:
-        return _wc_cache[key]
-    val = _weight_constant(w, kind, p, C, shifted)
-    if len(_wc_cache) > 256:
-        _wc_cache.clear()
-    _wc_cache[key] = val
-    return val
-
-
-def _weight_constant(w, kind, p, C, shifted):
     as_weight(w)
     grid = w.grid
     if kind == "Ap":

@@ -152,3 +152,25 @@ def test_estimate_ct_keyed_on_gauge_content(monkeypatch):
     assert fresh[0] != fresh[1]
     for A, h in zip(gauges, fresh):
         assert eng.estimate_ct(K, A, grid)["hormander"] == h
+
+
+def test_ct_cache_grows_by_one_entry_per_miss(monkeypatch):
+    # the one memo: a miss adds exactly one entry, a hit (a new kernel
+    # object with the same content) adds none and returns equal values
+    monkeypatch.setattr(eng, "_ct_cache", {})
+    calls = []
+    real = eng.operator_norm_l2
+
+    def spy(K, grid):
+        calls.append(grid)
+        return real(K, grid)
+
+    monkeypatch.setattr(eng, "operator_norm_l2", spy)
+    grid = Grid(1, (-0.5,), 1.0, 6)
+    A = young.llogl(1)
+    first = dict(eng.estimate_ct(make_hilbert(), A, grid))
+    assert len(eng._ct_cache) == 1 and len(calls) == 1
+    assert eng.estimate_ct(make_hilbert(), A, grid) == first
+    assert len(eng._ct_cache) == 1 and len(calls) == 1
+    eng.estimate_ct(make_hilbert(), A, grid, seed=1)
+    assert len(eng._ct_cache) == 2 and len(calls) == 2

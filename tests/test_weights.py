@@ -64,17 +64,19 @@ def test_ap_bump_dominates_ap(unit_grid, rng):
     assert bumped >= plain * (1 - 1e-9)
 
 
-def test_weight_constant_keyed_on_gauge_content(unit_grid, rng,
-                                               monkeypatch):
+def test_weight_constant_keyed_on_gauge_content(unit_grid, rng):
     # both counter gauges are 1201-knot tables that print alike; each must
-    # get its own bump constant
-    monkeypatch.setattr(W, "_wc_cache", {})
+    # get its own bump constant, and new objects with the same content the
+    # same one
     w = GridFunction(unit_grid, rng.lognormal(0.0, 1.0, 64))
-    gauges = (counter_young(2.0, 1.0), counter_young(1.5, 0.5))
-    fresh = [W._weight_constant(w, "ApBump", 2.0, C, True) for C in gauges]
-    assert fresh[0] != fresh[1]
-    for C, v in zip(gauges, fresh):
-        assert W.weight_constant(w, "ApBump", p=2.0, C=C) == v
+    params = ((2.0, 1.0), (1.5, 0.5))
+    first = [W.weight_constant(w, "ApBump", 2.0, counter_young(*rb))
+             for rb in params]
+    assert first[0] != first[1]
+    for rb, v in zip(params, first):
+        fresh = W.weight_constant(GridFunction(unit_grid, w.cells.copy()),
+                                  "ApBump", p=2.0, C=counter_young(*rb))
+        assert fresh == v
 
 
 def test_sigma_duality_identity(unit_grid, rng):
