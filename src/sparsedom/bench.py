@@ -47,7 +47,7 @@ class Scenario:
     kernel: str = "hilbert"
     A: str = "power(1)"
     B: str = None
-    C: str = None
+    C: str = None  # never set: the chain fixes Cbar; a report key until v5
     phi: str = None
     f: str = "indicator(0,0.25)"
     b: str = "const(0)"
@@ -65,6 +65,12 @@ class Scenario:
         return Grid(self.dim, self.origin, self.side, level)
 
 
+_KEYMAP = {"kernel": "kernel", "gauge_a": "A", "gauge_b": "B", "phi": "phi",
+           "f": "f", "b": "b", "w": "w"}
+_KEYS = {"kind", "levels", "dim", "origin", "side", "m", "p", "r", "gamma",
+         "beta", "eps", "lambda_points", *_KEYMAP}
+
+
 def parse_scenario(path: str) -> Scenario:
     cp = configparser.ConfigParser()
     try:
@@ -76,6 +82,9 @@ def parse_scenario(path: str) -> Scenario:
     if "scenario" not in cp:
         raise ScenarioError(f"{path}: missing [scenario] section")
     sec = cp["scenario"]
+    unread = sorted(set(sec) - _KEYS)
+    if unread:
+        raise ScenarioError(f"{path}: keys not read: {', '.join(unread)}")
     kind = sec.get("kind", "").strip()
     if kind not in KINDS:
         raise ScenarioError(f"{path}: unknown kind {kind!r}")
@@ -89,9 +98,7 @@ def parse_scenario(path: str) -> Scenario:
     else:
         scn.origin = (0.0,) * scn.dim
     scn.side = sec.getfloat("side", 1.0)
-    keymap = {"kernel": "kernel", "gauge_a": "A", "gauge_b": "B",
-              "gauge_c": "C", "phi": "phi", "f": "f", "b": "b", "w": "w"}
-    for key, attr in keymap.items():
+    for key, attr in _KEYMAP.items():
         if key in sec:
             setattr(scn, attr, sec[key].strip())
     scn.m = sec.getint("m", 0)
@@ -223,17 +230,13 @@ def strong_cf_check(scn: Scenario) -> dict:
     return {"rows": rows, "constants": consts, "pass": ok}
 
 
-def _chain_constant(A, B, m, t_lo=1.0, t_hi=1e6, npts=40) -> float:
-    """max over a t-grid of A^{-1}(t) Bbar^{-1}(t) Cbar^{-1}(t) / t with
-    Cbar(t) = exp(t^(1/m))."""
-    ts = np.geomspace(t_lo, t_hi, npts)
-    best = 0.0
-    for t in ts:
-        ai = float(A.inverse(t))
-        bi = young.conjugate_inverse_value(B, t)
-        ci = math.log(max(t, math.e)) ** m
-        best = max(best, ai * bi * ci / t)
-    return best
+def _chain_constant(A, B, m) -> float:
+    """max over a 40-point t-grid in [1, 1e6] of
+    A^{-1}(t) Bbar^{-1}(t) Cbar^{-1}(t) / t with Cbar(t) = exp(t^(1/m))."""
+    ts = np.geomspace(1.0, 1e6, 40)
+    ci = np.log(np.maximum(ts, math.e)) ** m
+    return float((A.inverse(ts) * young.conjugate_inverse_value(B, ts) * ci
+                  / ts).max())
 
 
 def _submultiplicative(A, tol=1e-9) -> bool:

@@ -93,10 +93,6 @@ class Cube:
     def length(self, grid: Grid) -> float:
         return self.side * grid.cell_width
 
-    def center(self, grid: Grid) -> tuple:
-        return tuple(grid.origin[i] + (self.origin[i] + self.side / 2.0)
-                     * grid.cell_width for i in range(self.n))
-
     def sort_key(self):
         return (self.lattice, self.level, self.origin)
 

@@ -265,125 +265,125 @@ def from_inverse(inv, u_min: float = 1e-9, u_max: float = 1e24,
 # -- complementary (conjugate) function -------------------------------------
 
 
-def conjugate_value(A: YoungFunction, t: float) -> float:
-    """Pointwise Legendre transform sup_{s>0} {s t - A(s)}.
-
-    Golden-section search on the concave map s -> s t - A(s); exact closed
-    form for power laws.
-    """
-    if t < 0:
+@np.errstate(over="ignore", invalid="ignore")
+def conjugate_value(A: YoungFunction, t):
+    """Legendre transform sup_{s>0} {s t - A(s)}, elementwise: a doubling
+    bracket in s, then golden-section search on the concave s t - A(s);
+    closed form for power laws.  Where the sup is +inf, or too large for a
+    float, an array call gives +inf and a scalar call raises
+    UnboundedConjugateError."""
+    scalar = np.isscalar(t)
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise YoungError("conjugate requested at negative t")
-    if t == 0.0:
-        return 0.0
+    out = np.zeros(t.size)
+    pos = np.flatnonzero(t > 0)
+    tp = t.ravel()[pos]
     if A.family == POWER:
-        r, c = A.params
-        if r == 1.0:
-            if t > c:
-                raise UnboundedConjugateError(
-                    f"conjugate of {c}*t is unbounded at t={t}")
-            return 0.0
-        rp = r / (r - 1.0)
-        return t**rp / (rp * (c * r) ** (rp / r))
-    def obj(s):
-        # overflow-safe s t - A(s); the sup never sits where A overflows
-        v = float(A(s))
-        if not math.isfinite(v):
-            return -math.inf
-        st = float(s) * float(t)
-        if not math.isfinite(st):
-            return -math.inf
-        return st - v
-
-    # bracket: phi(s) = s t - A(s) decreases once A(s)/s >= t
-    hi = 1.0
-    for _ in range(4000):
-        av = float(A(hi))
-        if not math.isfinite(av) or av >= float(t) * hi:
-            break
-        hi *= 2.0
+        out[pos] = complementary(A)._eval(tp)
     else:
-        raise UnboundedConjugateError("A is sublinear on the search range")
-    s = _golden_min(lambda s: -obj(s), 0.0, hi, 200,
-                    lambda b: 1e-14 * max(b, 1.0))
-    return max(obj(s), 0.0)
+        hi, act = np.ones_like(tp), np.arange(tp.size)
+        while act.size:  # s t - A(s) decreases once A(s)/s >= t
+            av = A._eval(hi[act])
+            act = act[np.isfinite(av) & (av < tp[act] * hi[act])]
+            hi[act] *= 2.0
+            act = act[np.isfinite(hi[act])]
+        # a bracket that closes only where s t overflows: sup out of range
+        fin = np.isfinite(tp * hi)
+        out[pos] = np.inf
+        tp, hi = tp[fin], hi[fin]
+
+        def obj(s, i):
+            # overflow-safe s t - A(s); the sup never sits where A overflows
+            v, st = A._eval(s), s * tp[i]
+            return np.where(np.isfinite(v) & np.isfinite(st), st - v, -np.inf)
+
+        s = _golden_min(lambda s, i: -obj(s, i), np.zeros_like(hi), hi, 200,
+                        lambda b: 1e-14 * np.maximum(b, 1.0))
+        out[pos[fin]] = np.maximum(obj(s, np.arange(tp.size)), 0.0)
+    if scalar and np.isinf(out[0]):
+        raise UnboundedConjugateError(
+            f"conjugate of {format_young(A)} is unbounded at t={float(t)}")
+    return float(out[0]) if scalar else out.reshape(t.shape)
 
 
-def conjugate_inverse_value(A: YoungFunction, y: float) -> float:
-    """Inverse of the conjugate, via the exact identity
-    Abar^{-1}(y) = inf_{s>0} (y + A(s)) / s (no tabulation error).
-
-    The objective is unimodal in log s for convex A, so one golden-section
-    search suffices.
-    """
-    if y <= 0:
-        return 0.0
+def conjugate_inverse_value(A: YoungFunction, y):
+    """Inverse of the conjugate, elementwise, via the exact identity
+    Abar^{-1}(y) = inf_{s>0} (y + A(s)) / s (no tabulation error).  The
+    objective is unimodal in u = log s for convex A: a unit-step bracket
+    in u, then one golden-section search."""
+    scalar = np.isscalar(y)
+    y = np.asarray(y, dtype=float)
+    out = np.zeros(y.size)
+    pos = np.flatnonzero(y > 0)
+    yp = y.ravel()[pos]
     if A.family == POWER and A.params[0] == 1.0:
-        return A.params[1]
+        out[pos] = A.params[1]
+    else:
+        def g(u, i):
+            s = np.exp(u)
+            return (yp[i] + A._eval(s)) / s
 
-    def g(u):
-        s = math.exp(u)
-        return (y + float(A._eval(np.asarray(s)))) / s
-
-    # bracket the minimum in u = log s
-    u0 = 0.0
-    g0 = g(u0)
-    step = 1.0
-    lo, hi = u0, u0
-    glo = ghi = g0
-    for _ in range(200):
-        if g(lo - step) >= glo:
-            break
-        lo -= step
-        glo = g(lo)
-    for _ in range(200):
-        if g(hi + step) >= ghi:
-            break
-        hi += step
-        ghi = g(hi)
-    lo -= step
-    hi += step
-    return g(_golden_min(g, lo, hi, 120, lambda b: 1e-13))
+        idx = np.arange(yp.size)
+        g0, ends = g(np.zeros(yp.size), idx), []
+        for step in (-1.0, 1.0):  # walk while g decreases, then one step on
+            u, gu, act = np.zeros(yp.size), g0.copy(), idx
+            for _ in range(200):
+                gn = g(u[act] + step, act)
+                down = ~(gn >= gu[act])
+                act = act[down]
+                if not act.size:
+                    break
+                u[act] += step
+                gu[act] = gn[down]
+            ends.append(u + step)
+        out[pos] = g(_golden_min(g, *ends, 120, lambda b: 1e-13), idx)
+    return float(out[0]) if scalar else out.reshape(y.shape)
 
 
-def _golden_min(fn, a, b, iters: int, tol) -> float:
-    """Golden-section search for the minimum of a unimodal fn on [a, b]:
-    at most iters steps, stopping once b - a <= tol(b); returns the final
-    midpoint."""
+def _golden_min(fn, a, b, iters: int, tol):
+    """Elementwise golden-section search for the minima of unimodal
+    functions on [a, b], where fn(x, i) evaluates the functions of elements
+    i at x.  Each element stops after iters steps or once its own
+    b - a <= tol(b), so it takes the steps it would take alone; returns
+    the final midpoints."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fn(x1), fn(x2)
+    out, i = np.empty_like(a), np.arange(a.size)
+    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+    f1, f2 = fn(x1, i), fn(x2, i)
     for _ in range(iters):
-        if f1 > f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fn(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fn(x1)
-        if b - a <= tol(b):
-            break
-    return 0.5 * (a + b)
+        right = f1 > f2
+        a, b = np.where(right, x1, a), np.where(right, b, x2)
+        d = invphi * (b - a)
+        x = np.where(right, a + d, b - d)
+        fx = fn(x, i)
+        x1, x2 = np.where(right, x2, x), np.where(right, x, x1)
+        f1, f2 = np.where(right, f2, fx), np.where(right, fx, f1)
+        done = b - a <= tol(b)
+        if done.any():
+            out[i[done]] = 0.5 * (a[done] + b[done])
+            live = ~done
+            i, a, b, x1, x2, f1, f2 = (v[live] for v in
+                                       (i, a, b, x1, x2, f1, f2))
+            if not i.size:
+                return out
+    out[i] = 0.5 * (a + b)
+    return out
 
 
-def complementary(A: YoungFunction, t_min: float = 1e-6, t_max: float = 1e9,
-                  n: int = 1024) -> YoungFunction:
-    """Complementary function Abar(t) = sup_s {s t - A(s)}.
-
-    Closed form for power laws; otherwise a pointwise numeric Legendre
-    transform memoized on a log-spaced grid and wrapped as TabulatedConvex.
-    """
+def complementary(A: YoungFunction) -> YoungFunction:
+    """Complementary function Abar(t) = sup_s {s t - A(s)}: closed form for
+    power laws, else conjugate_value on 1024 log-spaced points of
+    [1e-6, 1e9] (finite entries only), wrapped as TabulatedConvex."""
     if A.family == POWER:
         r, c = A.params
         if r == 1.0:
             return YoungFunction(LINF, (c,))
         rp = r / (r - 1.0)
         return power(rp, 1.0 / (rp * (c * r) ** (rp / r)))
-    ts = np.geomspace(t_min, t_max, n)
-    ys = np.array([conjugate_value(A, t) for t in ts])
-    fin = np.isfinite(ys)
-    ts, ys = ts[fin], ys[fin]
+    ts = np.geomspace(1e-6, 1e9, 1024)
+    ys = conjugate_value(A, ts)
+    ts, ys = ts[np.isfinite(ys)], ys[np.isfinite(ys)]
     if len(ys) < 2:
         raise UnboundedConjugateError(
             "conjugate overflows on the whole tabulation range")

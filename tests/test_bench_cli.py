@@ -47,6 +47,17 @@ def test_parse_scenario_errors(tmp_path):
         bench.strong_cf_check(scn)
 
 
+def test_unknown_and_unread_scenario_keys_rejected(tmp_path, capsys):
+    misspelt = _write_ini(tmp_path / "m.ini", kind="cf", lamda_points=8)
+    unread = _write_ini(tmp_path / "g.ini", kind="cf", gauge_c="expl(1)")
+    for path, word in ((misspelt, "lamda_points"), (unread, "gauge_c")):
+        with pytest.raises(bench.ScenarioError, match=word):
+            bench.parse_scenario(path)
+        assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 2
+        assert word in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_counterexample_parameter_window(tmp_path):
     # p must sit below the dual exponent and gamma inside (p/r', 1)
     bad_p = _write_ini(tmp_path / "d.ini", kind="counterexample",

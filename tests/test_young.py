@@ -121,6 +121,37 @@ def test_conjugate_of_linear_growth():
         young.conjugate_value(A, 3.0)
 
 
+def test_unbounded_conjugate_is_inf_not_a_number():
+    # final slope 2: the sup of s t - A(s) is +inf for every t > 2
+    A = young.tabulated([0, 1, 2, 3], [0, 1, 3, 5])
+    ts = np.array([2.5, 3.0, 10.0])
+    assert np.all(np.isinf(young.conjugate_value(A, ts)))
+    for t in ts:
+        with pytest.raises(young.UnboundedConjugateError):
+            young.conjugate_value(A, t)
+    # the conjugate of t log(e+t) is about exp(t - 1): past a float near 710
+    assert np.isinf(young.conjugate_value(young.llogl(1), np.array([1e3]))[0])
+    with pytest.raises(young.UnboundedConjugateError):
+        young.conjugate_value(young.llogl(1), 1e3)
+    # A = 0 up to 2 and +inf above: a finite sup at the domain's edge
+    linf = young.complementary(young.power(1, 2.0))
+    assert young.conjugate_value(linf, 3.0) == 6.0
+
+
+@pytest.mark.parametrize("A", CATALOG, ids=young.format_young)
+def test_conjugates_array_call_matches_scalar_calls(A):
+    ts = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 16)])
+    vals = young.conjugate_value(A, ts)
+    for t, v in zip(ts, vals):
+        if np.isinf(v):
+            with pytest.raises(young.UnboundedConjugateError):
+                young.conjugate_value(A, t)
+        else:
+            assert young.conjugate_value(A, t) == v
+    inv = young.conjugate_inverse_value(A, ts)
+    assert [young.conjugate_inverse_value(A, t) for t in ts] == inv.tolist()
+
+
 def test_conjugate_involution_exact_for_powers():
     A = young.power(2, 1.0)
     back = young.complementary(young.complementary(A))
@@ -138,8 +169,8 @@ def test_inverse_product_bracket_spot_values():
 def test_inverse_product_bracket_catalog():
     ts = np.geomspace(1e-2, 1e3, 20)
     for A in CATALOG:
-        for t in ts:
-            v = float(A.inverse(t)) * young.conjugate_inverse_value(A, t)
+        vs = A.inverse(ts) * young.conjugate_inverse_value(A, ts)
+        for t, v in zip(ts, vs):
             assert v >= t * (1 - 1e-6), (young.format_young(A), t, v)
             assert v <= 2 * t * (1 + 1e-6), (young.format_young(A), t, v)
 
