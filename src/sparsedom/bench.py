@@ -117,7 +117,15 @@ def _validate(scn: Scenario):
         raise ScenarioError("origin arity does not match dim")
     if not 0 <= scn.m <= 4:
         raise ScenarioError("m must be in 0..4")
+    if scn.lambda_points < 1:
+        raise ScenarioError("lambda_points must be >= 1")
+    if scn.kind == "cf" and scn.p <= 0:
+        raise ScenarioError("cf needs p > 0")
+    if scn.kind == "endpoint_czo" and scn.eps <= 0:
+        raise ScenarioError("endpoint_czo needs eps > 0")
     if scn.kind == "counterexample":
+        if scn.r <= 1:
+            raise ScenarioError("counterexample needs r > 1")
         rp = scn.r / (scn.r - 1.0)
         if not 1.0 <= scn.p < rp:
             raise ScenarioError(
@@ -133,6 +141,8 @@ def _young_of(scn: Scenario, text: str) -> young.YoungFunction:
     if text is None:
         raise ScenarioError("missing Young function in scenario")
     if text == "counter":
+        if scn.r <= 1 or scn.beta <= 0:
+            raise ScenarioError("the counter gauge needs r > 1 and beta > 0")
         return counter_young(scn.r, scn.beta)
     try:
         return young.parse_young(text)
@@ -239,12 +249,12 @@ def _chain_constant(A, B, m) -> float:
                   / ts).max())
 
 
-def _submultiplicative(A, tol=1e-9) -> bool:
+def _submultiplicative(A) -> bool:
     xs = np.geomspace(1e-2, 1e3, 12)
     for x in xs:
         ax = float(A(x))
         vals = A(xs * x)
-        if np.any(vals > float(ax) * A(xs) * (1 + tol) + tol):
+        if np.any(vals > float(ax) * A(xs) * (1 + 1e-9) + 1e-9):
             return False
     return True
 
@@ -582,7 +592,7 @@ DOMINATION_BATTERY = (
 )
 
 
-def domination_battery(levels=(8, 10, 12), orders=(0, 1, 2)):
+def domination_battery():
     """Yields (config index, m, f literal, level, DominationReport) over the
     released sweep."""
     for ic, cfg in enumerate(DOMINATION_BATTERY):
@@ -591,9 +601,9 @@ def domination_battery(levels=(8, 10, 12), orders=(0, 1, 2)):
             A = counter_young(2.0, 1.0)
         else:
             A = young.parse_young(cfg["gauge"])
-        for m in orders:
+        for m in (0, 1, 2):
             for flit in cfg["f"]:
-                for L in levels:
+                for L in (8, 10, 12):
                     grid = Grid(1, cfg["origin"], cfg["side"], L)
                     f = _profile(flit, grid)
                     b = _profile(cfg["b"], grid)

@@ -49,7 +49,6 @@ class Kernel:
     singular: bool
     conv: object = None   # callable (u array, h) -> values
     matrix: object = None  # ndarray (cells, cells)
-    c_k: float = 1.0
     params: dict = field(default_factory=dict)
 
     def evaluate(self, x, y, h: float = 0.0):
@@ -98,7 +97,7 @@ def make_hilbert() -> Kernel:
     def conv(u, h):
         with np.errstate(divide="ignore"):
             return np.where(u == 0.0, 0.0, 1.0 / np.where(u == 0.0, 1.0, u))
-    return Kernel("hilbert", 1, True, conv=conv, c_k=1.0)
+    return Kernel("hilbert", 1, True, conv=conv)
 
 
 def make_dini(delta: float = 0.5, c_k: float = 1.0) -> Kernel:
@@ -115,7 +114,7 @@ def make_dini(delta: float = 0.5, c_k: float = 1.0) -> Kernel:
         with np.errstate(divide="ignore"):
             return np.where(u == 0.0, 0.0,
                             c_k * mod / np.where(u == 0.0, 1.0, u))
-    return Kernel("dini", 1, True, conv=conv, c_k=1.5 * c_k,
+    return Kernel("dini", 1, True, conv=conv,
                   params={"delta": delta, "c_k": c_k})
 
 
@@ -187,11 +186,11 @@ def make_homog(omega_samples) -> Kernel:
                   params={"samples": tuple(om.tolist())})
 
 
-def make_matrix(mat, singular: bool = False) -> Kernel:
+def make_matrix(mat) -> Kernel:
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise OperatorError("matrix kernel must be square")
-    return Kernel("matrix", 1, singular, matrix=m)
+    return Kernel("matrix", 1, False, matrix=m)
 
 
 def parse_kernel(text: str) -> Kernel:
@@ -342,13 +341,13 @@ def apply_windowed(K: Kernel, f: GridFunction, out_slice, in_slice) -> np.ndarra
     return apply_operator(K, GridFunction(f.grid, fr)).cells[out_slice]
 
 
-def operator_norm_l2(K: Kernel, grid: Grid, iters: int = 20) -> float:
-    """Discrete L2 -> L2 norm estimate by power iteration on T* T."""
+def operator_norm_l2(K: Kernel, grid: Grid) -> float:
+    """Discrete L2 -> L2 norm estimate by 20 power iterations on T* T."""
     rng = np.random.default_rng(12345)
     v = rng.standard_normal(grid.shape)
     v /= np.linalg.norm(v)
     sigma = 0.0
-    for _ in range(iters):
+    for _ in range(20):
         tv = apply_operator(K, GridFunction(grid, v)).cells
         w = _apply_adjoint(K, grid, tv)
         nw = np.linalg.norm(w)
@@ -429,20 +428,16 @@ def maximal(f: GridFunction, variant: str = "M", A=None, delta: float = None,
         raise OperatorError(f"{variant} needs a Young function")
     if variant == "MAW" and w is None:
         raise OperatorError("MAW needs a weight")
-    if variant == "Mdelta":
-        if not (delta and 0 < delta < 1):
-            raise OperatorError("delta must lie in (0, 1)")
-        g = GridFunction(grid, np.abs(f.cells) ** delta)
-        base = maximal(g, "M", shifted=shifted)
-        return GridFunction(grid, base.cells ** (1.0 / delta))
-    if variant == "MA" and A.family == young.POWER and A.params[1] == 1.0:
-        r = A.params[0]
-        g = GridFunction(grid, np.abs(f.cells) ** r)
-        base = maximal(g, "M", shifted=shifted)
-        return GridFunction(grid, base.cells ** (1.0 / r))
+    if variant == "Mdelta" and not (delta and 0 < delta < 1):
+        raise OperatorError("delta must lie in (0, 1)")
 
     vals = np.abs(f.cells)
-    if variant == "M":
+    if variant == "Mdelta" or (variant == "MA" and A.family == young.POWER
+                               and A.params[1] == 1.0):
+        # M(|f|^r)^(1/r): r = delta, or the exponent of the power gauge
+        r = delta if variant == "Mdelta" else A.params[0]
+        out = scope_max(grid, shifted, block_mean, vals ** r) ** (1.0 / r)
+    elif variant == "M":
         out = scope_max(grid, shifted, block_mean, vals)
     elif variant == "MA":
         out = scope_max(grid, shifted,
@@ -521,21 +516,18 @@ def grand_maximal_truncated(K: Kernel, f: GridFunction,
 # -- kernel smoothness (annulus sums) ----------------------------------------
 
 
-def hormander_estimate(K: Kernel, A, grid: Grid, side: int = 1,
-                       cube_budget: int = 64, k_max: int = 8,
-                       seed: int = 0) -> tuple:
+def hormander_estimate(K: Kernel, A, grid: Grid, cube_budget: int = 64,
+                       k_max: int = 8, seed: int = 0) -> tuple:
     """Lower-bound estimate of the annulus-summed Orlicz smoothness constant.
 
     For sampled base cubes Q and point pairs x, z in (1/2)Q, sums over k of
     (2^k l(Q))^n times the A-norm over 2^k Q of the kernel difference
-    restricted to the annulus 2^k Q minus 2^(k-1) Q.  side selects which
-    kernel slot the difference is taken in.  Annuli that exit the domain are
-    dropped; the tail is extrapolated from the last two kept terms.
+    K(x, .) - K(z, .) restricted to the annulus 2^k Q minus 2^(k-1) Q.
+    Annuli that exit the domain are dropped; the tail is extrapolated from
+    the last two kept terms.
     """
     if K.matrix is not None:
         raise OperatorError("smoothness estimate needs a pointwise kernel")
-    if side not in (1, 2):
-        raise OperatorError("side must be 1 or 2")
     if k_max < 2:
         raise OperatorError("k_max must be >= 2")
     rng = np.random.default_rng(seed)
@@ -551,8 +543,7 @@ def hormander_estimate(K: Kernel, A, grid: Grid, side: int = 1,
                     tuple(c + q.side // 4 for c in q.origin), q.side // 2)
         pts = _stencil_cells(half, grid)
         pairs = [(x, z) for i, x in enumerate(pts) for z in pts[i + 1:]]
-        for val, tail in zip(*_annulus_sums(K, A, grid, q, pairs, side,
-                                            k_max)):
+        for val, tail in zip(*_annulus_sums(K, A, grid, q, pairs, k_max)):
             if val > best:
                 best, best_tail = val, tail
     return best, best_tail
@@ -568,7 +559,7 @@ def _stencil_cells(q: Cube, grid: Grid) -> list:
 
 
 def _annulus_sums(K: Kernel, A, grid: Grid, q: Cube, pairs: list,
-                  side: int, k_max: int) -> tuple:
+                  k_max: int) -> tuple:
     """Annulus sums of one cube q for every cell pair (x, z) in pairs:
     (totals, tails), one entry per pair.  Each annulus 2^k q minus
     2^(k-1) q costs one kernel evaluation on (pairs x cells of 2^k q) and
@@ -592,12 +583,8 @@ def _annulus_sums(K: Kernel, A, grid: Grid, q: Cube, pairs: list,
         sl = cube_slices(big, grid)
         ys = np.meshgrid(*(grid.cell_centers(i)[sl[i]] for i in range(n)),
                          indexing="ij", sparse=True)
-        if side == 1:
-            dvals = K.conv(*(x - y for x, y in zip(xs, ys)), h) \
-                - K.conv(*(z - y for z, y in zip(zs, ys)), h)
-        else:
-            dvals = K.conv(*(y - x for x, y in zip(xs, ys)), h) \
-                - K.conv(*(y - z for z, y in zip(zs, ys)), h)
+        dvals = K.conv(*(x - y for x, y in zip(xs, ys)), h) \
+            - K.conv(*(z - y for z, y in zip(zs, ys)), h)
         # annulus: zero the inner cube 2^(k-1) q
         dvals[(slice(None),) + tuple(
             slice(s - o, s - o + small.side)
@@ -620,15 +607,15 @@ def _annulus_sums(K: Kernel, A, grid: Grid, q: Cube, pairs: list,
 # -- angular modulus for homogeneous kernels ---------------------------------
 
 
-def omega_modulus(omega_samples, B, t: float, shifts: int = 16) -> float:
-    """sup over rotations |y| <= t of the Luxemburg B-norm on the circle of
-    Omega(. + y) - Omega(.)."""
+def omega_modulus(omega_samples, B, t: float) -> float:
+    """sup over 16 rotations 0 < |y| <= t of the Luxemburg B-norm on the
+    circle of Omega(. + y) - Omega(.)."""
     om = np.asarray(omega_samples, dtype=float)
     if t <= 0:
         return 0.0
     M = len(om)
     dtheta = 2 * math.pi / M
-    angles = np.linspace(0.0, t, shifts + 1)[1:]
+    angles = np.linspace(0.0, t, 17)[1:]
     theta_grid = np.arange(M) * dtheta
     theta_ext = np.concatenate([theta_grid, [2 * math.pi]])
     om_ext = np.concatenate([om, om[:1]])
@@ -638,11 +625,10 @@ def omega_modulus(omega_samples, B, t: float, shifts: int = 16) -> float:
         shifted - om, np.full(shifted.shape, dtheta), B).max())
 
 
-def dini_integral(omega_samples, B, t_min: float = 1e-4,
-                  n_pts: int = 40) -> tuple:
-    """Quadrature of int_0^1 omega(t) dt / t on a log grid from t_min, plus
-    a convergence verdict from the small-t chunk decay."""
-    ts = np.geomspace(t_min, 1.0, n_pts)
+def dini_integral(omega_samples, B) -> tuple:
+    """Quadrature of int_0^1 omega(t) dt / t on 40 log-spaced points of
+    [1e-4, 1], plus a convergence verdict from the small-t chunk decay."""
+    ts = np.geomspace(1e-4, 1.0, 40)
     vals = np.array([omega_modulus(omega_samples, B, t) for t in ts])
     u = np.log(ts)
     chunk = 0.5 * (vals[1:] + vals[:-1]) * np.diff(u)

@@ -16,7 +16,6 @@ import numpy as np
 from . import young
 from .dyadic import (Cube, Grid, GridFunction, block_mean, cube_slices,
                      cube_values, scope_max, scope_tilings)
-from .operators import maximal
 
 
 class WeightError(ValueError):
@@ -54,8 +53,8 @@ def weight_constant(w: GridFunction, kind: str, p: float = None,
             lambda m, a, d: block_mean(m, a) * block_mean(m, d) ** (p - 1.0),
             w.cells, dual).max())
     if kind == "A1":
-        mw = maximal(w, "M", shifted=shifted)
-        return float((mw.cells / w.cells).max())
+        mw = scope_max(grid, shifted, block_mean, w.cells)
+        return float((mw / w.cells).max())
     if kind == "AinfFW":
         return _fujii_wilson(w, shifted)
     if kind == "ApBump":
@@ -157,8 +156,7 @@ def sigma_dual(w: GridFunction, p: float, r: float = 1.0) -> GridFunction:
 
 
 def absorption_check(w: GridFunction, Q: Cube, E: np.ndarray,
-                     c_n: float, shifted: bool = True,
-                     ainf: float = None) -> tuple:
+                     c_n: float, ainf: float = None) -> tuple:
     """w(E)/w(Q) <= 2 (|E|/|Q|)^(1/(c_n [w]_Ainf)): returns (lhs, rhs, pass)."""
     as_weight(w)
     grid = w.grid
@@ -172,19 +170,19 @@ def absorption_check(w: GridFunction, Q: Cube, E: np.ndarray,
     lhs = we / wq
     frac = float(E.sum()) / float(qmask.sum())
     if ainf is None:
-        ainf = weight_constant(w, "AinfFW", shifted=shifted)
+        ainf = weight_constant(w, "AinfFW")
     rhs = 2.0 * frac ** (1.0 / (c_n * ainf))
     return lhs, rhs, bool(lhs <= rhs * (1 + 1e-12))
 
 
 def reverse_holder_check(w: GridFunction, Q: Cube, tau_n: float,
-                         shifted: bool = True, ainf: float = None) -> tuple:
+                         ainf: float = None) -> tuple:
     """(avg w^r)^(1/r) <= 2 avg w at r = 1 + 1/(tau_n [w]_Ainf):
     returns (r_w, lhs, rhs, pass)."""
     as_weight(w)
     vals = cube_values(w, Q).ravel()
     if ainf is None:
-        ainf = weight_constant(w, "AinfFW", shifted=shifted)
+        ainf = weight_constant(w, "AinfFW")
     r = 1.0 + 1.0 / (tau_n * ainf)
     lhs = float((vals ** r).mean()) ** (1.0 / r)
     rhs = 2.0 * float(vals.mean())
@@ -207,7 +205,7 @@ class DecayFit:
     n_points: int
 
 
-def jn_profile(b: GridFunction, Q: Cube, n_alpha: int = 32) -> DecayFit:
+def jn_profile(b: GridFunction, Q: Cube) -> DecayFit:
     """Least-squares fit of log(|{|b - b_Q| > alpha}| / |Q|) against alpha.
 
     Raises on constant b (no level sets to fit)."""
@@ -216,7 +214,7 @@ def jn_profile(b: GridFunction, Q: Cube, n_alpha: int = 32) -> DecayFit:
     top = float(vals.max())
     if top <= 0:
         raise WeightError("oscillation vanishes, nothing to fit")
-    alphas = np.linspace(0.0, top, n_alpha + 1)[:-1]
+    alphas = np.linspace(0.0, top, 33)[:-1]
     meas = np.array([(vals > a).mean() for a in alphas])
     keep = meas > 0
     alphas, meas = alphas[keep], meas[keep]

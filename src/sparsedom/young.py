@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 E = math.e
+# the upper end of the t range of bp_check, krA_constant and kappa_phi
+T_MAX = 1e12
 
 # Catalog family tags.
 POWER = "power"
@@ -217,7 +219,7 @@ def prod(a: YoungFunction, b: YoungFunction) -> YoungFunction:
     return YoungFunction(PROD, parts=(a, b))
 
 
-def tabulated(knots_t, knots_y, tol: float = 1e-9) -> YoungFunction:
+def tabulated(knots_t, knots_y) -> YoungFunction:
     """TabulatedConvex from increasing (t, A(t)) pairs.
 
     The convexity certificate (nondecreasing chord slopes) is enforced by
@@ -244,7 +246,7 @@ def tabulated(knots_t, knots_y, tol: float = 1e-9) -> YoungFunction:
                 i0, i1 = hull[-2], hull[-1]
                 lhs = (ky[i1] - ky[i0]) * (kt[i] - kt[i1])
                 rhs = (ky[i] - ky[i1]) * (kt[i1] - kt[i0])
-                if lhs > rhs * (1 + tol) + tol:
+                if lhs > rhs * (1 + 1e-9) + 1e-9:
                     hull.pop()
                 else:
                     break
@@ -253,10 +255,10 @@ def tabulated(knots_t, knots_y, tol: float = 1e-9) -> YoungFunction:
     return YoungFunction(TABLE, knots_t=tuple(kt), knots_y=tuple(ky))
 
 
-def from_inverse(inv, u_min: float = 1e-9, u_max: float = 1e24,
-                 n: int = 1200) -> YoungFunction:
-    """Tabulate a Young function from a closed-form increasing inverse."""
-    u = np.concatenate([[0.0], np.geomspace(u_min, u_max, n)])
+def from_inverse(inv) -> YoungFunction:
+    """Tabulate a Young function from a closed-form increasing inverse, on
+    1200 log-spaced values of A in [1e-9, 1e24]."""
+    u = np.concatenate([[0.0], np.geomspace(1e-9, 1e24, 1200)])
     t = np.concatenate([[0.0], inv(u[1:])])
     keep = np.concatenate([[True], np.diff(t) > 0])
     return tabulated(t[keep], u[keep])
@@ -486,15 +488,14 @@ class CertificateError(YoungError):
         self.t_violate = t_violate
 
 
-def young_class_certificate(A: YoungFunction, p0: float, p1: float,
-                            t_A: float = 1.0, t_lo: float = 1e-6,
-                            t_hi: float = 1e9, n: int = 400,
-                            cap: float = 1e12) -> YoungClassCertificate:
+def young_class_certificate(A: YoungFunction, p0: float,
+                            p1: float) -> YoungClassCertificate:
     """Smallest grid constants with t^{p0} <= c A(t) above t_A and
     t^{p1} <= c A(t) below it."""
     if not (1.0 <= p0 <= p1):
         raise YoungError("need 1 <= p0 <= p1")
-    ts = np.geomspace(t_lo, t_hi, n)
+    t_A, cap, on = 1.0, 1e12, (1e-6, 1e9, 400)
+    ts = np.geomspace(*on)
     hi_t = ts[ts > t_A]
     lo_t = ts[ts <= t_A]
     c0 = c1 = 1.0
@@ -517,22 +518,22 @@ def young_class_certificate(A: YoungFunction, p0: float, p1: float,
         c1 = float(max(ratios.max(), 1.0))
     if max(c0, c1) > cap:
         raise CertificateError("no finite certificate on the grid", None)
-    return YoungClassCertificate(p0, p1, t_A, c0, c1, (t_lo, t_hi, n))
+    return YoungClassCertificate(p0, p1, t_A, c0, c1, on)
 
 
-def bp_check(A: YoungFunction, p: float, t_max: float = 1e12):
-    """Partial integral of A(t) / t^{p+1} over [1, t_max] plus a tail
+def bp_check(A: YoungFunction, p: float):
+    """Partial integral of A(t) / t^{p+1} over [1, T_MAX] plus a tail
     verdict: (value, converged)."""
     if p <= 1:
         raise YoungError("need p > 1")
-    return _log_quadrature(lambda t: A._eval(t) / t ** (p + 1.0), t_max)
+    return _log_quadrature(lambda t: A._eval(t) / t ** (p + 1.0), T_MAX)
 
 
-def krA_constant(A: YoungFunction, r: float, t_max: float = 1e12):
-    """sup_{t>1} A(t)^{1/r} / t on a log grid: (value, finite)."""
+def krA_constant(A: YoungFunction, r: float):
+    """sup_{t>1} A(t)^{1/r} / t on a log grid up to T_MAX: (value, finite)."""
     if r < 1:
         raise YoungError("need r >= 1")
-    ts = np.geomspace(1.0 + 1e-9, t_max, 4096)
+    ts = np.geomspace(1.0 + 1e-9, T_MAX, 4096)
     vals = A._eval(ts) ** (1.0 / r) / ts
     imax = int(np.argmax(vals))
     # still growing near the right end -> the sup is infinite
@@ -580,9 +581,9 @@ def _log_quadrature(f, t_max):
     return value, bool(s > 1.02)
 
 
-def kappa_phi(A: YoungFunction, phi: YoungFunction, m: int = 0, h: int | None = None,
-              t_max: float = 1e12):
-    """Endpoint constant kappa_phi: (integral value, converged flag).
+def kappa_phi(A: YoungFunction, phi: YoungFunction, m: int = 0,
+              h: int | None = None):
+    """Endpoint constant kappa_phi over [1, T_MAX]: (value, converged flag).
 
     Plain variant (m == 0 or h == m):
         int_1^inf phi^{-1}(t) A(log(e+t)^2) / (t^2 log(e+t)^3) dt
@@ -609,7 +610,7 @@ def kappa_phi(A: YoungFunction, phi: YoungFunction, m: int = 0, h: int | None = 
             return (phi.inverse(Phi_j_fn.inverse(t)) * A(lg ** (4 * j))
                     / (t * t * lg ** (3 * j + 1)))
 
-    return _log_quadrature(integrand, t_max)
+    return _log_quadrature(integrand, T_MAX)
 
 
 # -- serialization grammar --------------------------------------------------

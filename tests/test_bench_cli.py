@@ -1,5 +1,6 @@
 """Scenario parsing, check runners, report files and the CLI front end."""
 
+import configparser
 import dataclasses
 import json
 import os
@@ -56,6 +57,28 @@ def test_unknown_and_unread_scenario_keys_rejected(tmp_path, capsys):
         assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 2
         assert word in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name,key,value", [
+    ("cf_hilbert_m0", "p", "0"),
+    ("counterexample_weak", "r", "1"),
+    ("endpoint_czo_m1", "eps", "0"),
+    ("endpoint_czo_m1", "lambda_points", "0"),
+    ("sparse_counter_m0", "r", "0"),  # the counter gauge reads r
+])
+def test_malformed_scenario_values_exit_2(tmp_path, capsys, name, key,
+                                          value):
+    # one value of a released scenario moved out of its range
+    cp = configparser.ConfigParser()
+    cp.read(os.path.join(BATTERY_DIR, name + ".ini"))
+    cp["scenario"][key] = value
+    path = tmp_path / f"{name}.ini"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    out = tmp_path / "o"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_counterexample_parameter_window(tmp_path):
