@@ -18,6 +18,7 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import groupby, product
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -525,6 +526,12 @@ def hormander_estimate(K: Kernel, A, grid: Grid, cube_budget: int = 64,
     K(x, .) - K(z, .) restricted to the annulus 2^k Q minus 2^(k-1) Q.
     Annuli that exit the domain are dropped; the tail is extrapolated from
     the last two kept terms.
+
+    The sampled cubes are summed a side at a time, with one batched
+    Luxemburg call per (side, annulus level) for all of them.  Each row of
+    a batch is bitwise its norm alone, so every value, and the best one
+    (candidate order, then pair order, first strict maximum), is the same
+    as a cube-by-cube computation.
     """
     if K.matrix is not None:
         raise OperatorError("smoothness estimate needs a pointwise kernel")
@@ -538,14 +545,20 @@ def hormander_estimate(K: Kernel, A, grid: Grid, cube_budget: int = 64,
         cand = [cand[i] for i in sorted(idx)]
     best = 0.0
     best_tail = 0.0
-    for q in cand:
-        half = Cube(q.lattice, q.level,
-                    tuple(c + q.side // 4 for c in q.origin), q.side // 2)
-        pts = _stencil_cells(half, grid)
-        pairs = [(x, z) for i, x in enumerate(pts) for z in pts[i + 1:]]
-        for val, tail in zip(*_annulus_sums(K, A, grid, q, pairs, k_max)):
-            if val > best:
-                best, best_tail = val, tail
+    # base_cubes lists the cubes level by level, so one side is one run
+    for _, group in groupby(cand, key=lambda q: q.side):
+        group = list(group)
+        pairs = []
+        for q in group:
+            half = Cube(q.lattice, q.level,
+                        tuple(c + q.side // 4 for c in q.origin), q.side // 2)
+            pts = _stencil_cells(half, grid)
+            pairs.append([(x, z) for i, x in enumerate(pts)
+                          for z in pts[i + 1:]])
+        for totals, tails in _annulus_sums(K, A, grid, group, pairs, k_max):
+            for val, tail in zip(totals, tails):
+                if val > best:
+                    best, best_tail = val, tail
     return best, best_tail
 
 
@@ -554,54 +567,73 @@ def _stencil_cells(q: Cube, grid: Grid) -> list:
     axes = []
     for c in q.origin:
         axes.append(sorted({c, c + q.side // 2, c + q.side - 1}))
-    from itertools import product as _p
-    return [tuple(ix) for ix in _p(*axes)]
+    return [tuple(ix) for ix in product(*axes)]
 
 
-def _annulus_sums(K: Kernel, A, grid: Grid, q: Cube, pairs: list,
-                  k_max: int) -> tuple:
-    """Annulus sums of one cube q for every cell pair (x, z) in pairs:
-    (totals, tails), one entry per pair.  Each annulus 2^k q minus
-    2^(k-1) q costs one kernel evaluation on (pairs x cells of 2^k q) and
-    one batched Luxemburg norm."""
+def _annulus_sums(K: Kernel, A, grid: Grid, cubes: list, pairs: list,
+                  k_max: int) -> list:
+    """Annulus sums of cubes that share one side, for the cell pairs
+    (x, z) of each: pairs[j] lists the pairs of cubes[j].  Returns one
+    (totals, tails) per cube, one entry per pair.  For each annulus
+    2^k q minus 2^(k-1) q, every cube whose 2^k q stays in the domain
+    adds one block of kernel differences (its pairs x cells of 2^k q),
+    and the blocks of one k go into one batched Luxemburg norm."""
     n = grid.n
     h = grid.cell_width
-    # centers of x and z per axis, shaped (pairs, 1, ..., 1)
-    pts = np.asarray(grid.origin) + (np.asarray(pairs, dtype=float) + 0.5) * h
-    col = (len(pairs),) + (1,) * n
-    xs = [pts[:, 0, i].reshape(col) for i in range(n)]
-    zs = [pts[:, 1, i].reshape(col) for i in range(n)]
-    terms = []
+    ends = []  # centers of x and z per axis, shaped (pairs, 1, ..., 1)
+    for pq in pairs:
+        pts = np.asarray(grid.origin) \
+            + (np.asarray(pq, dtype=float) + 0.5) * h
+        col = (len(pq),) + (1,) * n
+        ends.append(([pts[:, 0, i].reshape(col) for i in range(n)],
+                     [pts[:, 1, i].reshape(col) for i in range(n)]))
+    terms = [[] for _ in cubes]
+    live = range(len(cubes))
     for k in range(1, k_max + 1):
-        try:
-            big = dilate(q, 1 << k)
-            small = dilate(q, 1 << (k - 1))
-        except GeometryError:
+        kept, blocks = [], []
+        for j in live:
+            q = cubes[j]
+            try:
+                big = dilate(q, 1 << k)
+                small = dilate(q, 1 << (k - 1))
+            except GeometryError:
+                continue
+            if is_clipped(big, grid):
+                continue
+            sl = cube_slices(big, grid)
+            ys = np.meshgrid(*(grid.cell_centers(i)[sl[i]] for i in range(n)),
+                             indexing="ij", sparse=True)
+            xs, zs = ends[j]
+            dvals = K.conv(*(x - y for x, y in zip(xs, ys)), h) \
+                - K.conv(*(z - y for z, y in zip(zs, ys)), h)
+            # annulus: zero the inner cube 2^(k-1) q
+            dvals[(slice(None),) + tuple(
+                slice(s - o, s - o + small.side)
+                for s, o in zip(small.origin, big.origin))] = 0.0
+            kept.append(j)
+            blocks.append(np.abs(dvals).reshape(len(pairs[j]), -1))
+        if not kept:
             break
-        if is_clipped(big, grid):
-            break
-        sl = cube_slices(big, grid)
-        ys = np.meshgrid(*(grid.cell_centers(i)[sl[i]] for i in range(n)),
-                         indexing="ij", sparse=True)
-        dvals = K.conv(*(x - y for x, y in zip(xs, ys)), h) \
-            - K.conv(*(z - y for z, y in zip(zs, ys)), h)
-        # annulus: zero the inner cube 2^(k-1) q
-        dvals[(slice(None),) + tuple(
-            slice(s - o, s - o + small.side)
-            for s, o in zip(small.origin, big.origin))] = 0.0
-        dvals = np.abs(dvals).reshape(len(pairs), -1)
+        live = kept
+        dvals = np.concatenate(blocks)
         norms = young.luxemburg_norm_batch(
             dvals, np.full(dvals.shape, grid.cell_volume), A)
-        terms.append(((1 << k) * q.length(grid)) ** n * norms)
-    totals = sum(terms, np.zeros(len(pairs)))
-    tails = [0.0] * len(pairs)
-    if len(terms) >= 2:
-        for i, (prev, last) in enumerate(zip(terms[-2].tolist(),
-                                             terms[-1].tolist())):
-            if prev > 0:
-                rho = last / prev
-                tails[i] = last * rho / (1.0 - rho) if rho < 1 else math.inf
-    return totals.tolist(), tails
+        rows = np.cumsum([len(pairs[j]) for j in kept])[:-1]
+        for j, part in zip(kept, np.split(norms, rows)):
+            terms[j].append(((1 << k) * cubes[j].length(grid)) ** n * part)
+    out = []
+    for pq, tj in zip(pairs, terms):
+        totals = sum(tj, np.zeros(len(pq)))
+        tails = [0.0] * len(pq)
+        if len(tj) >= 2:
+            for i, (prev, last) in enumerate(zip(tj[-2].tolist(),
+                                                 tj[-1].tolist())):
+                if prev > 0:
+                    rho = last / prev
+                    tails[i] = last * rho / (1.0 - rho) if rho < 1 \
+                        else math.inf
+        out.append((totals.tolist(), tails))
+    return out
 
 
 # -- angular modulus for homogeneous kernels ---------------------------------

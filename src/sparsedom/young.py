@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,9 @@ class YoungFunction:
     for compose/prod; ``knots_t``/``knots_y`` the breakpoints of a
     TabulatedConvex function (linear interpolation, final-slope
     extrapolation above the last knot).
+
+    Values derived from these fields (``inverse_one``) are cached on the
+    instance outside the fields, so they take no part in ``==`` or hash.
     """
 
     family: str
@@ -122,6 +126,11 @@ class YoungFunction:
             raise YoungError("inverse requested at negative value")
         t = self._inverse(y)
         return float(np.asarray(t).ravel()[0]) if scalar else t
+
+    @cached_property
+    def inverse_one(self) -> float:
+        """A^-1(1), computed once per gauge object."""
+        return self.inverse(1.0)
 
     def _inverse(self, y):
         f = self.family
@@ -419,7 +428,11 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
     The bisection runs in log lam from hi/lo = 1e18 and halves log(hi/lo)
     at every step whichever half it keeps, so every row meets the relative
     tolerance 1e-12 at the same step: a row's norm does not depend on the
-    other rows of the batch.
+    other rows of the batch.  That row independence is what lets callers
+    stack unrelated cubes into one call without moving a bit:
+    hormander_estimate makes one call per (cube side, annulus level) for
+    all its sampled cubes of that side.  The upper bracket uses A^-1(1),
+    cached on the gauge (`YoungFunction.inverse_one`).
     """
     v = np.abs(np.asarray(values, dtype=float))
     mu = np.asarray(measures, dtype=float)
@@ -438,8 +451,7 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
     if A.family == LINF:
         out[act] = vmax / A.params[0]
         return out
-    ainv1 = float(A.inverse(1.0))
-    hi = vmax * max(1.0, 1.0 / ainv1)
+    hi = vmax * max(1.0, 1.0 / A.inverse_one)
     # monotonicity sanity: the modular must not increase with lam
     bad = (A._eval(v / hi[:, None]) * mu).sum(axis=1) / tot > 1.0 + 1e-9
     hi[bad] *= 4.0

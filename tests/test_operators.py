@@ -492,9 +492,16 @@ def _asymmetric_table(M=48):
     return np.cos(2 * th) + 0.5 * np.sin(th) + 0.25 * np.sin(3 * th)
 
 
-@pytest.mark.parametrize("name", ["hilbert", "dini", "counter", "homog"])
+@pytest.mark.parametrize("name", ["hilbert", "dini", "counter", "homog",
+                                  "hilbert_offset"])
 def test_annulus_sums_match_per_pair_reference(name):
-    if name == "homog":
+    if name == "hilbert_offset":
+        # cell centers off the dyadic points round differently per cube, so
+        # equal-shape cubes get different last bits and a norm handed back
+        # to the wrong cube of a batch shows
+        K, A = op.make_hilbert(), young.llogl(1)
+        grid = Grid(1, (-0.3,), 1.0, 8)
+    elif name == "homog":
         K, A = op.make_homog(_asymmetric_table()), young.llogl(1)
         grid = Grid(2, (-0.5, -0.5), 1.0, 5)
     elif name == "counter":
@@ -508,14 +515,56 @@ def test_annulus_sums_match_per_pair_reference(name):
     cand = [q for q in base_cubes(grid, min_level=1) if 4 <= q.side < N]
     # every side, near the edge and inside, so annuli stop at several k
     picks = cand[::max(1, len(cand) // 9)] + cand[-3:]
+    pairs, want = [], []
     for q in picks:
         half = Cube(q.lattice, q.level,
                     tuple(c + q.side // 4 for c in q.origin), q.side // 2)
         pts = op._stencil_cells(half, grid)
-        pairs = [(x, z) for i, x in enumerate(pts) for z in pts[i + 1:]]
-        totals, tails = op._annulus_sums(K, A, grid, q, pairs, 6)
-        want = [_annulus_reference(K, A, grid, q, x, z, 6) for x, z in pairs]
-        assert list(zip(totals, tails)) == want, (name, q)
+        pairs.append([(x, z) for i, x in enumerate(pts) for z in pts[i + 1:]])
+        want.append([_annulus_reference(K, A, grid, q, x, z, 6)
+                     for x, z in pairs[-1]])
+        (totals, tails), = op._annulus_sums(K, A, grid, [q], [pairs[-1]], 6)
+        assert list(zip(totals, tails)) == want[-1], (name, q)
+    # all picked cubes of one side in one call, batched per annulus level
+    mixed = False
+    for side in sorted({q.side for q in picks}):
+        group = [j for j, q in enumerate(picks) if q.side == side]
+        got = op._annulus_sums(K, A, grid, [picks[j] for j in group],
+                               [pairs[j] for j in group], 6)
+        for j, (totals, tails) in zip(group, got):
+            assert list(zip(totals, tails)) == want[j], (name, picks[j])
+        mixed |= len({_kept_levels(picks[j], grid, 6) for j in group}) > 1
+    assert mixed  # some batch holds cubes whose annuli stop at different k
+
+
+def _kept_levels(q, grid, k_max):
+    """The number of annuli of q that stay in the domain."""
+    return next((k - 1 for k in range(1, k_max + 1)
+                 if is_clipped(dilate(q, 2 ** k), grid)), k_max)
+
+
+def test_hormander_one_luxemburg_call_per_side_and_level(monkeypatch):
+    grid = Grid(1, (-0.5,), 1.0, 8)
+    real_sums, real_batch = op._annulus_sums, young.luxemburg_norm_batch
+    sides, calls = [], []
+
+    def sums(K, A, grid, cubes, pairs, k_max):
+        assert len({q.side for q in cubes}) == 1
+        sides.append(cubes[0].side)
+        return real_sums(K, A, grid, cubes, pairs, k_max)
+
+    def batch(values, measures, A):
+        # in 1D the row length 2^k * side names the annulus level
+        calls.append((sides[-1], values.shape[1]))
+        return real_batch(values, measures, A)
+
+    monkeypatch.setattr(op, "_annulus_sums", sums)
+    monkeypatch.setattr(young, "luxemburg_norm_batch", batch)
+    op.hormander_estimate(op.make_hilbert(), young.llogl(1), grid)
+    assert len(sides) == len(set(sides)) == 6  # sides 4..128
+    assert len(calls) == len(set(calls))
+    assert all(cells // side in (2, 4, 8, 16, 32, 64, 128, 256)
+               for side, cells in calls)
 
 
 def test_omega_modulus_matches_rotation_loop():

@@ -81,6 +81,27 @@ def test_monotone_and_superlinear_on_samples():
             young.format_young(A)
 
 
+GAUGES = {
+    "power": lambda: young.power(2),
+    "llogl": lambda: young.llogl(1),
+    "expl": lambda: young.expl(1),
+    "lll": lambda: young.lll(1, 1.5),
+    "phi": lambda: young.phi_j(2),
+    "compose": lambda: young.compose(young.llogl(1), young.power(2)),
+    "prod": lambda: young.prod(young.power(1.5), young.llogl(1)),
+    "counter": lambda: counter_young(2, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAUGES))
+def test_inverse_one_cached_bitwise(name):
+    A, B = GAUGES[name](), GAUGES[name]()
+    assert A.inverse_one == float(A.inverse(1.0))
+    # the cached value stays out of == and hash, so equal gauges stay equal
+    assert A == B and hash(A) == hash(B)
+    assert {B: "key"}[A] == "key"
+
+
 def test_tabulated_rejects_bad_breakpoints():
     with pytest.raises(young.YoungError):
         young.tabulated([1.0, 1.0, 2.0], [1.0, 2.0, 3.0])
@@ -258,6 +279,22 @@ def test_luxemburg_batch_matches_scalar(rng):
         assert batch[-1] == 0.0
         for i in range(6):
             assert batch[i] == young.luxemburg_norm(vals[i], mu[i], A)
+
+
+def test_luxemburg_batch_inverts_once_per_gauge(rng, monkeypatch):
+    calls = []
+    real = young.YoungFunction.inverse
+
+    def inverse(self, y):
+        calls.append(y)
+        return real(self, y)
+
+    monkeypatch.setattr(young.YoungFunction, "inverse", inverse)
+    A = young.llogl(1)
+    vals = rng.lognormal(0.0, 1.0, (3, 16))
+    for _ in range(4):
+        young.luxemburg_norm_batch(vals, np.ones_like(vals), A)
+    assert calls == [1.0]
 
 
 # -- Holder defect ------------------------------------------------------------
