@@ -1,17 +1,19 @@
 """Paired before/after perfbench runs, written as one BENCH_<n>.json record.
 
     python3 scripts/bench_pairs.py PARENT_DIR [CHANGE_DIR] --out BENCH_<n>.json
-        [--workloads battery,sweep,plane] [--pairs 10] [--first-seed 101]
-        [--what "what changed and what is claimed"]
+        --first-seed S [--what "what changed and what is claimed"]
 
 PARENT_DIR and CHANGE_DIR are source checkouts (CHANGE_DIR defaults to the
-current directory).  For each workload the script runs `perfbench/run.py
---workload W --seed S --seconds 40` once in each checkout per pair, one
-after the other: even pairs run the parent first, odd pairs the change.
-Every pair uses its own seed, first_seed + 100 * (workload index) + pair.
-Then it makes one traced run (`--seed 0 --trace 1`) per workload and side.
+current directory).  For each of the three workloads the script runs 10
+pairs of `perfbench/run.py --workload W --seed S --seconds 40`, once in
+each checkout per pair, one after the other: even pairs run the parent
+first, odd pairs the change.  Every pair uses its own seed,
+first_seed + 100 * (workload index) + pair; pick a first seed that no run
+made while building the change has used.  Then it makes one traced run
+(`--seed 0 --trace 1`) per workload and side.
 
-Each record is the JSON object of the last line run.py prints.  The
+Each record is the JSON object of the last line run.py prints.  A run
+that exits nonzero or reports "correct": false stops the script.  The
 summary gives, per workload and end-to-end metric, the median and
 quartiles of each side (statistics.quantiles(method='inclusive')), how many
 pairs the change was lower in, and the parent's interquartile range.
@@ -30,6 +32,8 @@ from importlib import metadata
 from pathlib import Path
 
 SECONDS = 40
+PAIRS = 10
+WORKLOADS = ("battery", "sweep", "plane")
 SIDES = ("parent", "change")
 
 
@@ -38,11 +42,14 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
            "--seed", str(seed), "--seconds", str(SECONDS),
            "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise SystemExit(f"{checkout}: {' '.join(cmd)} printed nothing:\n"
-                         f"{proc.stderr}")
-    return json.loads(lines[-1])
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: {' '.join(cmd)} exited "
+                         f"{proc.returncode}:\n{proc.stdout}{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not result["correct"]:
+        raise SystemExit(f"{checkout}: {' '.join(cmd)} reported "
+                         f"correct=false:\n{proc.stdout}")
+    return result
 
 
 def stats(values: list) -> dict:
@@ -93,18 +100,15 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path, nargs="?", default=Path("."))
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--workloads", default="battery,sweep,plane")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=101)
+    ap.add_argument("--first-seed", type=int, required=True)
     ap.add_argument("--what", default="")
     args = ap.parse_args(argv)
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    workloads = args.workloads.split(",")
     runs, traced, seeds = [], [], {}
-    for w, workload in enumerate(workloads):
+    for w, workload in enumerate(WORKLOADS):
         first = args.first_seed + 100 * w
-        seeds[workload] = f"{first}-{first + args.pairs - 1}"
-        for pair in range(args.pairs):
+        seeds[workload] = f"{first}-{first + PAIRS - 1}"
+        for pair in range(PAIRS):
             seed = first + pair
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for position, side in enumerate(order, 1):
@@ -126,14 +130,14 @@ def main(argv=None) -> int:
         "traced_command": "python3 perfbench/run.py --workload <w> --seed 0 "
                           f"--seconds {SECONDS} --trace 1",
         "method": (
-            f"{args.pairs} pairs per workload, each pair one run of each "
+            f"{PAIRS} pairs per workload, each pair one run of each "
             "side at the same seed ("
             + ", ".join(f"{w} {s}" for w, s in seeds.items())
             + "), run one after the other by scripts/bench_pairs.py; even "
             "pairs run the parent first, odd pairs the change. Each record "
             "is the last line run.py prints. Quartiles are "
             "statistics.quantiles(method='inclusive')."),
-        "summary": {w: summarize(runs, w) for w in workloads},
+        "summary": {w: summarize(runs, w) for w in WORKLOADS},
         "runs": runs,
         "traced": traced,
     }
