@@ -104,7 +104,10 @@ def cmd_sparse(args) -> int:
 
 
 def cmd_battery(args) -> int:
-    paths = sorted(glob.glob(os.path.join(args.directory, "*.ini")))
+    if not os.path.isdir(args.directory):
+        raise ScenarioError(f"not a directory: {args.directory}")
+    paths = sorted(glob.glob(os.path.join(glob.escape(args.directory),
+                                          "*.ini")))
     out_root = args.out or "battery.out"
     os.makedirs(out_root, exist_ok=True)
     results = {}

@@ -8,7 +8,8 @@ primitive, `_toeplitz_rows`, which copies out blocks of that matrix and
 multiplies them into many rows of data at once: the truncation maximal
 operator makes one product per dyadic level, and apply_operator and its
 adjoint make two, one per half of the displacements, joined by a flip
-identity that keeps odd kernels exactly odd on even data (`_apply`).  The
+identity that keeps odd kernels exactly odd on even data (`_apply`);
+1D profiles zero at every displacement <= 0 skip their zero half.  The
 work is O(N^2) per axis pair from O(N) kernel evaluations per axis.
 """
 
@@ -304,10 +305,14 @@ def _toeplitz_rows(kprof: np.ndarray, G: np.ndarray, d: tuple,
 
     In 1D the rows x width block of the profile, the same for every row of
     G, is copied out in chunks of at most _CHUNK elements, each multiplied
-    into G as one matrix product.  In 2D the result is a sum over the row
-    displacements e = t1 - u1, each the 1D product of profile row
-    N-1+d1+e with the rows of G it pairs, stacked; all-zero profile rows
-    are skipped.  Every displacement d+t-u must lie in [-(N-1), N-1].
+    into G as one matrix product.  A profile zero at every displacement
+    <= 0 has block row t zero from column d + t on, so chunk rows [t0, t1)
+    use the columns u < d + t1 only.  Ending at the row end, not the exact
+    support, keeps widths multiples of the chunk height and a one-chunk
+    _apply bitwise the full product.  In 2D the result is a sum over the
+    row displacements e = t1 - u1, each the 1D product of profile row
+    N-1+d1+e with the rows of G it pairs, stacked.  No all-zero profile
+    or profile row makes a product.  Every d+t-u must lie in [-(N-1), N-1].
     """
     N = (kprof.shape[0] + 1) // 2
     if kprof.ndim == 2:
@@ -324,14 +329,21 @@ def _toeplitz_rows(kprof: np.ndarray, G: np.ndarray, d: tuple,
         return out
     (d,), (rows,) = d, rows
     width = G.shape[1]
-    # block row t is rev[N-1-d-t : N-1-d-t+width], rev = kprof reversed
-    win = sliding_window_view(kprof[::-1], width)
+    if not kprof.any():
+        return np.zeros((G.shape[0], rows))
+    one_sided = not kprof[:N].any()
+    # block row t is rev[N-1-d-t : N-1-d-t+width], rev = kprof reversed;
+    # a contiguous rev and one buffer for all blocks make block copies cheap
+    win = sliding_window_view(kprof[::-1].copy(), width)
     step = max(1, _CHUNK // width)
+    buf = np.empty(min(step, rows) * width)
     out = np.empty((G.shape[0], rows))
     for t0 in range(0, rows, step):
         t1 = min(t0 + step, rows)
-        blk = np.ascontiguousarray(win[N - d - t1:N - d - t0][::-1])
-        out[:, t0:t1] = G @ blk.T
+        w = min(width, max(0, d + t1)) if one_sided else width
+        blk = buf[:(t1 - t0) * w].reshape(t1 - t0, w)
+        blk[...] = win[N - d - t1:N - d - t0, :w][::-1]
+        out[:, t0:t1] = G[:, :w] @ blk.T
     return out
 
 

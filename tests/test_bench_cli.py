@@ -4,6 +4,7 @@ import configparser
 import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -237,6 +238,24 @@ def test_cli_battery_empty_directory(tmp_path):
     summary = json.loads((out / "battery.json").read_text())
     assert summary["scenarios"] == {}
     assert summary["pass"] is True
+
+
+def test_cli_battery_missing_directory(tmp_path, capsys):
+    out = tmp_path / "bat_out"
+    assert cli.main(["battery", str(tmp_path / "missing"),
+                     "--out", str(out)]) == 2
+    assert "not a directory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_battery_directory_name_with_glob_characters(tmp_path):
+    bat = tmp_path / "bat[1]"
+    bat.mkdir()
+    shutil.copy(os.path.join(BATTERY_DIR, "constants_unit.ini"), bat)
+    out = tmp_path / "bat_out"
+    assert cli.main(["battery", str(bat), "--out", str(out)]) == 0
+    summary = json.loads((out / "battery.json").read_text())
+    assert list(summary["scenarios"]) == ["constants_unit"]
 
 
 def test_cli_level_override(tmp_path):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from sparsedom import operators as op
 from sparsedom import young
@@ -119,25 +120,39 @@ def test_odd_kernel_exact_antisymmetry_2d(L, rng):
     assert np.array_equal(adj, -out)
 
 
-def _random_conv_kernel(N, rng):
+def _random_conv_kernel(N, rng, one_sided=False):
     """A non-symmetric convolution kernel: an independent random value at
-    every displacement of a grid with N cells."""
+    every displacement of a grid with N cells, or, one-sided, at every
+    displacement >= 1 and zero at every displacement <= 0."""
     table = rng.standard_normal(2 * N - 1)
+    if one_sided:
+        table[:N] = 0.0
 
     def conv(u, h):
         return table[np.rint(np.asarray(u) / h).astype(int) + N - 1]
-    return op.Kernel("random", 1, False, conv=conv)
+    return op.Kernel("random one-sided" if one_sided else "random", 1,
+                     False, conv=conv)
+
+
+def _conv_kernels(L, rng):
+    """The 1D convolution kernels at level L, each with its grid; counter
+    and the one-sided random kernel vanish at every displacement <= 0."""
+    unit = Grid(1, (-0.5,), 1.0, L)
+    N = 1 << L
+    return [(op.make_hilbert(), unit), (op.make_dini(), unit),
+            (op.make_counter(), Grid(1, (-6.0,), 12.0, L)),
+            (_random_conv_kernel(N, rng), Grid(1, (0.0,), 1.0, L)),
+            (_random_conv_kernel(N, rng, one_sided=True),
+             Grid(1, (0.0,), 1.0, L))]
 
 
 def _oracle_kernels(L, rng):
-    """1D kernels at level L, a random matrix kernel among them, and at
-    L <= 4 a 2D homogeneous kernel with an asymmetric angular part."""
-    unit = Grid(1, (-0.5,), 1.0, L)
+    """The 1D convolution kernels at level L, a random matrix kernel, and
+    at L <= 4 a 2D homogeneous kernel with an asymmetric angular part."""
     N = 1 << L
-    out = [(op.make_hilbert(), unit), (op.make_dini(), unit),
-           (op.make_counter(), Grid(1, (-6.0,), 12.0, L)),
-           (_random_conv_kernel(N, rng), Grid(1, (0.0,), 1.0, L)),
-           (op.make_matrix(rng.standard_normal((N, N))), unit)]
+    out = _conv_kernels(L, rng) + [
+        (op.make_matrix(rng.standard_normal((N, N))),
+         Grid(1, (-0.5,), 1.0, L))]
     if L <= 4:
         out.append((op.make_homog(_asymmetric_table()),
                     Grid(2, (-0.5, -0.5), 1.0, L)))
@@ -158,7 +173,7 @@ def _dense(K, grid):
     return D * grid.cell_volume
 
 
-@pytest.mark.parametrize("L", (3, 4, 5, 6, 7))
+@pytest.mark.parametrize("L", (3, 4, 5, 6, 7, 8))
 def test_apply_and_adjoint_match_dense_matrix(L, rng):
     for K, grid in _oracle_kernels(L, rng):
         D = _dense(K, grid)
@@ -183,6 +198,63 @@ def test_operator_norm_l2_matches_dense_power_iteration(rng):
             v = w / np.linalg.norm(w)
         assert op.operator_norm_l2(K, grid) == pytest.approx(sigma,
                                                              rel=1e-10)
+
+
+def _toeplitz_rows_full(kprof, G, d, rows):
+    """A reference 1D chunk loop with no trim: every chunk copies out and
+    multiplies the full block width, zero columns included."""
+    N = (kprof.shape[0] + 1) // 2
+    (d,), (rows,) = d, rows
+    width = G.shape[1]
+    win = sliding_window_view(kprof[::-1], width)
+    step = max(1, op._CHUNK // width)
+    out = np.empty((G.shape[0], rows))
+    for t0 in range(0, rows, step):
+        t1 = min(t0 + step, rows)
+        blk = np.ascontiguousarray(win[N - d - t1:N - d - t0][::-1])
+        out[:, t0:t1] = G @ blk.T
+    return out
+
+
+def _against_full_width(L, rng, monkeypatch):
+    """(case, trimmed, full) for each 1D convolution kernel at level L and
+    its reversed profile: _apply, and _toeplitz_rows on the products of
+    the truncation maximal operator on the root cube (the base product,
+    then every level's windows of 3s cells starting s cells early)."""
+    N = 1 << L
+    for K, grid in _conv_kernels(L, rng):
+        kprof = K.profile(grid)
+        for name, kp in ((K.family, kprof),
+                         (K.family + " reversed", kprof[::-1].copy())):
+            f = rng.standard_normal(N)
+            with monkeypatch.context() as mp:
+                mp.setattr(op, "_toeplitz_rows", _toeplitz_rows_full)
+                want = op._apply(kp, f)
+            yield name + " _apply", op._apply(kp, f), want
+            shapes = [((1, N), 0, N)] + [((N >> k, 3 << k), 1 << k, 1 << k)
+                                         for k in range(L)]
+            for shape, d, rows in shapes:
+                G = rng.standard_normal(shape)
+                yield (f"{name} d={d}",
+                       op._toeplitz_rows(kp, G, (d,), (rows,)),
+                       _toeplitz_rows_full(kp, G, (d,), (rows,)))
+
+
+@pytest.mark.parametrize("L", (3, 4, 5, 6, 7))
+def test_toeplitz_rows_bitwise_full_width_at_one_chunk(L, rng, monkeypatch):
+    # one chunk spans all rows up to L = 7, where the one-sided trim of
+    # _apply is the same product as before: constants_unit's L6 table
+    # hash rests on this
+    for case, got, want in _against_full_width(L, rng, monkeypatch):
+        assert got.tobytes() == want.tobytes(), case
+
+
+@pytest.mark.parametrize("L", (8, 10, 12))
+def test_toeplitz_rows_match_full_width(L, rng, monkeypatch):
+    # several chunks: trimmed products are narrower, and whether they
+    # sum in the same order depends on the BLAS kernel
+    for case, got, want in _against_full_width(L, rng, monkeypatch):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), case
 
 
 def test_apply_operator_linear(sym_grid, rng):
@@ -366,7 +438,7 @@ def _gmt_brute(D, f, Q0, grid):
     return out
 
 
-@pytest.mark.parametrize("L", (3, 4, 5, 6, 7))
+@pytest.mark.parametrize("L", (3, 4, 5, 6, 7, 8))
 def test_grand_maximal_matches_definition(L, rng):
     N = 1 << L
     for K, grid in _oracle_kernels(L, rng):
