@@ -421,21 +421,35 @@ def luxemburg_norm(values, measures, A: YoungFunction) -> float:
                                       A)[0])
 
 
+_LUX_SECANT_STEPS = 12  # estimate: secant steps per row at most
+_LUX_STEP_TOL = 1e-14  # estimate: a row stops at a step this small in log lam
+_LUX_ETA = 4e-13  # certify at est * (1 -+ _LUX_ETA)
+_LUX_DELTA = 1e-13  # replay: a certificate decides the steps this far past it
+_LUX_BLOCK = 2048  # estimate and certify this many rows at a time
+
+
 def luxemburg_norm_batch(values, measures, A: YoungFunction):
     """Vectorized Luxemburg norms for a stack of same-size cubes.
 
-    values/measures have shape (ncubes, cells_per_cube); returns (ncubes,).
-    The bisection runs in log lam from hi/lo = 1e18 and halves log(hi/lo)
-    at every step whichever half it keeps, so every row meets the relative
-    tolerance 1e-12 at the same step: a row's norm does not depend on the
-    other rows of the batch.  That row independence is what lets callers
-    stack unrelated cubes into one call without moving a bit:
-    hormander_estimate makes one call per (cube side, annulus level) for
-    all its sampled cubes of that side.  The upper bracket uses A^-1(1),
-    cached on the gauge (`YoungFunction.inverse_one`).
+    values/measures have shape (ncubes, cells_per_cube), finite, with
+    measures >= 0 and a positive total per cube; returns (ncubes,).  The
+    norm is that of a bisection in log lam from hi/lo = 1e18 (up where the
+    modular at sqrt(lo hi) is > 1), whose steps do not depend on the batch.
+
+    Estimate, certify, replay: a per-row secant from hi and Jensen's point
+    avg|v| / A^-1(1) estimates the root, certified at est (1 -+ eta).  a is
+    (1 - delta) times the largest lam evaluated with modular > 1, b is
+    (1 + delta) times the smallest with modular <= 1, and the replayed
+    bisection evaluates only the mids in [a, b].  No bit moves: A(t)/t is
+    nondecreasing, so a factor 1 -+ delta (450 ulp) in lam moves the
+    modular past all rounding.  A NaN modular (0 inf on a cell of measure
+    0, read as down) is no certificate; a row where it occurs at lo, or
+    whose bracket nears the ends of the float range, gets none.
     """
     v = np.abs(np.asarray(values, dtype=float))
     mu = np.asarray(measures, dtype=float)
+    if not (np.isfinite(v).all() and np.isfinite(mu).all()) or np.any(mu < 0):
+        raise YoungError("non-finite cell value or measure, or measure < 0")
     tot = mu.sum(axis=1)
     if np.any(tot <= 0):
         raise YoungError("cube has nonpositive measure")
@@ -444,26 +458,72 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
     act = vmax > 0
     if not np.any(act):
         return out
-    v = v[act]
-    mu = mu[act]
-    tot = tot[act]
-    vmax = vmax[act]
+    if not np.all(act):
+        v, mu, tot, vmax = v[act], mu[act], tot[act], vmax[act]
     if A.family == LINF:
         out[act] = vmax / A.params[0]
         return out
-    hi = vmax * max(1.0, 1.0 / A.inverse_one)
-    # monotonicity sanity: the modular must not increase with lam
-    bad = (A._eval(v / hi[:, None]) * mu).sum(axis=1) / tot > 1.0 + 1e-9
-    hi[bad] *= 4.0
-    lo = hi * 1e-18
-    for _ in range(200):
-        mid = np.sqrt(lo * hi)
-        mod = (A._eval(v / mid[:, None]) * mu).sum(axis=1) / tot
-        up = mod > 1.0
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
-        if np.all(hi / lo - 1.0 <= 1e-12):
-            break
+    n = v.shape[0]
+
+    def certify(i, lam):
+        # the modular of rows i at lam, recorded as certificates
+        vi, mi, ti = (v, mu, tot) if i.size == n else (v[i], mu[i], tot[i])
+        m = (A._eval_raw(vi / lam[:, None]) * mi).sum(axis=1) / ti
+        up, dn = ok[i] & (m > 1.0), ok[i] & (m <= 1.0)
+        a[i[up]] = np.maximum(a[i[up]], lam[up] * (1.0 - _LUX_DELTA))
+        b[i[dn]] = np.minimum(b[i[dn]], lam[dn] * (1.0 + _LUX_DELTA))
+        return m
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        hi = vmax * max(1.0, 1.0 / A.inverse_one)
+        ok = (hi > 1e-130) & (hi < 1e130)
+        r, c = np.nonzero(mu == 0)
+        ok[r[~np.isfinite(A._eval_raw(v[r, c] / (hi[r] * 1e-18)))]] = False
+        a, b, bad = np.zeros(n), np.full(n, np.inf), np.zeros(n, bool)
+        # estimate and certify in blocks of rows, which bounds the memory
+        for j in range(0, n, _LUX_BLOCK):
+            sl = slice(j, j + _LUX_BLOCK)
+            m = certify(np.arange(n)[sl], hi[sl])
+            # monotonicity sanity: the modular must not increase with lam
+            bad[sl] = m > 1.0 + 1e-9
+            i = j + (k := np.flatnonzero(ok[sl]))
+            # a secant on g = log modular against x = log lam, from hi and
+            # Jensen's point; g falls with slope <= -1, that of A(t) = t
+            lam = ((v[sl] * mu[sl]).sum(axis=1) / tot[sl])[k] / A.inverse_one
+            x0, g0, x1 = np.log(hi[i]), np.log(m[k]), np.log(lam)
+            g1, est = np.log(certify(i, lam)), np.full(m.size, np.nan)
+            est[k] = x1
+            for _ in range(_LUX_SECANT_STEPS):
+                s = (g1 - g0) / (x1 - x0)
+                x = x1 - g1 / np.where(s < 0.0, s, -1.0)
+                # stop at a small step or bracket; a step out of it bisects
+                la, lb = np.log(a[i]), np.log(b[i])
+                live = (np.abs(x - x1) > _LUX_STEP_TOL) & (lb - la > _LUX_ETA)
+                mid = 0.5 * (la + lb)
+                x = np.where(np.isfinite(mid) & ~((x > la) & (x < lb)), mid, x)
+                i, k, x, x0, g0 = i[live], k[live], x[live], x1[live], g1[live]
+                if not i.size:
+                    break
+                est[k], x1, g1 = x, x, np.log(certify(i, np.exp(x)))
+            # certify around est, inside the bracket; a root below lo at lo
+            est = np.exp(np.maximum(est, np.log(hi[sl] * 1e-18)))
+            for side in (1.0 - _LUX_ETA, 1.0 + _LUX_ETA):
+                k = np.flatnonzero((a[sl] < est * side) & (est * side < b[sl]))
+                certify(k + j, est[k] * side)
+        hi = np.where(bad, 4.0 * hi, hi)
+        lo = hi * 1e-18
+        # replay; an ok row's bracket fails the stopping test until step 40
+        first_test = 39 if ok.any() else 0
+        for step in range(200):
+            mid = np.sqrt(lo * hi)
+            up = mid < a
+            i = (~(up | (mid > b))).nonzero()[0]
+            if i.size:
+                up[i] = certify(i, mid[i]) > 1.0
+            lo = np.where(up, mid, lo)
+            hi = np.where(up, hi, mid)
+            if step >= first_test and (hi / lo - 1.0 <= 1e-12).all():
+                break
     out[act] = hi
     return out
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from sparsedom import young
@@ -295,6 +295,181 @@ def test_luxemburg_batch_inverts_once_per_gauge(rng, monkeypatch):
     for _ in range(4):
         young.luxemburg_norm_batch(vals, np.ones_like(vals), A)
     assert calls == [1.0]
+
+
+def _bisection_reference(values, measures, A):
+    """The plain bisection that defines luxemburg_norm_batch's answer: one
+    modular evaluation of every row per step."""
+    v = np.abs(np.asarray(values, dtype=float))
+    mu = np.asarray(measures, dtype=float)
+    tot = mu.sum(axis=1)
+    vmax = v.max(axis=1)
+    out = np.zeros(v.shape[0])
+    act = vmax > 0
+    if not np.any(act):
+        return out
+    v, mu, tot, vmax = v[act], mu[act], tot[act], vmax[act]
+    if A.family == young.LINF:
+        out[act] = vmax / A.params[0]
+        return out
+    hi = vmax * max(1.0, 1.0 / A.inverse_one)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = (A._eval(v / hi[:, None]) * mu).sum(axis=1) / tot > 1.0 + 1e-9
+        hi[bad] *= 4.0
+        lo = hi * 1e-18
+        for _ in range(200):
+            mid = np.sqrt(lo * hi)
+            mod = (A._eval(v / mid[:, None]) * mu).sum(axis=1) / tot
+            up = mod > 1.0
+            lo = np.where(up, mid, lo)
+            hi = np.where(up, hi, mid)
+            if np.all(hi / lo - 1.0 <= 1e-12):
+                break
+    out[act] = hi
+    return out
+
+
+def _with_inverse_one(A, factor):
+    """A copy of A whose cached A^-1(1) is off by `factor`: above 1 the
+    modular at the initial upper bracket exceeds 1, which trips the
+    bisection's `bad` guard (at 10 the root lies beyond the widened
+    bracket, and the bisection ends on its upper end)."""
+    B = young.YoungFunction(A.family, A.params, A.parts, A.knots_t, A.knots_y)
+    B.__dict__["inverse_one"] = factor * A.inverse_one
+    return B
+
+
+class _Wobbly(young.YoungFunction):
+    """llogl(1) evaluated with a relative error of up to 3e-14 that is not
+    monotone in t, as an elementwise kernel a few dozen ulp off would be:
+    the replay's margin must outweigh it."""
+
+    def _eval_raw(self, t):
+        t = np.ascontiguousarray(t, dtype=float)
+        bits = t.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        h = (bits >> np.uint64(11)) / 2.0**52 - 1.0  # in [-1, 1)
+        return super()._eval_raw(t) * (1.0 + 3e-14 * h)
+
+
+LUX_GAUGES = [
+    young.power(2),
+    young.power(20),  # overflows on cells of measure 0
+    young.llogl(1),
+    young.expl(1),  # saturates at t = 700
+    young.expl(2),
+    young.lll(1, 1.5),
+    young.phi_j(2),
+    young.compose(young.llogl(1), young.power(2)),
+    young.prod(young.power(1.5), young.llogl(1)),
+    counter_young(2.0, 1.0),
+    young.complementary(young.llogl(1)),  # a tabulated conjugate
+    young.complementary(young.power(1, 2.0)),  # linf
+    pytest.param(_with_inverse_one(young.llogl(1), 3.0), id="bad-root-inside"),
+    pytest.param(_with_inverse_one(young.power(2), 10.0), id="bad-root-far"),
+    pytest.param(_Wobbly(young.LLOGL, (1.0,)), id="wobbly-llogl(1)"),
+]
+
+
+def _lux_rows(n, rng, c, spread):
+    """Rows of every kind the bisection meets, in random order, with cells
+    of measure 0 at each row's largest value and elsewhere."""
+    one = np.arange(n) == rng.integers(n)
+    rows = [
+        np.zeros(n),
+        np.full(n, c),  # Jensen's point is the root
+        np.where(one, c, 0.0),
+        10.0 ** rng.uniform(-12.0, 12.0, n),  # cells over 1e-12 ... 1e12
+        *rng.lognormal(0.0, 2.0, (16, n)) * spread,
+        -rng.lognormal(0.0, 1.0, n) * 1e-12,
+        rng.lognormal(0.0, 1.0, n) * 1e12,
+        rng.lognormal(0.0, 0.01, n) * c,
+        # all mass 1e-17 below a max of measure 0: the root lies so far
+        # below it that A overflows there
+        np.where(one, c, 1e-17 * c * rng.lognormal(0.0, 1.0, n)),
+    ]
+    mu = rng.uniform(0.5, 2.0, (len(rows), n))
+    if n > 1:
+        for v, m in zip(rows, mu):
+            top = int(np.argmax(np.abs(v)))
+            m[rng.random(n) < 0.3] = 0.0
+            m[(top + 1 + rng.integers(n - 1)) % n] = 1.0
+            m[top] = 0.0
+    if n > 2:
+        # Jensen's point lies far below lo, where a cell of measure 0 that
+        # is finite at lo overflows under power(20)
+        rows.append(np.r_[1.0, 1e-3, np.full(n - 2, 1e-25)] * c)
+        mu = np.vstack([mu, np.r_[1e-20, 0.0, np.ones(n - 2)]])
+    order = rng.permutation(len(rows))
+    return np.array(rows)[order], mu[order]
+
+
+@pytest.mark.parametrize("A", LUX_GAUGES, ids=young.format_young)
+@settings(max_examples=15)
+@given(n=st.sampled_from([1, 4, 8, 9, 64, 129]),
+       seed=st.integers(0, 2**32 - 1),
+       c_exp=st.floats(-12.0, 12.0), spread_exp=st.floats(-12.0, 12.0))
+def test_luxemburg_batch_bitwise_equals_bisection(A, n, seed, c_exp,
+                                                  spread_exp):
+    vals, mu = _lux_rows(n, np.random.default_rng(seed), 10.0 ** c_exp,
+                         10.0 ** spread_exp)
+    got = young.luxemburg_norm_batch(vals, mu, A)
+    assert got.tobytes() == _bisection_reference(vals, mu, A).tobytes()
+
+
+def _count_evaluated_rows(monkeypatch):
+    """Count the rows of every 2D modular evaluation."""
+    count = [0]
+    real = young.YoungFunction._eval_raw
+
+    def counting(self, t):
+        if np.ndim(t) == 2:
+            count[0] += t.shape[0]
+        return real(self, t)
+
+    monkeypatch.setattr(young.YoungFunction, "_eval_raw", counting)
+    return count
+
+
+@pytest.mark.parametrize("A", [young.llogl(1), young.lll(1, 1.5),
+                               young.expl(1), young.power(2),
+                               counter_young(2.0, 1.0)],
+                         ids=young.format_young)
+def test_luxemburg_batch_evaluation_budget(A, monkeypatch):
+    # the bisection evaluates every row 47 times; estimate, certify and
+    # replay must average at most 12
+    rng = np.random.default_rng(7)
+    vals = rng.lognormal(0.0, 1.0, (64, 64))
+    mu = rng.uniform(0.5, 2.0, (64, 64))
+    count = _count_evaluated_rows(monkeypatch)
+    ref = _bisection_reference(vals, mu, A)
+    assert count[0] == 47 * 64
+    count[0] = 0
+    assert young.luxemburg_norm_batch(vals, mu, A).tobytes() == ref.tobytes()
+    assert count[0] <= 12 * 64
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_luxemburg_batch_rejects_non_finite_input(bad):
+    vals = np.ones((2, 4))
+    mu = np.ones((2, 4))
+    vals[1, 2] = bad
+    with pytest.raises(young.YoungError):
+        young.luxemburg_norm_batch(vals, mu, young.llogl(1))
+    vals[1, 2] = 1.0
+    mu[1, 2] = bad
+    with pytest.raises(young.YoungError):
+        young.luxemburg_norm_batch(vals, mu, young.llogl(1))
+
+
+def test_luxemburg_batch_rejects_negative_measure():
+    # a positive total does not make a negative cell measure legal
+    mu = np.array([[1.0, -0.5, 1.0]])
+    with pytest.raises(young.YoungError):
+        young.luxemburg_norm_batch(np.ones((1, 3)), mu, young.power(2))
+    # cells of measure 0 are legal
+    got = young.luxemburg_norm_batch(np.array([[1.0, 5.0]]),
+                                     np.array([[1.0, 0.0]]), young.power(2))
+    assert got[0] == pytest.approx(1.0, rel=1e-11)
 
 
 # -- Holder defect ------------------------------------------------------------
