@@ -3,14 +3,13 @@ commutators, maximal operators and kernel-smoothness (annulus sum) estimates.
 
 Convolution kernels are evaluated once per grid on the difference lattice
 (the profile), so an operator is a Toeplitz matrix (block Toeplitz in 2D)
-that is never built whole.  Every application goes through one chunked
-primitive, `_toeplitz_rows`, which copies out blocks of that matrix and
-multiplies them into many rows of data at once: the truncation maximal
-operator makes one product per dyadic level, and apply_operator and its
-adjoint make two, one per half of the displacements, joined by a flip
-identity that keeps odd kernels exactly odd on even data (`_apply`);
-1D profiles zero at every displacement <= 0 skip their zero half.  The
-work is O(N^2) per axis pair from O(N) kernel evaluations per axis.
+that is never built whole.  Every application goes through one primitive,
+`_toeplitz_rows`, which multiplies that matrix into many rows of data at
+once: the truncation maximal operator makes one product per dyadic level,
+and apply_operator and its adjoint make two, one per half of the
+displacements, joined by a flip identity that keeps odd kernels exactly
+odd on even data (`_apply`).  Small 1D products are one dense block, all
+others FFT products: O(N log N) per axis from O(N) kernel evaluations.
 """
 
 from __future__ import annotations
@@ -77,18 +76,12 @@ class Kernel:
     def profile(self, grid: Grid) -> np.ndarray:
         """Kernel values on the displacement lattice of a grid."""
         N = grid.cells_per_side
-        h = grid.cell_width
-        if grid.n == 1:
-            u = np.arange(-(N - 1), N) * h  # kvec[N-1+i-j] = K(x_i, y_j)
-            vals = np.asarray(self.conv(u, h), dtype=float)
-            if self.singular:
-                vals[N - 1] = 0.0
-        else:
-            d = np.arange(-(N - 1), N) * h
-            vals = np.asarray(self.conv(d[:, None], d[None, :], h),
-                              dtype=float)
-            if self.singular:
-                vals[N - 1, N - 1] = 0.0
+        # per axis, kprof[N-1+i-j] = K(x_i, y_j)
+        d = np.arange(-(N - 1), N) * grid.cell_width
+        u = np.meshgrid(*(d,) * grid.n, indexing="ij", sparse=True)
+        vals = np.asarray(self.conv(*u, grid.cell_width), dtype=float)
+        if self.singular:
+            vals[(N - 1,) * grid.n] = 0.0
         return vals
 
 
@@ -278,9 +271,10 @@ def _apply(kprof: np.ndarray, cells: np.ndarray) -> np.ndarray:
     R reverses every axis.  H sums over the displacements i - j after 0 in
     row-major order: one _toeplitz_rows product with a copy of the profile
     zeroed up to its center.  For odd K (RK = -K) and even f the second H
-    is the first with every input negated, so T f is exactly odd.  Both
-    products need C-contiguous data: numpy's matmul on a reversed view
-    sums in another order.
+    is the first with every input negated, which a dense or FFT product
+    negates exactly, so T f is exactly odd.  Both products need
+    C-contiguous data: numpy's matmul on a reversed view sums in another
+    order.
     """
     flip = (slice(None, None, -1),) * cells.ndim
 
@@ -294,7 +288,7 @@ def _apply(kprof: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return out
 
 
-# float64 elements per temporary of _toeplitz_rows (256 KB)
+# float64 elements of the largest dense 1D block of _toeplitz_rows (256 KB)
 _CHUNK = 1 << 15
 
 
@@ -303,48 +297,48 @@ def _toeplitz_rows(kprof: np.ndarray, G: np.ndarray, d: tuple,
     """out[r, t] = sum_u kprof[N-1+d+t-u] G[r, u] for t < rows, with t, u,
     d and rows one entry per axis of kprof; G is (data rows,) + window.
 
-    In 1D the rows x width block of the profile, the same for every row of
-    G, is copied out in chunks of at most _CHUNK elements, each multiplied
-    into G as one matrix product.  A profile zero at every displacement
-    <= 0 has block row t zero from column d + t on, so chunk rows [t0, t1)
-    use the columns u < d + t1 only.  Ending at the row end, not the exact
-    support, keeps widths multiples of the chunk height and a one-chunk
-    _apply bitwise the full product.  In 2D the result is a sum over the
-    row displacements e = t1 - u1, each the 1D product of profile row
-    N-1+d1+e with the rows of G it pairs, stacked.  No all-zero profile
-    or profile row makes a product.  Every d+t-u must lie in [-(N-1), N-1].
+    An all-zero profile makes no product.  A 1D block of at most _CHUNK
+    elements (every 1D product up to L = 7) is copied out of the profile
+    and multiplied into all rows of G by BLAS; a profile zero at every
+    displacement <= 0 keeps only the block columns u < d + rows.  These
+    are the products constants_unit's released table hash was computed
+    with, and on small blocks they beat the FFT.  Every other product is
+    _fft_rows.  Every d+t-u must lie in [-(N-1), N-1].
+    """
+    if not kprof.any():
+        return np.zeros((G.shape[0], *rows))
+    width = G.shape[-1]
+    if kprof.ndim == 2 or _CHUNK // width < rows[0]:
+        return _fft_rows(kprof, G, d, rows)
+    N = (kprof.shape[0] + 1) // 2
+    (d,), (rows,) = d, rows
+    w = min(width, max(0, d + rows)) if not kprof[:N].any() else width
+    # block row t is rev[N-1-d-t : N-1-d-t+width], rev = kprof reversed
+    win = sliding_window_view(kprof[::-1], width)
+    blk = np.ascontiguousarray(win[N - d - rows:N - d, :w][::-1])
+    return G[:, :w] @ blk.T
+
+
+def _fft_rows(kprof: np.ndarray, G: np.ndarray, d: tuple,
+              rows: tuple) -> np.ndarray:
+    """_toeplitz_rows by circulant embedding.  Per axis, the profile
+    segment kprof[N+d-W : N-1+d+R] (W the window, R the rows) convolved
+    with G holds the product at offsets W-1 .. W-2+R, free of wrap-around
+    at any period >= W+R-1; one rfftn of the segment and one of all rows
+    of G use the least power of two that long.  Negating the profile
+    negates every rounded step, so _apply's odd kernels stay exactly odd.
     """
     N = (kprof.shape[0] + 1) // 2
-    if kprof.ndim == 2:
-        R, W1, W2 = G.shape
-        out = np.zeros((R, *rows))
-        for e in range(1 - W1, rows[0]):
-            krow = kprof[N - 1 + d[0] + e]
-            if not krow.any():
-                continue
-            lo, hi = max(0, -e), min(W1, rows[0] - e)
-            part = _toeplitz_rows(krow, G[:, lo:hi].reshape(-1, W2), d[1:],
-                                  rows[1:])
-            out[:, lo + e:hi + e] += part.reshape(R, hi - lo, rows[1])
-        return out
-    (d,), (rows,) = d, rows
-    width = G.shape[1]
-    if not kprof.any():
-        return np.zeros((G.shape[0], rows))
-    one_sided = not kprof[:N].any()
-    # block row t is rev[N-1-d-t : N-1-d-t+width], rev = kprof reversed;
-    # a contiguous rev and one buffer for all blocks make block copies cheap
-    win = sliding_window_view(kprof[::-1].copy(), width)
-    step = max(1, _CHUNK // width)
-    buf = np.empty(min(step, rows) * width)
-    out = np.empty((G.shape[0], rows))
-    for t0 in range(0, rows, step):
-        t1 = min(t0 + step, rows)
-        w = min(width, max(0, d + t1)) if one_sided else width
-        blk = buf[:(t1 - t0) * w].reshape(t1 - t0, w)
-        blk[...] = win[N - d - t1:N - d - t0, :w][::-1]
-        out[:, t0:t1] = G[:, :w] @ blk.T
-    return out
+    W = G.shape[1:]
+    seg = kprof[tuple(slice(N + e - w, N - 1 + e + r)
+                      for e, w, r in zip(d, W, rows))]
+    P = tuple(1 << (w + r - 2).bit_length() for w, r in zip(W, rows))
+    axes = tuple(range(1, G.ndim))
+    prod = np.fft.rfftn(G, P, axes=axes)
+    prod *= np.fft.rfftn(seg[None], P, axes=axes)
+    out = np.fft.irfftn(prod, P, axes=axes)
+    return out[(slice(None),) + tuple(slice(w - 1, w - 1 + r)
+                                      for w, r in zip(W, rows))]
 
 
 def apply_windowed(K: Kernel, f: GridFunction, out_slice, in_slice) -> np.ndarray:

@@ -53,8 +53,8 @@ class YoungFunction:
     TabulatedConvex function (linear interpolation, final-slope
     extrapolation above the last knot).
 
-    Values derived from these fields (``inverse_one``) are cached on the
-    instance outside the fields, so they take no part in ``==`` or hash.
+    Values derived from these fields (``inverse_one``, ``_knots``) are
+    cached outside the fields, so they take no part in ``==`` or hash.
     """
 
     family: str
@@ -103,8 +103,7 @@ class YoungFunction:
             a, b = self.parts
             return a._eval(t) * b._eval(t)
         if f == TABLE:
-            kt = np.asarray(self.knots_t)
-            ky = np.asarray(self.knots_y)
+            kt, ky = self._knots
             y = np.interp(t, kt, ky)
             # extrapolate above the last knot with the final slope
             hi = t > kt[-1]
@@ -132,6 +131,13 @@ class YoungFunction:
         """A^-1(1), computed once per gauge object."""
         return self.inverse(1.0)
 
+    @cached_property
+    def _knots(self) -> tuple:
+        """knots_t and knots_y as read-only arrays, once per gauge object."""
+        kt, ky = np.array(self.knots_t), np.array(self.knots_y)
+        kt.flags.writeable = ky.flags.writeable = False
+        return kt, ky
+
     def _inverse(self, y):
         f = self.family
         if f == POWER:
@@ -141,8 +147,7 @@ class YoungFunction:
             (g,) = self.params
             return np.log1p(y) ** (1.0 / g)
         if f == TABLE:
-            kt = np.asarray(self.knots_t)
-            ky = np.asarray(self.knots_y)
+            kt, ky = self._knots
             slope = (ky[-1] - ky[-2]) / (kt[-1] - kt[-2])
             out = np.interp(y, ky, kt)
             hi = y > ky[-1]

@@ -95,7 +95,8 @@ def test_odd_kernel_exact_antisymmetry(sym_grid):
 
 
 def test_odd_kernel_exact_antisymmetry_across_chunks():
-    # at L=12 the Toeplitz blocks span many chunks
+    # at L=12 a Toeplitz block spans many chunks, so both halves of _apply
+    # are FFT products; negating the profile must negate every bit
     grid = Grid(1, (-0.5,), 1.0, 12)
     assert op._CHUNK // (grid.cells_per_side - 1) < grid.cells_per_side // 8
     f = grid_function(grid, lambda x: np.exp(-x ** 2))
@@ -148,12 +149,13 @@ def _conv_kernels(L, rng):
 
 def _oracle_kernels(L, rng):
     """The 1D convolution kernels at level L, a random matrix kernel, and
-    at L <= 4 a 2D homogeneous kernel with an asymmetric angular part."""
+    at L <= 5 a 2D homogeneous kernel with an asymmetric angular part (2D
+    products are all FFT products)."""
     N = 1 << L
     out = _conv_kernels(L, rng) + [
         (op.make_matrix(rng.standard_normal((N, N))),
          Grid(1, (-0.5,), 1.0, L))]
-    if L <= 4:
+    if L <= 5:
         out.append((op.make_homog(_asymmetric_table()),
                     Grid(2, (-0.5, -0.5), 1.0, L)))
     return out
@@ -251,8 +253,8 @@ def test_toeplitz_rows_bitwise_full_width_at_one_chunk(L, rng, monkeypatch):
 
 @pytest.mark.parametrize("L", (8, 10, 12))
 def test_toeplitz_rows_match_full_width(L, rng, monkeypatch):
-    # several chunks: trimmed products are narrower, and whether they
-    # sum in the same order depends on the BLAS kernel
+    # blocks beyond one chunk are FFT products, rounded apart from the
+    # chunked dense loop of the reference by a few ulps of the output max
     for case, got, want in _against_full_width(L, rng, monkeypatch):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), case
 
@@ -289,6 +291,18 @@ def test_apply_windowed_matches_restriction(sym_grid, rng):
     full = op.apply_operator(K, GridFunction(sym_grid, restricted)).cells
     win = op.apply_windowed(K, f, outsl, insl)
     assert np.allclose(win, full[outsl], rtol=1e-10, atol=1e-12)
+
+
+def test_operator_norm_l2_hilbert_inequality():
+    # the hilbert kernel on a unit grid is the finite Hilbert matrix
+    # 1/(i - j), whose norm rises with its size and stays below pi
+    # (Montgomery-Vaughan, J. London Math. Soc. 1974); L >= 8 runs the
+    # FFT products
+    norms = [op.operator_norm_l2(op.make_hilbert(), Grid(1, (-0.5,), 1.0, L))
+             for L in (4, 6, 8, 10, 12, 14)]
+    assert all(a < b for a, b in zip(norms, norms[1:])), norms
+    # 20 power iterations leave the norm about 1.2% low at L = 14
+    assert 0.98 * math.pi < norms[-1] < math.pi
 
 
 def test_operator_norm_l2_identity_like():
