@@ -1,19 +1,18 @@
 """Does the sparse constant C* survive grid refinement?
 
     python3 scripts/refinement_probe.py [--out refinement_probe.json]
-        [--levels 8 9 ... 16]
 
-For each configuration of bench.DOMINATION_BATTERY (kernel, gauge, b and
-its first data profile f) and each commutator order m = 0, 1, 2, the
-script builds the domination report on the root cube at every level and
-records C*, the size of the sparse family, its largest stopping alpha,
+Runs bench.domination_battery, the released domination sweep (every
+configuration of DOMINATION_BATTERY, commutator order m = 0, 1, 2 and
+data profile f), at the levels 8 ... 16 instead of 8, 10, 12, and records
+per report C*, the size of the sparse family, its largest stopping alpha,
 the exhausted and sparseness flags, and the number of violations.  Each
 record also carries the frozen bound FROZEN["domination_c_star"][m] that
-the released sweep (levels 8, 10, 12) is checked against, and whether
-C* exceeds it.  The probe decides no verdict and changes no constant.
+the released sweep is checked against, and whether C* exceeds it.  The
+probe decides no verdict and changes no constant.
 
 The JSON holds no timings, so a rerun on one machine writes the same
-bytes; the time per level goes to stdout.
+bytes; the time per report goes to stdout.
 """
 
 from __future__ import annotations
@@ -26,63 +25,47 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from sparsedom import young  # noqa: E402
-from sparsedom.bench import DOMINATION_BATTERY  # noqa: E402
-from sparsedom.dyadic import Grid  # noqa: E402
+from sparsedom.bench import DOMINATION_BATTERY, domination_battery  # noqa: E402
 from sparsedom.frozen import BATTERY_VERSION, FROZEN  # noqa: E402
-from sparsedom.operators import counter_young, parse_kernel  # noqa: E402
-from sparsedom.sparse_engine import domination_report  # noqa: E402
-from sparsedom.weights import parse_profile  # noqa: E402
 
 LEVELS = tuple(range(8, 17))
-ORDERS = (0, 1, 2)
 
 
-def probe(levels=LEVELS, log=None) -> list:
-    """One record per (configuration, m, level), in that order."""
+def probe(log=None) -> list:
+    """One record per report, in the order domination_battery yields them."""
     records = []
-    for ic, cfg in enumerate(DOMINATION_BATTERY):
-        K = parse_kernel(cfg["kernel"])
-        A = counter_young(2.0, 1.0) if cfg["gauge"] == "counter" \
-            else young.parse_young(cfg["gauge"])
-        flit = cfg["f"][0]
-        for m in ORDERS:
-            bound = FROZEN["domination_c_star"][m]
-            for L in levels:
-                t0 = time.perf_counter()
-                grid = Grid(1, cfg["origin"], cfg["side"], L)
-                rep = domination_report(K, parse_profile(cfg["b"], grid), m,
-                                        A, parse_profile(flit, grid),
-                                        grid.root_cube())
-                form = rep.form
-                records.append({
-                    "config": ic, "kernel": cfg["kernel"],
-                    "gauge": cfg["gauge"], "b": cfg["b"], "f": flit,
-                    "m": m, "level": L,
-                    "c_star": float(rep.c_star),
-                    "family_size": len(form.family.cubes),
-                    "max_alpha": max(form.alphas.values()),
-                    "exhausted": bool(form.exhausted),
-                    "sparse_ok": bool(rep.sparse_check.ok),
-                    "violations": len(rep.violations),
-                    "frozen_bound": bound,
-                    "exceeds_frozen": bool(rep.c_star > bound),
-                })
-                if log:
-                    log(f"config {ic} m={m} L={L}: C*={rep.c_star:.4f} "
-                        f"family {len(form.family.cubes)} "
-                        f"({time.perf_counter() - t0:.2f} s)")
+    t0 = time.perf_counter()
+    for ic, m, flit, L, rep in domination_battery(LEVELS):
+        cfg = DOMINATION_BATTERY[ic]
+        bound = FROZEN["domination_c_star"][m]
+        form = rep.form
+        records.append({
+            "config": ic, "kernel": cfg["kernel"], "gauge": cfg["gauge"],
+            "b": cfg["b"], "f": flit, "m": m, "level": L,
+            "c_star": float(rep.c_star),
+            "family_size": len(form.family.cubes),
+            "max_alpha": max(form.alphas.values()),
+            "exhausted": bool(form.exhausted),
+            "sparse_ok": bool(rep.sparse_check.ok),
+            "violations": len(rep.violations),
+            "frozen_bound": bound,
+            "exceeds_frozen": bool(rep.c_star > bound),
+        })
+        if log:
+            log(f"config {ic} m={m} f={flit} L={L}: C*={rep.c_star:.4f} "
+                f"family {len(form.family.cubes)} "
+                f"({time.perf_counter() - t0:.2f} s)")
+        t0 = time.perf_counter()
     return records
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="refinement_probe.json")
-    ap.add_argument("--levels", type=int, nargs="+", default=list(LEVELS))
     args = ap.parse_args(argv)
     t0 = time.perf_counter()
-    records = probe(tuple(args.levels), log=print)
-    payload = {"battery_version": BATTERY_VERSION, "levels": args.levels,
+    records = probe(log=print)
+    payload = {"battery_version": BATTERY_VERSION, "levels": list(LEVELS),
                "records": records}
     with open(args.out, "w") as fh:
         fh.write(json.dumps(payload, indent=1) + "\n")

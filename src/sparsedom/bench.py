@@ -592,9 +592,9 @@ DOMINATION_BATTERY = (
 )
 
 
-def domination_battery():
+def domination_battery(levels=(8, 10, 12)):
     """Yields (config index, m, f literal, level, DominationReport) over the
-    released sweep."""
+    released sweep, or over other grid levels."""
     for ic, cfg in enumerate(DOMINATION_BATTERY):
         K = parse_kernel(cfg["kernel"])
         if cfg["gauge"] == "counter":
@@ -603,7 +603,7 @@ def domination_battery():
             A = young.parse_young(cfg["gauge"])
         for m in (0, 1, 2):
             for flit in cfg["f"]:
-                for L in (8, 10, 12):
+                for L in levels:
                     grid = Grid(1, cfg["origin"], cfg["side"], L)
                     f = _profile(flit, grid)
                     b = _profile(cfg["b"], grid)
