@@ -25,8 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import young
 from .dyadic import (BASE, Cube, GeometryError, Grid, GridFunction,
-                     base_cubes, block_mean, cube_slices, dilate, is_clipped,
-                     scope_max)
+                     block_mean, cube_slices, dilate, is_clipped, scope_max)
 
 E = math.e
 
@@ -290,6 +289,10 @@ def _apply(kprof: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
 # float64 elements of the largest dense 1D block of _toeplitz_rows (256 KB)
 _CHUNK = 1 << 15
+# multiply-adds of the largest dgemm OpenBLAS runs on the calling thread:
+# it gives a product of p multiply-adds min(cores, p // 2^18) threads, 2^18
+# being SMP_THRESHOLD_MIN 65536 x GEMM_MULTITHREAD_THRESHOLD 4
+_GEMM_ONE_THREAD = (1 << 19) - 1
 
 
 def _toeplitz_rows(kprof: np.ndarray, G: np.ndarray, d: tuple,
@@ -299,11 +302,23 @@ def _toeplitz_rows(kprof: np.ndarray, G: np.ndarray, d: tuple,
 
     An all-zero profile makes no product.  A 1D block of at most _CHUNK
     elements (every 1D product up to L = 7) is copied out of the profile
-    and multiplied into all rows of G by BLAS; a profile zero at every
+    and multiplied into the rows of G by BLAS; a profile zero at every
     displacement <= 0 keeps only the block columns u < d + rows.  These
     are the products constants_unit's released table hash was computed
     with, and on small blocks they beat the FFT.  Every other product is
     _fft_rows.  Every d+t-u must lie in [-(N-1), N-1].
+
+    The rows of G go to BLAS in near-equal runs of at most
+    _GEMM_ONE_THREAD multiply-adds, so every product runs on the calling
+    thread.  A larger one wakes OpenBLAS's thread pool, whose workers then
+    spin idle: CPU time that buys no wall time on blocks this small.  The
+    split moves no bit, since each run takes the whole product's kernel
+    and so its sum order.  For the truncation operator's products (rows
+    s <= 64, width 3s) a split run has at least 4 rows, so numpy never
+    sends it to gemv, and more than 1200 output elements, so it never
+    takes OpenBLAS's SkylakeX small-matrix kernel.  A one-row product goes
+    to gemv, which stays on one thread up to 115200 x 4 elements, above
+    _CHUNK.
     """
     if not kprof.any():
         return np.zeros((G.shape[0], *rows))
@@ -316,7 +331,15 @@ def _toeplitz_rows(kprof: np.ndarray, G: np.ndarray, d: tuple,
     # block row t is rev[N-1-d-t : N-1-d-t+width], rev = kprof reversed
     win = sliding_window_view(kprof[::-1], width)
     blk = np.ascontiguousarray(win[N - d - rows:N - d, :w][::-1])
-    return G[:, :w] @ blk.T
+    m = G.shape[0]
+    runs = -(-m // (_GEMM_ONE_THREAD // max(1, w * rows)))
+    if runs <= 1:
+        return G[:, :w] @ blk.T
+    out = np.empty((m, rows))
+    edges = [m * i // runs for i in range(runs + 1)]
+    for a, b in zip(edges, edges[1:]):
+        np.matmul(G[a:b, :w], blk.T, out=out[a:b])
+    return out
 
 
 def _fft_rows(kprof: np.ndarray, G: np.ndarray, d: tuple,
@@ -543,15 +566,10 @@ def hormander_estimate(K: Kernel, A, grid: Grid, cube_budget: int = 64,
         raise OperatorError("smoothness estimate needs a pointwise kernel")
     if k_max < 2:
         raise OperatorError("k_max must be >= 2")
-    rng = np.random.default_rng(seed)
-    cand = [q for q in base_cubes(grid, min_level=1)
-            if q.side >= 4 and q.side < grid.cells_per_side]
-    if len(cand) > cube_budget:
-        idx = rng.choice(len(cand), size=cube_budget, replace=False)
-        cand = [cand[i] for i in sorted(idx)]
+    cand = _smoothness_cubes(grid, cube_budget, seed)
     best = 0.0
     best_tail = 0.0
-    # base_cubes lists the cubes level by level, so one side is one run
+    # the cubes come level by level, so one side is one run
     for _, group in groupby(cand, key=lambda q: q.side):
         group = list(group)
         pairs = []
@@ -566,6 +584,28 @@ def hormander_estimate(K: Kernel, A, grid: Grid, cube_budget: int = 64,
                 if val > best:
                     best, best_tail = val, tail
     return best, best_tail
+
+
+def _smoothness_cubes(grid: Grid, cube_budget: int, seed: int) -> list:
+    """The base cubes of side 4 .. N/2 (levels 1 .. L-2), level by level
+    and row-major within a level, or cube_budget of them drawn without
+    replacement by a generator seeded with seed, in that order.  A draw
+    picks candidate indices and builds only the cubes it picked."""
+    sizes = [1 << (k * grid.n) for k in range(1, grid.level - 1)]
+    total = sum(sizes)
+    if total <= cube_budget:
+        picks = range(total)
+    else:
+        rng = np.random.default_rng(seed)
+        picks = sorted(rng.choice(total, size=cube_budget, replace=False))
+    firsts = np.cumsum([0] + sizes)
+    out = []
+    for i in picks:
+        k = int(np.searchsorted(firsts, i, side="right"))
+        s = grid.cells_per_side >> k
+        pos = np.unravel_index(i - firsts[k - 1], (1 << k,) * grid.n)
+        out.append(Cube(BASE, k, tuple(int(c) * s for c in pos), s))
+    return out
 
 
 def _stencil_cells(q: Cube, grid: Grid) -> list:

@@ -259,6 +259,52 @@ def test_toeplitz_rows_match_full_width(L, rng, monkeypatch):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), case
 
 
+def _split_products(rng):
+    """(case, kprof, G, s, w): dense products of the truncation maximal
+    operator's shape (windows of 3s cells starting s cells early, s rows)
+    for each 1D convolution kernel at L = 8, with the fewest data rows
+    that pass _GEMM_ONE_THREAD and with four times as many; w is the block
+    width after the one-sided trim."""
+    for K, grid in _conv_kernels(8, rng):
+        kprof = K.profile(grid)
+        one_sided = not kprof[:grid.cells_per_side].any()
+        for s in (32, 64):
+            w = (2 if one_sided else 3) * s
+            least = op._GEMM_ONE_THREAD // (w * s) + 1
+            for m in (least, 4 * least):
+                yield (f"{K.family} s={s} m={m}", kprof,
+                       rng.standard_normal((m, 3 * s)), s, w)
+
+
+def test_toeplitz_rows_split_keeps_every_bit(rng, monkeypatch):
+    # a dense product past OpenBLAS's one-thread bound goes to BLAS in
+    # runs of rows; each run must stay under the bound and on the whole
+    # product's kernel (more than one row, more than 1200 outputs), so
+    # the result is the unsplit product's, bit for bit
+    runs = []
+    matmul = np.matmul
+
+    def spy(a, b, out=None):
+        runs.append((a.shape[0], a.shape[1], b.shape[1]))
+        return matmul(a, b, out=out)
+    monkeypatch.setattr(np, "matmul", spy)
+    for case, kprof, G, s, w in _split_products(rng):
+        runs.clear()
+        got = op._toeplitz_rows(kprof, G, (s,), (s,))
+        N = (kprof.shape[0] + 1) // 2
+        win = sliding_window_view(kprof[::-1], 3 * s)
+        blk = np.ascontiguousarray(win[N - 2 * s:N - s, :w][::-1])
+        want = G[:, :w] @ blk.T
+        assert got.tobytes() == want.tobytes(), case
+        assert len(runs) >= 2 and sum(r[0] for r in runs) == len(G), case
+        for rows, width, cols in runs:
+            assert (width, cols) == (w, s), case
+            assert rows * width * cols <= op._GEMM_ONE_THREAD, case
+            assert rows >= 4 and rows * cols > 1200, case
+        fft = op._fft_rows(kprof, G, (s,), (s,))
+        assert np.abs(fft - got).max() <= 1e-13 * np.abs(got).max(), case
+
+
 def test_apply_operator_linear(sym_grid, rng):
     K = op.make_dini()
     a = GridFunction(sym_grid, rng.standard_normal(sym_grid.shape))
@@ -515,6 +561,28 @@ def test_hormander_constant_kernel_is_zero(sym_grid):
     kone = op.Kernel("one", 1, False, conv=lambda u, h: np.ones_like(u))
     val, tail = op.hormander_estimate(kone, young.power(1), sym_grid)
     assert val == 0.0 and tail == 0.0
+
+
+def _smoothness_cubes_listed(grid, cube_budget, seed):
+    """The sampled cubes drawn from a full list of the base cubes of side
+    4 .. N/2."""
+    cand = [q for q in base_cubes(grid, min_level=1)
+            if 4 <= q.side < grid.cells_per_side]
+    if len(cand) > cube_budget:
+        idx = np.random.default_rng(seed).choice(len(cand), size=cube_budget,
+                                                 replace=False)
+        cand = [cand[i] for i in sorted(idx)]
+    return cand
+
+
+@pytest.mark.parametrize("n, L", ((1, 2), (1, 5), (1, 6), (1, 12),
+                                  (2, 3), (2, 4), (2, 7)))
+@pytest.mark.parametrize("seed", (0, 1, 7))
+@pytest.mark.parametrize("budget", (24, 64))
+def test_smoothness_cubes_match_listed_draw(n, L, seed, budget):
+    grid = Grid(n, (0.0,) * n, 1.0, L)
+    assert (op._smoothness_cubes(grid, budget, seed)
+            == _smoothness_cubes_listed(grid, budget, seed))
 
 
 def test_hormander_monotone_in_k_max():
