@@ -333,8 +333,6 @@ def _toeplitz_rows(kprof: np.ndarray, G: np.ndarray, d: tuple,
     blk = np.ascontiguousarray(win[N - d - rows:N - d, :w][::-1])
     m = G.shape[0]
     runs = -(-m // (_GEMM_ONE_THREAD // max(1, w * rows)))
-    if runs <= 1:
-        return G[:, :w] @ blk.T
     out = np.empty((m, rows))
     edges = [m * i // runs for i in range(runs + 1)]
     for a, b in zip(edges, edges[1:]):
