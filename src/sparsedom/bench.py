@@ -22,15 +22,10 @@ import numpy as np
 from . import young
 from .dyadic import Grid, GridFunction, cube_slices
 from .frozen import BATTERY_VERSION, FROZEN
-from .operators import (CommutatorSpec, Kernel, apply_operator,
-                        commutator_apply, counter_young, make_counter,
-                        maximal, parse_kernel)
+from .operators import (CommutatorSpec, apply_operator, commutator_apply,
+                        counter_young, make_counter, maximal, parse_kernel)
 from .sparse_engine import build_sparse_family, domination_report, estimate_ct
 from .weights import bmo_norm, parse_profile, sigma_dual, weight_constant
-
-KINDS = ("strong", "cf", "endpoint", "endpoint_czo", "expdecay",
-         "counterexample", "sparse", "constants")
-
 
 class ScenarioError(ValueError):
     """Configuration-level failure (exit code 2)."""
@@ -138,30 +133,32 @@ def _validate(scn: Scenario):
 
 
 def _young_of(scn: Scenario, text: str) -> young.YoungFunction:
-    if text is None:
-        raise ScenarioError("missing Young function in scenario")
     if text == "counter":
         if scn.r <= 1 or scn.beta <= 0:
             raise ScenarioError("the counter gauge needs r > 1 and beta > 0")
         return counter_young(scn.r, scn.beta)
+    return _literal_of(young.parse_young, text)
+
+
+def _literal_of(parse, text: str, *args):
+    """parse(text, *args), where a failure is a scenario error."""
     try:
-        return young.parse_young(text)
-    except young.YoungError as exc:
-        raise ScenarioError(str(exc)) from exc
+        return parse(text, *args)
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"{text!r}: {exc}") from exc
 
 
-def _kernel_of(scn: Scenario) -> Kernel:
-    try:
-        return parse_kernel(scn.kernel)
-    except Exception as exc:
-        raise ScenarioError(f"kernel spec: {exc}") from exc
+def _level(scn: Scenario, L: int, *names: str) -> tuple:
+    """The grid of level L and the named profiles ("f", "b", "w") on it."""
+    grid = scn.grid(L)
+    return (grid, *(_literal_of(parse_profile, getattr(scn, k), grid)
+                    for k in names))
 
 
-def _profile(text: str, grid: Grid) -> GridFunction:
-    try:
-        return parse_profile(text, grid)
-    except Exception as exc:
-        raise ScenarioError(f"profile {text!r}: {exc}") from exc
+def _centred_commutator(K, b, m, f):
+    """The cells of T_b^m f, with b centred at its mean over the grid."""
+    return commutator_apply(K, CommutatorSpec(b, m), f,
+                            float(b.cells.mean())).cells
 
 
 def _lp_norm(cells, wcells, p, vol):
@@ -184,7 +181,7 @@ def _row(lam, lhs, rhs, ok):
 
 
 def strong_cf_check(scn: Scenario) -> dict:
-    K = _kernel_of(scn)
+    K = _literal_of(parse_kernel, scn.kernel)
     A = _young_of(scn, scn.A)
     rows = []
     consts = {}
@@ -203,13 +200,9 @@ def strong_cf_check(scn: Scenario) -> dict:
             chain = _chain_constant(A, B, scn.m)
             consts["cf_chain_max"] = chain
     for L in scn.levels:
-        grid = scn.grid(L)
-        f = _profile(scn.f, grid)
-        b = _profile(scn.b, grid)
-        w = _profile(scn.w, grid)
+        grid, f, b, w = _level(scn, L, "f", "b", "w")
         vol = grid.cell_volume
-        center = float(b.cells.mean())
-        t = commutator_apply(K, CommutatorSpec(b, scn.m), f, center).cells
+        t = _centred_commutator(K, b, scn.m, f)
         lhs = _lp_norm(t, w.cells, scn.p, vol)
         bmo = bmo_norm(b) if scn.m else 0.0
         bfac = bmo ** scn.m if scn.m else 1.0
@@ -228,7 +221,7 @@ def strong_cf_check(scn: Scenario) -> dict:
                            f"ainf_sigma_L{L}": ainf_s})
         else:
             ainf = weight_constant(w, "AinfFW")
-            gauge = A if scn.m >= 1 else _young_of(scn, scn.B or scn.A)
+            gauge = A if scn.m >= 1 else B
             mf = maximal(f, "MA", A=gauge)
             rhs = (bfac * ainf ** (scn.m + 1)
                    * _lp_norm(mf.cells, w.cells, scn.p, vol))
@@ -260,7 +253,7 @@ def _submultiplicative(A) -> bool:
 
 
 def endpoint_check(scn: Scenario) -> dict:
-    K = _kernel_of(scn)
+    K = _literal_of(parse_kernel, scn.kernel)
     m = scn.m
     rows = []
     consts = {}
@@ -300,14 +293,9 @@ def endpoint_check(scn: Scenario) -> dict:
         return {"rows": [], "constants": consts, "pass": True,
                 "vacuous": True}
     for L in scn.levels:
-        grid = scn.grid(L)
-        f = _profile(scn.f, grid)
-        b = _profile(scn.b, grid)
-        w = _profile(scn.w, grid)
+        grid, f, b, w = _level(scn, L, "f", "b", "w")
         vol = grid.cell_volume
-        center = float(b.cells.mean())
-        t = np.abs(commutator_apply(K, CommutatorSpec(b, m), f,
-                                    center).cells)
+        t = np.abs(_centred_commutator(K, b, m, f))
         maxw = [maximal(w, "MA", A=g).cells for (_, g, _) in plan]
         lams = _lambda_grid(float(t.max()), scn.lambda_points)
         for lam in lams:
@@ -331,20 +319,16 @@ def endpoint_check(scn: Scenario) -> dict:
 
 
 def expdecay_check(scn: Scenario) -> dict:
-    K = _kernel_of(scn)
+    K = _literal_of(parse_kernel, scn.kernel)
     m = scn.m
     A = _young_of(scn, scn.A)
     rows = []
     consts = {}
     ok = True
     for L in scn.levels:
-        grid = scn.grid(L)
-        f = _profile(scn.f, grid)
-        b = _profile(scn.b, grid)
+        grid, f, b = _level(scn, L, "f", "b")
         Q = grid.root_cube()
-        center = float(b.cells.mean())
-        t = np.abs(commutator_apply(K, CommutatorSpec(b, m), f,
-                                    center).cells)
+        t = np.abs(_centred_commutator(K, b, m, f))
         maf = maximal(f, "MA", A=A).cells
         bad = (maf == 0) & (t > 1e-12 * max(float(t.max()), 1.0))
         if bad.any():
@@ -434,7 +418,8 @@ def counterexample_probe(scn: Scenario) -> dict:
     """
     rp = scn.r / (scn.r - 1.0)
     gamma1 = 1.0 - scn.p / (2.0 * rp)
-    K = make_counter(scn.r, scn.beta, eta=4.0)
+    eta = 4.0
+    K = make_counter(scn.r, scn.beta, eta=eta)
     consts = {"gamma1": gamma1}
     svals = {}
     controls = {}
@@ -442,12 +427,11 @@ def counterexample_probe(scn: Scenario) -> dict:
     for L in scn.levels:
         grid = scn.grid(L)
         lo = scn.origin[0]
-        if lo > -6.0 + 1e-9 or lo + scn.side < 6.0 - 1e-9:
-            raise ScenarioError("grid must cover |x| <= 6 "
-                                "(the kernel shift is 4)")
+        if lo > -(eta + 2) + 1e-9 or lo + scn.side < eta + 2 - 1e-9:
+            raise ScenarioError(f"grid must cover |x| <= {eta + 2:g} "
+                                f"(the kernel shift is {eta:g})")
         x = grid.cell_centers(0)
         h = grid.cell_width
-        eta = 4.0
         fc = _power_cell_averages(x + eta, h, gamma1 * grid.n / scn.p,
                                   support=1.0)
         f = GridFunction(grid, fc)
@@ -485,7 +469,7 @@ def counterexample_probe(scn: Scenario) -> dict:
 
 
 def sparse_rows(scn: Scenario) -> dict:
-    K = _kernel_of(scn)
+    K = _literal_of(parse_kernel, scn.kernel)
     A = _young_of(scn, scn.A)
     rows = []
     consts = {}
@@ -494,9 +478,7 @@ def sparse_rows(scn: Scenario) -> dict:
     bound = FROZEN["domination_c_star"].get(scn.m, math.inf)
     ok = True
     for L in scn.levels:
-        grid = scn.grid(L)
-        f = _profile(scn.f, grid)
-        b = _profile(scn.b, grid)
+        grid, f, b = _level(scn, L, "f", "b")
         rep = domination_report(K, b, scn.m, A, f, grid.root_cube(),
                                 seed=scn.seed)
         cstars.append(rep.c_star)
@@ -520,13 +502,11 @@ def sparse_rows(scn: Scenario) -> dict:
 
 
 def constants_dump(scn: Scenario) -> dict:
-    K = _kernel_of(scn)
+    K = _literal_of(parse_kernel, scn.kernel)
     A = _young_of(scn, scn.A)
     entries = []
     for L in scn.levels:
-        grid = scn.grid(L)
-        b = _profile(scn.b, grid)
-        w = _profile(scn.w, grid)
+        grid, b, w = _level(scn, L, "b", "w")
         entries.append(("b", f"bmo_L{L}", bmo_norm(b)))
         entries.append(("w", f"a1_L{L}",
                         weight_constant(w, "A1")))
@@ -597,16 +577,14 @@ def domination_battery(levels=(8, 10, 12)):
     released sweep, or over other grid levels."""
     for ic, cfg in enumerate(DOMINATION_BATTERY):
         K = parse_kernel(cfg["kernel"])
-        if cfg["gauge"] == "counter":
-            A = counter_young(2.0, 1.0)
-        else:
-            A = young.parse_young(cfg["gauge"])
+        A = (counter_young(2.0, 1.0) if cfg["gauge"] == "counter"
+             else young.parse_young(cfg["gauge"]))
         for m in (0, 1, 2):
             for flit in cfg["f"]:
                 for L in levels:
                     grid = Grid(1, cfg["origin"], cfg["side"], L)
-                    f = _profile(flit, grid)
-                    b = _profile(cfg["b"], grid)
+                    f = _literal_of(parse_profile, flit, grid)
+                    b = _literal_of(parse_profile, cfg["b"], grid)
                     rep = domination_report(K, b, m, A, f, grid.root_cube())
                     yield ic, m, flit, L, rep
 
@@ -624,6 +602,7 @@ _DISPATCH = {
     "sparse": sparse_rows,
     "constants": constants_dump,
 }
+KINDS = tuple(_DISPATCH)
 
 
 def run_scenario(scn: Scenario, out_dir: str = None,

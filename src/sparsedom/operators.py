@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-import re
 from dataclasses import dataclass, field
 from itertools import groupby, product
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import young
+from . import literal, young
 from .dyadic import (BASE, Cube, GeometryError, Grid, GridFunction,
                      block_mean, cube_slices, dilate, is_clipped, scope_max)
 
@@ -187,60 +186,41 @@ def make_matrix(mat) -> Kernel:
     return Kernel("matrix", 1, False, matrix=m)
 
 
+# family -> (constructor, keys in argument order with their defaults); a
+# key without a default (None) takes a path, the others a number
+_KERNELS = {
+    "hilbert": (make_hilbert, {}),
+    "dini": (make_dini, {"omega": 0.5, "ck": 1.0}),
+    "counter": (make_counter, {"r": 2.0, "beta": 1.0, "eta": 4.0}),
+    "homog": (lambda p: make_homog(np.loadtxt(p, delimiter=",", ndmin=1)),
+              {"omega_table": None}),
+    "matrix": (lambda p: make_matrix(np.loadtxt(p, delimiter=",", ndmin=2)),
+               {"path": None}),
+}
+
+
 def parse_kernel(text: str) -> Kernel:
-    """Scenario grammar: hilbert | dini(omega=power(d),ck=c) |
-    homog(omega_table=path) | counter(r=..,beta=..,eta=..) | matrix(path)."""
-    text = text.strip()
-    if text == "hilbert":
-        return make_hilbert()
-    m = re.match(r"([a-z_]+)\((.*)\)$", text)
-    if not m:
-        raise OperatorError(f"cannot parse kernel spec {text!r}")
-    name, body = m.group(1), m.group(2)
-    kv = {}
-    for part in _split_args(body):
-        if "=" not in part:
-            raise OperatorError(f"kernel argument {part!r} needs key=value")
-        k, v = part.split("=", 1)
-        kv[k.strip()] = v.strip()
-    if name == "dini":
-        om = kv.get("omega", "power(0.5)")
-        m2 = re.match(r"power\(([-+0-9.eE]+)\)$", om)
-        if not m2:
-            raise OperatorError(f"dini omega must be power(d), got {om!r}")
-        return make_dini(float(m2.group(1)), float(kv.get("ck", 1.0)))
-    if name == "counter":
-        return make_counter(float(kv.get("r", 2.0)),
-                            float(kv.get("beta", 1.0)),
-                            float(kv.get("eta", 4.0)))
-    if name == "homog":
-        path = kv.get("omega_table")
-        if path is None:
-            raise OperatorError("homog needs omega_table=path")
-        return make_homog(np.loadtxt(path, delimiter=",", ndmin=1))
-    if name == "matrix":
-        path = kv.get("path")
-        if path is None:
-            raise OperatorError("matrix needs path=csv")
-        return make_matrix(np.loadtxt(path, delimiter=",", ndmin=2))
-    raise OperatorError(f"unknown kernel family {name!r}")
-
-
-def _split_args(body: str) -> list:
-    out, depth, cur = [], 0, []
-    for ch in body:
-        if ch == "," and depth == 0:
-            out.append("".join(cur))
-            cur = []
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        cur.append(ch)
-    if cur:
-        out.append("".join(cur))
-    return [p for p in (s.strip() for s in out) if p]
+    """Scenario grammar (see `literal`): hilbert | dini(omega=power(d),ck=c)
+    | homog(omega_table=path) | counter(r=..,beta=..,eta=..)
+    | matrix(path=csv).  Every argument is a key its family knows."""
+    name, args, kwargs, shift = literal.parse(text, OperatorError)
+    if name not in _KERNELS:
+        raise OperatorError(f"unknown kernel family {name!r}")
+    make, keys = _KERNELS[name]
+    if args or shift is not None or not set(kwargs) <= set(keys):
+        raise OperatorError(f"{name} takes only the keys {', '.join(keys)}"
+                            if keys else f"{name} takes no arguments")
+    values = [kwargs.get(key, default) for key, default in keys.items()]
+    if "omega" in kwargs:  # dini's modulus power(d) gives delta = d
+        om = values[0]
+        if not isinstance(om, tuple) or om[0] != "power":
+            raise OperatorError("dini omega must be power(d)")
+        (values[0],) = literal.positional(om, float, 1, 1, OperatorError)
+    for v, (key, default) in zip(values, keys.items()):
+        if not isinstance(v, str if default is None else float):
+            raise OperatorError(f"{name}: {key} must be a " + (
+                "path" if default is None else "number"))
+    return make(*values)
 
 
 # -- operator application -----------------------------------------------------

@@ -8,12 +8,11 @@ lattices down to cell scale, clipped at the domain boundary.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import young
+from . import literal, young
 from .dyadic import (Cube, Grid, GridFunction, block_mean, cube_slices,
                      cube_values, scope_max, scope_tilings)
 
@@ -240,49 +239,34 @@ def osc_exp_norm(b: GridFunction, Q: Cube, w: GridFunction, j: int) -> float:
 
 # -- scenario literals ---------------------------------------------------------
 
-_NUM = r"[-+0-9.eE]+"
-
 
 def parse_profile(text: str, grid: Grid) -> GridFunction:
-    """Function literals for scenario files.
+    """Function literals for scenario files (grammar in `literal`).
 
     `const(c)`, `power_abs(a)` (|x|^a), `indicator(a,b)+c`, `log_abs`,
     `table(path)` (csv of cell values).  In 2D, |x| is the euclidean norm
     and indicators read box corners `indicator(a1,a2,b1,b2)+c`.
     """
-    text = text.strip()
-    n = grid.n
-    if n == 1:
-        x = grid.cell_centers(0)
-        rad = np.abs(x)
+    lit = literal.parse(text, WeightError)
+    name, n = lit[0], grid.n
+    # literal name -> count of numbers, or of paths for table
+    count = {"const": 1, "power_abs": 1, "log_abs": 0, "indicator": 2 * n,
+             "table": 1}.get(name)
+    if count is None:
+        raise WeightError(f"unknown function literal {name!r}")
+    args = literal.positional(lit, str if name == "table" else float, count,
+                              count, WeightError, shift=name == "indicator")
+    x = np.meshgrid(*map(grid.cell_centers, range(n)), indexing="ij")
+    rad = np.abs(x[0]) if n == 1 else np.hypot(*x)
+    if name == "table":
+        cells = np.loadtxt(args[0], delimiter=",").reshape(grid.shape)
+    elif name == "const":
+        cells = np.full(grid.shape, args[0])
+    elif name == "power_abs":
+        cells = rad ** args[0]
+    elif name == "log_abs":
+        cells = np.log(rad)
     else:
-        x1 = grid.cell_centers(0)[:, None]
-        x2 = grid.cell_centers(1)[None, :]
-        rad = np.hypot(np.broadcast_to(x1, grid.shape),
-                       np.broadcast_to(x2, grid.shape))
-    m = re.match(rf"const\(({_NUM})\)$", text)
-    if m:
-        return GridFunction(grid, np.full(grid.shape, float(m.group(1))))
-    m = re.match(rf"power_abs\(({_NUM})\)$", text)
-    if m:
-        return GridFunction(grid, rad ** float(m.group(1)))
-    if text == "log_abs":
-        return GridFunction(grid, np.log(rad))
-    m = re.match(rf"indicator\(({_NUM}(?:,{_NUM})*)\)(?:\+({_NUM}))?$", text)
-    if m:
-        nums = [float(s) for s in m.group(1).split(",")]
-        shift = float(m.group(2)) if m.group(2) else 0.0
-        if len(nums) != 2 * n:
-            raise WeightError(f"indicator needs {2*n} corners in {n}D")
-        if n == 1:
-            ind = ((x >= nums[0]) & (x < nums[1])).astype(float)
-        else:
-            ind = (((x1 >= nums[0]) & (x1 < nums[2]))
-                   & ((x2 >= nums[1]) & (x2 < nums[3]))).astype(float)
-            ind = np.broadcast_to(ind, grid.shape).astype(float)
-        return GridFunction(grid, ind + shift)
-    m = re.match(r"table\((.+)\)$", text)
-    if m:
-        cells = np.loadtxt(m.group(1).strip(), delimiter=",")
-        return GridFunction(grid, cells.reshape(grid.shape))
-    raise WeightError(f"cannot parse function literal {text!r}")
+        inside = [(xi >= a) & (xi < b) for xi, a, b in zip(x, args, args[n:])]
+        cells = np.logical_and.reduce(inside).astype(float) + (lit[3] or 0.0)
+    return GridFunction(grid, cells)

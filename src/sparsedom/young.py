@@ -10,11 +10,12 @@ maximal operators, kernel smoothness sums) is built on these.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from . import literal
 
 E = math.e
 # the upper end of the t range of bp_check, krA_constant and kappa_phi
@@ -692,74 +693,32 @@ def kappa_phi(A: YoungFunction, phi: YoungFunction, m: int = 0,
 
 # -- serialization grammar --------------------------------------------------
 
-_TOKEN = re.compile(r"\s*([a-z_]+)\s*\(")
+# literal name -> (constructor, argument kind, fewest and most arguments)
+_FAMILIES = {POWER: (power, float, 1, 2), LLOGL: (llogl, float, 1, 1),
+             EXPL: (expl, float, 1, 1), LLL: (lll, float, 2, 2),
+             PHI: (phi_j, float, 1, 1), PROD: (prod, tuple, 2, 2),
+             COMPOSE: (compose, tuple, 2, 2)}
 
 
 def parse_young(expr: str) -> YoungFunction:
-    """Parse `power(r)`, `llogl(a)`, `expl(g)`, `lll(l,a)`, `phi(j)`,
-    `prod(e1,e2)`, `compose(e1,e2)` expressions."""
-    expr = expr.strip()
-    node, rest = _parse_expr(expr)
-    if rest.strip():
-        raise YoungError(f"trailing input {rest!r} in Young expression")
-    return node
+    """Parse `power(r[,c])`, `llogl(a)`, `expl(g)`, `lll(l,a)`, `phi(j)`,
+    `prod(e1,e2)`, `compose(e1,e2)` expressions (grammar in `literal`)."""
+    return _from_literal(literal.parse(expr, YoungError))
 
 
-def _parse_expr(s: str):
-    m = _TOKEN.match(s)
-    if not m:
-        raise YoungError(f"cannot parse Young expression at {s!r}")
-    name = m.group(1)
-    rest = s[m.end():]
-    if name in ("prod", "compose"):
-        a, rest = _parse_expr(rest)
-        rest = _expect(rest, ",")
-        b, rest = _parse_expr(rest)
-        rest = _expect(rest, ")")
-        return (prod(a, b) if name == "prod" else compose(a, b)), rest
-    args = []
-    while True:
-        m2 = re.match(r"\s*([-+0-9.eE]+)\s*([,)])", rest)
-        if not m2:
-            raise YoungError(f"bad numeric argument near {rest!r}")
-        args.append(float(m2.group(1)))
-        rest = rest[m2.end():]
-        if m2.group(2) == ")":
-            break
-    makers = {"power": power, "llogl": llogl, "expl": expl, "lll": lll,
-              "phi": phi_j}
-    if name not in makers:
-        raise YoungError(f"unknown Young family {name!r}")
-    return makers[name](*args), rest
-
-
-def _expect(s: str, ch: str) -> str:
-    s = s.lstrip()
-    if not s.startswith(ch):
-        raise YoungError(f"expected {ch!r} at {s!r}")
-    return s[1:]
+def _from_literal(lit: tuple) -> YoungFunction:
+    if lit[0] not in _FAMILIES:
+        raise YoungError(f"unknown Young family {lit[0]!r}")
+    make, kind, lo, hi = _FAMILIES[lit[0]]
+    args = literal.positional(lit, kind, lo, hi, YoungError)
+    return make(*(map(_from_literal, args) if kind is tuple else args))
 
 
 def format_young(A: YoungFunction) -> str:
-    f = A.family
-    if f == POWER:
-        r, c = A.params
-        return f"power({r:g})" if c == 1.0 else f"power({r:g},{c:g})"
-    if f == LLOGL:
-        return f"llogl({A.params[0]:g})"
-    if f == EXPL:
-        return f"expl({A.params[0]:g})"
-    if f == LLL:
-        return f"lll({A.params[0]:g},{A.params[1]:g})"
-    if f == PHI:
-        return f"phi({A.params[0]:g})"
-    if f == PROD:
-        return f"prod({format_young(A.parts[0])},{format_young(A.parts[1])})"
-    if f == COMPOSE:
-        return (f"compose({format_young(A.parts[0])},"
-                f"{format_young(A.parts[1])})")
-    if f == TABLE:
+    if A.family == TABLE:
         return f"table[{len(A.knots_t)} knots]"
-    if f == LINF:
-        return f"linf({A.params[0]:g})"
-    raise YoungError(f"unknown family {f!r}")
+    params = A.params
+    if A.family == POWER and params[1] == 1.0:
+        params = params[:1]  # power's default c = 1 is left out
+    args = [format_young(B) for B in A.parts] + [f"{p:g}" for p in params]
+    return f"{A.family}({','.join(args)})"

@@ -66,6 +66,9 @@ def test_unknown_and_unread_scenario_keys_rejected(tmp_path, capsys):
     ("endpoint_czo_m1", "eps", "0"),
     ("endpoint_czo_m1", "lambda_points", "0"),
     ("sparse_counter_m0", "r", "0"),  # the counter gauge reads r
+    # malformed literals: a wrong arity, and a key the kernel does not have
+    ("sparse_hilbert_m0", "gauge_a", "llogl(1,2)"),
+    ("strong_dini_m1", "kernel", "dini(omega=power(0.5),ck=1,delta=0.3)"),
 ])
 def test_malformed_scenario_values_exit_2(tmp_path, capsys, name, key,
                                           value):

@@ -59,7 +59,12 @@ def test_parse_kernel_grammar(tmp_path):
     path = tmp_path / "m.csv"
     np.savetxt(path, np.eye(4), delimiter=",")
     assert op.parse_kernel(f"matrix(path={path})").matrix.shape == (4, 4)
-    for bad in ("sobolev", "dini(omega=exp(1))", "homog()", "dini(0.5)"):
+    # `name` and `name()` are one literal
+    assert op.parse_kernel("hilbert()").family == "hilbert"
+    for bad in ("sobolev", "dini(omega=exp(1))", "homog()", "dini(0.5)",
+                "dini(omega=power(0.5),ck=1,delta=0.3)",
+                "counter(r=2,zeta=1)", "dini(omega=power(0.5,1))",
+                "dini(ck=1,ck=2)", "counter(r=inf)", "hilbert+1"):
         with pytest.raises(op.OperatorError):
             op.parse_kernel(bad)
 

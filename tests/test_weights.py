@@ -239,7 +239,10 @@ def test_parse_profile_table(tmp_path, unit_grid):
 
 
 def test_parse_profile_rejects_garbage(unit_grid):
-    with pytest.raises(W.WeightError):
-        W.parse_profile("gauss(1)", unit_grid)
-    with pytest.raises(W.WeightError):
-        W.parse_profile("const()", unit_grid)
+    for bad in ("gauss(1)", "const()", "const(1)+1", "log_abs(1)", "table()",
+                "table(1)", "indicator(0,1,2)", "power_abs(a=1)"):
+        with pytest.raises(W.WeightError):
+            W.parse_profile(bad, unit_grid)
+    # `name` and `name()` are one literal
+    assert np.array_equal(W.parse_profile("log_abs()", unit_grid).cells,
+                          W.parse_profile("log_abs", unit_grid).cells)

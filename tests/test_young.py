@@ -629,11 +629,24 @@ def test_kappa_iterated_split_converges():
 
 
 def test_parse_format_round_trip():
-    for expr in ("power(2)", "llogl(1.5)", "expl(2)", "lll(1,1.5)",
-                 "phi(3)", "prod(power(1.5),llogl(1))",
+    for expr in ("power(2)", "power(3,0.7)", "llogl(1.5)", "expl(2)",
+                 "lll(1,1.5)", "phi(3)", "prod(power(1.5),llogl(1))",
                  "compose(llogl(1),power(2))"):
         A = young.parse_young(expr)
         assert young.format_young(A) == expr
+    # the two families with no literal of their own
+    assert young.format_young(young.complementary(young.power(1))) \
+        == "linf(1)"
+    table = young.tabulated([1.0, 2.0, 3.0], [1.0, 3.0, 6.0])
+    assert young.format_young(table) == "table[4 knots]"
+
+
+@pytest.mark.parametrize("expr", ["llogl(1,2)", "lll(1)", "power(2,1,5)",
+                                  "llogl(x=1)", "prod(power(2),1)",
+                                  "power(2)+1", "llogl(inf)", "phi(path)"])
+def test_parse_rejects_wrong_arity_and_kind(expr):
+    with pytest.raises(young.YoungError):
+        young.parse_young(expr)
 
 
 def test_parse_rejects_unknown_token():
