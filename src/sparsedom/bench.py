@@ -140,6 +140,17 @@ def _young_of(scn: Scenario, text: str) -> young.YoungFunction:
     return _literal_of(young.parse_young, text)
 
 
+def check_literals(scn: Scenario):
+    """Parse every literal of a scenario, a failure being a scenario
+    error: its kernel, its gauges, and its profiles on each grid level."""
+    _literal_of(parse_kernel, scn.kernel)
+    for text in (scn.A, scn.B, scn.phi):
+        if text:
+            _young_of(scn, text)
+    for L in scn.levels:
+        _level(scn, L, "f", "b", "w")
+
+
 def _literal_of(parse, text: str, *args):
     """parse(text, *args), where a failure is a scenario error."""
     try:

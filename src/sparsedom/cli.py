@@ -19,8 +19,8 @@ import os
 import sys
 import time
 
-from .bench import (Scenario, ScenarioError, _write_atomic, parse_scenario,
-                    run_scenario)
+from .bench import (Scenario, ScenarioError, _write_atomic, check_literals,
+                    parse_scenario, run_scenario)
 from .frozen import BATTERY_VERSION
 
 
@@ -109,11 +109,15 @@ def cmd_battery(args) -> int:
     paths = sorted(glob.glob(os.path.join(glob.escape(args.directory),
                                           "*.ini")))
     out_root = args.out or "battery.out"
+    # every scenario and literal parses before the first report is written
+    scenarios = []
+    for path in paths:
+        scn = _load(path, args.level, args.seed)
+        check_literals(scn)
+        scenarios.append((os.path.splitext(os.path.basename(path))[0], scn))
     os.makedirs(out_root, exist_ok=True)
     results = {}
-    for path in paths:
-        name = os.path.splitext(os.path.basename(path))[0]
-        scn = _load(path, args.level, args.seed)
+    for name, scn in scenarios:
         t0 = time.monotonic()
         rep = run_scenario(scn, out_dir=os.path.join(out_root, name))
         results[name] = {"kind": rep["kind"], "pass": rep["pass"]}

@@ -4,12 +4,17 @@ commutators, maximal operators and kernel-smoothness (annulus sum) estimates.
 Convolution kernels are evaluated once per grid on the difference lattice
 (the profile), so an operator is a Toeplitz matrix (block Toeplitz in 2D)
 that is never built whole.  Every application goes through one primitive,
-`_toeplitz_rows`, which multiplies that matrix into many rows of data at
-once: the truncation maximal operator makes one product per dyadic level,
-and apply_operator and its adjoint make two, one per half of the
-displacements, joined by a flip identity that keeps odd kernels exactly
-odd on even data (`_apply`).  Small 1D products are one dense block, all
-others FFT products: O(N log N) per axis from O(N) kernel evaluations.
+`_toeplitz_product`: it prepares the kernel side of a product once (a dense
+block, or the spectrum of a profile segment) and then multiplies it into
+any number of rows of data.  The truncation maximal operator makes one
+product per dyadic level.  apply_operator and its adjoint make two, one per
+half of the displacements, joined by a flip identity that keeps odd kernels
+exactly odd on even data (`_flip_pair`); the L2 power iteration prepares
+both halves once for all its steps.  Small 1D products are one dense block,
+all others FFT products: O(N log N) per axis from O(N) kernel evaluations.
+The smoothness estimate evaluates the kernel for all sampled cubes of one
+side in one broadcast call per annulus, and takes all its Luxemburg norms
+in one batch.
 """
 
 from __future__ import annotations
@@ -17,14 +22,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from itertools import groupby, product
+from itertools import product
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import literal, young
-from .dyadic import (BASE, Cube, GeometryError, Grid, GridFunction,
-                     block_mean, cube_slices, dilate, is_clipped, scope_max)
+from .dyadic import (BASE, Cube, Grid, GridFunction, block_mean, cube_slices,
+                     dilate, is_clipped, scope_max)
 
 E = math.e
 
@@ -245,29 +250,43 @@ def apply_operator(K: Kernel, f: GridFunction) -> GridFunction:
 
 def _apply(kprof: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """sum_j kprof[N-1+i-j] cells[j] for each cell i (index per axis),
-    without the cell volume, as T f = K(0) f + H(K, f) + R H(RK, Rf).
+    without the cell volume: the first of _flip_pair."""
+    return _flip_pair(kprof, cells.shape)[0](cells)
+
+
+def _flip_pair(kprof: np.ndarray, shape: tuple) -> tuple:
+    """T and T* on cells of the given shape, without the cell volume, as
+    T f = K(0) f + H(K, f) + R H(RK, Rf) and T* f = K(0) f + H(RK, f)
+    + R H(K, Rf).
 
     R reverses every axis.  H sums over the displacements i - j after 0 in
-    row-major order: one _toeplitz_rows product with a copy of the profile
-    zeroed up to its center.  For odd K (RK = -K) and even f the second H
-    is the first with every input negated, which a dense or FFT product
-    negates exactly, so T f is exactly odd.  Both products need
-    C-contiguous data: numpy's matmul on a reversed view sums in another
-    order.
+    row-major order: one prepared _toeplitz_product of a copy of the
+    profile zeroed up to its center, so the two halves serve both T and T*.
+    For odd K (RK = -K) and even f the second H is the first with every
+    input negated, which a dense or FFT product negates exactly, so T f is
+    exactly odd.  Both products need C-contiguous data: numpy's matmul on a
+    reversed view sums in another order.
     """
-    flip = (slice(None, None, -1),) * cells.ndim
+    flip = (slice(None, None, -1),) * len(shape)
+    zero = (0,) * len(shape)
 
-    def half(kp, g):
+    def half(kp):
         kz = kp.copy()
         kz.flat[:kz.size // 2 + 1] = 0.0
-        return _toeplitz_rows(kz, np.ascontiguousarray(g)[None],
-                              (0,) * g.ndim, g.shape)[0]
-    out = kprof.flat[kprof.size // 2] * cells + half(kprof, cells)
-    out += half(kprof[flip], cells[flip])[flip]
-    return out
+        return _toeplitz_product(kz, shape, zero, shape)
+    center = kprof.flat[kprof.size // 2]
+    h, hr = half(kprof), half(kprof[flip])
+
+    def joined(h1, h2):
+        def apply(cells):
+            out = center * cells + h1(np.ascontiguousarray(cells)[None])[0]
+            out += h2(np.ascontiguousarray(cells[flip])[None])[0][flip]
+            return out
+        return apply
+    return joined(h, hr), joined(hr, h)
 
 
-# float64 elements of the largest dense 1D block of _toeplitz_rows (256 KB)
+# float64 elements of the largest dense 1D block of _toeplitz_product
 _CHUNK = 1 << 15
 # multiply-adds of the largest dgemm OpenBLAS runs on the calling thread:
 # it gives a product of p multiply-adds min(cores, p // 2^18) threads, 2^18
@@ -279,6 +298,14 @@ def _toeplitz_rows(kprof: np.ndarray, G: np.ndarray, d: tuple,
                    rows: tuple) -> np.ndarray:
     """out[r, t] = sum_u kprof[N-1+d+t-u] G[r, u] for t < rows, with t, u,
     d and rows one entry per axis of kprof; G is (data rows,) + window.
+    Every d+t-u must lie in [-(N-1), N-1]."""
+    return _toeplitz_product(kprof, G.shape[1:], d, rows)(G)
+
+
+def _toeplitz_product(kprof: np.ndarray, window: tuple, d: tuple,
+                      rows: tuple):
+    """The kernel side of _toeplitz_rows for data of the given window: a
+    function G -> out that applies it to any number of data rows.
 
     An all-zero profile makes no product.  A 1D block of at most _CHUNK
     elements (every 1D product up to L = 7) is copied out of the profile
@@ -286,7 +313,7 @@ def _toeplitz_rows(kprof: np.ndarray, G: np.ndarray, d: tuple,
     displacement <= 0 keeps only the block columns u < d + rows.  These
     are the products constants_unit's released table hash was computed
     with, and on small blocks they beat the FFT.  Every other product is
-    _fft_rows.  Every d+t-u must lie in [-(N-1), N-1].
+    _fft_product.
 
     The rows of G go to BLAS in near-equal runs of at most
     _GEMM_ONE_THREAD multiply-adds, so every product runs on the calling
@@ -301,45 +328,51 @@ def _toeplitz_rows(kprof: np.ndarray, G: np.ndarray, d: tuple,
     _CHUNK.
     """
     if not kprof.any():
-        return np.zeros((G.shape[0], *rows))
-    width = G.shape[-1]
+        return lambda G: np.zeros((G.shape[0], *rows))
+    width = window[-1]
     if kprof.ndim == 2 or _CHUNK // width < rows[0]:
-        return _fft_rows(kprof, G, d, rows)
+        return _fft_product(kprof, window, d, rows)
     N = (kprof.shape[0] + 1) // 2
     (d,), (rows,) = d, rows
     w = min(width, max(0, d + rows)) if not kprof[:N].any() else width
     # block row t is rev[N-1-d-t : N-1-d-t+width], rev = kprof reversed
     win = sliding_window_view(kprof[::-1], width)
     blk = np.ascontiguousarray(win[N - d - rows:N - d, :w][::-1])
-    m = G.shape[0]
-    runs = -(-m // (_GEMM_ONE_THREAD // max(1, w * rows)))
-    out = np.empty((m, rows))
-    edges = [m * i // runs for i in range(runs + 1)]
-    for a, b in zip(edges, edges[1:]):
-        np.matmul(G[a:b, :w], blk.T, out=out[a:b])
-    return out
+
+    def apply(G):
+        m = G.shape[0]
+        runs = -(-m // (_GEMM_ONE_THREAD // max(1, w * rows)))
+        out = np.empty((m, rows))
+        edges = [m * i // runs for i in range(runs + 1)]
+        for a, b in zip(edges, edges[1:]):
+            np.matmul(G[a:b, :w], blk.T, out=out[a:b])
+        return out
+    return apply
 
 
-def _fft_rows(kprof: np.ndarray, G: np.ndarray, d: tuple,
-              rows: tuple) -> np.ndarray:
-    """_toeplitz_rows by circulant embedding.  Per axis, the profile
+def _fft_product(kprof: np.ndarray, window: tuple, d: tuple, rows: tuple):
+    """_toeplitz_product by circulant embedding.  Per axis, the profile
     segment kprof[N+d-W : N-1+d+R] (W the window, R the rows) convolved
     with G holds the product at offsets W-1 .. W-2+R, free of wrap-around
-    at any period >= W+R-1; one rfftn of the segment and one of all rows
-    of G use the least power of two that long.  Negating the profile
-    negates every rounded step, so _apply's odd kernels stay exactly odd.
+    at any period >= W+R-1; the segment's rfftn, made here once, and one
+    of all rows of G use the least power of two that long.  Negating the
+    profile negates every rounded step, so _apply's odd kernels stay
+    exactly odd.
     """
     N = (kprof.shape[0] + 1) // 2
-    W = G.shape[1:]
     seg = kprof[tuple(slice(N + e - w, N - 1 + e + r)
-                      for e, w, r in zip(d, W, rows))]
-    P = tuple(1 << (w + r - 2).bit_length() for w, r in zip(W, rows))
-    axes = tuple(range(1, G.ndim))
-    prod = np.fft.rfftn(G, P, axes=axes)
-    prod *= np.fft.rfftn(seg[None], P, axes=axes)
-    out = np.fft.irfftn(prod, P, axes=axes)
-    return out[(slice(None),) + tuple(slice(w - 1, w - 1 + r)
-                                      for w, r in zip(W, rows))]
+                      for e, w, r in zip(d, window, rows))]
+    P = tuple(1 << (w + r - 2).bit_length() for w, r in zip(window, rows))
+    axes = tuple(range(1, len(window) + 1))
+    spectrum = np.fft.rfftn(seg[None], P, axes=axes)
+    keep = (slice(None),) + tuple(slice(w - 1, w - 1 + r)
+                                  for w, r in zip(window, rows))
+
+    def apply(G):
+        prod = np.fft.rfftn(G, P, axes=axes)
+        prod *= spectrum
+        return np.fft.irfftn(prod, P, axes=axes)[keep]
+    return apply
 
 
 def apply_windowed(K: Kernel, f: GridFunction, out_slice, in_slice) -> np.ndarray:
@@ -350,14 +383,26 @@ def apply_windowed(K: Kernel, f: GridFunction, out_slice, in_slice) -> np.ndarra
 
 
 def operator_norm_l2(K: Kernel, grid: Grid) -> float:
-    """Discrete L2 -> L2 norm estimate by 20 power iterations on T* T."""
+    """Discrete L2 -> L2 norm estimate by 20 power iterations on T* T.
+    A convolution kernel's profile is evaluated, and the kernel sides of
+    its products prepared, once per call (_flip_pair)."""
+    if K.matrix is not None:
+        def normal(v):
+            tv = apply_operator(K, GridFunction(grid, v)).cells
+            return _apply_adjoint(K, grid, tv)
+    else:
+        if K.n != grid.n:
+            raise OperatorError("kernel dimension does not match grid")
+        T, Ts = _flip_pair(K.profile(grid), grid.shape)
+
+        def normal(v):
+            return Ts(T(v) * grid.cell_volume) * grid.cell_volume
     rng = np.random.default_rng(12345)
     v = rng.standard_normal(grid.shape)
     v /= np.linalg.norm(v)
     sigma = 0.0
     for _ in range(20):
-        tv = apply_operator(K, GridFunction(grid, v)).cells
-        w = _apply_adjoint(K, grid, tv)
+        w = normal(v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
@@ -534,33 +579,29 @@ def hormander_estimate(K: Kernel, A, grid: Grid, cube_budget: int = 64,
     Annuli that exit the domain are dropped; the tail is extrapolated from
     the last two kept terms.
 
-    The sampled cubes are summed a side at a time, with one batched
-    Luxemburg call per (side, annulus level) for all of them.  Each row of
-    a batch is bitwise its norm alone, so every value, and the best one
-    (candidate order, then pair order, first strict maximum), is the same
-    as a cube-by-cube computation.
+    All sampled cubes are summed in one pass (_annulus_sums), with one
+    batched Luxemburg call for the whole estimate.  Each row of a batch is
+    bitwise its norm alone, so every value, and the best one (candidate
+    order, then pair order, first strict maximum), is the same as a
+    cube-by-cube computation.
     """
     if K.matrix is not None:
         raise OperatorError("smoothness estimate needs a pointwise kernel")
     if k_max < 2:
         raise OperatorError("k_max must be >= 2")
     cand = _smoothness_cubes(grid, cube_budget, seed)
+    pairs = []
+    for q in cand:
+        half = Cube(q.lattice, q.level,
+                    tuple(c + q.side // 4 for c in q.origin), q.side // 2)
+        pts = _stencil_cells(half, grid)
+        pairs.append([(x, z) for i, x in enumerate(pts) for z in pts[i + 1:]])
     best = 0.0
     best_tail = 0.0
-    # the cubes come level by level, so one side is one run
-    for _, group in groupby(cand, key=lambda q: q.side):
-        group = list(group)
-        pairs = []
-        for q in group:
-            half = Cube(q.lattice, q.level,
-                        tuple(c + q.side // 4 for c in q.origin), q.side // 2)
-            pts = _stencil_cells(half, grid)
-            pairs.append([(x, z) for i, x in enumerate(pts)
-                          for z in pts[i + 1:]])
-        for totals, tails in _annulus_sums(K, A, grid, group, pairs, k_max):
-            for val, tail in zip(totals, tails):
-                if val > best:
-                    best, best_tail = val, tail
+    for totals, tails in _annulus_sums(K, A, grid, cand, pairs, k_max):
+        for val, tail in zip(totals, tails):
+            if val > best:
+                best, best_tail = val, tail
     return best, best_tail
 
 
@@ -596,55 +637,61 @@ def _stencil_cells(q: Cube, grid: Grid) -> list:
 
 def _annulus_sums(K: Kernel, A, grid: Grid, cubes: list, pairs: list,
                   k_max: int) -> list:
-    """Annulus sums of cubes that share one side, for the cell pairs
-    (x, z) of each: pairs[j] lists the pairs of cubes[j].  Returns one
-    (totals, tails) per cube, one entry per pair.  For each annulus
-    2^k q minus 2^(k-1) q, every cube whose 2^k q stays in the domain
-    adds one block of kernel differences (its pairs x cells of 2^k q),
-    and the blocks of one k go into one batched Luxemburg norm."""
+    """Annulus sums of cubes for the cell pairs (x, z) of each: pairs[j]
+    lists the pairs of cubes[j].  Returns one (totals, tails) per cube, one
+    entry per pair.  For each annulus 2^k q minus 2^(k-1) q, every cube
+    whose 2^k q stays in the domain adds one block of kernel differences
+    (its pairs x cells of 2^k q).  The cubes of one side (and pair count)
+    make their blocks of one k in one broadcast pair of K.conv calls, and
+    every block goes into one Luxemburg call, a row group per (k, side)."""
     n = grid.n
     h = grid.cell_width
-    ends = []  # centers of x and z per axis, shaped (pairs, 1, ..., 1)
-    for pq in pairs:
-        pts = np.asarray(grid.origin) \
-            + (np.asarray(pq, dtype=float) + 0.5) * h
-        col = (len(pq),) + (1,) * n
-        ends.append(([pts[:, 0, i].reshape(col) for i in range(n)],
-                     [pts[:, 1, i].reshape(col) for i in range(n)]))
-    terms = [[] for _ in cubes]
-    live = range(len(cubes))
+    centers = [grid.cell_centers(i) for i in range(n)]
+    # the annuli of each cube before the first 2^k q that leaves the domain
+    kept = [next((k - 1 for k in range(1, k_max + 1)
+                  if is_clipped(dilate(q, 1 << k), grid)), k_max)
+            for q in cubes]
+    # the cubes of each side and pair count, in order
+    kinds = {}
+    for j, q in enumerate(cubes):
+        kinds.setdefault((q.side, len(pairs[j])), []).append(j)
+    blocks, owners = [], []
     for k in range(1, k_max + 1):
-        kept, blocks = [], []
-        for j in live:
-            q = cubes[j]
-            try:
-                big = dilate(q, 1 << k)
-                small = dilate(q, 1 << (k - 1))
-            except GeometryError:
+        for js in kinds.values():
+            js = [j for j in js if kept[j] >= k]
+            if not js:
                 continue
-            if is_clipped(big, grid):
-                continue
-            sl = cube_slices(big, grid)
-            ys = np.meshgrid(*(grid.cell_centers(i)[sl[i]] for i in range(n)),
-                             indexing="ij", sparse=True)
-            xs, zs = ends[j]
-            dvals = K.conv(*(x - y for x, y in zip(xs, ys)), h) \
-                - K.conv(*(z - y for z, y in zip(zs, ys)), h)
-            # annulus: zero the inner cube 2^(k-1) q
-            dvals[(slice(None),) + tuple(
-                slice(s - o, s - o + small.side)
-                for s, o in zip(small.origin, big.origin))] = 0.0
-            kept.append(j)
-            blocks.append(np.abs(dvals).reshape(len(pairs[j]), -1))
-        if not kept:
-            break
-        live = kept
-        dvals = np.concatenate(blocks)
+            # centers of x and z per axis, shaped (cubes, pairs, 1, ..., 1)
+            pts = np.asarray(grid.origin) + (np.asarray(
+                [pairs[j] for j in js], dtype=float) + 0.5) * h
+            col = pts.shape[:2] + (1,) * n
+            side = cubes[js[0]].side << k
+            # cells of 2^k q per cube and axis
+            cells = np.array([dilate(cubes[j], 1 << k).origin
+                              for j in js])[:, :, None] + np.arange(side)
+            ys = [centers[i][cells[:, i]].reshape(
+                (len(js), 1) + (1,) * i + (side,) + (1,) * (n - 1 - i))
+                for i in range(n)]
+            dvals = K.conv(*(pts[..., 0, i].reshape(col) - ys[i]
+                             for i in range(n)), h) \
+                - K.conv(*(pts[..., 1, i].reshape(col) - ys[i]
+                           for i in range(n)), h)
+            # annulus: zero the concentric inner cube 2^(k-1) q
+            dvals[(slice(None),) * 2
+                  + (slice(side // 4, side // 4 + side // 2),) * n] = 0.0
+            blocks.append(np.abs(dvals).reshape(col[0] * col[1], -1))
+            owners.append((k, js))
+    terms = [[] for _ in cubes]
+    if blocks:
         norms = young.luxemburg_norm_batch(
-            dvals, np.full(dvals.shape, grid.cell_volume), A)
-        rows = np.cumsum([len(pairs[j]) for j in kept])[:-1]
-        for j, part in zip(kept, np.split(norms, rows)):
-            terms[j].append(((1 << k) * cubes[j].length(grid)) ** n * part)
+            blocks, [np.full(b.shape, grid.cell_volume) for b in blocks], A)
+        start = 0
+        for k, js in owners:
+            for j in js:
+                part = norms[start:start + len(pairs[j])]
+                start += len(pairs[j])
+                terms[j].append(((1 << k) * cubes[j].length(grid)) ** n
+                                * part)
     out = []
     for pq, tj in zip(pairs, terms):
         totals = sum(tj, np.zeros(len(pq)))

@@ -435,12 +435,15 @@ _LUX_BLOCK = 2048  # estimate and certify this many rows at a time
 
 
 def luxemburg_norm_batch(values, measures, A: YoungFunction):
-    """Vectorized Luxemburg norms for a stack of same-size cubes.
+    """Vectorized Luxemburg norms for a stack of same-size cubes, or for
+    several such stacks whose cube sizes differ.
 
-    values/measures have shape (ncubes, cells_per_cube), finite, with
-    measures >= 0 and a positive total per cube; returns (ncubes,).  The
-    norm is that of a bisection in log lam from hi/lo = 1e18 (up where the
-    modular at sqrt(lo hi) is > 1), whose steps do not depend on the batch.
+    values/measures have shape (ncubes, cells_per_cube), or are lists of
+    such arrays (row groups, one width per group), finite, with measures
+    >= 0 and a positive total per cube; returns the norms of all rows,
+    group after group.  The norm is that of a bisection in log lam from
+    hi/lo = 1e18 (up where the modular at sqrt(lo hi) is > 1), whose steps
+    do not depend on the batch.
 
     Estimate, certify, replay: a per-row secant from hi and Jensen's point
     avg|v| / A^-1(1) estimates the root, certified at est (1 -+ eta).  a is
@@ -450,41 +453,71 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
     nondecreasing, so a factor 1 -+ delta (450 ulp) in lam moves the
     modular past all rounding.  A NaN modular (0 inf on a cell of measure
     0, read as down) is no certificate; a row where it occurs at lo, or
-    whose bracket nears the ends of the float range, gets none.
+    whose bracket nears the ends of the float range, gets none.  One loop
+    serves every row, but each group's rows are summed in that group's own
+    array, so every row sum keeps its pairwise order and every row is
+    bitwise its norm alone.
     """
-    v = np.abs(np.asarray(values, dtype=float))
-    mu = np.asarray(measures, dtype=float)
-    if not (np.isfinite(v).all() and np.isfinite(mu).all()) or np.any(mu < 0):
+    if not isinstance(values, list):
+        values, measures = [values], [measures]
+    v = [np.abs(np.asarray(x, dtype=float)) for x in values]
+    mu = [np.asarray(x, dtype=float) for x in measures]
+    if not all(np.isfinite(x).all() for x in v + mu) or \
+            any(np.any(x < 0) for x in mu):
         raise YoungError("non-finite cell value or measure, or measure < 0")
-    tot = mu.sum(axis=1)
-    if np.any(tot <= 0):
+    tot = [x.sum(axis=1) for x in mu]
+    if any(np.any(t <= 0) for t in tot):
         raise YoungError("cube has nonpositive measure")
-    vmax = v.max(axis=1)
-    out = np.zeros(v.shape[0])
+    vmax = np.concatenate([x.max(axis=1) for x in v])
+    out = np.zeros(vmax.size)
     act = vmax > 0
     if not np.any(act):
         return out
     if not np.all(act):
-        v, mu, tot, vmax = v[act], mu[act], tot[act], vmax[act]
+        keep = np.split(act, np.cumsum([len(x) for x in v])[:-1])
+        v, mu, tot = ([x[k] for x, k in zip(arr, keep)]
+                      for arr in (v, mu, tot))
+        vmax = vmax[act]
     if A.family == LINF:
         out[act] = vmax / A.params[0]
         return out
-    n = v.shape[0]
+    starts = np.cumsum([0] + [len(x) for x in v])
+    n = int(starts[-1])
+
+    def groups(i):
+        # (span of i, v, mu, tot) of the rows i (sorted) per group; a run
+        # of rows is a view
+        cut = (0, i.size) if len(v) == 1 else np.searchsorted(i, starts)
+        for g, (p, q) in enumerate(zip(cut[:-1], cut[1:])):
+            if p < q:
+                r0, r1 = i[p] - starts[g], i[q - 1] - starts[g] + 1
+                r = slice(r0, r1) if r1 - r0 == q - p else i[p:q] - starts[g]
+                yield slice(p, q), v[g][r], mu[g][r], tot[g][r]
 
     def certify(i, lam):
         # the modular of rows i at lam, recorded as certificates
-        vi, mi, ti = (v, mu, tot) if i.size == n else (v[i], mu[i], tot[i])
-        m = (A._eval_raw(vi / lam[:, None]) * mi).sum(axis=1) / ti
+        m = np.empty(i.size)
+        for s, vi, mi, ti in groups(i):
+            m[s] = (A._eval_raw(vi / lam[s, None]) * mi).sum(axis=1) / ti
         up, dn = ok[i] & (m > 1.0), ok[i] & (m <= 1.0)
         a[i[up]] = np.maximum(a[i[up]], lam[up] * (1.0 - _LUX_DELTA))
         b[i[dn]] = np.minimum(b[i[dn]], lam[dn] * (1.0 + _LUX_DELTA))
         return m
 
+    def jensen(i):
+        # avg|v| of rows i over A^-1(1)
+        m = np.empty(i.size)
+        for s, vi, mi, ti in groups(i):
+            m[s] = (vi * mi).sum(axis=1) / ti
+        return m / A.inverse_one
+
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         hi = vmax * max(1.0, 1.0 / A.inverse_one)
         ok = (hi > 1e-130) & (hi < 1e130)
-        r, c = np.nonzero(mu == 0)
-        ok[r[~np.isfinite(A._eval_raw(v[r, c] / (hi[r] * 1e-18)))]] = False
+        for vg, mg, start in zip(v, mu, starts):
+            r, c = np.nonzero(mg == 0)
+            ok[(r + start)[~np.isfinite(A._eval_raw(
+                vg[r, c] / (hi[r + start] * 1e-18)))]] = False
         a, b, bad = np.zeros(n), np.full(n, np.inf), np.zeros(n, bool)
         # estimate and certify in blocks of rows, which bounds the memory
         for j in range(0, n, _LUX_BLOCK):
@@ -495,7 +528,7 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
             i = j + (k := np.flatnonzero(ok[sl]))
             # a secant on g = log modular against x = log lam, from hi and
             # Jensen's point; g falls with slope <= -1, that of A(t) = t
-            lam = ((v[sl] * mu[sl]).sum(axis=1) / tot[sl])[k] / A.inverse_one
+            lam = jensen(i)
             x0, g0, x1 = np.log(hi[i]), np.log(m[k]), np.log(lam)
             g1, est = np.log(certify(i, lam)), np.full(m.size, np.nan)
             est[k] = x1

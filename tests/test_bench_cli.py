@@ -261,6 +261,25 @@ def test_cli_battery_directory_name_with_glob_characters(tmp_path):
     assert list(summary["scenarios"]) == ["constants_unit"]
 
 
+@pytest.mark.parametrize("key, literal", [("gauge_a", "llogl(1,2)"),
+                                          ("kernel", "hilbert(x=1)"),
+                                          ("f", "indicator(0)")])
+def test_cli_battery_parses_every_literal_first(tmp_path, key, literal):
+    # a malformed literal in the last scenario is a scenario error before
+    # any scenario runs: no report directory and no battery.json
+    bat = tmp_path / "bat"
+    bat.mkdir()
+    shutil.copy(os.path.join(BATTERY_DIR, "cf_hilbert_m0.ini"), bat)
+    cp = configparser.ConfigParser()
+    cp.read(os.path.join(BATTERY_DIR, "sparse_hilbert_m0.ini"))
+    cp["scenario"][key] = literal
+    with open(bat / "zz_bad.ini", "w") as fh:
+        cp.write(fh)
+    out = tmp_path / "bat_out"
+    assert cli.main(["battery", str(bat), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_cli_level_override(tmp_path):
     path = os.path.join(BATTERY_DIR, "strong_hilbert_m0.ini")
     out = tmp_path / "lvl_out"

@@ -207,6 +207,51 @@ def test_operator_norm_l2_matches_dense_power_iteration(rng):
                                                              rel=1e-10)
 
 
+def _power_loop(K, grid):
+    """operator_norm_l2 as 20 power iterations of apply_operator then
+    _apply_adjoint, each evaluating the profile and its products anew."""
+    v = np.random.default_rng(12345).standard_normal(grid.shape)
+    v /= np.linalg.norm(v)
+    sigma = 0.0
+    for _ in range(20):
+        tv = op.apply_operator(K, GridFunction(grid, v)).cells
+        w = op._apply_adjoint(K, grid, tv)
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0
+        sigma = math.sqrt(float(np.abs((v * w).sum())))
+        v = w / nw
+    return sigma
+
+
+def _l2_cases(rng):
+    """1D convolution kernels at L = 6, 7 (dense products) and 8, 10 (FFT
+    products), the 2D homogeneous kernel at L = 3, 4 and a matrix kernel."""
+    for L in (6, 7, 8, 10):
+        yield from _conv_kernels(L, rng)
+    for L in (3, 4):
+        yield (op.make_homog(_asymmetric_table()),
+               Grid(2, (-0.5, -0.5), 1.0, L))
+    yield (op.make_matrix(rng.standard_normal((64, 64))),
+           Grid(1, (0.0,), 1.0, 6))
+
+
+def test_operator_norm_l2_bitwise_power_loop(rng, monkeypatch):
+    # the prepared products of T and T* give every bit of the loop that
+    # applies the operator anew, with one profile evaluation per call
+    real = op.Kernel.profile
+    for K, grid in _l2_cases(rng):
+        want = _power_loop(K, grid)
+        calls = []
+        with monkeypatch.context() as mp:
+            mp.setattr(op.Kernel, "profile",
+                       lambda self, g: calls.append(g) or real(self, g))
+            got = op.operator_norm_l2(K, grid)
+        case = (K.family, grid.n, grid.level)
+        assert got.hex() == want.hex(), case
+        assert len(calls) == (K.matrix is None), case
+
+
 def _toeplitz_rows_full(kprof, G, d, rows):
     """A reference 1D chunk loop with no trim: every chunk copies out and
     multiplies the full block width, zero columns included."""
@@ -235,7 +280,11 @@ def _against_full_width(L, rng, monkeypatch):
                          (K.family + " reversed", kprof[::-1].copy())):
             f = rng.standard_normal(N)
             with monkeypatch.context() as mp:
-                mp.setattr(op, "_toeplitz_rows", _toeplitz_rows_full)
+                # _apply's halves are prepared products: the reference
+                # applies the same zeroed profiles at full width
+                mp.setattr(op, "_toeplitz_product",
+                           lambda kz, window, d, rows: lambda G:
+                           _toeplitz_rows_full(kz, G, d, rows))
                 want = op._apply(kp, f)
             yield name + " _apply", op._apply(kp, f), want
             shapes = [((1, N), 0, N)] + [((N >> k, 3 << k), 1 << k, 1 << k)
@@ -306,7 +355,7 @@ def test_toeplitz_rows_split_keeps_every_bit(rng, monkeypatch):
             assert (width, cols) == (w, s), case
             assert rows * width * cols <= op._GEMM_ONE_THREAD, case
             assert rows >= 4 and rows * cols > 1200, case
-        fft = op._fft_rows(kprof, G, (s,), (s,))
+        fft = op._fft_product(kprof, G.shape[1:], (s,), (s,))(G)
         assert np.abs(fft - got).max() <= 1e-13 * np.abs(got).max(), case
 
 
@@ -694,6 +743,10 @@ def test_annulus_sums_match_per_pair_reference(name):
             assert list(zip(totals, tails)) == want[j], (name, picks[j])
         mixed |= len({_kept_levels(picks[j], grid, 6) for j in group}) > 1
     assert mixed  # some batch holds cubes whose annuli stop at different k
+    # every picked cube in one call: all sides in one Luxemburg batch
+    got = op._annulus_sums(K, A, grid, picks, pairs, 6)
+    for j, (totals, tails) in enumerate(got):
+        assert list(zip(totals, tails)) == want[j], (name, picks[j])
 
 
 def _kept_levels(q, grid, k_max):
@@ -702,28 +755,27 @@ def _kept_levels(q, grid, k_max):
                  if is_clipped(dilate(q, 2 ** k), grid)), k_max)
 
 
-def test_hormander_one_luxemburg_call_per_side_and_level(monkeypatch):
-    grid = Grid(1, (-0.5,), 1.0, 8)
-    real_sums, real_batch = op._annulus_sums, young.luxemburg_norm_batch
-    sides, calls = [], []
-
-    def sums(K, A, grid, cubes, pairs, k_max):
-        assert len({q.side for q in cubes}) == 1
-        sides.append(cubes[0].side)
-        return real_sums(K, A, grid, cubes, pairs, k_max)
+@pytest.mark.parametrize("n, L", ((1, 8), (2, 5)))
+def test_hormander_one_luxemburg_call_per_estimate(n, L, monkeypatch):
+    # every annulus of every sampled cube goes into one batched call, a
+    # row per (cube, pair, kept annulus)
+    grid = Grid(n, (-0.5,) * n, 1.0, L)
+    K = op.make_hilbert() if n == 1 else op.make_homog(_asymmetric_table())
+    real, calls = young.luxemburg_norm_batch, []
 
     def batch(values, measures, A):
-        # in 1D the row length 2^k * side names the annulus level
-        calls.append((sides[-1], values.shape[1]))
-        return real_batch(values, measures, A)
+        calls.append(values)
+        return real(values, measures, A)
 
-    monkeypatch.setattr(op, "_annulus_sums", sums)
     monkeypatch.setattr(young, "luxemburg_norm_batch", batch)
-    op.hormander_estimate(op.make_hilbert(), young.llogl(1), grid)
-    assert len(sides) == len(set(sides)) == 6  # sides 4..128
-    assert len(calls) == len(set(calls))
-    assert all(cells // side in (2, 4, 8, 16, 32, 64, 128, 256)
-               for side, cells in calls)
+    rows = 0
+    for q in op._smoothness_cubes(grid, 24, 0):
+        pts = len(op._stencil_cells(Cube(q.lattice, q.level, tuple(
+            c + q.side // 4 for c in q.origin), q.side // 2), grid))
+        rows += pts * (pts - 1) // 2 * _kept_levels(q, grid, 6)
+    op.hormander_estimate(K, young.llogl(1), grid, cube_budget=24, k_max=6)
+    (groups,) = calls
+    assert sum(len(g) for g in groups) == rows > 0
 
 
 def test_omega_modulus_matches_rotation_loop():

@@ -416,6 +416,35 @@ def test_luxemburg_batch_bitwise_equals_bisection(A, n, seed, c_exp,
     assert got.tobytes() == _bisection_reference(vals, mu, A).tobytes()
 
 
+@pytest.mark.parametrize("A", LUX_GAUGES, ids=young.format_young)
+@settings(max_examples=6)
+@given(widths=st.lists(st.sampled_from([1, 4, 8, 9, 64, 129]), min_size=2,
+                       max_size=4, unique=True),
+       seed=st.integers(0, 2**32 - 1),
+       c_exp=st.floats(-12.0, 12.0), spread_exp=st.floats(-12.0, 12.0))
+def test_luxemburg_ragged_batch_rows_equal_one_row_calls(A, widths, seed,
+                                                          c_exp, spread_exp):
+    # row groups of different widths share one call; each row, all-zero
+    # rows and rows with cells of measure 0 included, is its norm alone
+    rng = np.random.default_rng(seed)
+    groups = [_lux_rows(w, rng, 10.0 ** c_exp, 10.0 ** spread_exp)
+              for w in widths]
+    got = young.luxemburg_norm_batch([v for v, _ in groups],
+                                     [mu for _, mu in groups], A)
+    want = [young.luxemburg_norm_batch(row[None], m[None], A)
+            for v, mu in groups for row, m in zip(v, mu)]
+    assert got.tobytes() == np.concatenate(want).tobytes()
+
+
+def test_luxemburg_ragged_batch_rejects_nonpositive_group_measure():
+    vals = [np.ones((2, 4)), np.ones((3, 7))]
+    mu = [np.ones((2, 4)), np.ones((3, 7))]
+    young.luxemburg_norm_batch(vals, mu, young.llogl(1))
+    mu[1][2] = 0.0  # the last row of the second group
+    with pytest.raises(young.YoungError):
+        young.luxemburg_norm_batch(vals, mu, young.llogl(1))
+
+
 def _count_evaluated_rows(monkeypatch):
     """Count the rows of every 2D modular evaluation."""
     count = [0]
