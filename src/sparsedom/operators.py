@@ -7,14 +7,16 @@ that is never built whole.  Every application goes through one primitive,
 `_toeplitz_product`: it prepares the kernel side of a product once (a dense
 block, or the spectrum of a profile segment) and then multiplies it into
 any number of rows of data.  The truncation maximal operator makes one
-product per dyadic level.  apply_operator and its adjoint make two, one per
-half of the displacements, joined by a flip identity that keeps odd kernels
-exactly odd on even data (`_flip_pair`); the L2 power iteration prepares
-both halves once for all its steps.  Small 1D products are one dense block,
-all others FFT products: O(N log N) per axis from O(N) kernel evaluations.
-The smoothness estimate evaluates the kernel for all sampled cubes of one
-side in one broadcast call per annulus, and takes all its Luxemburg norms
-in one batch.
+product per dyadic level.  A kernel applied to a whole grid goes through
+`_pair`, which prepares T and T* together: a matrix kernel is its matrix,
+a convolution kernel two products, one per half of the displacements,
+joined by a flip identity that keeps odd kernels exactly odd on even data.
+apply_operator prepares T for one application, the L2 power iteration T
+and T* for all its steps, a commutator T for its m+1 splits.  Small 1D
+products are one dense block, all others FFT products: O(N log N) per
+axis from O(N) kernel evaluations.  The smoothness estimate evaluates the
+kernel for all sampled cubes of one side in one broadcast call per
+annulus, and takes all its Luxemburg norms in one batch.
 """
 
 from __future__ import annotations
@@ -234,32 +236,19 @@ def parse_kernel(text: str) -> Kernel:
 def apply_operator(K: Kernel, f: GridFunction) -> GridFunction:
     """Tf(x) = sum_y K(x, y) f(y) |cell|, diagonal skipped when singular.
 
-    Odd kernels give an exactly odd result on even data (see _apply).
+    Odd kernels give an exactly odd result on even data (see _pair).
     """
-    grid = f.grid
-    if K.matrix is not None:
-        if K.matrix.shape[0] != f.cells.size:
-            raise OperatorError("matrix kernel size does not match grid")
-        out = (K.matrix @ f.cells.ravel()) * grid.cell_volume
-        return GridFunction(grid, out.reshape(grid.shape))
-    if K.n != grid.n:
-        raise OperatorError("kernel dimension does not match grid")
-    out = _apply(K.profile(grid), f.cells) * grid.cell_volume
-    return GridFunction(grid, out)
+    return GridFunction(f.grid, _pair(K, f.grid)[0](f.cells))
 
 
-def _apply(kprof: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """sum_j kprof[N-1+i-j] cells[j] for each cell i (index per axis),
-    without the cell volume: the first of _flip_pair."""
-    return _flip_pair(kprof, cells.shape)[0](cells)
+def _pair(K: Kernel, grid: Grid) -> tuple:
+    """T and T* on cell arrays of the grid, cell volume included, each
+    prepared once for any number of applications.
 
-
-def _flip_pair(kprof: np.ndarray, shape: tuple) -> tuple:
-    """T and T* on cells of the given shape, without the cell volume, as
-    T f = K(0) f + H(K, f) + R H(RK, Rf) and T* f = K(0) f + H(RK, f)
-    + R H(K, Rf).
-
-    R reverses every axis.  H sums over the displacements i - j after 0 in
+    A matrix kernel is its matrix and its transpose.  A convolution kernel
+    is applied as T f = K(0) f + H(K, f) + R H(RK, Rf) and T* f = K(0) f
+    + H(RK, f) + R H(K, Rf), from one evaluation of its profile.  R
+    reverses every axis.  H sums over the displacements i - j after 0 in
     row-major order: one prepared _toeplitz_product of a copy of the
     profile zeroed up to its center, so the two halves serve both T and T*.
     For odd K (RK = -K) and even f the second H is the first with every
@@ -267,8 +256,19 @@ def _flip_pair(kprof: np.ndarray, shape: tuple) -> tuple:
     exactly odd.  Both products need C-contiguous data: numpy's matmul on a
     reversed view sums in another order.
     """
-    flip = (slice(None, None, -1),) * len(shape)
-    zero = (0,) * len(shape)
+    vol = grid.cell_volume
+    if K.matrix is not None:
+        M = K.matrix
+        if M.shape[0] != math.prod(grid.shape):
+            raise OperatorError("matrix kernel size does not match grid")
+        return (lambda c: (M @ c.ravel()).reshape(grid.shape) * vol,
+                lambda c: (M.T @ c.ravel()).reshape(grid.shape) * vol)
+    if K.n != grid.n:
+        raise OperatorError("kernel dimension does not match grid")
+    kprof = K.profile(grid)
+    shape = grid.shape
+    flip = (slice(None, None, -1),) * grid.n
+    zero = (0,) * grid.n
 
     def half(kp):
         kz = kp.copy()
@@ -281,7 +281,7 @@ def _flip_pair(kprof: np.ndarray, shape: tuple) -> tuple:
         def apply(cells):
             out = center * cells + h1(np.ascontiguousarray(cells)[None])[0]
             out += h2(np.ascontiguousarray(cells[flip])[None])[0][flip]
-            return out
+            return out * vol
         return apply
     return joined(h, hr), joined(hr, h)
 
@@ -294,18 +294,13 @@ _CHUNK = 1 << 15
 _GEMM_ONE_THREAD = (1 << 19) - 1
 
 
-def _toeplitz_rows(kprof: np.ndarray, G: np.ndarray, d: tuple,
-                   rows: tuple) -> np.ndarray:
-    """out[r, t] = sum_u kprof[N-1+d+t-u] G[r, u] for t < rows, with t, u,
-    d and rows one entry per axis of kprof; G is (data rows,) + window.
-    Every d+t-u must lie in [-(N-1), N-1]."""
-    return _toeplitz_product(kprof, G.shape[1:], d, rows)(G)
-
-
 def _toeplitz_product(kprof: np.ndarray, window: tuple, d: tuple,
                       rows: tuple):
-    """The kernel side of _toeplitz_rows for data of the given window: a
-    function G -> out that applies it to any number of data rows.
+    """The kernel side of a Toeplitz product for data of the given window:
+    a function G -> out, out[r, t] = sum_u kprof[N-1+d+t-u] G[r, u] for
+    t < rows, that applies it to any number of data rows.  t, u, d and rows
+    have one entry per axis of kprof, G is (data rows,) + window, and every
+    d+t-u must lie in [-(N-1), N-1].
 
     An all-zero profile makes no product.  A 1D block of at most _CHUNK
     elements (every 1D product up to L = 7) is copied out of the profile
@@ -356,7 +351,7 @@ def _fft_product(kprof: np.ndarray, window: tuple, d: tuple, rows: tuple):
     with G holds the product at offsets W-1 .. W-2+R, free of wrap-around
     at any period >= W+R-1; the segment's rfftn, made here once, and one
     of all rows of G use the least power of two that long.  Negating the
-    profile negates every rounded step, so _apply's odd kernels stay
+    profile negates every rounded step, so the odd kernels of _pair stay
     exactly odd.
     """
     N = (kprof.shape[0] + 1) // 2
@@ -383,42 +378,21 @@ def apply_windowed(K: Kernel, f: GridFunction, out_slice, in_slice) -> np.ndarra
 
 
 def operator_norm_l2(K: Kernel, grid: Grid) -> float:
-    """Discrete L2 -> L2 norm estimate by 20 power iterations on T* T.
-    A convolution kernel's profile is evaluated, and the kernel sides of
-    its products prepared, once per call (_flip_pair)."""
-    if K.matrix is not None:
-        def normal(v):
-            tv = apply_operator(K, GridFunction(grid, v)).cells
-            return _apply_adjoint(K, grid, tv)
-    else:
-        if K.n != grid.n:
-            raise OperatorError("kernel dimension does not match grid")
-        T, Ts = _flip_pair(K.profile(grid), grid.shape)
-
-        def normal(v):
-            return Ts(T(v) * grid.cell_volume) * grid.cell_volume
+    """Discrete L2 -> L2 norm estimate by 20 power iterations on T* T, with
+    T and T* prepared once per call (_pair)."""
+    T, Ts = _pair(K, grid)
     rng = np.random.default_rng(12345)
     v = rng.standard_normal(grid.shape)
     v /= np.linalg.norm(v)
     sigma = 0.0
     for _ in range(20):
-        w = normal(v)
+        w = Ts(T(v))
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         sigma = math.sqrt(float(np.abs((v * w).sum())))
         v = w / nw
     return sigma
-
-
-def _apply_adjoint(K: Kernel, grid: Grid, cells: np.ndarray) -> np.ndarray:
-    """T* f: the transposed matrix, or the profile reversed along every
-    axis, since K(y, x) = K(-(x - y))."""
-    if K.matrix is not None:
-        return (K.matrix.T @ cells.ravel()).reshape(grid.shape) \
-            * grid.cell_volume
-    return _apply(K.profile(grid)[(slice(None, None, -1),) * grid.n],
-                  cells) * grid.cell_volume
 
 
 # -- commutators --------------------------------------------------------------
@@ -436,14 +410,17 @@ class CommutatorSpec:
 
 def commutator_apply(K: Kernel, spec: CommutatorSpec, f: GridFunction,
                      center: float = 0.0) -> GridFunction:
-    """T_b^m f via the binomial expansion in (b - c): m+1 applications of T."""
+    """T_b^m f via the binomial expansion in (b - c): m+1 applications of
+    one prepared T.  Order 0 is apply_operator itself: summing into zeros
+    could turn a -0.0 into +0.0."""
     if spec.m == 0:
         return apply_operator(K, f)
     grid = f.grid
+    T = _pair(K, grid)[0]
     bc = spec.b.cells - center
     out = np.zeros(grid.shape)
     for h in range(spec.m + 1):
-        tf = apply_operator(K, GridFunction(grid, bc**h * f.cells)).cells
+        tf = T(bc**h * f.cells)
         out += ((-1) ** h) * math.comb(spec.m, h) * bc ** (spec.m - h) * tf
     return GridFunction(grid, out)
 
@@ -536,7 +513,7 @@ def grand_maximal_truncated(K: Kernel, f: GridFunction,
         kprof = K.profile(grid)
 
         def apply(G, d, s):
-            return _toeplitz_rows(kprof, G, d, (s,) * n)
+            return _toeplitz_product(kprof, G.shape[1:], d, (s,) * n)(G)
     # f chi_{3Q0} on the cells o-S .. o+2S-1 per axis, zero outside the
     # domain; T(f chi_{3Q0}) on Q0 reads only the cells inside it
     s3 = cube_slices(dilate(Q0, 3), grid)

@@ -451,12 +451,12 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
     (1 + delta) times the smallest with modular <= 1, and the replayed
     bisection evaluates only the mids in [a, b].  No bit moves: A(t)/t is
     nondecreasing, so a factor 1 -+ delta (450 ulp) in lam moves the
-    modular past all rounding.  A NaN modular (0 inf on a cell of measure
-    0, read as down) is no certificate; a row where it occurs at lo, or
-    whose bracket nears the ends of the float range, gets none.  One loop
-    serves every row, but each group's rows are summed in that group's own
-    array, so every row sum keeps its pairwise order and every row is
-    bitwise its norm alone.
+    modular past all rounding.  A cell of measure 0 counts in hi but not in
+    the modular, which it would make NaN (0 inf) where A overflows; a row
+    whose bracket nears the ends of the float range gets no certificate.
+    One loop serves every row, but each group's rows are summed in that
+    group's own array, so every row sum keeps its pairwise order and every
+    row is bitwise its norm alone.
     """
     if not isinstance(values, list):
         values, measures = [values], [measures]
@@ -469,6 +469,8 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
     if any(np.any(t <= 0) for t in tot):
         raise YoungError("cube has nonpositive measure")
     vmax = np.concatenate([x.max(axis=1) for x in v])
+    # a cell of measure 0 counts in hi only, not in the modular
+    v = [np.where(m == 0, 0.0, x) for x, m in zip(v, mu)]
     out = np.zeros(vmax.size)
     act = vmax > 0
     if not np.any(act):
@@ -514,10 +516,6 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         hi = vmax * max(1.0, 1.0 / A.inverse_one)
         ok = (hi > 1e-130) & (hi < 1e130)
-        for vg, mg, start in zip(v, mu, starts):
-            r, c = np.nonzero(mg == 0)
-            ok[(r + start)[~np.isfinite(A._eval_raw(
-                vg[r, c] / (hi[r + start] * 1e-18)))]] = False
         a, b, bad = np.zeros(n), np.full(n, np.inf), np.zeros(n, bool)
         # estimate and certify in blocks of rows, which bounds the memory
         for j in range(0, n, _LUX_BLOCK):

@@ -100,8 +100,8 @@ def test_odd_kernel_exact_antisymmetry(sym_grid):
 
 
 def test_odd_kernel_exact_antisymmetry_across_chunks():
-    # at L=12 a Toeplitz block spans many chunks, so both halves of _apply
-    # are FFT products; negating the profile must negate every bit
+    # at L=12 a Toeplitz block spans many chunks, so both halves of _pair's
+    # T are FFT products; negating the profile must negate every bit
     grid = Grid(1, (-0.5,), 1.0, 12)
     assert op._CHUNK // (grid.cells_per_side - 1) < grid.cells_per_side // 8
     f = grid_function(grid, lambda x: np.exp(-x ** 2))
@@ -122,7 +122,7 @@ def test_odd_kernel_exact_antisymmetry_2d(L, rng):
     g = rng.standard_normal(grid.shape)
     out = op.apply_operator(K, GridFunction(grid, g + g[::-1, ::-1])).cells
     assert np.array_equal(out, -out[::-1, ::-1])
-    adj = op._apply_adjoint(K, grid, g + g[::-1, ::-1])
+    adj = op._pair(K, grid)[1](g + g[::-1, ::-1])
     assert np.array_equal(adj, -out)
 
 
@@ -190,7 +190,7 @@ def test_apply_and_adjoint_match_dense_matrix(L, rng):
         got = op.apply_operator(K, GridFunction(grid, f)).cells.ravel()
         assert np.abs(got - D @ fv).max() <= tol, K.family
         tol = 1e-13 * float((np.abs(D.T) @ np.abs(fv)).max())
-        adj = op._apply_adjoint(K, grid, f).ravel()
+        adj = op._pair(K, grid)[1](f).ravel()
         assert np.abs(adj - D.T @ fv).max() <= tol, K.family
 
 
@@ -208,14 +208,14 @@ def test_operator_norm_l2_matches_dense_power_iteration(rng):
 
 
 def _power_loop(K, grid):
-    """operator_norm_l2 as 20 power iterations of apply_operator then
-    _apply_adjoint, each evaluating the profile and its products anew."""
+    """operator_norm_l2 as 20 power iterations of apply_operator then T*,
+    each evaluating the profile and preparing its products anew."""
     v = np.random.default_rng(12345).standard_normal(grid.shape)
     v /= np.linalg.norm(v)
     sigma = 0.0
     for _ in range(20):
         tv = op.apply_operator(K, GridFunction(grid, v)).cells
-        w = op._apply_adjoint(K, grid, tv)
+        w = op._pair(K, grid)[1](tv)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
@@ -270,37 +270,39 @@ def _toeplitz_rows_full(kprof, G, d, rows):
 
 def _against_full_width(L, rng, monkeypatch):
     """(case, trimmed, full) for each 1D convolution kernel at level L and
-    its reversed profile: _apply, and _toeplitz_rows on the products of
-    the truncation maximal operator on the root cube (the base product,
-    then every level's windows of 3s cells starting s cells early)."""
+    its reversed profile: T and T* of _pair, and _toeplitz_product on the
+    products of the truncation maximal operator on the root cube (the base
+    product, then every level's windows of 3s cells starting s cells
+    early)."""
     N = 1 << L
     for K, grid in _conv_kernels(L, rng):
         kprof = K.profile(grid)
-        for name, kp in ((K.family, kprof),
-                         (K.family + " reversed", kprof[::-1].copy())):
+        for side, (name, kp) in enumerate((
+                (K.family, kprof),
+                (K.family + " reversed", kprof[::-1].copy()))):
             f = rng.standard_normal(N)
             with monkeypatch.context() as mp:
-                # _apply's halves are prepared products: the reference
+                # _pair's halves are prepared products: the reference
                 # applies the same zeroed profiles at full width
                 mp.setattr(op, "_toeplitz_product",
                            lambda kz, window, d, rows: lambda G:
                            _toeplitz_rows_full(kz, G, d, rows))
-                want = op._apply(kp, f)
-            yield name + " _apply", op._apply(kp, f), want
+                want = op._pair(K, grid)[side](f)
+            yield name + " _pair", op._pair(K, grid)[side](f), want
             shapes = [((1, N), 0, N)] + [((N >> k, 3 << k), 1 << k, 1 << k)
                                          for k in range(L)]
             for shape, d, rows in shapes:
                 G = rng.standard_normal(shape)
                 yield (f"{name} d={d}",
-                       op._toeplitz_rows(kp, G, (d,), (rows,)),
+                       op._toeplitz_product(kp, G.shape[1:], (d,), (rows,))(G),
                        _toeplitz_rows_full(kp, G, (d,), (rows,)))
 
 
 @pytest.mark.parametrize("L", (3, 4, 5, 6, 7))
 def test_toeplitz_rows_bitwise_full_width_at_one_chunk(L, rng, monkeypatch):
     # one chunk spans all rows up to L = 7, where the one-sided trim of
-    # _apply is the same product as before: constants_unit's L6 table
-    # hash rests on this
+    # _pair's halves is the same product as before: constants_unit's L6
+    # table hash rests on this
     for case, got, want in _against_full_width(L, rng, monkeypatch):
         assert got.tobytes() == want.tobytes(), case
 
@@ -344,7 +346,7 @@ def test_toeplitz_rows_split_keeps_every_bit(rng, monkeypatch):
     monkeypatch.setattr(np, "matmul", spy)
     for case, kprof, G, s, w in _split_products(rng):
         runs.clear()
-        got = op._toeplitz_rows(kprof, G, (s,), (s,))
+        got = op._toeplitz_product(kprof, G.shape[1:], (s,), (s,))(G)
         N = (kprof.shape[0] + 1) // 2
         win = sliding_window_view(kprof[::-1], 3 * s)
         blk = np.ascontiguousarray(win[N - 2 * s:N - s, :w][::-1])
@@ -456,6 +458,39 @@ def test_commutator_center_invariance(sym_grid, rng):
     v0 = op.commutator_apply(K, spec, f, center=0.0).cells
     v1 = op.commutator_apply(K, spec, f, center=0.7).cells
     assert np.allclose(v0, v1, rtol=1e-9, atol=1e-12)
+
+
+def _commutator_loop(K, spec, f, center):
+    """commutator_apply as m+1 fresh apply_operator calls, each evaluating
+    the profile and preparing its products anew."""
+    if spec.m == 0:
+        return op.apply_operator(K, f).cells
+    bc = spec.b.cells - center
+    out = np.zeros(f.grid.shape)
+    for h in range(spec.m + 1):
+        tf = op.apply_operator(K, GridFunction(f.grid, bc**h * f.cells)).cells
+        out += ((-1) ** h) * math.comb(spec.m, h) * bc ** (spec.m - h) * tf
+    return out
+
+
+def test_commutator_apply_prepares_once(rng, monkeypatch):
+    # one prepared T serves all m+1 splits, with every bit of the loop
+    # that applies the operator anew and one profile evaluation per call
+    real = op.Kernel.profile
+    for K, grid in _l2_cases(rng):
+        f = GridFunction(grid, rng.standard_normal(grid.shape))
+        b = GridFunction(grid, rng.standard_normal(grid.shape))
+        for m in (0, 1, 2):
+            spec = op.CommutatorSpec(b, m)
+            want = _commutator_loop(K, spec, f, 0.3)
+            calls = []
+            with monkeypatch.context() as mp:
+                mp.setattr(op.Kernel, "profile",
+                           lambda self, g: calls.append(g) or real(self, g))
+                got = op.commutator_apply(K, spec, f, center=0.3).cells
+            case = (K.family, grid.n, grid.level, m)
+            assert got.tobytes() == want.tobytes(), case
+            assert len(calls) == (K.matrix is None), case
 
 
 def test_commutator_spec_order_range(sym_grid):

@@ -299,11 +299,13 @@ def test_luxemburg_batch_inverts_once_per_gauge(rng, monkeypatch):
 
 def _bisection_reference(values, measures, A):
     """The plain bisection that defines luxemburg_norm_batch's answer: one
-    modular evaluation of every row per step."""
+    modular evaluation of every row per step.  A cell of measure 0 counts
+    in hi only."""
     v = np.abs(np.asarray(values, dtype=float))
     mu = np.asarray(measures, dtype=float)
     tot = mu.sum(axis=1)
     vmax = v.max(axis=1)
+    v = np.where(mu == 0, 0.0, v)
     out = np.zeros(v.shape[0])
     act = vmax > 0
     if not np.any(act):
@@ -488,6 +490,18 @@ def test_luxemburg_batch_rejects_non_finite_input(bad):
     mu[1, 2] = bad
     with pytest.raises(young.YoungError):
         young.luxemburg_norm_batch(vals, mu, young.llogl(1))
+
+
+def test_luxemburg_measure_zero_cell_left_out_of_modular():
+    # power(20) overflows at lo on the measure-0 cell, where 0 inf = NaN
+    # would read as "down" and end the bisection near lo (1e-18)
+    A = young.power(20)
+    got = young.luxemburg_norm_batch(np.array([[1.0, 1e-17, 2e-17, 1.5e-17]]),
+                                     np.array([[0.0, 1.0, 1.0, 1.0]]), A)
+    # (sum v^20 mu / sum mu)^(1/20) over the cells of positive measure,
+    # 1.8934e-17
+    want = ((1.0 + 2.0 ** 20 + 1.5 ** 20) / 3.0) ** (1 / 20) * 1e-17
+    assert abs(got[0] - want) <= 1e-11 * want
 
 
 def test_luxemburg_batch_rejects_negative_measure():
