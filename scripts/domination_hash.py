@@ -1,6 +1,6 @@
 """One sha256 over the reports of the domination sweep.
 
-    python3 scripts/domination_hash.py [--levels 8,10,12]
+    python3 scripts/domination_hash.py
 
 Runs bench.domination_battery (every configuration of DOMINATION_BATTERY,
 commutator order m = 0, 1, 2 and data profile f; 135 reports at the
@@ -21,7 +21,6 @@ the same settings.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import os
 import sys
@@ -46,13 +45,8 @@ def digest(levels=(8, 10, 12)) -> str:
     return h.hexdigest()
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--levels", default="8,10,12",
-                    help="comma-separated grid levels (default 8,10,12)")
-    args = ap.parse_args(argv)
-    levels = tuple(int(x) for x in args.levels.split(","))
-    print(digest(levels))
+def main() -> int:
+    print(digest())
     return 0
 
 

@@ -207,15 +207,38 @@ def test_operator_norm_l2_matches_dense_power_iteration(rng):
                                                              rel=1e-10)
 
 
+def _convolve(kprof, cells):
+    """sum_j kprof[N-1+i-j] cells[j], without the cell volume, as K(0) f
+    + H(K, f) + R H(RK, Rf): each half a _toeplitz_product of the profile
+    zeroed up to its center, the reversed half on the reversed cells."""
+    flip = (slice(None, None, -1),) * cells.ndim
+    zero = (0,) * cells.ndim
+
+    def half(kp, c):
+        kz = kp.copy()
+        kz.flat[:kz.size // 2 + 1] = 0.0
+        return op._toeplitz_product(kz, c.shape, zero, c.shape)(
+            np.ascontiguousarray(c)[None])[0]
+    out = kprof.flat[kprof.size // 2] * cells + half(kprof, cells)
+    out += half(kprof[flip], cells[flip])[flip]
+    return out
+
+
 def _power_loop(K, grid):
     """operator_norm_l2 as 20 power iterations of apply_operator then T*,
-    each evaluating the profile and preparing its products anew."""
+    with T* the transposed matrix or the convolution with the profile
+    reversed along every axis, evaluated and prepared anew at each step."""
     v = np.random.default_rng(12345).standard_normal(grid.shape)
     v /= np.linalg.norm(v)
     sigma = 0.0
     for _ in range(20):
         tv = op.apply_operator(K, GridFunction(grid, v)).cells
-        w = op._pair(K, grid)[1](tv)
+        if K.matrix is not None:
+            w = (K.matrix.T @ tv.ravel()).reshape(grid.shape)
+        else:
+            w = _convolve(K.profile(grid)[(slice(None, None, -1),) * grid.n],
+                          tv)
+        w = w * grid.cell_volume
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
