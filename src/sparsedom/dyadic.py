@@ -324,7 +324,8 @@ def scope_tilings(grid: Grid, k: int, shifted: bool) -> list:
 
 def scope_max(grid: Grid, shifted: bool, reduce, *arrays) -> np.ndarray:
     """At each cell, the max over the scope cubes containing it (those of
-    scope_cubes) of reduce(mask, *blocks), an array with one value per cube.
+    scope_cubes) of reduce(masks, *blocks), an array with one value per
+    cube.
 
     Blocks stack the arrays over one tiling of a level as (cubes, side**n),
     each row in the cube's row-major cell order; cells outside the domain
@@ -332,11 +333,14 @@ def scope_max(grid: Grid, shifted: bool, reduce, *arrays) -> np.ndarray:
     side s, each array is copied once into a zero frame with margins 2s
     before and 3s after the domain on every axis (none without shifted
     lattices), so the base tiling (origin at the domain) and the shifted
-    tilings of scope_tilings are all reshapes of that frame.
+    tilings of scope_tilings are all reshapes of that frame.  reduce is
+    called once, with row groups: masks and each of blocks are lists with
+    one 2D block per level and tiling, in the same order, and it returns
+    the values of all their rows, group after group, as one flat array.
     """
     n, N = grid.n, grid.cells_per_side
     axes = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
-    out = np.full(grid.shape, -np.inf)
+    groups, views, tops = [], [], []
     for k in range(grid.level + 1):
         s = 1 << (grid.level - k)
         lo, hi = (2 * s, 3 * s) if shifted else (0, 0)
@@ -347,24 +351,34 @@ def scope_max(grid: Grid, shifted: bool, reduce, *arrays) -> np.ndarray:
             fr[dom] = a
             frames.append(fr)
         top = np.full((lo + N + hi,) * n, -np.inf)
+        tops.append(top[dom])
         for side, origin in scope_tilings(grid, k, shifted):
             origin = [o + lo for o in origin]  # in frame coordinates
             # the cubes of this tiling that meet the domain, per axis
             counts = [-(-(lo + N - o) // side) for o in origin]
             win = tuple(slice(o, o + c * side) for o, c in zip(origin, counts))
             split = [x for c in counts for x in (c, side)]
-            blocks = [fr[win].reshape(split).transpose(axes)
-                      .reshape(-1, side ** n) for fr in frames]
-            view = top[win].reshape(split)
-            vals = reduce(*blocks).reshape([x for c in counts for x in (c, 1)])
-            np.maximum(view, vals, out=view)
-        np.maximum(out, top[dom], out=out)
+            groups.append([fr[win].reshape(split).transpose(axes)
+                           .reshape(-1, side ** n) for fr in frames])
+            views.append((top[win].reshape(split),
+                          [x for c in counts for x in (c, 1)]))
+    vals = reduce(*map(list, zip(*groups)))
+    start = 0
+    for (view, shape), (mask, *_) in zip(views, groups):
+        part = vals[start:start + len(mask)].reshape(shape)
+        np.maximum(view, part, out=view)
+        start += len(mask)
+    out = np.full(grid.shape, -np.inf)
+    for top in tops:
+        np.maximum(out, top, out=out)
     return out
 
 
-def block_mean(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per-cube average over the domain cells of a scope_max block."""
-    return (values * mask).sum(axis=1) / mask.sum(axis=1)
+def block_mean(masks: list, values: list) -> np.ndarray:
+    """Per-cube averages over the domain cells of scope_max's row groups,
+    group after group."""
+    return np.concatenate([(v * m).sum(axis=1) / m.sum(axis=1)
+                           for m, v in zip(masks, values)])
 
 
 def descendants(cube: Cube, max_level: int) -> list:

@@ -191,7 +191,10 @@ def reverse_holder_check(w: GridFunction, Q: Cube, tau_n: float,
 def bmo_norm(b: GridFunction, shifted: bool = True) -> float:
     """sup over scope cubes of the mean oscillation (1/|Q|) int_Q |b - b_Q|."""
     def osc(m, v):
-        return block_mean(m, np.abs(v - block_mean(m, v)[:, None]))
+        means = np.split(block_mean(m, v),
+                         np.cumsum([len(x) for x in v])[:-1])
+        return block_mean(m, [np.abs(x - c[:, None])
+                              for x, c in zip(v, means)])
 
     return float(scope_max(b.grid, shifted, osc, b.cells).max())
 

@@ -432,6 +432,7 @@ _LUX_STEP_TOL = 1e-14  # estimate: a row stops at a step this small in log lam
 _LUX_ETA = 4e-13  # certify at est * (1 -+ _LUX_ETA)
 _LUX_DELTA = 1e-13  # replay: a certificate decides the steps this far past it
 _LUX_BLOCK = 2048  # estimate and certify this many rows at a time
+_LUX_ROWS = 8  # a call of at most this many rows runs row by row
 
 
 def luxemburg_norm_batch(values, measures, A: YoungFunction):
@@ -442,8 +443,10 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
     such arrays (row groups, one width per group), finite, with measures
     >= 0 and a positive total per cube; returns the norms of all rows,
     group after group.  The norm is that of a bisection in log lam from
-    hi/lo = 1e18 (up where the modular at sqrt(lo hi) is > 1), whose steps
-    do not depend on the batch.
+    hi/lo = 1e18 (up where the modular at the midpoint sqrt(lo hi) is > 1),
+    which each row ends at its own step where hi/lo - 1 <= 1e-12.  Where
+    lo hi leaves the normal range, the midpoint is the root of the product
+    scaled by an even power of two, as if the exponent range had no ends.
 
     Estimate, certify, replay: a per-row secant from hi and Jensen's point
     avg|v| / A^-1(1) estimates the root, certified at est (1 -+ eta).  a is
@@ -456,7 +459,9 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
     whose bracket nears the ends of the float range gets no certificate.
     One loop serves every row, but each group's rows are summed in that
     group's own array, so every row sum keeps its pairwise order and every
-    row is bitwise its norm alone.
+    row is bitwise its norm alone.  A call of at most _LUX_ROWS rows, where
+    numpy's per-call cost outweighs the arithmetic, runs the same steps
+    row by row in _luxemburg_rows, with the same bits.
     """
     if not isinstance(values, list):
         values, measures = [values], [measures]
@@ -485,6 +490,11 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
         return out
     starts = np.cumsum([0] + [len(x) for x in v])
     n = int(starts[-1])
+    if n <= _LUX_ROWS:
+        out[act] = _luxemburg_rows(
+            [r for g in zip(v, mu, tot, np.split(vmax, starts[1:-1]))
+             for r in zip(*g)], A)
+        return out
 
     def groups(i):
         # (span of i, v, mu, tot) of the rows i (sorted) per group; a run
@@ -549,19 +559,110 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
                 certify(k + j, est[k] * side)
         hi = np.where(bad, 4.0 * hi, hi)
         lo = hi * 1e-18
-        # replay; an ok row's bracket fails the stopping test until step 40
-        first_test = 39 if ok.any() else 0
+        # replay; a row stops at its own step where hi/lo - 1 <= 1e-12, step
+        # 45 for normal floats.  Testing from step 39 on moves no bit: a
+        # bracket passes earlier only once its ends are equal, and they stay
+        live = np.ones(n, bool)
         for step in range(200):
-            mid = np.sqrt(lo * hi)
+            mid = np.sqrt(p := lo * hi)
+            if p.min() < 2.0 ** -1022 or p.max() == np.inf:
+                far = (p < 2.0 ** -1022) | (p == np.inf)
+                (ml, el), (mh, eh) = np.frexp(lo[far]), np.frexp(hi[far])
+                e = el + eh
+                mid[far] = np.ldexp(np.sqrt(ml * mh * (1 + (e & 1))), e >> 1)
             up = mid < a
-            i = (~(up | (mid > b))).nonzero()[0]
+            i = (live & ~(up | (mid > b))).nonzero()[0]
             if i.size:
                 up[i] = certify(i, mid[i]) > 1.0
-            lo = np.where(up, mid, lo)
-            hi = np.where(up, hi, mid)
-            if step >= first_test and (hi / lo - 1.0 <= 1e-12).all():
-                break
+            lo = np.where(live & up, mid, lo)
+            hi = np.where(live & ~up, mid, hi)
+            if step >= 39:
+                live &= ~(hi / lo - 1.0 <= 1e-12)
+                if not live.any():
+                    break
     out[act] = hi
+    return out
+
+
+def _luxemburg_rows(rows, A: YoungFunction) -> list:
+    """luxemburg_norm_batch's norms of rows (v, mu, tot, vmax), one row at
+    a time: the same hi, ok, bad, Jensen start, secant, certificates and
+    replay, with the control flow in Python floats and numpy only for the
+    row's modular, the same expression on the same row.  Python's *, / and
+    sqrt round as numpy's do, and the estimate only places certificates,
+    so math.log and math.exp there move no bit.  Where Python raises and
+    numpy returns inf or NaN (log 0, exp overflow, x / 0), log, exp and
+    the secant's slope return numpy's value."""
+    def log(x):
+        return math.log(x) if x > 0 else float(np.log(x))
+
+    def exp(x):
+        try:
+            return math.exp(x)
+        except OverflowError:
+            return float(np.exp(x))
+
+    scale = max(1.0, 1.0 / A.inverse_one)
+    out = []
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for v, mu, tot, vmax in rows:
+            tot, hi = float(tot), float(vmax) * scale
+            ok = 1e-130 < hi < 1e130
+            a, b = 0.0, math.inf
+
+            def certify(lam):
+                # the modular at lam, recorded as a certificate
+                nonlocal a, b
+                m = float((A._eval_raw(v / lam) * mu).sum()) / tot
+                if ok and m > 1.0:
+                    a = max(a, lam * (1.0 - _LUX_DELTA))
+                elif ok and m <= 1.0:
+                    b = min(b, lam * (1.0 + _LUX_DELTA))
+                return m
+
+            m = certify(hi)
+            bad = m > 1.0 + 1e-9
+            if ok:
+                lam = float((v * mu).sum()) / tot / A.inverse_one
+                x0, g0, x1 = log(hi), log(m), log(lam)
+                g1, est = log(certify(lam)), x1
+                for _ in range(_LUX_SECANT_STEPS):
+                    dg, dx = g1 - g0, x1 - x0
+                    s = dg / dx if dx else float(np.float64(dg) / dx)
+                    x = x1 - g1 / (s if s < 0.0 else -1.0)
+                    la, lb = log(a), log(b)
+                    live = abs(x - x1) > _LUX_STEP_TOL and lb - la > _LUX_ETA
+                    mid = 0.5 * (la + lb)
+                    if math.isfinite(mid) and not la < x < lb:
+                        x = mid
+                    if not live:
+                        break
+                    x0, g0 = x1, g1
+                    est = x1 = x
+                    g1 = log(certify(exp(x)))
+                est = exp(max(est, log(hi * 1e-18)))
+                for side in (1.0 - _LUX_ETA, 1.0 + _LUX_ETA):
+                    if a < est * side < b:
+                        certify(est * side)
+            if bad:
+                hi *= 4.0
+            lo = hi * 1e-18
+            for step in range(200):
+                p = lo * hi
+                if 2.0 ** -1022 <= p < math.inf:
+                    mid = math.sqrt(p)
+                else:
+                    (ml, el), (mh, eh) = math.frexp(lo), math.frexp(hi)
+                    e = el + eh
+                    mid = math.ldexp(math.sqrt(ml * mh * (1 + (e & 1))),
+                                     e >> 1)
+                if mid < a or (not mid > b and certify(mid) > 1.0):
+                    lo = mid
+                else:
+                    hi = mid
+                if step >= 39 and lo > 0 and hi / lo - 1.0 <= 1e-12:
+                    break
+            out.append(hi)
     return out
 
 

@@ -11,8 +11,8 @@ import pytest
 from sparsedom import operators as op
 from sparsedom import weights as W
 from sparsedom import young
-from sparsedom.dyadic import (Grid, GridFunction, cube_slices, scope_cubes,
-                              scope_max)
+from sparsedom.dyadic import (Grid, GridFunction, block_mean, cube_slices,
+                              scope_cubes, scope_max, scope_tilings)
 
 GRIDS = [Grid(1, (-0.5,), 1.0, 5), Grid(2, (-0.5, -0.5), 1.0, 3)]
 CASES = [(g, sh) for g in GRIDS for sh in (False, True)]
@@ -55,17 +55,59 @@ def test_scope_max_reduces_each_scope_cube_once(grid, shifted):
     # block order, with 0 on padding
     ids = np.arange(1.0, grid.cells_per_side ** grid.n + 1).reshape(grid.shape)
     ones = np.ones(grid.shape)
-    seen = []
+    seen, calls = [], []
 
     def record(m, v):
-        seen.extend(zip(map(tuple, m), map(tuple, v)))
-        return np.zeros(len(v))
+        # one call, with one 2D block per level and tiling
+        calls.append(len(v))
+        for mb, vb in zip(m, v):
+            seen.extend(zip(map(tuple, mb), map(tuple, vb)))
+        return np.zeros(sum(map(len, v)))
 
     scope_max(grid, shifted, record, ids)
+    tilings = sum(len(scope_tilings(grid, k, shifted))
+                  for k in range(grid.level + 1))
+    assert calls == [tilings]
     want = [(tuple(_block(q, sl, ones)), tuple(_block(q, sl, ids)))
             for q in scope_cubes(grid, shifted=shifted)
             for sl in [cube_slices(q, grid)]]
     assert sorted(seen) == sorted(want)
+
+
+@pytest.mark.parametrize("grid,shifted", CASES, ids=IDS)
+def test_scope_luxemburg_one_call_per_maximal(grid, shifted, monkeypatch):
+    # MA, MAW and ApBump make one Luxemburg call over every level and
+    # tiling, bitwise equal to one call per level and tiling
+    f, w = _data(grid, 6)
+    v, p, A = np.abs(f.cells), 2.5, young.llogl(1)
+    bump = w.cells ** (-1.0 / p)
+    real, calls = young.luxemburg_norm_batch, []
+
+    def per_tiling(reduce):
+        # reduce(masks, *blocks) on each level and tiling alone
+        return lambda *groups: np.concatenate(
+            [reduce(*([x] for x in g)) for g in zip(*groups)])
+
+    want = [
+        scope_max(grid, shifted, per_tiling(lambda m, x: real(x, m, A)), v),
+        scope_max(grid, shifted,
+                  per_tiling(lambda m, x, wt: real(x, wt, A)), v, w.cells),
+        scope_max(grid, shifted,
+                  per_tiling(lambda m, a, u: block_mean(m, a)
+                             * real(u, m, A) ** p), w.cells, bump).max(),
+    ]
+    monkeypatch.setattr(young, "luxemburg_norm_batch",
+                        lambda *a: calls.append(1) or real(*a))
+    runs = [
+        lambda: op.maximal(f, "MA", A=A, shifted=shifted).cells,
+        lambda: op.maximal(f, "MAW", A=A, w=w, shifted=shifted).cells,
+        lambda: np.float64(W.weight_constant(w, "ApBump", p=p, C=A,
+                                             shifted=shifted)),
+    ]
+    for run, x in zip(runs, want):
+        calls.clear()
+        assert run().tobytes() == x.tobytes()
+        assert calls == [1]
 
 
 @pytest.mark.parametrize("grid,shifted", CASES, ids=IDS)

@@ -297,10 +297,18 @@ def test_luxemburg_batch_inverts_once_per_gauge(rng, monkeypatch):
     assert calls == [1.0]
 
 
+def _geometric_mid(lo, hi):
+    """sqrt(lo hi) as if the exponent range had no ends: lo is scaled by an
+    even power of two to [0.5, 2) before the product, and the root back."""
+    q = np.frexp(lo)[1] // 2
+    return np.ldexp(np.sqrt(np.ldexp(lo, -2 * q) * hi), q)
+
+
 def _bisection_reference(values, measures, A):
     """The plain bisection that defines luxemburg_norm_batch's answer: one
-    modular evaluation of every row per step.  A cell of measure 0 counts
-    in hi only."""
+    modular evaluation of every live row per step, at the geometric
+    midpoint of its bracket; a row leaves at its own step where
+    hi/lo - 1 <= 1e-12.  A cell of measure 0 counts in hi only."""
     v = np.abs(np.asarray(values, dtype=float))
     mu = np.asarray(measures, dtype=float)
     tot = mu.sum(axis=1)
@@ -315,17 +323,20 @@ def _bisection_reference(values, measures, A):
         out[act] = vmax / A.params[0]
         return out
     hi = vmax * max(1.0, 1.0 / A.inverse_one)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         bad = (A._eval(v / hi[:, None]) * mu).sum(axis=1) / tot > 1.0 + 1e-9
         hi[bad] *= 4.0
         lo = hi * 1e-18
+        live = np.ones(hi.size, bool)
         for _ in range(200):
-            mid = np.sqrt(lo * hi)
-            mod = (A._eval(v / mid[:, None]) * mu).sum(axis=1) / tot
+            mid = _geometric_mid(lo[live], hi[live])
+            mod = (A._eval(v[live] / mid[:, None]) * mu[live]).sum(axis=1) \
+                / tot[live]
             up = mod > 1.0
-            lo = np.where(up, mid, lo)
-            hi = np.where(up, hi, mid)
-            if np.all(hi / lo - 1.0 <= 1e-12):
+            lo[live] = np.where(up, mid, lo[live])
+            hi[live] = np.where(up, hi[live], mid)
+            live[live] = ~(hi[live] / lo[live] - 1.0 <= 1e-12)
+            if not live.any():
                 break
     out[act] = hi
     return out
@@ -438,6 +449,62 @@ def test_luxemburg_ragged_batch_rows_equal_one_row_calls(A, widths, seed,
     assert got.tobytes() == np.concatenate(want).tobytes()
 
 
+@pytest.mark.parametrize("A", LUX_GAUGES, ids=young.format_young)
+@settings(max_examples=10)
+@given(n=st.sampled_from([1, 4, 9, 64]), rows=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1),
+       c_exp=st.floats(-12.0, 12.0), spread_exp=st.floats(-12.0, 12.0))
+def test_luxemburg_small_batch_bitwise_equals_bisection(A, n, rows, seed,
+                                                         c_exp, spread_exp):
+    # a call of at most 8 rows runs row by row in Python floats; it gives
+    # the bisection's bits and those of the vectorized path
+    rng = np.random.default_rng(seed)
+    vals, mu = _lux_rows(n, rng, 10.0 ** c_exp, 10.0 ** spread_exp)
+    pick = rng.choice(len(vals), rows, replace=False)
+    vals, mu = vals[pick], mu[pick]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = []
+        real = young._luxemburg_rows
+        mp.setattr(young, "_luxemburg_rows",
+                   lambda r, B: calls.append(len(r)) or real(r, B))
+        got = young.luxemburg_norm_batch(vals, mu, A)
+        active = int((np.abs(vals).max(axis=1) > 0).sum())
+        assert calls == ([active] if active and A.family != young.LINF
+                         else [])
+    assert got.tobytes() == _bisection_reference(vals, mu, A).tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(young, "_LUX_ROWS", 0)
+        vectorized = young.luxemburg_norm_batch(vals, mu, A)
+    assert got.tobytes() == vectorized.tobytes()
+
+
+@pytest.mark.parametrize("lux_rows", [8, 0], ids=["rows", "vectorized"])
+@pytest.mark.parametrize("A", [young.llogl(1), young.power(2)],
+                         ids=young.format_young)
+def test_luxemburg_replay_midpoint_of_large_rows(A, lux_rows, monkeypatch):
+    # at replay step 1, lo hi = 1.6e311 overflows: sqrt(lo hi) made the
+    # bracket and the norm inf
+    monkeypatch.setattr(young, "_LUX_ROWS", lux_rows)
+    got = young.luxemburg_norm_batch(np.array([[1e160]]), np.ones((1, 1)), A)
+    assert got[0] == pytest.approx(1e160 / A.inverse_one, rel=1e-11)
+
+
+@pytest.mark.parametrize("lux_rows", [8, 0], ids=["rows", "vectorized"])
+def test_luxemburg_tiny_row_leaves_other_rows_bits(lux_rows, monkeypatch):
+    # lo hi underflowed on the row [1e-200, 1e-200], which then never
+    # passed the stopping test, and the shared loop bisected [3, 1] past
+    # its own convergence, to 0x1.4c772939d4a13p+1.  On [1e-310, 1e-313]
+    # lo = hi 1e-18 is 0, so that bracket never closes
+    monkeypatch.setattr(young, "_LUX_ROWS", lux_rows)
+    A = young.llogl(1)
+    alone = young.luxemburg_norm_batch(np.array([[3.0, 1.0]]),
+                                       np.ones((1, 2)), A)
+    rows = np.array([[3.0, 1.0], [1e-200, 1e-200], [1e-310, 1e-313]])
+    got = young.luxemburg_norm_batch(rows, np.ones((3, 2)), A)
+    assert alone[0].hex() == got[0].hex() == "0x1.4c772939d504cp+1"
+    assert got[1] == pytest.approx(1e-200 / A.inverse_one, rel=1e-11)
+
+
 def test_luxemburg_ragged_batch_rejects_nonpositive_group_measure():
     vals = [np.ones((2, 4)), np.ones((3, 7))]
     mu = [np.ones((2, 4)), np.ones((3, 7))]
@@ -448,35 +515,41 @@ def test_luxemburg_ragged_batch_rejects_nonpositive_group_measure():
 
 
 def _count_evaluated_rows(monkeypatch):
-    """Count the rows of every 2D modular evaluation."""
+    """Count the rows of every modular evaluation: those of a 2D array, or
+    one for a single row."""
     count = [0]
     real = young.YoungFunction._eval_raw
 
     def counting(self, t):
-        if np.ndim(t) == 2:
-            count[0] += t.shape[0]
+        count[0] += len(t) if np.ndim(t) == 2 else 1
         return real(self, t)
 
     monkeypatch.setattr(young.YoungFunction, "_eval_raw", counting)
     return count
 
 
-@pytest.mark.parametrize("A", [young.llogl(1), young.lll(1, 1.5),
-                               young.expl(1), young.power(2),
-                               counter_young(2.0, 1.0)],
-                         ids=young.format_young)
-def test_luxemburg_batch_evaluation_budget(A, monkeypatch):
+BUDGET_GAUGES = [young.llogl(1), young.lll(1, 1.5), young.expl(1),
+                 young.power(2), counter_young(2.0, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "A,rows",
+    [pytest.param(A, 64, id=young.format_young(A)) for A in BUDGET_GAUGES]
+    + [pytest.param(A, rows, id=f"{young.format_young(A)}-{rows}row")
+       for rows in (1, 3) for A in BUDGET_GAUGES])
+def test_luxemburg_batch_evaluation_budget(A, rows, monkeypatch):
     # the bisection evaluates every row 47 times; estimate, certify and
-    # replay must average at most 12
+    # replay must average at most 12, row by row in a small batch too
     rng = np.random.default_rng(7)
-    vals = rng.lognormal(0.0, 1.0, (64, 64))
-    mu = rng.uniform(0.5, 2.0, (64, 64))
+    vals = rng.lognormal(0.0, 1.0, (rows, 64))
+    mu = rng.uniform(0.5, 2.0, (rows, 64))
+    A.inverse_one  # its bisection evaluates A outside the norm
     count = _count_evaluated_rows(monkeypatch)
     ref = _bisection_reference(vals, mu, A)
-    assert count[0] == 47 * 64
+    assert count[0] == 47 * rows
     count[0] = 0
     assert young.luxemburg_norm_batch(vals, mu, A).tobytes() == ref.tobytes()
-    assert count[0] <= 12 * 64
+    assert count[0] <= 12 * rows
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
