@@ -241,7 +241,7 @@ def domination_report(K: Kernel, b: GridFunction, m: int,
     ratios = np.zeros(grid.shape)
     viol = []
     if scale_t > 0:
-        pos = totq > 1e-14 * max(scale_s, 1.0)
+        pos = totq > 1e-14 * scale_s
         r = np.zeros_like(totq)
         r[pos] = tq[pos] / totq[pos]
         ratios[sl] = r

@@ -444,9 +444,11 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
     >= 0 and a positive total per cube; returns the norms of all rows,
     group after group.  The norm is that of a bisection in log lam from
     hi/lo = 1e18 (up where the modular at the midpoint sqrt(lo hi) is > 1),
-    which each row ends at its own step where hi/lo - 1 <= 1e-12.  Where
-    lo hi leaves the normal range, the midpoint is the root of the product
-    scaled by an even power of two, as if the exponent range had no ends.
+    which each row ends at its own step where hi/lo - 1 <= 1e-12.  Each
+    row runs in unit scale: it is scaled by 2^-e to max|v| in [0.5, 1),
+    with e from frexp of its max, and its norm by 2^e back.  A power of two
+    commutes with every rounded step, so scaling a row by 2^k, where that
+    is exact, scales its norm by 2^k bit for bit, subnormal rows included.
 
     Estimate, certify, replay: a per-row secant from hi and Jensen's point
     avg|v| / A^-1(1) estimates the root, certified at est (1 -+ eta).  a is
@@ -455,8 +457,7 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
     bisection evaluates only the mids in [a, b].  No bit moves: A(t)/t is
     nondecreasing, so a factor 1 -+ delta (450 ulp) in lam moves the
     modular past all rounding.  A cell of measure 0 counts in hi but not in
-    the modular, which it would make NaN (0 inf) where A overflows; a row
-    whose bracket nears the ends of the float range gets no certificate.
+    the modular, which it would make NaN (0 inf) where A overflows.
     One loop serves every row, but each group's rows are summed in that
     group's own array, so every row sum keeps its pairwise order and every
     row is bitwise its norm alone.  A call of at most _LUX_ROWS rows, where
@@ -473,27 +474,29 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
     tot = [x.sum(axis=1) for x in mu]
     if any(np.any(t <= 0) for t in tot):
         raise YoungError("cube has nonpositive measure")
-    vmax = np.concatenate([x.max(axis=1) for x in v])
-    # a cell of measure 0 counts in hi only, not in the modular
-    v = [np.where(m == 0, 0.0, x) for x, m in zip(v, mu)]
+    vmax, e = np.frexp(np.concatenate([x.max(axis=1) for x in v]))
+    starts = np.cumsum([0] + [len(x) for x in v])
+    # unit scale; a cell of measure 0 counts in hi only, not in the modular
+    v = [np.where(m == 0, 0.0, np.ldexp(x, -e[p:q, None], out=x))
+         for x, m, p, q in zip(v, mu, starts, starts[1:])]
     out = np.zeros(vmax.size)
     act = vmax > 0
     if not np.any(act):
         return out
     if not np.all(act):
-        keep = np.split(act, np.cumsum([len(x) for x in v])[:-1])
+        keep = np.split(act, starts[1:-1])
         v, mu, tot = ([x[k] for x, k in zip(arr, keep)]
                       for arr in (v, mu, tot))
-        vmax = vmax[act]
+        vmax, e = vmax[act], e[act]
+        starts = np.cumsum([0] + [len(x) for x in v])
     if A.family == LINF:
-        out[act] = vmax / A.params[0]
+        out[act] = np.ldexp(vmax / A.params[0], e)
         return out
-    starts = np.cumsum([0] + [len(x) for x in v])
     n = int(starts[-1])
     if n <= _LUX_ROWS:
-        out[act] = _luxemburg_rows(
+        out[act] = np.ldexp(_luxemburg_rows(
             [r for g in zip(v, mu, tot, np.split(vmax, starts[1:-1]))
-             for r in zip(*g)], A)
+             for r in zip(*g)], A), e)
         return out
 
     def groups(i):
@@ -511,7 +514,7 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
         m = np.empty(i.size)
         for s, vi, mi, ti in groups(i):
             m[s] = (A._eval_raw(vi / lam[s, None]) * mi).sum(axis=1) / ti
-        up, dn = ok[i] & (m > 1.0), ok[i] & (m <= 1.0)
+        up, dn = m > 1.0, m <= 1.0
         a[i[up]] = np.maximum(a[i[up]], lam[up] * (1.0 - _LUX_DELTA))
         b[i[dn]] = np.minimum(b[i[dn]], lam[dn] * (1.0 + _LUX_DELTA))
         return m
@@ -525,21 +528,18 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         hi = vmax * max(1.0, 1.0 / A.inverse_one)
-        ok = (hi > 1e-130) & (hi < 1e130)
         a, b, bad = np.zeros(n), np.full(n, np.inf), np.zeros(n, bool)
         # estimate and certify in blocks of rows, which bounds the memory
         for j in range(0, n, _LUX_BLOCK):
             sl = slice(j, j + _LUX_BLOCK)
-            m = certify(np.arange(n)[sl], hi[sl])
+            m = certify(i := np.arange(n)[sl], hi[sl])
             # monotonicity sanity: the modular must not increase with lam
             bad[sl] = m > 1.0 + 1e-9
-            i = j + (k := np.flatnonzero(ok[sl]))
             # a secant on g = log modular against x = log lam, from hi and
             # Jensen's point; g falls with slope <= -1, that of A(t) = t
             lam = jensen(i)
-            x0, g0, x1 = np.log(hi[i]), np.log(m[k]), np.log(lam)
-            g1, est = np.log(certify(i, lam)), np.full(m.size, np.nan)
-            est[k] = x1
+            x0, g0, x1 = np.log(hi[sl]), np.log(m), np.log(lam)
+            g1, est = np.log(certify(i, lam)), x1.copy()
             for _ in range(_LUX_SECANT_STEPS):
                 s = (g1 - g0) / (x1 - x0)
                 x = x1 - g1 / np.where(s < 0.0, s, -1.0)
@@ -548,10 +548,10 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
                 live = (np.abs(x - x1) > _LUX_STEP_TOL) & (lb - la > _LUX_ETA)
                 mid = 0.5 * (la + lb)
                 x = np.where(np.isfinite(mid) & ~((x > la) & (x < lb)), mid, x)
-                i, k, x, x0, g0 = i[live], k[live], x[live], x1[live], g1[live]
+                i, x, x0, g0 = i[live], x[live], x1[live], g1[live]
                 if not i.size:
                     break
-                est[k], x1, g1 = x, x, np.log(certify(i, np.exp(x)))
+                est[i - j], x1, g1 = x, x, np.log(certify(i, np.exp(x)))
             # certify around est, inside the bracket; a root below lo at lo
             est = np.exp(np.maximum(est, np.log(hi[sl] * 1e-18)))
             for side in (1.0 - _LUX_ETA, 1.0 + _LUX_ETA):
@@ -560,16 +560,11 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
         hi = np.where(bad, 4.0 * hi, hi)
         lo = hi * 1e-18
         # replay; a row stops at its own step where hi/lo - 1 <= 1e-12, step
-        # 45 for normal floats.  Testing from step 39 on moves no bit: a
-        # bracket passes earlier only once its ends are equal, and they stay
+        # 45.  Testing from step 39 on moves no bit: a bracket passes
+        # earlier only once its ends are equal, and they stay
         live = np.ones(n, bool)
         for step in range(200):
-            mid = np.sqrt(p := lo * hi)
-            if p.min() < 2.0 ** -1022 or p.max() == np.inf:
-                far = (p < 2.0 ** -1022) | (p == np.inf)
-                (ml, el), (mh, eh) = np.frexp(lo[far]), np.frexp(hi[far])
-                e = el + eh
-                mid[far] = np.ldexp(np.sqrt(ml * mh * (1 + (e & 1))), e >> 1)
+            mid = np.sqrt(lo * hi)
             up = mid < a
             i = (live & ~(up | (mid > b))).nonzero()[0]
             if i.size:
@@ -580,19 +575,19 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
                 live &= ~(hi / lo - 1.0 <= 1e-12)
                 if not live.any():
                     break
-    out[act] = hi
+    out[act] = np.ldexp(hi, e)
     return out
 
 
 def _luxemburg_rows(rows, A: YoungFunction) -> list:
-    """luxemburg_norm_batch's norms of rows (v, mu, tot, vmax), one row at
-    a time: the same hi, ok, bad, Jensen start, secant, certificates and
-    replay, with the control flow in Python floats and numpy only for the
-    row's modular, the same expression on the same row.  Python's *, / and
-    sqrt round as numpy's do, and the estimate only places certificates,
-    so math.log and math.exp there move no bit.  Where Python raises and
-    numpy returns inf or NaN (log 0, exp overflow, x / 0), log, exp and
-    the secant's slope return numpy's value."""
+    """luxemburg_norm_batch's norms of unit-scale rows (v, mu, tot, vmax),
+    one row at a time: the same hi, bad, Jensen start, secant, certificates
+    and replay, with the control flow in Python floats and numpy only for
+    the row's modular, the same expression on the same row.  Python's *, /
+    and sqrt round as numpy's do, and the estimate only places
+    certificates, so math.log and math.exp there move no bit.  Where
+    Python raises and numpy returns inf or NaN (log 0, exp overflow,
+    x / 0), log, exp and the secant's slope return numpy's value."""
     def log(x):
         return math.log(x) if x > 0 else float(np.log(x))
 
@@ -607,60 +602,51 @@ def _luxemburg_rows(rows, A: YoungFunction) -> list:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for v, mu, tot, vmax in rows:
             tot, hi = float(tot), float(vmax) * scale
-            ok = 1e-130 < hi < 1e130
             a, b = 0.0, math.inf
 
             def certify(lam):
                 # the modular at lam, recorded as a certificate
                 nonlocal a, b
                 m = float((A._eval_raw(v / lam) * mu).sum()) / tot
-                if ok and m > 1.0:
+                if m > 1.0:
                     a = max(a, lam * (1.0 - _LUX_DELTA))
-                elif ok and m <= 1.0:
+                elif m <= 1.0:
                     b = min(b, lam * (1.0 + _LUX_DELTA))
                 return m
 
             m = certify(hi)
             bad = m > 1.0 + 1e-9
-            if ok:
-                lam = float((v * mu).sum()) / tot / A.inverse_one
-                x0, g0, x1 = log(hi), log(m), log(lam)
-                g1, est = log(certify(lam)), x1
-                for _ in range(_LUX_SECANT_STEPS):
-                    dg, dx = g1 - g0, x1 - x0
-                    s = dg / dx if dx else float(np.float64(dg) / dx)
-                    x = x1 - g1 / (s if s < 0.0 else -1.0)
-                    la, lb = log(a), log(b)
-                    live = abs(x - x1) > _LUX_STEP_TOL and lb - la > _LUX_ETA
-                    mid = 0.5 * (la + lb)
-                    if math.isfinite(mid) and not la < x < lb:
-                        x = mid
-                    if not live:
-                        break
-                    x0, g0 = x1, g1
-                    est = x1 = x
-                    g1 = log(certify(exp(x)))
-                est = exp(max(est, log(hi * 1e-18)))
-                for side in (1.0 - _LUX_ETA, 1.0 + _LUX_ETA):
-                    if a < est * side < b:
-                        certify(est * side)
+            lam = float((v * mu).sum()) / tot / A.inverse_one
+            x0, g0, x1 = log(hi), log(m), log(lam)
+            g1, est = log(certify(lam)), x1
+            for _ in range(_LUX_SECANT_STEPS):
+                dg, dx = g1 - g0, x1 - x0
+                s = dg / dx if dx else float(np.float64(dg) / dx)
+                x = x1 - g1 / (s if s < 0.0 else -1.0)
+                la, lb = log(a), log(b)
+                live = abs(x - x1) > _LUX_STEP_TOL and lb - la > _LUX_ETA
+                mid = 0.5 * (la + lb)
+                if math.isfinite(mid) and not la < x < lb:
+                    x = mid
+                if not live:
+                    break
+                x0, g0 = x1, g1
+                est = x1 = x
+                g1 = log(certify(exp(x)))
+            est = exp(max(est, log(hi * 1e-18)))
+            for side in (1.0 - _LUX_ETA, 1.0 + _LUX_ETA):
+                if a < est * side < b:
+                    certify(est * side)
             if bad:
                 hi *= 4.0
             lo = hi * 1e-18
             for step in range(200):
-                p = lo * hi
-                if 2.0 ** -1022 <= p < math.inf:
-                    mid = math.sqrt(p)
-                else:
-                    (ml, el), (mh, eh) = math.frexp(lo), math.frexp(hi)
-                    e = el + eh
-                    mid = math.ldexp(math.sqrt(ml * mh * (1 + (e & 1))),
-                                     e >> 1)
+                mid = math.sqrt(lo * hi)
                 if mid < a or (not mid > b and certify(mid) > 1.0):
                     lo = mid
                 else:
                     hi = mid
-                if step >= 39 and lo > 0 and hi / lo - 1.0 <= 1e-12:
+                if step >= 39 and hi / lo - 1.0 <= 1e-12:
                     break
             out.append(hi)
     return out

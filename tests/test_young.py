@@ -482,8 +482,8 @@ def test_luxemburg_small_batch_bitwise_equals_bisection(A, n, rows, seed,
 @pytest.mark.parametrize("A", [young.llogl(1), young.power(2)],
                          ids=young.format_young)
 def test_luxemburg_replay_midpoint_of_large_rows(A, lux_rows, monkeypatch):
-    # at replay step 1, lo hi = 1.6e311 overflows: sqrt(lo hi) made the
-    # bracket and the norm inf
+    # unscaled, lo hi = 1.6e311 at replay step 1 overflows, and sqrt(lo hi)
+    # made the bracket and the norm inf; in unit scale it stays normal
     monkeypatch.setattr(young, "_LUX_ROWS", lux_rows)
     got = young.luxemburg_norm_batch(np.array([[1e160]]), np.ones((1, 1)), A)
     assert got[0] == pytest.approx(1e160 / A.inverse_one, rel=1e-11)
@@ -494,7 +494,8 @@ def test_luxemburg_tiny_row_leaves_other_rows_bits(lux_rows, monkeypatch):
     # lo hi underflowed on the row [1e-200, 1e-200], which then never
     # passed the stopping test, and the shared loop bisected [3, 1] past
     # its own convergence, to 0x1.4c772939d4a13p+1.  On [1e-310, 1e-313]
-    # lo = hi 1e-18 is 0, so that bracket never closes
+    # lo = hi 1e-18 was 0, so that bracket never closed and the norm was
+    # its initial hi; in unit scale it closes like any other
     monkeypatch.setattr(young, "_LUX_ROWS", lux_rows)
     A = young.llogl(1)
     alone = young.luxemburg_norm_batch(np.array([[3.0, 1.0]]),
@@ -503,6 +504,33 @@ def test_luxemburg_tiny_row_leaves_other_rows_bits(lux_rows, monkeypatch):
     got = young.luxemburg_norm_batch(rows, np.ones((3, 2)), A)
     assert alone[0].hex() == got[0].hex() == "0x1.4c772939d504cp+1"
     assert got[1] == pytest.approx(1e-200 / A.inverse_one, rel=1e-11)
+    big = young.luxemburg_norm_batch(rows[2:] * 1e100, np.ones((1, 2)), A)
+    assert got[2] == pytest.approx(big[0] * 1e-100, rel=1e-9)
+    big = young.luxemburg_norm_batch(np.ldexp(rows[2:], 1000),
+                                     np.ones((1, 2)), A)
+    assert got[2] == np.ldexp(big[0], -1000)
+
+
+@pytest.mark.parametrize("lux_rows", [8, 0], ids=["rows", "vectorized"])
+@pytest.mark.parametrize("A", LUX_GAUGES, ids=young.format_young)
+@settings(max_examples=10)
+@given(n=st.sampled_from([1, 4, 9, 64]), seed=st.integers(0, 2**32 - 1),
+       k=st.integers(-1074, 999), bits=st.integers(1, 53))
+def test_luxemburg_exact_under_powers_of_two(A, lux_rows, n, seed, k, bits):
+    # cells are integers below 2^bits < 2^(1000 - k), so 2^k v is exact from
+    # the smallest subnormal up, and its norm stays finite; the norm of
+    # 2^k v is 2^k times that of v, bit for bit, subnormal norms included
+    bits = min(bits, 1000 - k)
+    rng = np.random.default_rng(seed)
+    vals = rng.integers(0, 2**bits, (3, n)).astype(float)
+    mu = rng.uniform(0.5, 2.0, (3, n))
+    mu[rng.random((3, n)) < 0.3] = 0.0
+    mu[:, rng.integers(n)] = 1.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(young, "_LUX_ROWS", lux_rows)
+        got = young.luxemburg_norm_batch(np.ldexp(vals, k), mu, A)
+        want = np.ldexp(young.luxemburg_norm_batch(vals, mu, A), k)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_luxemburg_ragged_batch_rejects_nonpositive_group_measure():
