@@ -23,7 +23,7 @@ from sparsedom.dyadic import Grid, cube_mask, cube_slices  # noqa: E402
 from sparsedom.frozen import BATTERY_VERSION  # noqa: E402
 from sparsedom.operators import (grand_maximal_truncated, hormander_estimate,  # noqa: E402
                                  make_hilbert, maximal, apply_operator,
-                                 parse_kernel)
+                                 parse_kernel, truncation)
 from sparsedom.weights import (absorption_check, bmo_norm, jn_profile,  # noqa: E402
                                osc_exp_norm, parse_profile,
                                reverse_holder_check, weight_constant)
@@ -184,7 +184,8 @@ def fit_truncation_constants():
     for flit in fs:
         f = parse_profile(flit, grid)
         tf = apply_operator(K, f)
-        mt = grand_maximal_truncated(K, f, Q0).cells
+        mt = grand_maximal_truncated(truncation(K, grid), f.cells[None],
+                                     Q0)[0]
         maf = maximal(f, "MA", A=A).cells
         md = maximal(tf, "Mdelta", delta=0.5).cells
         mf = maximal(f, "M").cells

@@ -6,17 +6,20 @@ Convolution kernels are evaluated once per grid on the difference lattice
 that is never built whole.  Every application goes through one primitive,
 `_toeplitz_product`: it prepares the kernel side of a product once (a dense
 block, or the spectrum of a profile segment) and then multiplies it into
-any number of rows of data.  The truncation maximal operator makes one
-product per dyadic level.  A kernel applied to a whole grid goes through
-`_pair`, which prepares T and T* together: a matrix kernel is its matrix,
-a convolution kernel two products, one per half of the displacements,
-joined by a flip identity that keeps odd kernels exactly odd on even data.
-apply_operator prepares T for one application, the L2 power iteration T
-and T* for all its steps, a commutator T for its m+1 splits.  Small 1D
-products are one dense block, all others FFT products: O(N log N) per
-axis from O(N) kernel evaluations.  The smoothness estimate evaluates the
-kernel for all sampled cubes of one side in one broadcast call per
-annulus, and takes all its Luxemburg norms in one batch.
+any number of rows of data.  The truncation maximal operator is prepared
+once per kernel and grid (`truncation`): it evaluates the profile once and
+keeps each level's product for every later cube, and one call takes a
+stack of arrays (a node's commutator splits).  A kernel applied to a
+whole grid goes through `_pair`, which prepares T and T* together: a
+matrix kernel is its matrix, a convolution kernel two products, one per
+half of the displacements, joined by a flip identity that keeps odd
+kernels exactly odd on even data.  apply_operator prepares T for one
+application, the L2 power iteration T and T* for all its steps, a
+commutator T for its m+1 splits.  Small 1D products are one dense block,
+all others FFT products: O(N log N) per axis from O(N) kernel
+evaluations.  The smoothness estimate evaluates the kernel for all
+sampled cubes of one side in one broadcast call per annulus, and takes
+all its Luxemburg norms in one batch.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from . import literal, young
 from .dyadic import (BASE, Cube, Grid, GridFunction, block_mean, cube_slices,
@@ -324,9 +327,9 @@ def _toeplitz_product(kprof: np.ndarray, window: tuple, d: tuple,
     """
     if not kprof.any():
         return lambda G: np.zeros((G.shape[0], *rows))
-    width = window[-1]
-    if kprof.ndim == 2 or _CHUNK // width < rows[0]:
+    if not _dense(kprof, window, rows):
         return _fft_product(kprof, window, d, rows)
+    width = window[-1]
     N = (kprof.shape[0] + 1) // 2
     (d,), (rows,) = d, rows
     w = min(width, max(0, d + rows)) if not kprof[:N].any() else width
@@ -343,6 +346,12 @@ def _toeplitz_product(kprof: np.ndarray, window: tuple, d: tuple,
             np.matmul(G[a:b, :w], blk.T, out=out[a:b])
         return out
     return apply
+
+
+def _dense(kprof: np.ndarray, window: tuple, rows: tuple) -> bool:
+    """Whether a nonzero profile's _toeplitz_product is a dense 1D block
+    rather than an FFT product."""
+    return kprof.ndim == 1 and _CHUNK // window[-1] >= rows[0]
 
 
 def _fft_product(kprof: np.ndarray, window: tuple, d: tuple, rows: tuple):
@@ -482,65 +491,116 @@ def maximal(f: GridFunction, variant: str = "M", A=None, delta: float = None,
 # -- grand maximal truncated operator ----------------------------------------
 
 
-def grand_maximal_truncated(K: Kernel, f: GridFunction,
-                            Q0: Cube) -> GridFunction:
-    """M_{T,Q0} f: at each cell x of Q0, the max over dyadic Q with
-    x in Q subset Q0 of the cell-max of |T(f chi_{3Q0 \\ 3Q})| over Q.
+@dataclass(frozen=True)
+class Truncation:
+    """M_{T,.} for one kernel on one grid, prepared by `truncation` for any
+    base-lattice cube Q0 and any number of stacked data arrays."""
+    grid: Grid
+    # (G, d, s, j) -> T of the rows of G on the cells of their cubes: see
+    # truncation
+    product: object
 
-    f is read on 3Q0 (clipped to the domain) only.  Computed level by level
-    via T(f chi_{3Q0 \\ 3Q}) = T(f chi_{3Q0}) - T(f chi_{3Q}), with one
-    product for all the cubes Q of a level.
+
+def truncation(K: Kernel, grid: Grid) -> Truncation:
+    """The kernel side of the truncation maximal operator of K on a grid,
+    prepared once for every call of grand_maximal_truncated on it.
+
+    Its product(G, d, s, j) takes G of shape (H, cubes) + window: H stacked
+    arrays, each cut into the windows of a row of cubes of side s whose
+    first cube starts at cell j (per axis, the window starts d cells before
+    its cube).  It returns T of each window on the (s,)*n cells of its
+    cube, shaped (H, cubes) + (s,)*n, cell volume not included.  The
+    profile is evaluated once; each level's _toeplitz_product is made the
+    first time its (window, d, rows) is asked for and kept.  An FFT product
+    takes all H arrays in one call (pocketfft gives each row the bits it
+    has alone).  A dense block, and a matrix kernel, multiply one array at
+    a time: a dense product's bits depend on how many rows it multiplies.
     """
-    grid = f.grid
-    if Q0.lattice != BASE:
-        raise OperatorError("the truncation maximal operator needs a "
-                            "base-lattice cube Q0")
     if K.n != grid.n:
         raise OperatorError("kernel dimension does not match grid")
-    n, N, S = grid.n, grid.cells_per_side, Q0.side
+    N = grid.cells_per_side
     if K.matrix is not None:
         if K.matrix.shape[0] != N:
             raise OperatorError("matrix kernel size does not match grid")
         Mp = np.pad(K.matrix, ((0, 0), (N, N)))  # cell c in column N + c
 
-        def apply(G, d, s):
-            # the rows of the j-th cube of side s in Q0 and the columns of
-            # its window G[j], which starts d cells before the cube
-            j = Q0.origin[0] + s * np.arange(len(G))
-            blk = sliding_window_view(Mp, (s, G.shape[1]))[j, j + N - d[0]]
-            return (blk @ G[..., None])[..., 0]
-    else:
-        kprof = K.profile(grid)
+        def product(G, d, s, j):
+            # the rows of the i-th cube and the columns of its window
+            j = j[0] + s * np.arange(G.shape[1])
+            blk = sliding_window_view(Mp, (s, G.shape[2]))[j, j + N - d[0]]
+            return np.stack([(blk @ g[..., None])[..., 0] for g in G])
+        return Truncation(grid, product)
+    kprof = K.profile(grid)
+    products = {}
 
-        def apply(G, d, s):
-            return _toeplitz_product(kprof, G.shape[1:], d, (s,) * n)(G)
+    def product(G, d, s, j):
+        window = G.shape[2:]
+        key = (window, d, s)
+        if key not in products:
+            rows = (s,) * grid.n
+            products[key] = (_toeplitz_product(kprof, window, d, rows),
+                             _dense(kprof, window, rows))
+        apply, dense = products[key]
+        if dense:
+            return np.stack([apply(g) for g in G])
+        return apply(G.reshape((-1,) + window)).reshape(
+            G.shape[:2] + (s,) * grid.n)
+    return Truncation(grid, product)
+
+
+def grand_maximal_truncated(T: Truncation, F: np.ndarray,
+                            Q0: Cube) -> np.ndarray:
+    """M_{T,Q0} of each stacked array F[i]: at each cell x of Q0, the max
+    over dyadic Q with x in Q subset Q0 of the cell-max of
+    |T(F[i] chi_{3Q0 \\ 3Q})| over Q, and 0 off Q0.
+
+    T is truncation(K, grid); F has shape (H,) + grid.shape and so has the
+    result.  F is read on 3Q0 (clipped to the domain) only.  Computed level
+    by level via T(f chi_{3Q0 \\ 3Q}) = T(f chi_{3Q0}) - T(f chi_{3Q}),
+    with one product for all the cubes Q of a level; the windows, the
+    differences and the cube maxima of a level are made once for all H
+    arrays.
+    """
+    grid = T.grid
+    if Q0.lattice != BASE:
+        raise OperatorError("the truncation maximal operator needs a "
+                            "base-lattice cube Q0")
+    n, S, H = grid.n, Q0.side, len(F)
+    vol = grid.cell_volume
     # f chi_{3Q0} on the cells o-S .. o+2S-1 per axis, zero outside the
     # domain; T(f chi_{3Q0}) on Q0 reads only the cells inside it
     s3 = cube_slices(dilate(Q0, 3), grid)
     inner = tuple(slice(a.start - o + S, a.stop - o + S)
                   for a, o in zip(s3, Q0.origin))
-    g = np.zeros((3 * S,) * n)
-    g[inner] = f.cells[s3]
+    every = (slice(None),)
+    g = np.zeros((H,) + (3 * S,) * n)
+    g[every + inner] = F[every + s3]
     d0 = tuple(o - a.start for a, o in zip(s3, Q0.origin))
-    base = apply(g[(None,) + inner], d0, S)[0] * grid.cell_volume
-    out = np.zeros(grid.shape)
-    axes = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
+    base = T.product(g[every + (None,) + inner], d0, S, Q0.origin)[:, 0] * vol
+    out = np.zeros(F.shape)
+    q0 = out[every + cube_slices(Q0, grid)]
+    axes = (0,) + tuple(range(1, 2 * n + 1, 2)) + tuple(range(2, 2 * n + 1, 2))
     for k in range(Q0.level + 1, grid.level + 1):
         s = S >> (k - Q0.level)
         c = S // s
-        # (S,)*n arrays seen as (c,)*n cubes of (s,)*n cells; splitting
-        # axes keeps a view a view
-        split = [x for _ in range(n) for x in (c, s)]
-        # f chi_{3q} for each cube q of side s in Q0, in row-major order
-        wins = np.ascontiguousarray(sliding_window_view(g, (3 * s,) * n)[
-            (slice(S - s, 2 * S - s, s),) * n])
-        part = apply(wins.reshape((-1,) + wins.shape[n:]), (s,) * n, s)
+        # (H,) + (S,)*n arrays seen as (H,) + (c,)*n cubes of (s,)*n cells;
+        # splitting axes keeps a view a view
+        split = (H,) + tuple(x for _ in range(n) for x in (c, s))
+        # f chi_{3q} for each cube q of side s in Q0, in row-major order:
+        # per axis, windows of 3s cells every s cells from cell S - s
+        wins = np.ascontiguousarray(as_strided(
+            g[every + (slice(S - s, None),) * n],
+            (H,) + (c,) * n + (3 * s,) * n,
+            g.strides[:1] + tuple(st * s for st in g.strides[1:])
+            + g.strides[1:]))
+        part = T.product(wins.reshape((H, -1) + wins.shape[n + 1:]),
+                         (s,) * n, s, Q0.origin)
         diff = np.abs(base.reshape(split).transpose(axes)
-                      - part.reshape((c,) * n + (s,) * n) * grid.cell_volume)
-        view = out[cube_slices(Q0, grid)].reshape(split).transpose(axes)
-        np.maximum(view, diff.max(axis=tuple(range(n, 2 * n)), keepdims=True),
-                   out=view)
-    return GridFunction(grid, out)
+                      - part.reshape((H,) + (c,) * n + (s,) * n) * vol)
+        view = q0.reshape(split).transpose(axes)
+        np.maximum(view, diff.max(axis=tuple(range(n + 1, 2 * n + 1)),
+                                  keepdims=True), out=view)
+    return out
 
 
 # -- kernel smoothness (annulus sums) ----------------------------------------

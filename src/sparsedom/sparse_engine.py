@@ -16,7 +16,7 @@ from .dyadic import (Cube, Grid, GridFunction, SparseCheck, SparseFamily,
                      dilate)
 from .operators import (CommutatorSpec, Kernel, commutator_apply,
                         grand_maximal_truncated, hormander_estimate,
-                        operator_norm_l2)
+                        operator_norm_l2, truncation)
 
 
 class EngineError(RuntimeError):
@@ -67,8 +67,9 @@ def estimate_ct(K: Kernel, A: young.YoungFunction, grid: Grid,
     L2 operator norm.  Memoized per (kernel content, grid, gauge, seed), so
     a new kernel or gauge object with the same content reuses the entry and
     no other kernel or gauge can.  This is the program's one memo: a miss
-    costs 0.1-0.6 s on 2 cores, and a domination sweep repeats each key
-    for every commutator order and data profile (18 of the 27 calls of the
+    costs about 10-40 ms on 2 cores at L = 8-12 (smoothness estimate 5-17
+    ms, L2 norm 2-19 ms), and a domination sweep repeats each key for
+    every commutator order and data profile (18 of the 27 calls of the
     benchmark's sweep hit).  seed draws the smoothness estimate's sample
     of cubes."""
     key = (K.spec(grid), grid, A, seed)
@@ -84,21 +85,26 @@ def estimate_ct(K: Kernel, A: young.YoungFunction, grid: Grid,
     return _ct_cache[key]
 
 
-def _local_data(K, f, b, m, A, Q0):
+def _local_data(T, f, b, m, A, Q0):
     """Per-node quantities: 3Q0-clipped f, oscillation powers, norms and the
-    truncation maximal values for each commutator split h."""
+    truncation maximal values for each commutator split h (None where the
+    split's norm is 0).  T is the prepared truncation(K, grid): one
+    grand_maximal_truncated call takes every split of positive norm."""
     grid = f.grid
     s3 = cube_slices(dilate(Q0, 3), grid)
     f3 = np.zeros(grid.shape)
     f3[s3] = f.cells[s3]
     b3 = float(b.cells[s3].mean())
     osc = np.abs(b.cells - b3)
-    gs = [osc ** h * f3 for h in range(m + 1)]
+    gs = np.stack([osc ** h * f3 for h in range(m + 1)])
     rows = np.stack([g[s3].ravel() for g in gs])
     norms = young.luxemburg_norm_batch(
         rows, np.full(rows.shape, grid.cell_volume), A).tolist()
-    mts = [grand_maximal_truncated(K, GridFunction(grid, g), Q0).cells
-           if norm > 0 else None for g, norm in zip(gs, norms)]
+    live = [h for h, norm in enumerate(norms) if norm > 0]
+    mts = [None] * (m + 1)
+    if live:
+        for h, mt in zip(live, grand_maximal_truncated(T, gs[live], Q0)):
+            mts[h] = mt
     return f3, b3, osc, norms, mts
 
 
@@ -111,7 +117,8 @@ def exceptional_set(K: Kernel, f: GridFunction, b: GridFunction, h: int,
         raise EngineError("alpha must be positive")
     grid = f.grid
     ct = estimate_ct(K, A, grid)["ct"]
-    f3, b3, osc, norms, mts = _local_data(K, f, b, h, A, Q0)
+    f3, b3, osc, norms, mts = _local_data(truncation(K, grid), f, b, h, A,
+                                          Q0)
     return _exceptional_mask(grid, Q0, osc, f3, norms[h], mts[h], h,
                              alpha, ct)
 
@@ -145,6 +152,7 @@ def build_sparse_family(K: Kernel, b: GridFunction, m: int,
     n = grid.n
     ct_info = estimate_ct(K, A, grid, seed)
     ct = max(ct_info["ct"], 1e-12)
+    T = truncation(K, grid)
 
     form = SparseForm(SparseFamily(grid, [], 0.5, certificate={}),
                       {}, {}, A, m, ct_components=dict(ct_info))
@@ -154,7 +162,7 @@ def build_sparse_family(K: Kernel, b: GridFunction, m: int,
         if len(form.family.cubes) >= NODE_BUDGET:
             form.exhausted = True
             break
-        f3, b3, osc, norms, mts = _local_data(K, f, b, m, A, q)
+        f3, b3, osc, norms, mts = _local_data(T, f, b, m, A, q)
         form.family.cubes.append(q)
         form.coeffs[q] = tuple(norms)
         form.b_avgs[q] = b3

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sparsedom import operators as op
 from sparsedom import sparse_engine as eng
 from sparsedom import young
 from sparsedom.dyadic import (Grid, GridFunction, check_sparse, cube_mask,
@@ -174,3 +175,33 @@ def test_ct_cache_grows_by_one_entry_per_miss(monkeypatch):
     assert len(eng._ct_cache) == 1 and len(calls) == 1
     eng.estimate_ct(make_hilbert(), A, grid, seed=1)
     assert len(eng._ct_cache) == 2 and len(calls) == 2
+
+
+def test_truncation_builds_each_level_product_once(monkeypatch):
+    # a domination report prepares M_{T,.} once: over all its nodes and
+    # commutator splits, the truncation path builds each level product
+    # (window, offset, rows) at most once
+    builds, inside = [], []
+    make, gmt = op._toeplitz_product, eng.grand_maximal_truncated
+
+    def counted(kprof, window, d, rows):
+        if inside:
+            builds.append((window, d, rows))
+        return make(kprof, window, d, rows)
+
+    def traced(*args):
+        inside.append(True)
+        try:
+            return gmt(*args)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(op, "_toeplitz_product", counted)
+    monkeypatch.setattr(eng, "grand_maximal_truncated", traced)
+    grid = Grid(1, (-0.5,), 1.0, 8)
+    rep = eng.domination_report(make_hilbert(),
+                                parse_profile("log_abs", grid), 2,
+                                young.llogl(1),
+                                parse_profile("indicator(0,0.25)", grid),
+                                grid.root_cube())
+    assert len(rep.form.family.cubes) > 1
+    assert builds and len(set(builds)) == len(builds)

@@ -27,7 +27,7 @@ BATTERY_DIR = os.path.join(os.path.dirname(__file__), "..", "battery")
 CASES = [pytest.param(ic, m, flit,
                       id=f"{cfg['kernel'].split('(')[0]}-m{m}-{flit}")
          for ic, cfg in enumerate(DOMINATION_BATTERY)
-         for m in (0, 1) for flit in cfg["f"][:3]]
+         for m in (0, 1, 2) for flit in cfg["f"][:3]]
 
 
 @functools.cache

@@ -586,9 +586,10 @@ def test_maximal_weighted_needs_a_weight(unit_grid):
 
 def test_grand_maximal_zero_input(sym_grid):
     f = parse_profile("const(0)", sym_grid)
-    out = op.grand_maximal_truncated(op.make_hilbert(), f,
-                                     sym_grid.root_cube())
-    assert np.all(out.cells == 0.0)
+    out = op.grand_maximal_truncated(op.truncation(op.make_hilbert(),
+                                                   sym_grid),
+                                     f.cells[None], sym_grid.root_cube())[0]
+    assert np.all(out == 0.0)
 
 
 def _gmt_brute(D, f, Q0, grid):
@@ -610,33 +611,59 @@ def _gmt_brute(D, f, Q0, grid):
     return out
 
 
+def _gmt_cubes(grid):
+    """Cubes Q0 of the truncation tests: the root, an interior cube, cubes
+    whose 3Q0 is clipped on the left and on the right, and in 2D one
+    clipped on one axis only."""
+    N, n = grid.cells_per_side, grid.n
+    cubes = {"root": Cube(BASE, 0, (0,) * n, N),
+             "interior": Cube(BASE, 3, (3 * N // 8,) * n, N // 8),
+             "clipped left": Cube(BASE, 2, (0,) * n, N // 4),
+             "clipped right": Cube(BASE, 3, (N - N // 8,) * n, N // 8)}
+    if n == 2:
+        cubes["clipped on one axis"] = Cube(BASE, 2, (0, N // 4), N // 4)
+    return cubes
+
+
 @pytest.mark.parametrize("L", (3, 4, 5, 6, 7, 8))
 def test_grand_maximal_matches_definition(L, rng):
-    N = 1 << L
     for K, grid in _oracle_kernels(L, rng):
-        n = grid.n
-        cubes = {"root": Cube(BASE, 0, (0,) * n, N),
-                 "interior": Cube(BASE, 3, (3 * N // 8,) * n, N // 8),
-                 "clipped left": Cube(BASE, 2, (0,) * n, N // 4),
-                 "clipped right": Cube(BASE, 3, (N - N // 8,) * n, N // 8)}
-        if n == 2:
-            cubes["clipped on one axis"] = Cube(BASE, 2, (0, N // 4), N // 4)
         D = _dense(K, grid)
         f = rng.standard_normal(grid.shape)
         tol = 1e-12 * float((np.abs(D) @ np.abs(f.ravel())).max())
-        for name, Q0 in cubes.items():
-            got = op.grand_maximal_truncated(K, GridFunction(grid, f),
-                                             Q0).cells
+        for name, Q0 in _gmt_cubes(grid).items():
+            got = op.grand_maximal_truncated(op.truncation(K, grid),
+                                             f[None], Q0)[0]
             want = _gmt_brute(D, f, Q0, grid)
             assert np.abs(got - want).max() <= tol, (K.family, name)
+
+
+@pytest.mark.parametrize("L", (4, 6, 8))
+def test_truncation_stack_equals_one_row_calls(L, rng):
+    # each row of a stacked call has the bits of its own call with a newly
+    # prepared operator: L = 6 has dense levels only, L = 8 dense and FFT
+    # levels, L = 4 a 2D kernel (FFT only) and a one-axis clipped cube
+    for K, grid in _oracle_kernels(L, rng):
+        T = op.truncation(K, grid)
+        for name, Q0 in _gmt_cubes(grid).items():
+            for H in (1, 2, 3):
+                F = rng.standard_normal((H,) + grid.shape)
+                got = op.grand_maximal_truncated(T, F, Q0)
+                assert got.shape == F.shape
+                for i in range(H):
+                    one = op.grand_maximal_truncated(
+                        op.truncation(K, grid), F[i][None], Q0)[0]
+                    assert got[i].tobytes() == one.tobytes(), \
+                        (K.family, name, H, i)
 
 
 def test_grand_maximal_rejects_shifted_cube(sym_grid):
     f = parse_profile("const(1)", sym_grid)
     Q = Cube(BASE, 2, (16,), 16)
     with pytest.raises(op.OperatorError, match="base-lattice"):
-        op.grand_maximal_truncated(op.make_hilbert(), f,
-                                   triple(Q, sym_grid))
+        op.grand_maximal_truncated(op.truncation(op.make_hilbert(),
+                                                 sym_grid),
+                                   f.cells[None], triple(Q, sym_grid))
 
 
 def test_truncation_frozen_bounds():
@@ -648,7 +675,8 @@ def test_truncation_frozen_bounds():
     h_est, _ = op.hormander_estimate(K, A, grid)
     f = parse_profile("indicator(0,0.25)", grid)
     tf = op.apply_operator(K, f)
-    mt = op.grand_maximal_truncated(K, f, Q0).cells
+    mt = op.grand_maximal_truncated(op.truncation(K, grid), f.cells[None],
+                                    Q0)[0]
     maf = op.maximal(f, "MA", A=A).cells
     md = op.maximal(tf, "Mdelta", delta=0.5).cells
     mf = op.maximal(f, "M").cells
