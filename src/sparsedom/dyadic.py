@@ -322,6 +322,24 @@ def scope_tilings(grid: Grid, k: int, shifted: bool) -> list:
     return out
 
 
+def _scope_frames(grid: Grid, shifted: bool):
+    """The frames of scope_max, level by level: the frame's shape, the
+    domain's slices in it, and per tiling of scope_tilings its window on
+    the frame with the window's split into (cubes, side) per axis."""
+    n, N = grid.n, grid.cells_per_side
+    for k in range(grid.level + 1):
+        s = 1 << (grid.level - k)
+        lo, hi = (2 * s, 3 * s) if shifted else (0, 0)
+        tilings = []
+        for side, origin in scope_tilings(grid, k, shifted):
+            origin = [o + lo for o in origin]  # in frame coordinates
+            # the cubes of this tiling that meet the domain, per axis
+            counts = [-(-(lo + N - o) // side) for o in origin]
+            win = tuple(slice(o, o + c * side) for o, c in zip(origin, counts))
+            tilings.append((win, [x for c in counts for x in (c, side)]))
+        yield (lo + N + hi,) * n, (slice(lo, lo + N),) * n, tilings
+
+
 def scope_max(grid: Grid, shifted: bool, reduce, *arrays) -> np.ndarray:
     """At each cell, the max over the scope cubes containing it (those of
     scope_cubes) of reduce(masks, *blocks), an array with one value per
@@ -338,30 +356,22 @@ def scope_max(grid: Grid, shifted: bool, reduce, *arrays) -> np.ndarray:
     one 2D block per level and tiling, in the same order, and it returns
     the values of all their rows, group after group, as one flat array.
     """
-    n, N = grid.n, grid.cells_per_side
+    n = grid.n
     axes = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
     groups, views, tops = [], [], []
-    for k in range(grid.level + 1):
-        s = 1 << (grid.level - k)
-        lo, hi = (2 * s, 3 * s) if shifted else (0, 0)
-        dom = (slice(lo, lo + N),) * n
+    for shape, dom, tilings in _scope_frames(grid, shifted):
         frames = []
         for a in (1.0,) + arrays:  # the mask, then the arrays
-            fr = np.zeros((lo + N + hi,) * n)
+            fr = np.zeros(shape)
             fr[dom] = a
             frames.append(fr)
-        top = np.full((lo + N + hi,) * n, -np.inf)
+        top = np.full(shape, -np.inf)
         tops.append(top[dom])
-        for side, origin in scope_tilings(grid, k, shifted):
-            origin = [o + lo for o in origin]  # in frame coordinates
-            # the cubes of this tiling that meet the domain, per axis
-            counts = [-(-(lo + N - o) // side) for o in origin]
-            win = tuple(slice(o, o + c * side) for o, c in zip(origin, counts))
-            split = [x for c in counts for x in (c, side)]
+        for win, split in tilings:
             groups.append([fr[win].reshape(split).transpose(axes)
-                           .reshape(-1, side ** n) for fr in frames])
+                           .reshape(-1, split[1] ** n) for fr in frames])
             views.append((top[win].reshape(split),
-                          [x for c in counts for x in (c, 1)]))
+                          [x for c in split[::2] for x in (c, 1)]))
     vals = reduce(*map(list, zip(*groups)))
     start = 0
     for (view, shape), (mask, *_) in zip(views, groups):
@@ -372,6 +382,19 @@ def scope_max(grid: Grid, shifted: bool, reduce, *arrays) -> np.ndarray:
     for top in tops:
         np.maximum(out, top, out=out)
     return out
+
+
+def scope_min(grid: Grid, shifted: bool, cells: np.ndarray) -> np.ndarray:
+    """The min of cells over the domain cells of each scope cube: one value
+    per row of scope_max's reduce, in the same order."""
+    within = tuple(range(1, 2 * grid.n, 2))
+    out = []
+    for shape, dom, tilings in _scope_frames(grid, shifted):
+        fr = np.full(shape, np.inf)
+        fr[dom] = cells
+        out += [fr[win].reshape(split).min(axis=within).ravel()
+                for win, split in tilings]
+    return np.concatenate(out)
 
 
 def block_mean(masks: list, values: list) -> np.ndarray:

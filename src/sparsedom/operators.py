@@ -19,7 +19,11 @@ commutator T for its m+1 splits.  Small 1D products are one dense block,
 all others FFT products: O(N log N) per axis from O(N) kernel
 evaluations.  The smoothness estimate evaluates the kernel for all
 sampled cubes of one side in one broadcast call per annulus, and takes
-all its Luxemburg norms in one batch.
+all its Luxemburg norms in one batch.  An Orlicz maximal operator takes
+all its norms in one batch too, and bisects only the cubes that can
+attain the max: a cube whose norm lies certainly below, at each of its
+cells, the Jensen lower bound of another cube containing that cell is
+closed unbisected (`maximal`).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from . import literal, young
 from .dyadic import (BASE, Cube, Grid, GridFunction, block_mean, cube_slices,
-                     dilate, is_clipped, scope_max)
+                     dilate, is_clipped, scope_max, scope_min)
 
 E = math.e
 
@@ -457,8 +461,18 @@ def maximal(f: GridFunction, variant: str = "M", A=None, delta: float = None,
 
     variant: "M" (averages of |f|), "MA" (Luxemburg norms for the Young
     function A), "Mdelta" (delta-power averages), "MAW" (weighted Luxemburg
-    norms with weight w).  Scope is the base lattice by default; shifted=True
-    adds every shifted-lattice cube meeting the domain.
+    norms with weight w, on the grid of f).  Scope is the base lattice by
+    default; shifted=True adds every shifted-lattice cube meeting the
+    domain.
+
+    MA and MAW take exact norms only of the cubes that can attain the max
+    somewhere.  A first scope_max pass, with no gauge evaluated, gives each
+    cell the largest Jensen bound avg|f| / A^-1(1) (w-weighted for MAW)
+    over the cubes containing it; by Jensen's inequality a cube's norm is
+    at least its bound.  A cube's floor is the least of these over its
+    cells, and luxemburg_norm_batch closes a cube whose norm lies certainly
+    below its floor.  At each cell of such a cube another cube's norm is
+    larger, so the max loses no bit.
     """
     grid = f.grid
     if variant not in ("M", "MA", "Mdelta", "MAW"):
@@ -467,6 +481,8 @@ def maximal(f: GridFunction, variant: str = "M", A=None, delta: float = None,
         raise OperatorError(f"{variant} needs a Young function")
     if variant == "MAW" and w is None:
         raise OperatorError("MAW needs a weight")
+    if variant == "MAW" and w.grid != grid:
+        raise OperatorError("MAW needs a weight on the grid of f")
     if variant == "Mdelta" and not (delta and 0 < delta < 1):
         raise OperatorError("delta must lie in (0, 1)")
 
@@ -478,13 +494,17 @@ def maximal(f: GridFunction, variant: str = "M", A=None, delta: float = None,
         out = scope_max(grid, shifted, block_mean, vals ** r) ** (1.0 / r)
     elif variant == "M":
         out = scope_max(grid, shifted, block_mean, vals)
-    elif variant == "MA":
-        out = scope_max(grid, shifted,
-                        lambda m, v: young.luxemburg_norm_batch(v, m, A), vals)
     else:
+        # the measures are the domain mask for MA (wt empty) and the weight
+        # for MAW; the floors are those of the docstring, one per cube
+        arrays = (vals,) if variant == "MA" else (vals, w.cells)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            floor = scope_min(grid, shifted, scope_max(
+                grid, shifted, lambda m, v, *wt: block_mean(*wt or [m], v),
+                *arrays) / A.inverse_one)
         out = scope_max(grid, shifted,
-                        lambda m, v, wt: young.luxemburg_norm_batch(v, wt, A),
-                        vals, w.cells)
+                        lambda m, v, *wt: young.luxemburg_norm_batch(
+                            v, *wt or [m], A, floor), *arrays)
     return GridFunction(grid, out)
 
 

@@ -433,9 +433,10 @@ _LUX_ETA = 4e-13  # certify at est * (1 -+ _LUX_ETA)
 _LUX_DELTA = 1e-13  # replay: a certificate decides the steps this far past it
 _LUX_BLOCK = 2048  # estimate and certify this many rows at a time
 _LUX_ROWS = 8  # a call of at most this many rows runs row by row
+_LUX_FLOOR_TOL = 1e-9  # a row closes where bound (1 + tol) < floor (1 - tol)
 
 
-def luxemburg_norm_batch(values, measures, A: YoungFunction):
+def luxemburg_norm_batch(values, measures, A: YoungFunction, floor=None):
     """Vectorized Luxemburg norms for a stack of same-size cubes, or for
     several such stacks whose cube sizes differ.
 
@@ -463,6 +464,19 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
     row is bitwise its norm alone.  A call of at most _LUX_ROWS rows, where
     numpy's per-call cost outweighs the arithmetic, runs the same steps
     row by row in _luxemburg_rows, with the same bits.
+
+    floor, if given, holds one value per row, group after group: a row
+    whose norm lies certainly below its floor may come back as -inf
+    instead (a cube that attains no maximum), and every other row keeps
+    its bits.  Once every row is validated, each row's modular is taken at
+    Jensen's point lam_J first.  A(t)/t is nondecreasing (A convex with
+    A(0) = 0), so modular(t lam) <= modular(lam) / t for t >= 1 and the
+    norm is at most max(1, modular(lam_J)) lam_J, or the replay's lower
+    end where the root lies below that (_below_floor).  A row closes where
+    this bound, widened by 1e-9 relative, lies below its floor narrowed by
+    as much; it runs no other step.  Every other row runs the hi check,
+    secant, certificates and replay as without a floor.  Like the
+    certificates, the margin assumes measures that are normal floats or 0.
     """
     if not isinstance(values, list):
         values, measures = [values], [measures]
@@ -475,6 +489,10 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
     if any(np.any(t <= 0) for t in tot):
         raise YoungError("cube has nonpositive measure")
     vmax, e = np.frexp(np.concatenate([x.max(axis=1) for x in v]))
+    fl = np.full(vmax.size, -np.inf) if floor is None else \
+        np.asarray(floor, dtype=float).ravel()
+    if fl.size != vmax.size:
+        raise YoungError("one floor per row")
     starts = np.cumsum([0] + [len(x) for x in v])
     # unit scale; a cell of measure 0 counts in hi only, not in the modular
     v = [np.where(m == 0, 0.0, np.ldexp(x, -e[p:q, None], out=x))
@@ -484,19 +502,18 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
     if not np.any(act):
         return out
     if not np.all(act):
-        keep = np.split(act, starts[1:-1])
-        v, mu, tot = ([x[k] for x, k in zip(arr, keep)]
-                      for arr in (v, mu, tot))
-        vmax, e = vmax[act], e[act]
+        v, mu, tot = (_keep_rows(x, starts, act) for x in (v, mu, tot))
+        vmax, e, fl = vmax[act], e[act], fl[act]
         starts = np.cumsum([0] + [len(x) for x in v])
     if A.family == LINF:
         out[act] = np.ldexp(vmax / A.params[0], e)
         return out
     n = int(starts[-1])
     if n <= _LUX_ROWS:
+        cells = [r for g in zip(v, mu) for r in zip(*g)]
         out[act] = np.ldexp(_luxemburg_rows(
-            [r for g in zip(v, mu, tot, np.split(vmax, starts[1:-1]))
-             for r in zip(*g)], A), e)
+            [(*c, t, x, f) for c, t, x, f in zip(
+                cells, np.concatenate(tot), vmax, np.ldexp(fl, -e))], A), e)
         return out
 
     def groups(i):
@@ -528,18 +545,37 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         hi = vmax * max(1.0, 1.0 / A.inverse_one)
-        a, b, bad = np.zeros(n), np.full(n, np.inf), np.zeros(n, bool)
-        # estimate and certify in blocks of rows, which bounds the memory
+        a, b = np.zeros(n), np.full(n, np.inf)
+        # Jensen's point of every row first, in blocks of rows, which bounds
+        # the memory; a row certainly below its floor closes, and the open
+        # rows go on alone, each as it would without a floor
+        lam, mj, keep = [], [], np.empty(n, bool)
         for j in range(0, n, _LUX_BLOCK):
             sl = slice(j, j + _LUX_BLOCK)
-            m = certify(i := np.arange(n)[sl], hi[sl])
+            lj = jensen(i := np.arange(j, min(j + _LUX_BLOCK, n)))
+            m = certify(i, lj)
+            # the floors in unit scale; only one of at least 2e-18, so a
+            # normal float and exact, can close a row
+            kb = keep[sl] = ~_below_floor(m, lj, hi[sl],
+                                          np.ldexp(fl[sl], -e[sl]))
+            lam.append(lj[kb])
+            mj.append(m[kb])
+        lam, mj = np.concatenate(lam), np.concatenate(mj)
+        if not np.all(keep):
+            v, mu, tot = (_keep_rows(x, starts, keep) for x in (v, mu, tot))
+            starts = np.cumsum([0] + [len(x) for x in v])
+            hi, a, b = hi[keep], a[keep], b[keep]
+            n = hi.size
+        bad = np.zeros(n, bool)
+        for j in range(0, n, _LUX_BLOCK):
+            sl = slice(j, j + _LUX_BLOCK)
+            m = certify(i := np.arange(j, min(j + _LUX_BLOCK, n)), hi[sl])
             # monotonicity sanity: the modular must not increase with lam
             bad[sl] = m > 1.0 + 1e-9
             # a secant on g = log modular against x = log lam, from hi and
             # Jensen's point; g falls with slope <= -1, that of A(t) = t
-            lam = jensen(i)
-            x0, g0, x1 = np.log(hi[sl]), np.log(m), np.log(lam)
-            g1, est = np.log(certify(i, lam)), x1.copy()
+            x0, g0, x1 = np.log(hi[sl]), np.log(m), np.log(lam[sl])
+            g1, est = np.log(mj[sl]), x1.copy()
             for _ in range(_LUX_SECANT_STEPS):
                 s = (g1 - g0) / (x1 - x0)
                 x = x1 - g1 / np.where(s < 0.0, s, -1.0)
@@ -575,17 +611,37 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction):
                 live &= ~(hi / lo - 1.0 <= 1e-12)
                 if not live.any():
                     break
-    out[act] = np.ldexp(hi, e)
+    norm = np.full(keep.size, -np.inf)
+    norm[keep] = hi
+    out[act] = np.ldexp(norm, e)
     return out
 
 
+def _keep_rows(groups: list, starts, keep) -> list:
+    """The rows of each group where keep, a mask over the rows of all
+    groups, is true."""
+    return [x[k] for x, k in zip(groups, np.split(keep, starts[1:-1]))]
+
+
+def _below_floor(m, lam, hi, floor):
+    """Whether a norm lies certainly below floor, from its unit-scale row's
+    modular m at lam and initial upper end hi: the norm is at most
+    max(1, m) lam, or the replay's lower end of at most 4e-18 hi where the
+    root lies below it, and that bound widened by _LUX_FLOOR_TOL must lie
+    below the floor narrowed by as much.  A NaN modular (lam = 0) counts as
+    1 and a NaN floor closes nothing.  One expression for numpy rows and
+    Python floats, so both paths close the same rows."""
+    bound = np.maximum(np.fmax(m, 1.0) * lam, 4e-18 * hi)
+    return bound * (1.0 + _LUX_FLOOR_TOL) < floor * (1.0 - _LUX_FLOOR_TOL)
+
+
 def _luxemburg_rows(rows, A: YoungFunction) -> list:
-    """luxemburg_norm_batch's norms of unit-scale rows (v, mu, tot, vmax),
-    one row at a time: the same hi, bad, Jensen start, secant, certificates
-    and replay, with the control flow in Python floats and numpy only for
-    the row's modular, the same expression on the same row.  Python's *, /
-    and sqrt round as numpy's do, and the estimate only places
-    certificates, so math.log and math.exp there move no bit.  Where
+    """luxemburg_norm_batch's norms of unit-scale rows (v, mu, tot, vmax,
+    floor), one row at a time: the same floor test, hi, bad, Jensen start,
+    secant, certificates and replay, with the control flow in Python floats
+    and numpy only for the row's modular, the same expression on the same
+    row.  Python's *, / and sqrt round as numpy's do, and the estimate only
+    places certificates, so math.log and math.exp there move no bit.  Where
     Python raises and numpy returns inf or NaN (log 0, exp overflow,
     x / 0), log, exp and the secant's slope return numpy's value."""
     def log(x):
@@ -600,7 +656,7 @@ def _luxemburg_rows(rows, A: YoungFunction) -> list:
     scale = max(1.0, 1.0 / A.inverse_one)
     out = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for v, mu, tot, vmax in rows:
+        for v, mu, tot, vmax, floor in rows:
             tot, hi = float(tot), float(vmax) * scale
             a, b = 0.0, math.inf
 
@@ -614,11 +670,16 @@ def _luxemburg_rows(rows, A: YoungFunction) -> list:
                     b = min(b, lam * (1.0 + _LUX_DELTA))
                 return m
 
+            lam = float((v * mu).sum()) / tot / A.inverse_one
+            m = certify(lam)
+            if floor > -math.inf and _below_floor(m, lam, hi, floor):
+                out.append(-math.inf)
+                continue
+            g1 = log(m)
             m = certify(hi)
             bad = m > 1.0 + 1e-9
-            lam = float((v * mu).sum()) / tot / A.inverse_one
             x0, g0, x1 = log(hi), log(m), log(lam)
-            g1, est = log(certify(lam)), x1
+            est = x1
             for _ in range(_LUX_SECANT_STEPS):
                 dg, dx = g1 - g0, x1 - x0
                 s = dg / dx if dx else float(np.float64(dg) / dx)

@@ -1,11 +1,14 @@
 """Relations that hold exactly in the mathematics of sparse domination,
-checked bit for bit on the released sweep's configurations at L = 8.
+checked bit for bit on the released sweep's configurations at L = 8, on
+the Orlicz maximal operators and on the released battery scenarios.
 
 Sparse domination of T_b^m is of degree 1 in f on both sides, and of
 degree m in b.  For a convolution kernel both sides commute with
-translation, and for an odd kernel with reflection x -> -x.  Scaling by a
-power of two is exact in floating point, so a verdict that moves under
-f -> 2^k f or b -> 2b is not a verdict on the inequality."""
+translation, and for an odd kernel with reflection x -> -x.  The Orlicz
+maximal operators are of degree 1 in f and the weighted one of degree 0
+in its weight, and so are both sides of the battery's inequalities in f.
+Scaling by a power of two is exact in floating point, so a verdict that
+moves under f -> 2^k f or b -> 2b is not a verdict on the inequality."""
 
 import functools
 import json
@@ -15,7 +18,8 @@ import numpy as np
 import pytest
 
 from sparsedom import cli, young
-from sparsedom.bench import DOMINATION_BATTERY
+from sparsedom import operators as op
+from sparsedom.bench import DOMINATION_BATTERY, parse_scenario, run_scenario
 from sparsedom.dyadic import Grid, GridFunction
 from sparsedom.operators import counter_young, parse_kernel
 from sparsedom.sparse_engine import domination_report
@@ -127,3 +131,82 @@ def test_cli_sparse_verdict_in_units_of_f(tmp_path):
             consts[name] = json.load(fh)["constants"]
     assert consts["small"]["violations_L8"] == 0
     assert consts["small"]["c_star_L8"] == consts["one"]["c_star_L8"] > 0
+
+
+@pytest.mark.parametrize("k", [60, -60])
+@pytest.mark.parametrize("shifted", [False, True], ids=["base", "shifted"])
+@pytest.mark.parametrize("grid", [Grid(1, (-0.5,), 1.0, 6),
+                                  Grid(2, (-0.5, -0.5), 1.0, 4)],
+                         ids=["1d-L6", "2d-L4"])
+def test_orlicz_maximal_degree_one_in_f(grid, shifted, k, monkeypatch):
+    # M_A f and M_A^w f scale with f and not with w, bit for bit; their
+    # floors are scale-free, so the same cubes close at every scale
+    rng = np.random.default_rng(11)
+    f = np.where(rng.random(grid.shape) < 0.3, 0.0,
+                 rng.standard_normal(grid.shape))
+    w = rng.lognormal(0.0, 1.0, grid.shape)
+    real, closed = young.luxemburg_norm_batch, []
+
+    def spy(*args):
+        out = real(*args)
+        closed.append(int(np.isneginf(out).sum()))
+        return out
+
+    monkeypatch.setattr(young, "luxemburg_norm_batch", spy)
+
+    def maximal(f, w=None):
+        # MA without a weight, MAW with one; and the closed cubes
+        closed.clear()
+        wt = None if w is None else GridFunction(grid, w)
+        cells = op.maximal(GridFunction(grid, f), "MA" if w is None else "MAW",
+                           A=A, w=wt, shifted=shifted).cells
+        return cells.tobytes(), closed[:]
+
+    for A in (young.llogl(1), young.lll(1, 1.5)):
+        for wt in (None, w):
+            cells, shut = maximal(f, wt)
+            assert sum(shut) > 0
+            assert maximal(np.ldexp(f, k), wt) == (
+                np.ldexp(np.frombuffer(cells), k).tobytes(), shut)
+        assert maximal(f, np.ldexp(w, k)) == maximal(f, w)
+
+
+KINDS = ("cf", "strong", "expdecay", "sparse", "endpoint", "endpoint_czo")
+RELEASED = sorted(name for name in os.listdir(BATTERY_DIR)
+                  if name.endswith(".ini") and parse_scenario(
+                      os.path.join(BATTERY_DIR, name)).kind in KINDS)
+
+
+@functools.cache
+def _released(name):
+    return run_scenario(parse_scenario(os.path.join(BATTERY_DIR, name)))
+
+
+def _bits(x):
+    """A report value with every float as its hex string."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    return x
+
+
+@pytest.mark.parametrize("k", [60, -60])
+@pytest.mark.parametrize("name", RELEASED)
+def test_battery_kinds_degree_one_in_f(name, k, tmp_path):
+    # each released scenario of one level, f times 2^k read from a table:
+    # the same verdict and constants, and the same row ratios except in the
+    # endpoint kinds, whose lambda grid is not exact under scale -> 2^k
+    # scale (np.geomspace(1e-3 scale, 1e3 scale, n))
+    scn = parse_scenario(os.path.join(BATTERY_DIR, name))
+    (level,) = scn.levels
+    cells = parse_profile(scn.f, scn.grid(level)).cells
+    table = tmp_path / "f.csv"
+    table.write_text(",".join(map(repr, np.ldexp(cells, k).ravel().tolist())))
+    scn.f = f"table({table})"
+    got, want = run_scenario(scn), _released(name)
+    assert got["pass"] == want["pass"]
+    assert _bits(got["constants"]) == _bits(want["constants"])
+    if not scn.kind.startswith("endpoint"):
+        assert [r["ratio"].hex() for r in got["rows"]] == \
+            [r["ratio"].hex() for r in want["rows"]]

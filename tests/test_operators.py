@@ -581,6 +581,19 @@ def test_maximal_weighted_needs_a_weight(unit_grid):
         op.maximal(f, "MAW", A=young.llogl(1))
 
 
+@pytest.mark.parametrize("grid", [Grid(1, (0.5,), 1.0, 6),
+                                  Grid(1, (0.0,), 2.0, 6)],
+                         ids=["moved", "wider"])
+def test_maximal_weighted_rejects_a_weight_on_another_grid(unit_grid, grid):
+    # the same shape, read cell by cell, is not the same weight
+    f = parse_profile("const(1)", unit_grid)
+    w = parse_profile("const(2)", grid)
+    with pytest.raises(op.OperatorError, match="grid"):
+        op.maximal(f, "MAW", A=young.llogl(1), w=w)
+    same = parse_profile("const(2)", Grid(1, (0.0,), 1.0, 6))
+    assert op.maximal(f, "MAW", A=young.llogl(1), w=same).cells.size == 64
+
+
 # -- truncation maximal and frozen bounds --------------------------------------
 
 

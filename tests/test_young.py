@@ -616,6 +616,79 @@ def test_luxemburg_batch_rejects_negative_measure():
     assert got[0] == pytest.approx(1.0, rel=1e-11)
 
 
+
+# -- floors: rows that cannot attain a maximum --------------------------------
+
+
+@pytest.mark.parametrize("lux_rows", [8, 0], ids=["rows", "vectorized"])
+@pytest.mark.parametrize("A", LUX_GAUGES, ids=young.format_young)
+@settings(max_examples=5)
+@given(n=st.sampled_from([1, 4, 9, 64]), seed=st.integers(0, 2**32 - 1),
+       c_exp=st.floats(-12.0, 12.0), spread_exp=st.floats(-12.0, 12.0))
+def test_luxemburg_floor_of_minus_inf_moves_no_bit(A, lux_rows, n, seed,
+                                                   c_exp, spread_exp):
+    # no floor, or -inf on every row, closes nothing: the call is the
+    # bisection's, row by row and vectorized
+    rng = np.random.default_rng(seed)
+    vals, mu = _lux_rows(n, rng, 10.0 ** c_exp, 10.0 ** spread_exp)
+    pick = rng.choice(len(vals), min(len(vals), 8 if lux_rows else 64),
+                      replace=False)
+    vals, mu = vals[pick], mu[pick]
+    want = _bisection_reference(vals, mu, A).tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(young, "_LUX_ROWS", lux_rows)
+        for floor in (None, np.full(len(vals), -np.inf)):
+            assert young.luxemburg_norm_batch(vals, mu, A,
+                                              floor).tobytes() == want
+
+
+@pytest.mark.parametrize("lux_rows", [8, 0], ids=["rows", "vectorized"])
+@pytest.mark.parametrize("A", LUX_GAUGES, ids=young.format_young)
+@settings(max_examples=5)
+@given(n=st.sampled_from([1, 4, 9, 64]), seed=st.integers(0, 2**32 - 1),
+       c_exp=st.floats(-12.0, 12.0), spread_exp=st.floats(-12.0, 12.0))
+def test_luxemburg_floor_closes_only_rows_below_it(A, lux_rows, n, seed,
+                                                   c_exp, spread_exp):
+    # floors around each row's norm: a closed row (-inf) has its norm below
+    # the floor, every open row keeps the bisection's bits
+    rng = np.random.default_rng(seed)
+    vals, mu = _lux_rows(n, rng, 10.0 ** c_exp, 10.0 ** spread_exp)
+    pick = rng.choice(len(vals), min(len(vals), 8 if lux_rows else 64),
+                      replace=False)
+    vals, mu = vals[pick], mu[pick]
+    # a row of one value: Jensen's point is its norm (a tenth of it where
+    # A^-1(1) is off by 10), so a floor 1e3 times the norm closes it
+    vals[0], mu[0] = 3.0, 1.0
+    want = _bisection_reference(vals, mu, A)
+    factors = [0.5, 1.0, 1.0 + 1e-12, 1.001, 2.0, 1e3, np.inf, np.nan]
+    with np.errstate(invalid="ignore"):
+        floor = want * np.r_[1e3, rng.choice(factors, len(vals) - 1)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(young, "_LUX_ROWS", lux_rows)
+        got = young.luxemburg_norm_batch(vals, mu, A, floor)
+    shut = np.isneginf(got)
+    assert np.all(want[shut] < floor[shut])
+    assert got[~shut].tobytes() == want[~shut].tobytes()
+    assert shut[0] == (A.family != young.LINF)
+
+
+@pytest.mark.parametrize("lux_rows", [8, 0], ids=["rows", "vectorized"])
+def test_luxemburg_floor_rows_validated_first(lux_rows, monkeypatch):
+    # a floor of inf would close every row, but a cube of measure 0 or a
+    # non-finite cell raises before any row is closed
+    monkeypatch.setattr(young, "_LUX_ROWS", lux_rows)
+    A, top = young.llogl(1), np.full(3, np.inf)
+    vals, mu = np.ones((3, 4)), np.ones((3, 4))
+    assert np.isneginf(young.luxemburg_norm_batch(vals, mu, A, top)).all()
+    mu[2] = 0.0
+    with pytest.raises(young.YoungError, match="measure"):
+        young.luxemburg_norm_batch(vals, mu, A, top)
+    mu[2], vals[1, 3] = 1.0, np.inf
+    with pytest.raises(young.YoungError, match="non-finite"):
+        young.luxemburg_norm_batch(vals, mu, A, top)
+    with pytest.raises(young.YoungError, match="floor"):
+        young.luxemburg_norm_batch(np.ones((3, 4)), mu, A, top[:2])
+
 # -- Holder defect ------------------------------------------------------------
 
 
