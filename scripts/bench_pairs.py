@@ -16,7 +16,11 @@ Each record is the JSON object of the last line run.py prints.  A run
 that exits nonzero or reports "correct": false stops the script.  The
 summary gives, per workload and end-to-end metric, the median and
 quartiles of each side (statistics.quantiles(method='inclusive')), how many
-pairs the change was lower in, and the parent's interquartile range.
+pairs the change was lower in, and the parent's interquartile range.  It
+also gives the change/parent ratio of each pair, summarized as median, min
+and max over all pairs, over the pairs that ran the parent first and over
+those that ran the change first: the run that goes first in a pair can
+read slower, and the split shows how much of a difference is that order.
 """
 
 from __future__ import annotations
@@ -57,6 +61,11 @@ def stats(values: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "n": len(values)}
 
 
+def ratio_stats(ratios: list) -> dict:
+    return {"median": statistics.median(ratios), "min": min(ratios),
+            "max": max(ratios), "n": len(ratios)}
+
+
 def summarize(runs: list, workload: str) -> dict:
     by = {side: sorted((r for r in runs if r["workload"] == workload
                         and r["side"] == side), key=lambda r: r["pair"])
@@ -72,6 +81,12 @@ def summarize(runs: list, workload: str) -> dict:
                 for s in SIDES}
         par, chg = vals["parent"], vals["change"]
         ps, cs = stats(par), stats(chg)
+        # per pair change/parent, grouped by the side that ran first
+        ratios = {"all": [], "parent_first": [], "change_first": []}
+        for p, c, r in zip(par, chg, by["parent"]):
+            first = "parent" if r["position"] == 1 else "change"
+            ratios["all"].append(c / p)
+            ratios[f"{first}_first"].append(c / p)
         out[name] = {
             "parent": ps,
             "change": cs,
@@ -80,6 +95,7 @@ def summarize(runs: list, workload: str) -> dict:
             "pairs": len(par),
             "median_change_over_parent": cs["median"] / ps["median"],
             "parent_iqr": ps["q3"] - ps["q1"],
+            "pair_ratio": {g: ratio_stats(v) for g, v in ratios.items()},
         }
     return out
 

@@ -7,7 +7,6 @@ lattices down to cell scale, clipped at the domain boundary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,8 @@ class WeightError(ValueError):
 
 
 def as_weight(w: GridFunction) -> GridFunction:
-    if np.any(w.cells <= 0):
-        raise WeightError("weights must be strictly positive on every cell")
+    if not np.all((w.cells > 0) & (w.cells < np.inf)):  # NaN fails both
+        raise WeightError("weights must be positive and finite on every cell")
     return w
 
 
@@ -92,57 +91,70 @@ def _window_sums(w: GridFunction) -> tuple:
     return np.concatenate(parts), np.array(offsets)
 
 
-def _fujii_wilson(w: GridFunction, shifted: bool) -> float:
-    """sup_Q w(Q)^(-1) int_Q M(w chi_Q) over the scope, in one pass.
+_FW_BLOCK = 1 << 13  # pair values per chunk of Q tilings
 
-    For a cell x of Q, M(w chi_Q)(x) is the max over the scope cubes R
-    containing x of w(Q n R) / |R|, both clipped to the domain.  Each
-    tiling of scope_tilings covers the domain once, so every pair (Q, x)
-    is one copy of the cells per Q tiling, with Q found by integer
-    division; each R tiling then updates a running max per pair.  The ends
-    of Q n R are multiples of t = min(side Q, side R), and it spans at most
-    3 blocks of side t per axis, so w(Q n R) is one read of _window_sums: a
-    sum of positive terms, with no cancellation.
+
+def _fujii_wilson(w: GridFunction, shifted: bool) -> float:
+    """sup_Q w(Q)^(-1) int_Q M(w chi_Q) over the scope, once per cube pair.
+
+    At a cell x of Q, M(w chi_Q)(x) is the max over the scope cubes R
+    containing x of val(Q, R) = w(Q n R) / |R|, both clipped to the domain.
+    With j = max(level Q, level R), Q n R spans at most 3 blocks of side
+    2^(L-j) per axis, one read of _window_sums, and all cells of a level-j
+    block share Q and R: pass j computes val per block, for Q tilings of
+    levels <= j against R tilings of level j and of level j against level
+    j - 1, in chunks of Q tilings of at most _FW_BLOCK values (or one
+    tiling), and broadcasts the maxima to the cells.  R levels <= level
+    Q - 2 are skipped: there |R| >= 4s > 3s >= |Q| per axis (s the base
+    side at level Q), and the computed w(Q n R) <= the computed w(Q),
+    window sums being left folds of nonnegative terms, so val(Q, R) <=
+    val(Q, Q), which is computed.  A max is the same in any order, and each
+    Q's sum adds the same per-cell maxima in the same order as a per-cell
+    pass: neither skip nor chunks move a bit.
     """
     grid = w.grid
     n, L, N = grid.n, grid.level, grid.cells_per_side
     sums, offsets = _window_sums(w)
-    cells = np.indices(grid.shape).reshape(n, -1)
-    qlo, qhi, qlev, qid = [], [], [], []
-    nq = 0
-    for k in range(L + 1):
-        for side, origin in scope_tilings(grid, k, shifted):
-            o = np.array(origin)[:, None]
-            q = (cells - o) // side
-            counts = [-(-(N - c) // side) for c in origin]
-            lo = o + q * side
-            qlo.append(np.maximum(lo, 0))
-            qhi.append(np.minimum(lo + side, N))
-            qlev.append(np.full(cells.shape[1], k))
-            qid.append(nq + np.ravel_multi_index(q, counts))
-            nq += math.prod(counts)
-    reps = len(qid)  # the Q tilings
-    x = np.tile(cells, reps)
-    qlo, qhi = np.concatenate(qlo, axis=1), np.concatenate(qhi, axis=1)
-    qlev, qid = np.concatenate(qlev), np.concatenate(qid)
-    best = np.zeros(qid.size)
-    for k in range(L + 1):
-        j = np.maximum(qlev, k)  # the level of t
-        shift, base, c = L - j, offsets[j], 1 << j
-        for side, origin in scope_tilings(grid, k, shifted):
-            o = np.array(origin)[:, None]
-            rlo = o + (x - o) // side * side
-            rhi = np.minimum(rlo + side, N)
-            rlo = np.maximum(rlo, 0)
-            lo = np.maximum(qlo, rlo) >> shift
-            span = (np.minimum(qhi, rhi) >> shift) - lo - 1
-            pos, win = 0, 0
-            for ax in range(n):
-                pos, win = pos * c + lo[ax], win * 3 + span[ax]
-            val = sums[base + win * c ** n + pos] / np.prod(rhi - rlo, axis=0)
-            np.maximum(best, val, out=best)
-    num = np.bincount(qid, weights=best)
-    den = np.bincount(qid, weights=np.tile(w.cells.ravel(), reps))
+    tilings = sum((scope_tilings(grid, k, shifted) for k in range(L + 1)), [])
+    per = len(tilings) // (L + 1)  # tilings per level
+    sides, origins = (np.array(x, dtype=np.int32).T for x in zip(*tilings))
+
+    def keys(rows):  # per axis and block, tilings[rows]' keys and sides
+        s, o = sides[rows, None], origins[:, rows, None]
+        lo = o + (np.arange(c, dtype=np.int32) * t - o) // s * s
+        lo, hi = np.maximum(lo, 0), np.minimum(lo + s, N)
+        return np.stack([lo >> L - j, (hi >> L - j) - 1]) * stride, hi - lo
+
+    def outer(x, op):  # (n, ..., c) -> (..., c ** n), axis 0 major
+        y = x[0] if n == 1 else op(x[0][..., None], x[1][..., None, :])
+        return y.reshape(y.shape[:-n] + (-1,))
+
+    best = np.zeros((len(tilings), N ** n))
+    for j in range(L + 1):
+        t, c = 1 << (L - j), 1 << j
+        # w(Q n R) is at offsets[j] + sum over axes of first * c^e + span *
+        # 3^e c^n, e = n - 1 - axis: the keys' minima, as c^e - 3^e c^n <= 0
+        e = np.arange(n - 1, -1, -1)[:, None, None]
+        stride = np.stack([c ** e - 3 ** e * c ** n, 3 ** e * c ** n])
+        step = max(1, _FW_BLOCK // (per << n * j))
+        for a0, k in [(0, j), (j * per, j - 1)][:1 + (j > 0)]:
+            rkey, rside = keys(slice(k * per, (k + 1) * per))
+            vol = outer(rside, np.multiply)[:, None]
+            for a in range(a0, (j + 1) * per, step):
+                b = min(a + step, (j + 1) * per)
+                at = np.minimum(keys(slice(a, b))[0][:, :, None],
+                                rkey[:, :, :, None]).sum(axis=0)
+                top = (sums[offsets[j]:][outer(at, np.add)] / vol).max(axis=0)
+                cell = best[a:b].reshape((b - a,) + (c, t) * n)
+                np.maximum(cell, top.reshape((b - a,) + (c, 1) * n), out=cell)
+    # per tiling and cell, the cell's Q, numbered tiling by tiling
+    counts = -(-(N - origins) // sides)
+    q = (np.arange(N, dtype=np.int32) - origins[:, :, None]) // sides[:, None]
+    q[0] *= np.prod(counts[1:], axis=0)[:, None]
+    size = np.prod(counts, axis=0)
+    qid = (outer(q, np.add) + (np.cumsum(size) - size)[:, None]).ravel()
+    num = np.bincount(qid, weights=best.ravel())
+    den = np.bincount(qid, weights=np.tile(w.cells.ravel(), len(tilings)))
     return float((num / den).max())
 
 
@@ -263,6 +275,8 @@ def parse_profile(text: str, grid: Grid) -> GridFunction:
     rad = np.abs(x[0]) if n == 1 else np.hypot(*x)
     if name == "table":
         cells = np.loadtxt(args[0], delimiter=",").reshape(grid.shape)
+        if not np.all(np.isfinite(cells)):
+            raise WeightError(f"table {args[0]!r} has a non-finite entry")
     elif name == "const":
         cells = np.full(grid.shape, args[0])
     elif name == "power_abs":

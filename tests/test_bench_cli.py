@@ -12,6 +12,8 @@ from scipy.integrate import quad
 
 from sparsedom import bench, cli
 from sparsedom import sparse_engine as eng
+from sparsedom.dyadic import Grid
+from sparsedom.weights import parse_profile
 
 
 BATTERY_DIR = os.path.join(os.path.dirname(__file__), "..", "battery")
@@ -82,6 +84,30 @@ def test_malformed_scenario_values_exit_2(tmp_path, capsys, name, key,
     out = tmp_path / "o"
     assert cli.main(["run", str(path), "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_weight_table_exits_2(tmp_path, capsys, bad):
+    # cf_hilbert_m0 with its weight read from a table: it runs as released,
+    # and one non-finite cell is a scenario error with no report
+    cp = configparser.ConfigParser()
+    cp.read(os.path.join(BATTERY_DIR, "cf_hilbert_m0.ini"))
+    grid = Grid(1, (-0.5,), 1.0, int(cp["scenario"]["levels"]))
+    cells = parse_profile(cp["scenario"]["w"], grid).cells.tolist()
+    bad_row = cells[:3] + [float(bad)] + cells[4:]
+    for name, row in (("finite", cells), ("bad", bad_row)):
+        table = tmp_path / f"{name}.csv"
+        table.write_text(",".join(map(repr, row)))
+        cp["scenario"]["w"] = f"table({table})"
+        with open(tmp_path / f"{name}.ini", "w") as fh:
+            cp.write(fh)
+    ok, out = tmp_path / "ok", tmp_path / "o"
+    assert cli.main(["run", str(tmp_path / "finite.ini"),
+                     "--out", str(ok)]) == 0
+    assert cli.main(["run", str(tmp_path / "bad.ini"),
+                     "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,6 +5,8 @@ cube's cells with cube_slices, so shifted cubes clipped at the domain
 boundary are included exactly as the scope defines them.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -254,3 +256,84 @@ def test_fujii_wilson_matches_brute_force(grid, shifted, sigma):
     one = GridFunction(grid, np.ones(grid.shape))
     assert W.weight_constant(one, "AinfFW", shifted=shifted) == 1.0
 
+
+
+def _fujii_wilson_per_cell(w, shifted):
+    """The per-cell pass that the cube-pair pass of weights._fujii_wilson
+    replaced, kept as its reference: every (Q tiling, cell) pair is one
+    copy of the cells, and each R tiling updates its running max with
+    w(Q n R) / |R|, read from _window_sums at level max(level Q, level R).
+    """
+    grid = w.grid
+    n, L, N = grid.n, grid.level, grid.cells_per_side
+    sums, offsets = W._window_sums(w)
+    cells = np.indices(grid.shape).reshape(n, -1)
+    qlo, qhi, qlev, qid = [], [], [], []
+    nq = 0
+    for k in range(L + 1):
+        for side, origin in scope_tilings(grid, k, shifted):
+            o = np.array(origin)[:, None]
+            q = (cells - o) // side
+            counts = [-(-(N - c) // side) for c in origin]
+            lo = o + q * side
+            qlo.append(np.maximum(lo, 0))
+            qhi.append(np.minimum(lo + side, N))
+            qlev.append(np.full(cells.shape[1], k))
+            qid.append(nq + np.ravel_multi_index(q, counts))
+            nq += int(np.prod(counts))
+    reps = len(qid)
+    x = np.tile(cells, reps)
+    qlo, qhi = np.concatenate(qlo, axis=1), np.concatenate(qhi, axis=1)
+    qlev, qid = np.concatenate(qlev), np.concatenate(qid)
+    best = np.zeros(qid.size)
+    for k in range(L + 1):
+        j = np.maximum(qlev, k)
+        shift, base, c = L - j, offsets[j], 1 << j
+        for side, origin in scope_tilings(grid, k, shifted):
+            o = np.array(origin)[:, None]
+            rlo = o + (x - o) // side * side
+            rhi = np.minimum(rlo + side, N)
+            rlo = np.maximum(rlo, 0)
+            lo = np.maximum(qlo, rlo) >> shift
+            span = (np.minimum(qhi, rhi) >> shift) - lo - 1
+            pos, win = 0, 0
+            for ax in range(n):
+                pos, win = pos * c + lo[ax], win * 3 + span[ax]
+            val = sums[base + win * c ** n + pos] / np.prod(rhi - rlo, axis=0)
+            np.maximum(best, val, out=best)
+    num = np.bincount(qid, weights=best)
+    den = np.bincount(qid, weights=np.tile(w.cells.ravel(), reps))
+    return float((num / den).max())
+
+
+def test_fujii_wilson_bitwise_per_cell_reference():
+    # the cube-pair pass skips R levels <= level Q - 2 and chunks its Q
+    # tilings; neither may move a bit of the per-cell pass
+    grids = [Grid(1, (-0.5,), 1.0, L) for L in range(1, 9)]
+    grids += [Grid(2, (-0.5, -0.5), 1.0, L) for L in range(1, 5)]
+    for grid in grids:
+        rng = np.random.default_rng(grid.n * 16 + grid.level)
+        tables = [rng.lognormal(0.0, s, grid.shape) for s in (0.5, 1, 3, 8)]
+        tables += [np.exp(rng.uniform(-300.0, 300.0, grid.shape)),
+                   W.parse_profile("power_abs(0.5)", grid).cells,
+                   np.ones(grid.shape)]
+        for cells in tables:
+            w = GridFunction(grid, cells)
+            for shifted in (False, True):
+                assert W.weight_constant(w, "AinfFW", shifted=shifted) == \
+                    _fujii_wilson_per_cell(w, shifted), (grid, shifted)
+
+
+def test_fujii_wilson_peak_memory_capped():
+    # the pass works in chunks of Q tilings, so its scratch stays a few
+    # (Q tiling, cell) arrays: 7.4 MiB here, 62 MiB for the per-cell pass
+    grid = Grid(2, (-0.5, -0.5), 1.0, 6)
+    w = GridFunction(grid, np.random.default_rng(6).lognormal(0.0, 1.0,
+                                                              grid.shape))
+    tracemalloc.start()
+    try:
+        W.weight_constant(w, "AinfFW", shifted=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20

@@ -238,6 +238,21 @@ def test_parse_profile_table(tmp_path, unit_grid):
     assert np.allclose(f.cells, data)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_and_tables_rejected(tmp_path, unit_grid, bad):
+    # NaN passes a <= 0 check, and every constant of such a weight is NaN
+    cells = np.linspace(1.0, 2.0, 64)
+    cells[5] = bad
+    w = GridFunction(unit_grid, cells)
+    for kind in ("A1", "Ap", "AinfFW"):
+        with pytest.raises(W.WeightError, match="finite"):
+            W.weight_constant(w, kind, p=2.0)
+    path = tmp_path / "cells.csv"
+    np.savetxt(path, cells[None, :], delimiter=",")
+    with pytest.raises(W.WeightError, match="non-finite"):
+        W.parse_profile(f"table({path})", unit_grid)
+
+
 def test_parse_profile_rejects_garbage(unit_grid):
     for bad in ("gauss(1)", "const()", "const(1)+1", "log_abs(1)", "table()",
                 "table(1)", "indicator(0,1,2)", "power_abs(a=1)"):
