@@ -7,7 +7,10 @@ PARENT_DIR and CHANGE_DIR are source checkouts (CHANGE_DIR defaults to the
 current directory).  For each of the three workloads the script runs 10
 pairs of `perfbench/run.py --workload W --seed S --seconds 40`, once in
 each checkout per pair, one after the other: even pairs run the parent
-first, odd pairs the change.  Every pair uses its own seed,
+first, odd pairs the change.  Before each pair one warm-up run of the side
+that goes first (one pass, `--seconds 1`, the pair's seed) is made and
+discarded, so that a pair's first run does not start on an idle machine.
+Every pair uses its own seed,
 first_seed + 100 * (workload index) + pair; pick a first seed that no run
 made while building the change has used.  Then it makes one traced run
 (`--seed 0 --trace 1`) per workload and side.
@@ -36,14 +39,17 @@ from importlib import metadata
 from pathlib import Path
 
 SECONDS = 40
+# run.py makes one pass per SECONDS_PER_PASS of --seconds, at least one
+WARMUP_SECONDS = 1
 PAIRS = 10
 WORKLOADS = ("battery", "sweep", "plane")
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, trace: int,
+             seconds: float = SECONDS) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(SECONDS),
+           "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -127,6 +133,7 @@ def main(argv=None) -> int:
         for pair in range(PAIRS):
             seed = first + pair
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            run_once(dirs[order[0]], workload, seed, 0, WARMUP_SECONDS)
             for position, side in enumerate(order, 1):
                 result = run_once(dirs[side], workload, seed, 0)
                 runs.append({"side": side, "workload": workload,

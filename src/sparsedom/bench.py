@@ -219,8 +219,10 @@ def strong_cf_check(scn: Scenario) -> dict:
         bfac = bmo ** scn.m if scn.m else 1.0
         if scn.kind == "strong":
             q = scn.p / scn.r
-            apr = weight_constant(w, "Ap", p=q)
+            # sigma first: a weight that overflows it stops the scenario
+            # before Ap sums the same overflowed powers
             sig = sigma_dual(w, scn.p, scn.r)
+            apr = weight_constant(w, "Ap", p=q)
             ainf_w = weight_constant(w, "AinfFW")
             ainf_s = weight_constant(sig, "AinfFW")
             fn = _lp_norm(f.cells, w.cells, scn.p, vol)

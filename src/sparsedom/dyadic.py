@@ -11,6 +11,7 @@ shifted lattice, which is the point of carrying them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -347,40 +348,66 @@ def scope_max(grid: Grid, shifted: bool, reduce, *arrays) -> np.ndarray:
 
     Blocks stack the arrays over one tiling of a level as (cubes, side**n),
     each row in the cube's row-major cell order; cells outside the domain
-    read 0, and mask is 1 on domain cells and 0 on them.  Per level of
-    side s, each array is copied once into a zero frame with margins 2s
-    before and 3s after the domain on every axis (none without shifted
-    lattices), so the base tiling (origin at the domain) and the shifted
-    tilings of scope_tilings are all reshapes of that frame.  reduce is
-    called once, with row groups: masks and each of blocks are lists with
-    one 2D block per level and tiling, in the same order, and it returns
-    the values of all their rows, group after group, as one flat array.
+    read 0, and mask is 1 on domain cells and 0 on them.  With shifted
+    lattices, per level of side s, each array is copied once into a zero
+    frame with margins 2s before and 3s after the domain on every axis, so
+    the base tiling (origin at the domain) and the shifted tilings of
+    scope_tilings are all reshapes of that frame.  Without them the frame
+    is the array itself, and a block is a view of it where the reshape
+    allows (every level in 1D).  A tiling whose window lies inside the
+    domain has a read-only mask sliced from np.broadcast_to(1.0, ...),
+    which holds no cells; a clipped one has its block of a zero-one frame.
+    reduce is called once, with row groups: masks and each of blocks are
+    lists with one 2D block per level and tiling, in the same order, and it
+    returns the values of all their rows, group after group, as one flat
+    array.  It may not write to its blocks.  The maxima are made only after
+    reduce returns, one level at a time, so only the blocks are held
+    through it.
     """
     n = grid.n
     axes = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
-    groups, views, tops = [], [], []
+    # one broadcast for every mask inside the domain: a slice of it costs
+    # a tenth of a broadcast_to call
+    ones = np.broadcast_to(1.0, (grid.cells_per_side ** n,) * 2)
+    groups, levels = [], []
     for shape, dom, tilings in _scope_frames(grid, shifted):
-        frames = []
-        for a in (1.0,) + arrays:  # the mask, then the arrays
-            fr = np.zeros(shape)
-            fr[dom] = a
-            frames.append(fr)
-        top = np.full(shape, -np.inf)
-        tops.append(top[dom])
+        if shifted:
+            frames = []
+            for a in arrays:
+                fr = np.zeros(shape)
+                fr[dom] = a
+                frames.append(fr)
+        else:
+            frames = [np.asarray(a, dtype=float) for a in arrays]
+        mask = None
         for win, split in tilings:
-            groups.append([fr[win].reshape(split).transpose(axes)
-                           .reshape(-1, split[1] ** n) for fr in frames])
-            views.append((top[win].reshape(split),
-                          [x for c in split[::2] for x in (c, 1)]))
+            rows = (-1, split[1] ** n)
+            if all(d.start <= w.start and w.stop <= d.stop
+                   for w, d in zip(win, dom)):
+                m = ones[:math.prod(split[::2]), :rows[1]]
+            else:
+                if mask is None:
+                    mask = np.zeros(shape)
+                    mask[dom] = 1.0
+                m = mask[win].reshape(split).transpose(axes).reshape(rows)
+            groups.append([m] + [fr[win].reshape(split).transpose(axes)
+                                 .reshape(rows) for fr in frames])
+        levels.append((shape, dom, tilings))
     vals = reduce(*map(list, zip(*groups)))
-    start = 0
-    for (view, shape), (mask, *_) in zip(views, groups):
-        part = vals[start:start + len(mask)].reshape(shape)
-        np.maximum(view, part, out=view)
-        start += len(mask)
+    del groups
     out = np.full(grid.shape, -np.inf)
-    for top in tops:
-        np.maximum(out, top, out=out)
+    start = 0
+    for shape, dom, tilings in levels:
+        top = np.full(shape, -np.inf) if shifted else out
+        for win, split in tilings:
+            view = top[win].reshape(split)
+            stop = start + view.size // split[1] ** n
+            part = vals[start:stop].reshape(
+                [x for c in split[::2] for x in (c, 1)])
+            np.maximum(view, part, out=view)
+            start = stop
+        if shifted:
+            np.maximum(out, top[dom], out=out)
     return out
 
 

@@ -159,11 +159,22 @@ def _fujii_wilson(w: GridFunction, shifted: bool) -> float:
 
 
 def sigma_dual(w: GridFunction, p: float, r: float = 1.0) -> GridFunction:
-    """The dual weight w^(-1/(p/r - 1))."""
+    """The dual weight w^(-1/(p/r - 1)), which must be positive and finite
+    on every cell: a weight that is, say 1e-320, can overflow it, and
+    that is a WeightError naming the first such cell, not a warning."""
     q = p / r
     if q <= 1:
         raise WeightError("need p/r > 1")
-    return GridFunction(w.grid, w.cells ** (-1.0 / (q - 1.0)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sig = w.cells ** (-1.0 / (q - 1.0))
+    bad = ~((sig > 0) & (sig < np.inf))
+    if bad.any():
+        cell = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise WeightError(
+            f"dual weight sigma = w^(-1/(p/r - 1)) is {float(sig[cell])!r} "
+            f"at cell {cell if w.grid.n > 1 else cell[0]}, where w = "
+            f"{float(w.cells[cell])!r}; it must be positive and finite")
+    return GridFunction(w.grid, sig)
 
 
 def absorption_check(w: GridFunction, Q: Cube, E: np.ndarray,

@@ -432,6 +432,7 @@ _LUX_STEP_TOL = 1e-14  # estimate: a row stops at a step this small in log lam
 _LUX_ETA = 4e-13  # certify at est * (1 -+ _LUX_ETA)
 _LUX_DELTA = 1e-13  # replay: a certificate decides the steps this far past it
 _LUX_BLOCK = 2048  # estimate and certify this many rows at a time
+_LUX_CELLS = 8192  # Jensen's pass unit-scales this many cells at a time
 _LUX_ROWS = 8  # a call of at most this many rows runs row by row
 _LUX_FLOOR_TOL = 1e-9  # a row closes where bound (1 + tol) < floor (1 - tol)
 
@@ -443,13 +444,15 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction, floor=None):
     values/measures have shape (ncubes, cells_per_cube), or are lists of
     such arrays (row groups, one width per group), finite, with measures
     >= 0 and a positive total per cube; returns the norms of all rows,
-    group after group.  The norm is that of a bisection in log lam from
-    hi/lo = 1e18 (up where the modular at the midpoint sqrt(lo hi) is > 1),
-    which each row ends at its own step where hi/lo - 1 <= 1e-12.  Each
-    row runs in unit scale: it is scaled by 2^-e to max|v| in [0.5, 1),
-    with e from frexp of its max, and its norm by 2^e back.  A power of two
-    commutes with every rounded step, so scaling a row by 2^k, where that
-    is exact, scales its norm by 2^k bit for bit, subnormal rows included.
+    group after group.  The inputs are only read, and a broadcast measure
+    (np.broadcast_to) is never materialized.  The norm is that of a
+    bisection in log lam from hi/lo = 1e18 (up where the modular at the
+    midpoint sqrt(lo hi) is > 1), which each row ends at its own step where
+    hi/lo - 1 <= 1e-12.  Each row runs in unit scale: it is scaled by 2^-e
+    to max|v| in [0.5, 1), with e from frexp of its max, and its norm by
+    2^e back.  A power of two commutes with every rounded step, so scaling
+    a row by 2^k, where that is exact, scales its norm by 2^k bit for bit,
+    subnormal rows included.
 
     Estimate, certify, replay: a per-row secant from hi and Jensen's point
     avg|v| / A^-1(1) estimates the root, certified at est (1 -+ eta).  a is
@@ -477,95 +480,114 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction, floor=None):
     as much; it runs no other step.  Every other row runs the hi check,
     secant, certificates and replay as without a floor.  Like the
     certificates, the margin assumes measures that are normal floats or 0.
+
+    Memory: validation and max|v| are reductions, which copy nothing.
+    Jensen's pass unit-scales at most _LUX_CELLS cells (or one row) at a
+    time, and the unit-scale |v| of the rows that stay open is then made
+    once, the one copy of the values a call holds.
     """
     if not isinstance(values, list):
         values, measures = [values], [measures]
-    v = [np.abs(np.asarray(x, dtype=float)) for x in values]
+    v = [np.asarray(x, dtype=float) for x in values]
     mu = [np.asarray(x, dtype=float) for x in measures]
-    if not all(np.isfinite(x).all() for x in v + mu) or \
-            any(np.any(x < 0) for x in mu):
+    # min and max carry NaN, so the reductions see every non-finite cell
+    invalid = False
+    for m in mu:
+        if m.size:
+            invalid |= not 0.0 <= float(m.min()) <= float(m.max()) < math.inf
+    # max|v| from max v and -min v; abs makes a -0.0 of a zero row +0.0
+    vmax = np.abs(np.concatenate([np.maximum(x.max(axis=1, initial=0.0),
+                                             -x.min(axis=1, initial=0.0))
+                                  for x in v]))
+    if invalid or not np.isfinite(vmax).all():
         raise YoungError("non-finite cell value or measure, or measure < 0")
-    tot = [x.sum(axis=1) for x in mu]
+    tot = [m.sum(axis=1) for m in mu]
     if any(np.any(t <= 0) for t in tot):
         raise YoungError("cube has nonpositive measure")
-    vmax, e = np.frexp(np.concatenate([x.max(axis=1) for x in v]))
+    vmax, e = np.frexp(vmax)
     fl = np.full(vmax.size, -np.inf) if floor is None else \
         np.asarray(floor, dtype=float).ravel()
     if fl.size != vmax.size:
         raise YoungError("one floor per row")
     starts = np.cumsum([0] + [len(x) for x in v])
-    # unit scale; a cell of measure 0 counts in hi only, not in the modular
-    v = [np.where(m == 0, 0.0, np.ldexp(x, -e[p:q, None], out=x))
-         for x, m, p, q in zip(v, mu, starts, starts[1:])]
-    out = np.zeros(vmax.size)
+    # a zero row's norm is 0, and so is its mantissa: vmax takes the norms
     act = vmax > 0
     if not np.any(act):
-        return out
-    if not np.all(act):
-        v, mu, tot = (_keep_rows(x, starts, act) for x in (v, mu, tot))
-        vmax, e, fl = vmax[act], e[act], fl[act]
-        starts = np.cumsum([0] + [len(x) for x in v])
+        return vmax
     if A.family == LINF:
-        out[act] = np.ldexp(vmax / A.params[0], e)
-        return out
-    n = int(starts[-1])
-    if n <= _LUX_ROWS:
-        cells = [r for g in zip(v, mu) for r in zip(*g)]
-        out[act] = np.ldexp(_luxemburg_rows(
-            [(*c, t, x, f) for c, t, x, f in zip(
-                cells, np.concatenate(tot), vmax, np.ldexp(fl, -e))], A), e)
-        return out
+        vmax[act] = np.ldexp(vmax[act] / A.params[0], e[act])
+        return vmax
+    scale = max(1.0, 1.0 / A.inverse_one)
 
-    def groups(i):
-        # (span of i, v, mu, tot) of the rows i (sorted) per group; a run
-        # of rows is a view
-        cut = (0, i.size) if len(v) == 1 else np.searchsorted(i, starts)
-        for g, (p, q) in enumerate(zip(cut[:-1], cut[1:])):
-            if p < q:
-                r0, r1 = i[p] - starts[g], i[q - 1] - starts[g] + 1
-                r = slice(r0, r1) if r1 - r0 == q - p else i[p:q] - starts[g]
-                yield slice(p, q), v[g][r], mu[g][r], tot[g][r]
+    def rows_of(keep):
+        # the rows where keep: unit-scale values, measures, totals
+        k = [slice(None) if keep[p:q].all() else np.flatnonzero(keep[p:q])
+             for p, q in zip(starts, starts[1:])]
+        return ([_unit_rows(x, m, r, e[p:q][r])
+                 for x, m, r, p, q in zip(v, mu, k, starts, starts[1:])],
+                [_take(m, r) for m, r in zip(mu, k)],
+                [t[r] for t, r in zip(tot, k)])
 
-    def certify(i, lam):
-        # the modular of rows i at lam, recorded as certificates
-        m = np.empty(i.size)
-        for s, vi, mi, ti in groups(i):
-            m[s] = (A._eval_raw(vi / lam[s, None]) * mi).sum(axis=1) / ti
-        up, dn = m > 1.0, m <= 1.0
-        a[i[up]] = np.maximum(a[i[up]], lam[up] * (1.0 - _LUX_DELTA))
-        b[i[dn]] = np.minimum(b[i[dn]], lam[dn] * (1.0 + _LUX_DELTA))
-        return m
-
-    def jensen(i):
-        # avg|v| of rows i over A^-1(1)
-        m = np.empty(i.size)
-        for s, vi, mi, ti in groups(i):
-            m[s] = (vi * mi).sum(axis=1) / ti
-        return m / A.inverse_one
+    if np.count_nonzero(act) <= _LUX_ROWS:
+        rows = [r for g in zip(*rows_of(act)) for r in zip(*g)]
+        vmax[act] = np.ldexp(_luxemburg_rows(
+            [(*r, x, f) for r, x, f in zip(
+                rows, vmax[act], np.ldexp(fl[act], -e[act]))], A), e[act])
+        return vmax
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        hi = vmax * max(1.0, 1.0 / A.inverse_one)
+        # Jensen's point of every row and its modular there first, in
+        # chunks of at most _LUX_CELLS cells (or one row) and _LUX_BLOCK
+        # rows, which bounds the memory
+        lam, mj = np.zeros(act.size), np.zeros(act.size)
+        for x, m, t, p, q in zip(v, mu, tot, starts, starts[1:]):
+            step = min(_LUX_BLOCK, max(1, _LUX_CELLS // max(1, x.shape[1])))
+            rows = None if act[p:q].all() else np.flatnonzero(act[p:q])
+            for c in range(0, q - p if rows is None else rows.size, step):
+                r = slice(c, c + step) if rows is None else rows[c:c + step]
+                vr, mr, tr = _unit_rows(x, m, r, e[p:q][r]), _take(m, r), \
+                    t[r]
+                lj = lam[p:q][r] = (vr * mr).sum(axis=1) / tr / A.inverse_one
+                mj[p:q][r] = (A._eval_raw(vr / lj[:, None]) * mr).sum(axis=1) \
+                    / tr
+        # a row certainly below its floor closes, and the open rows go on
+        # alone, each as it would without a floor.  The floors in unit
+        # scale; only one of at least 2e-18, so a normal float and exact,
+        # can close a row
+        keep = act & ~_below_floor(mj, lam, vmax * scale, np.ldexp(fl, -e))
+        lam, mj = lam[keep], mj[keep]
+        v, mu, tot = rows_of(keep)
+        starts = np.cumsum([0] + [len(x) for x in v])
+        e, hi = e[keep], vmax[keep] * scale
+        n = hi.size
+
+        def groups(i):
+            # (span of i, v, mu, tot) of the rows i (sorted) per group; a
+            # run of rows is a view
+            cut = (0, i.size) if len(v) == 1 else np.searchsorted(i, starts)
+            for g, (p, q) in enumerate(zip(cut[:-1], cut[1:])):
+                if p < q:
+                    r0, r1 = i[p] - starts[g], i[q - 1] - starts[g] + 1
+                    r = slice(r0, r1) if r1 - r0 == q - p \
+                        else i[p:q] - starts[g]
+                    yield slice(p, q), v[g][r], _take(mu[g], r), tot[g][r]
+
+        def record(i, lam, m):
+            # the modular m of rows i at lam, as certificates
+            up, dn = m > 1.0, m <= 1.0
+            a[i[up]] = np.maximum(a[i[up]], lam[up] * (1.0 - _LUX_DELTA))
+            b[i[dn]] = np.minimum(b[i[dn]], lam[dn] * (1.0 + _LUX_DELTA))
+
+        def certify(i, lam):
+            # the modular of rows i at lam, recorded as certificates
+            m = np.empty(i.size)
+            for s, vi, mi, ti in groups(i):
+                m[s] = (A._eval_raw(vi / lam[s, None]) * mi).sum(axis=1) / ti
+            record(i, lam, m)
+            return m
+
         a, b = np.zeros(n), np.full(n, np.inf)
-        # Jensen's point of every row first, in blocks of rows, which bounds
-        # the memory; a row certainly below its floor closes, and the open
-        # rows go on alone, each as it would without a floor
-        lam, mj, keep = [], [], np.empty(n, bool)
-        for j in range(0, n, _LUX_BLOCK):
-            sl = slice(j, j + _LUX_BLOCK)
-            lj = jensen(i := np.arange(j, min(j + _LUX_BLOCK, n)))
-            m = certify(i, lj)
-            # the floors in unit scale; only one of at least 2e-18, so a
-            # normal float and exact, can close a row
-            kb = keep[sl] = ~_below_floor(m, lj, hi[sl],
-                                          np.ldexp(fl[sl], -e[sl]))
-            lam.append(lj[kb])
-            mj.append(m[kb])
-        lam, mj = np.concatenate(lam), np.concatenate(mj)
-        if not np.all(keep):
-            v, mu, tot = (_keep_rows(x, starts, keep) for x in (v, mu, tot))
-            starts = np.cumsum([0] + [len(x) for x in v])
-            hi, a, b = hi[keep], a[keep], b[keep]
-            n = hi.size
+        record(np.arange(n), lam, mj)
         bad = np.zeros(n, bool)
         for j in range(0, n, _LUX_BLOCK):
             sl = slice(j, j + _LUX_BLOCK)
@@ -611,16 +633,29 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction, floor=None):
                 live &= ~(hi / lo - 1.0 <= 1e-12)
                 if not live.any():
                     break
-    norm = np.full(keep.size, -np.inf)
-    norm[keep] = hi
-    out[act] = np.ldexp(norm, e)
-    return out
+    vmax[act & ~keep] = -np.inf
+    vmax[keep] = np.ldexp(hi, e)
+    return vmax
 
 
-def _keep_rows(groups: list, starts, keep) -> list:
-    """The rows of each group where keep, a mask over the rows of all
-    groups, is true."""
-    return [x[k] for x, k in zip(groups, np.split(keep, starts[1:-1]))]
+def _take(x, r):
+    """The rows r of x (a slice or an index array of distinct rows).  Where
+    x repeats one row (stride 0, as a broadcast) any len(r) of its rows are
+    rows r, and a slice of them holds no cells."""
+    if x.strides[0] == 0 and not isinstance(r, slice):
+        return x[:len(r)]
+    return x[r]
+
+
+def _unit_rows(x, mu, r, e):
+    """|x| of the rows r, scaled by 2^-e row by row, and 0 where the measure
+    is 0: a new array."""
+    y = np.abs(x[r])
+    np.ldexp(y, -e[:, None], out=y)
+    m = _take(mu, r)
+    if not m.all():
+        np.copyto(y, 0.0, where=m == 0)
+    return y
 
 
 def _below_floor(m, lam, hi, floor):

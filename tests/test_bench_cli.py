@@ -111,6 +111,28 @@ def test_non_finite_weight_table_exits_2(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+def test_sigma_overflow_exits_2(tmp_path, capsys):
+    # strong_hilbert_m0 with a weight table holding one cell of 1e-320:
+    # positive and finite, so it parses, but sigma = w^-1 overflows there;
+    # a scenario error naming sigma and the cell, with no report
+    cp = configparser.ConfigParser()
+    cp.read(os.path.join(BATTERY_DIR, "strong_hilbert_m0.ini"))
+    grid = Grid(1, (-0.5,), 1.0, int(cp["scenario"]["levels"]))
+    cells = parse_profile(cp["scenario"]["w"], grid).cells.copy()
+    cells[5] = 1e-320
+    table = tmp_path / "w.csv"
+    table.write_text(",".join(map(repr, cells.tolist())))
+    cp["scenario"]["w"] = f"table({table})"
+    ini, out = tmp_path / "tiny.ini", tmp_path / "o"
+    with open(ini, "w") as fh:
+        cp.write(fh)
+    assert cli.main(["run", str(ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "sigma" in err and "inf at cell 5," in err
+    assert "Warning" not in err
+    assert not out.exists()
+
+
 def test_counterexample_parameter_window(tmp_path):
     # p must sit below the dual exponent and gamma inside (p/r', 1)
     bad_p = _write_ini(tmp_path / "d.ini", kind="counterexample",

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sparsedom import dyadic
 from sparsedom import operators as op
 from sparsedom import weights as W
 from sparsedom import young
@@ -159,6 +160,68 @@ def test_scope_luxemburg_pruned_maximal_bitwise(grid, shifted, data,
         assert not any(closed)
     else:
         assert sum(closed) > 0
+
+
+@pytest.mark.parametrize("grid,shifted", CASES, ids=IDS)
+def test_scope_broadcast_masks_keep_maximal_bits(grid, shifted, monkeypatch):
+    # a tiling inside the domain gets a read-only broadcast of 1.0 as its
+    # mask; every maximal operator, weight constant and the BMO norm give
+    # the bits they give with every mask a contiguous array
+    f, w = _data(grid, 12)
+    runs = [lambda: op.maximal(f, "M", shifted=shifted).cells,
+            lambda: op.maximal(f, "Mdelta", delta=0.5,
+                               shifted=shifted).cells,
+            lambda: np.float64(W.weight_constant(w, "Ap", p=2.5,
+                                                 shifted=shifted)),
+            lambda: np.float64(W.weight_constant(w, "A1", shifted=shifted)),
+            lambda: np.float64(W.weight_constant(
+                w, "ApBump", p=2.5, C=young.llogl(1), shifted=shifted)),
+            lambda: np.float64(W.bmo_norm(f, shifted=shifted))]
+    for A in PRUNE_GAUGES:
+        runs += [lambda A=A: op.maximal(f, "MA", A=A, shifted=shifted).cells,
+                 lambda A=A: op.maximal(f, "MAW", A=A, w=w,
+                                        shifted=shifted).cells]
+    want = [run().tobytes() for run in runs]
+    real, broadcast = dyadic.scope_max, []
+
+    def dense(grid, shifted, reduce, *arrays):
+        def copied(masks, *blocks):
+            broadcast.extend(m.strides == (0, 0) for m in masks)
+            return reduce([np.array(m) for m in masks], *blocks)
+        return real(grid, shifted, copied, *arrays)
+
+    monkeypatch.setattr(op, "scope_max", dense)
+    monkeypatch.setattr(W, "scope_max", dense)
+    assert [run().tobytes() for run in runs] == want
+    # every mask without shifted lattices, and each level's base tiling
+    # (one of 1 + 3^n) with them
+    assert sum(broadcast) * (1 + 3 ** grid.n if shifted else 1) == \
+        len(broadcast)
+
+
+@pytest.mark.parametrize("variant,A", [
+    pytest.param(v, A, id=f"{v}-{young.format_young(A)}")
+    for v, A in (("MA", young.lll(1, 1.5)), ("MA", young.llogl(1.5)),
+                 ("MAW", young.llogl(1.5)))])
+def test_maximal_peak_memory_capped(variant, A):
+    # plane's endpoint maximal operators on its weight (2D L7, 128 KiB per
+    # array) hold their blocks, the floors and the unit-scale values of
+    # the open rows: at most 24 times the bytes of their data (f, and w
+    # for MAW).  Copied masks, outputs made before reduce and full
+    # unit-scale copies of every block took 52 (MA) and 30 (MAW)
+    grid = Grid(2, (-0.5, -0.5), 1.0, 7)
+    w = W.parse_profile("power_abs(0.5)", grid)
+    kw, data = ({"w": w}, 2 * w.cells.nbytes) if variant == "MAW" else \
+        ({}, w.cells.nbytes)
+    want = op.maximal(w, variant, A=A, **kw).cells  # and A^-1(1) cached
+    tracemalloc.start()
+    try:
+        got = op.maximal(w, variant, A=A, **kw).cells
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak <= 24 * data
 
 
 @pytest.mark.parametrize("A", [young.lll(1, 1.5), young.llogl(1.5)],

@@ -1,6 +1,7 @@
 """Weight constants, reverse Holder, absorption, BMO and oscillation norms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,22 @@ def test_sigma_dual_needs_supercritical_exponent(unit_grid):
     one = W.parse_profile("const(1)", unit_grid)
     with pytest.raises(W.WeightError):
         W.sigma_dual(one, 2.0, 2.0)
+
+
+def test_sigma_dual_rejects_overflow_and_keeps_valid_bits(unit_grid, rng):
+    # a valid weight gives the power's bits; a cell of 1e-320 overflows
+    # w^-1 to inf, which is an error naming sigma and the cell, with no
+    # RuntimeWarning on the way
+    w = rng.lognormal(0.0, 3.0, unit_grid.shape)
+    for p, r in ((2.0, 1.0), (3.0, 1.5), (1.5, 1.0)):
+        got = W.sigma_dual(GridFunction(unit_grid, w), p, r).cells
+        assert got.tobytes() == (w ** (-1.0 / (p / r - 1.0))).tobytes()
+    w = w.copy()
+    w[[7, 9]] = 1e-320
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(W.WeightError, match="sigma .* inf at cell 7,"):
+            W.sigma_dual(GridFunction(unit_grid, w), 2.0)
 
 
 def test_bmo_indicator_half_exact(unit_grid):
