@@ -19,7 +19,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from sparsedom import young  # noqa: E402
 from sparsedom.bench import (domination_battery, endpoint_check,  # noqa: E402
                              parse_scenario, strong_cf_check)
-from sparsedom.dyadic import Grid, cube_mask, cube_slices  # noqa: E402
+from sparsedom.dyadic import Grid, GridFunction, cube_mask, cube_slices  # noqa: E402
 from sparsedom.frozen import BATTERY_VERSION  # noqa: E402
 from sparsedom.operators import (grand_maximal_truncated, hormander_estimate,  # noqa: E402
                                  make_hilbert, maximal, apply_operator,
@@ -186,9 +186,10 @@ def fit_truncation_constants():
         tf = apply_operator(K, f)
         mt = grand_maximal_truncated(truncation(K, grid), f.cells[None],
                                      Q0)[0]
-        maf = maximal(f, "MA", A=A).cells
-        md = maximal(tf, "Mdelta", delta=0.5).cells
-        mf = maximal(f, "M").cells
+        maf = maximal(f, A).cells
+        # M_delta at delta = 1/2: M(|Tf|^delta)^(1/delta)
+        md = maximal(GridFunction(grid, np.abs(tf.cells) ** 0.5)).cells ** 2.0
+        mf = maximal(f).cells
         rhs = h_est * maf + md + mf
         c2 = max(c2, float((mt / np.where(rhs > 0, rhs, 1.0)).max()))
         excess = np.abs(tf.cells) - mt

@@ -219,8 +219,6 @@ def strong_cf_check(scn: Scenario) -> dict:
         bfac = bmo ** scn.m if scn.m else 1.0
         if scn.kind == "strong":
             q = scn.p / scn.r
-            # sigma first: a weight that overflows it stops the scenario
-            # before Ap sums the same overflowed powers
             sig = sigma_dual(w, scn.p, scn.r)
             apr = weight_constant(w, "Ap", p=q)
             ainf_w = weight_constant(w, "AinfFW")
@@ -235,7 +233,7 @@ def strong_cf_check(scn: Scenario) -> dict:
         else:
             ainf = weight_constant(w, "AinfFW")
             gauge = A if scn.m >= 1 else B
-            mf = maximal(f, "MA", A=gauge)
+            mf = maximal(f, gauge)
             rhs = (bfac * ainf ** (scn.m + 1)
                    * _lp_norm(mf.cells, w.cells, scn.p, vol))
             consts[f"ainf_w_L{L}"] = ainf
@@ -309,7 +307,7 @@ def endpoint_check(scn: Scenario) -> dict:
         grid, f, b, w = _level(scn, L, "f", "b", "w")
         vol = grid.cell_volume
         t = np.abs(_centred_commutator(K, b, m, f))
-        maxw = [maximal(w, "MA", A=g).cells for (_, g, _) in plan]
+        maxw = [maximal(w, g).cells for (_, g, _) in plan]
         lams = _lambda_grid(float(t.max()), scn.lambda_points)
         for lam in lams:
             lhs = float((w.cells[t > lam]).sum()) * vol
@@ -320,7 +318,7 @@ def endpoint_check(scn: Scenario) -> dict:
                 rhs += kap * modular
             rows.append(_row(lam, lhs, rhs, lhs <= bound * rhs))
         if scn.kind == "endpoint_czo":
-            comp = maximal(w, "MA", A=young.llogl(m + eps)).cells
+            comp = maximal(w, young.llogl(m + eps)).cells
             ratio = float((maxw[0] / comp).max())
             consts[f"loglog_vs_log_max_L{L}"] = ratio
     ok = all(r["pass"] for r in rows)
@@ -342,7 +340,7 @@ def expdecay_check(scn: Scenario) -> dict:
         grid, f, b = _level(scn, L, "f", "b")
         Q = grid.root_cube()
         t = np.abs(_centred_commutator(K, b, m, f))
-        maf = maximal(f, "MA", A=A).cells
+        maf = maximal(f, A).cells
         bad = (maf == 0) & (t > 1e-12 * max(float(t.max()), 1.0))
         if bad.any():
             ok = False

@@ -411,17 +411,13 @@ def scope_max(grid: Grid, shifted: bool, reduce, *arrays) -> np.ndarray:
     return out
 
 
-def scope_min(grid: Grid, shifted: bool, cells: np.ndarray) -> np.ndarray:
-    """The min of cells over the domain cells of each scope cube: one value
-    per row of scope_max's reduce, in the same order."""
+def scope_min(grid: Grid, cells: np.ndarray) -> np.ndarray:
+    """The min of cells over each base-lattice cube: one value per row of
+    scope_max's reduce without shifted lattices, in the same order."""
     within = tuple(range(1, 2 * grid.n, 2))
-    out = []
-    for shape, dom, tilings in _scope_frames(grid, shifted):
-        fr = np.full(shape, np.inf)
-        fr[dom] = cells
-        out += [fr[win].reshape(split).min(axis=within).ravel()
-                for win, split in tilings]
-    return np.concatenate(out)
+    return np.concatenate([cells.reshape(split).min(axis=within).ravel()
+                           for _, _, tilings in _scope_frames(grid, False)
+                           for _, split in tilings])
 
 
 def block_mean(masks: list, values: list) -> np.ndarray:
@@ -480,7 +476,7 @@ class SparseFamily:
     grid: Grid
     cubes: list
     eta: float
-    certificate: dict | None = None
+    certificate: dict
 
 
 @dataclass
@@ -491,55 +487,21 @@ class SparseCheck:
 
 
 def check_sparse(family: SparseFamily) -> SparseCheck:
-    """Verify eta-sparseness exactly at cell resolution.
-
-    With a certificate: containment, pairwise disjointness and the measure
-    bound are checked cube by cube.  Without one, laminar (nested) families
-    get the greedy witness E_Q = Q minus its family descendants; anything
-    non-laminar needs a certificate.
-    """
+    """Verify eta-sparseness exactly at cell resolution, against the
+    family's certificate: containment, pairwise disjointness and the
+    measure bound, cube by cube."""
     grid = family.grid
-    eta = family.eta
-    cubes = list(family.cubes)
-    if not cubes:
-        return SparseCheck(True, "empty family")
-
-    if family.certificate is not None:
-        used = np.zeros(grid.shape, dtype=bool)
-        for q in cubes:
-            if q not in family.certificate:
-                return SparseCheck(False, "missing certificate entry", q)
-            eq = family.certificate[q]
-            qmask = cube_mask(q, grid)
-            if np.any(eq & ~qmask):
-                return SparseCheck(False, "witness set not inside its cube", q)
-            if np.any(eq & used):
-                return SparseCheck(False, "witness sets overlap", q)
-            used |= eq
-            if eq.sum() < eta * qmask.sum():
-                return SparseCheck(False, "witness set too small", q)
-        return SparseCheck(True, "certificate verified")
-
-    # laminar test: any two cubes are nested or cell-disjoint
-    masks = [cube_mask(q, grid) for q in cubes]
-    sizes = [int(m.sum()) for m in masks]
-    for a in range(len(cubes)):
-        for b in range(a + 1, len(cubes)):
-            inter = masks[a] & masks[b]
-            n_inter = int(inter.sum())
-            if n_inter and n_inter not in (sizes[a], sizes[b]):
-                return SparseCheck(False, "certificate required", cubes[b])
-    # bottom-up greedy: every cube keeps measure eta|Q| of itself and
-    # releases the surplus to its ancestors, which works exactly when each
-    # subtree's total demand fits inside its top cube (Hall condition for
-    # laminar families)
-    for i in range(len(cubes)):
-        demand = 0.0
-        for j in range(len(cubes)):
-            if sizes[j] <= sizes[i] and \
-                    int((masks[i] & masks[j]).sum()) == sizes[j]:
-                demand += eta * sizes[j]
-        if demand > sizes[i] * (1 + 1e-12):
-            return SparseCheck(False, "subtree demand exceeds cube measure",
-                               cubes[i])
-    return SparseCheck(True, "greedy laminar witness verified")
+    used = np.zeros(grid.shape, dtype=bool)
+    for q in family.cubes:
+        if q not in family.certificate:
+            return SparseCheck(False, "missing certificate entry", q)
+        eq = family.certificate[q]
+        qmask = cube_mask(q, grid)
+        if np.any(eq & ~qmask):
+            return SparseCheck(False, "witness set not inside its cube", q)
+        if np.any(eq & used):
+            return SparseCheck(False, "witness sets overlap", q)
+        used |= eq
+        if eq.sum() < family.eta * qmask.sum():
+            return SparseCheck(False, "witness set too small", q)
+    return SparseCheck(True, "certificate verified")

@@ -19,11 +19,12 @@ commutator T for its m+1 splits.  Small 1D products are one dense block,
 all others FFT products: O(N log N) per axis from O(N) kernel
 evaluations.  The smoothness estimate evaluates the kernel for all
 sampled cubes of one side in one broadcast call per annulus, and takes
-all its Luxemburg norms in one batch.  An Orlicz maximal operator takes
-all its norms in one batch too, and bisects only the cubes that can
-attain the max: a cube whose norm lies certainly below, at each of its
-cells, the Jensen lower bound of another cube containing that cell is
-closed unbisected (`maximal`).
+all its Luxemburg norms in one batch.  The one dyadic maximal operator,
+`maximal(f, A)`, is the Orlicz maximal operator M_A over the base lattice
+(M for the default A(t) = t).  It takes all its norms in one batch too,
+and bisects only the cubes that can attain the max: a cube whose norm
+lies certainly below, at each of its cells, the Jensen lower bound of
+another cube containing that cell is closed unbisected.
 """
 
 from __future__ import annotations
@@ -452,59 +453,35 @@ def commutator_recursive(K: Kernel, spec: CommutatorSpec,
     return GridFunction(grid, spec.b.cells * t1 - t2)
 
 
-# -- maximal operators --------------------------------------------------------
+# -- the dyadic maximal operator ----------------------------------------------
 
 
-def maximal(f: GridFunction, variant: str = "M", A=None, delta: float = None,
-            w: GridFunction = None, shifted: bool = False) -> GridFunction:
-    """Dyadic maximal operator over cubes containing each cell.
+def maximal(f: GridFunction, A=young.power(1)) -> GridFunction:
+    """The dyadic Orlicz maximal operator M_A f: at each cell, the max of
+    the Luxemburg norms ||f||_{A,Q} over the base-lattice cubes Q
+    containing it.  The default A(t) = t gives the dyadic maximal operator
+    M f.
 
-    variant: "M" (averages of |f|), "MA" (Luxemburg norms for the Young
-    function A), "Mdelta" (delta-power averages), "MAW" (weighted Luxemburg
-    norms with weight w, on the grid of f).  Scope is the base lattice by
-    default; shifted=True adds every shifted-lattice cube meeting the
-    domain.
-
-    MA and MAW take exact norms only of the cubes that can attain the max
-    somewhere.  A first scope_max pass, with no gauge evaluated, gives each
-    cell the largest Jensen bound avg|f| / A^-1(1) (w-weighted for MAW)
-    over the cubes containing it; by Jensen's inequality a cube's norm is
-    at least its bound.  A cube's floor is the least of these over its
-    cells, and luxemburg_norm_batch closes a cube whose norm lies certainly
-    below its floor.  At each cell of such a cube another cube's norm is
-    larger, so the max loses no bit.
+    A power gauge t^r takes block means, M(|f|^r)^(1/r).  Any other gauge
+    takes exact norms only of the cubes that can attain the max somewhere.
+    A first scope_max pass, with no gauge evaluated, gives each cell the
+    largest Jensen bound avg|f| / A^-1(1) over the cubes containing it; by
+    Jensen's inequality a cube's norm is at least its bound.  A cube's
+    floor is the least of these over its cells, and luxemburg_norm_batch
+    closes a cube whose norm lies certainly below its floor.  At each cell
+    of such a cube another cube's norm is larger, so the max loses no bit.
     """
     grid = f.grid
-    if variant not in ("M", "MA", "Mdelta", "MAW"):
-        raise OperatorError(f"unknown maximal variant {variant!r}")
-    if variant in ("MA", "MAW") and A is None:
-        raise OperatorError(f"{variant} needs a Young function")
-    if variant == "MAW" and w is None:
-        raise OperatorError("MAW needs a weight")
-    if variant == "MAW" and w.grid != grid:
-        raise OperatorError("MAW needs a weight on the grid of f")
-    if variant == "Mdelta" and not (delta and 0 < delta < 1):
-        raise OperatorError("delta must lie in (0, 1)")
-
     vals = np.abs(f.cells)
-    if variant == "Mdelta" or (variant == "MA" and A.family == young.POWER
-                               and A.params[1] == 1.0):
-        # M(|f|^r)^(1/r): r = delta, or the exponent of the power gauge
-        r = delta if variant == "Mdelta" else A.params[0]
-        out = scope_max(grid, shifted, block_mean, vals ** r) ** (1.0 / r)
-    elif variant == "M":
-        out = scope_max(grid, shifted, block_mean, vals)
+    if A.family == young.POWER and A.params[1] == 1.0:
+        r = A.params[0]
+        out = scope_max(grid, False, block_mean, vals ** r) ** (1.0 / r)
     else:
-        # the measures are the domain mask for MA (wt empty) and the weight
-        # for MAW; the floors are those of the docstring, one per cube
-        arrays = (vals,) if variant == "MA" else (vals, w.cells)
         with np.errstate(divide="ignore", invalid="ignore"):
-            floor = scope_min(grid, shifted, scope_max(
-                grid, shifted, lambda m, v, *wt: block_mean(*wt or [m], v),
-                *arrays) / A.inverse_one)
-        out = scope_max(grid, shifted,
-                        lambda m, v, *wt: young.luxemburg_norm_batch(
-                            v, *wt or [m], A, floor), *arrays)
+            floor = scope_min(grid, scope_max(grid, False, block_mean, vals)
+                              / A.inverse_one)
+        out = scope_max(grid, False, lambda m, v: young.luxemburg_norm_batch(
+            v, m, A, floor), vals)
     return GridFunction(grid, out)
 
 
@@ -779,10 +756,10 @@ def omega_modulus(omega_samples, B, t: float) -> float:
     theta_grid = np.arange(M) * dtheta
     theta_ext = np.concatenate([theta_grid, [2 * math.pi]])
     om_ext = np.concatenate([om, om[:1]])
-    shifted = np.interp(np.mod(theta_grid + angles[:, None], 2 * math.pi),
+    rotated = np.interp(np.mod(theta_grid + angles[:, None], 2 * math.pi),
                         theta_ext, om_ext)
     return float(young.luxemburg_norm_batch(
-        shifted - om, np.full(shifted.shape, dtheta), B).max())
+        rotated - om, np.full(rotated.shape, dtheta), B).max())
 
 
 def dini_integral(omega_samples, B) -> tuple:

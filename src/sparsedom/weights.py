@@ -27,40 +27,40 @@ def as_weight(w: GridFunction) -> GridFunction:
 
 
 def weight_constant(w: GridFunction, kind: str, p: float = None,
-                    C: young.YoungFunction = None,
-                    shifted: bool = True) -> float:
+                    C: young.YoungFunction = None) -> float:
     """[w] constants: kind in {"Ap", "A1", "AinfFW", "ApBump"}.
 
     Every supremum runs over the scope cubes Q of dyadic.scope_cubes (the
-    base lattice, plus the shifted lattices when shifted), clipped to the
-    domain.  AinfFW is the Fujii-Wilson constant
+    base lattice and the 3^n shifted lattices), clipped to the domain.
+    AinfFW is the Fujii-Wilson constant
     sup_Q w(Q)^(-1) int_Q M(w chi_Q), where M is the dyadic maximal
     operator over the same scope (Hytonen-Perez, "Sharp weighted bounds
     involving A_infty", Anal. PDE 2013); it is at least 1, and at most
     [w]_A1.  Ap needs p > 1; ApBump needs p > 1 and a Young function C for
-    the Orlicz bump norm of w^(-1/p).
+    the Orlicz bump norm of w^(-1/p).  Ap takes the dual weight from
+    sigma_dual, so a weight whose dual overflows is a WeightError.
     """
     as_weight(w)
     grid = w.grid
     if kind == "Ap":
         if p is None or p <= 1:
             raise WeightError("Ap needs p > 1")
-        dual = w.cells ** (-1.0 / (p - 1.0))
+        dual = sigma_dual(w, p).cells
         return float(scope_max(
-            grid, shifted,
+            grid, True,
             lambda m, a, d: block_mean(m, a) * block_mean(m, d) ** (p - 1.0),
             w.cells, dual).max())
     if kind == "A1":
-        mw = scope_max(grid, shifted, block_mean, w.cells)
+        mw = scope_max(grid, True, block_mean, w.cells)
         return float((mw / w.cells).max())
     if kind == "AinfFW":
-        return _fujii_wilson(w, shifted)
+        return _fujii_wilson(w)
     if kind == "ApBump":
         if p is None or p <= 1 or C is None:
             raise WeightError("ApBump needs p > 1 and a bump Young function")
         bump = w.cells ** (-1.0 / p)
         return float(scope_max(
-            grid, shifted,
+            grid, True,
             lambda m, a, u: (block_mean(m, a)
                              * young.luxemburg_norm_batch(u, m, C) ** p),
             w.cells, bump).max())
@@ -94,7 +94,7 @@ def _window_sums(w: GridFunction) -> tuple:
 _FW_BLOCK = 1 << 13  # pair values per chunk of Q tilings
 
 
-def _fujii_wilson(w: GridFunction, shifted: bool) -> float:
+def _fujii_wilson(w: GridFunction) -> float:
     """sup_Q w(Q)^(-1) int_Q M(w chi_Q) over the scope, once per cube pair.
 
     At a cell x of Q, M(w chi_Q)(x) is the max over the scope cubes R
@@ -115,7 +115,7 @@ def _fujii_wilson(w: GridFunction, shifted: bool) -> float:
     grid = w.grid
     n, L, N = grid.n, grid.level, grid.cells_per_side
     sums, offsets = _window_sums(w)
-    tilings = sum((scope_tilings(grid, k, shifted) for k in range(L + 1)), [])
+    tilings = sum((scope_tilings(grid, k, True) for k in range(L + 1)), [])
     per = len(tilings) // (L + 1)  # tilings per level
     sides, origins = (np.array(x, dtype=np.int32).T for x in zip(*tilings))
 
@@ -211,7 +211,7 @@ def reverse_holder_check(w: GridFunction, Q: Cube, tau_n: float,
     return r, lhs, rhs, bool(lhs <= rhs * (1 + 1e-12))
 
 
-def bmo_norm(b: GridFunction, shifted: bool = True) -> float:
+def bmo_norm(b: GridFunction) -> float:
     """sup over scope cubes of the mean oscillation (1/|Q|) int_Q |b - b_Q|."""
     def osc(m, v):
         means = np.split(block_mean(m, v),
@@ -219,7 +219,7 @@ def bmo_norm(b: GridFunction, shifted: bool = True) -> float:
         return block_mean(m, [np.abs(x - c[:, None])
                               for x, c in zip(v, means)])
 
-    return float(scope_max(b.grid, shifted, osc, b.cells).max())
+    return float(scope_max(b.grid, True, osc, b.cells).max())
 
 
 @dataclass(frozen=True)

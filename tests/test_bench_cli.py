@@ -133,6 +133,28 @@ def test_sigma_overflow_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ap_dual_overflow_exits_2(tmp_path, capsys):
+    # constants_unit at p = 1.5 with a weight table holding one cell of
+    # 1e-200: Ap's dual weight w^-2 overflows there, which is the same
+    # scenario error as sigma's in strong, not an Infinity in the report
+    cp = configparser.ConfigParser()
+    cp.read(os.path.join(BATTERY_DIR, "constants_unit.ini"))
+    cells = np.ones(1 << int(cp["scenario"]["levels"]))
+    cells[5] = 1e-200
+    table = tmp_path / "w.csv"
+    table.write_text(",".join(map(repr, cells.tolist())))
+    cp["scenario"]["w"] = f"table({table})"
+    cp["scenario"]["p"] = "1.5"
+    ini, out = tmp_path / "ap.ini", tmp_path / "o"
+    with open(ini, "w") as fh:
+        cp.write(fh)
+    assert cli.main(["run", str(ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "sigma" in err and "inf at cell 5," in err
+    assert "Warning" not in err
+    assert not out.exists()
+
+
 def test_counterexample_parameter_window(tmp_path):
     # p must sit below the dual exponent and gamma inside (p/r', 1)
     bad_p = _write_ini(tmp_path / "d.ini", kind="counterexample",

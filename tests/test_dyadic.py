@@ -222,17 +222,22 @@ def test_cz_rejects_bad_input(unit_grid):
 
 def test_check_sparse_disjoint_family(unit_grid):
     halves = dy.children(unit_grid.root_cube())
-    fam = dy.SparseFamily(unit_grid, halves, 1.0)
+    fam = dy.SparseFamily(unit_grid, halves, 1.0,
+                          {q: dy.cube_mask(q, unit_grid) for q in halves})
     assert dy.check_sparse(fam).ok
 
 
 def test_check_sparse_laminar_chain(unit_grid):
+    # a cube and its left child, witnessed by the right child and by the
+    # left child itself: each witness is half the root
     Q0 = unit_grid.root_cube()
     chain = [Q0, dy.children(Q0)[0]]
-    ok_fam = dy.SparseFamily(unit_grid, chain, 0.5)
+    cert = {Q0: dy.cube_mask(dy.children(Q0)[1], unit_grid),
+            chain[1]: dy.cube_mask(chain[1], unit_grid)}
+    ok_fam = dy.SparseFamily(unit_grid, chain, 0.5, cert)
     assert dy.check_sparse(ok_fam).ok
-    # demand 0.75 * |Q0| from the child subtree cannot fit in the child
-    bad_fam = dy.SparseFamily(unit_grid, chain, 0.75)
+    # 0.75 |Q0| does not fit in the root's half
+    bad_fam = dy.SparseFamily(unit_grid, chain, 0.75, cert)
     res = dy.check_sparse(bad_fam)
     assert not res.ok
     assert res.violating_cube is not None
@@ -241,9 +246,11 @@ def test_check_sparse_laminar_chain(unit_grid):
 def test_check_sparse_nonlaminar_needs_certificate(unit_grid):
     a = dy.Cube(dy.BASE, 1, (0,), 32)
     b = dy.Cube(1, 1, (16,), 48)  # overlaps a without nesting
-    res = dy.check_sparse(dy.SparseFamily(unit_grid, [a, b], 0.5))
-    assert not res.ok
-    assert res.reason == "certificate required"
+    with pytest.raises(TypeError, match="certificate"):
+        dy.SparseFamily(unit_grid, [a, b], 0.5)
+    cells = np.arange(64)
+    cert = {a: cells < 16, b: cells >= 16}
+    assert dy.check_sparse(dy.SparseFamily(unit_grid, [a, b], 0.5, cert)).ok
 
 
 def test_check_sparse_certificate_paths(unit_grid):
@@ -272,4 +279,4 @@ def test_check_sparse_certificate_paths(unit_grid):
 
 
 def test_check_sparse_empty(unit_grid):
-    assert dy.check_sparse(dy.SparseFamily(unit_grid, [], 0.5)).ok
+    assert dy.check_sparse(dy.SparseFamily(unit_grid, [], 0.5, {})).ok

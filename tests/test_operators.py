@@ -10,8 +10,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from sparsedom import operators as op
 from sparsedom import young
 from sparsedom.dyadic import (BASE, Cube, Grid, GridFunction, base_cubes,
-                              cube_slices, descendants, dilate, grid_function,
-                              is_clipped, triple)
+                              block_mean, cube_slices, descendants, dilate,
+                              grid_function, is_clipped, scope_max, triple)
 from sparsedom.frozen import FROZEN
 from sparsedom.weights import parse_profile
 
@@ -527,19 +527,19 @@ def test_commutator_spec_order_range(sym_grid):
 
 def test_maximal_constant(unit_grid):
     f = parse_profile("const(2)", unit_grid)
-    for variant, kw in (("M", {}), ("Mdelta", {"delta": 0.5})):
-        out = op.maximal(f, variant, **kw)
-        assert np.allclose(out.cells, 2.0, rtol=1e-9)
-    # the Orlicz variant rescales a constant by 1 / A^{-1}(1), the same
-    # factor on every cell
-    ma = op.maximal(f, "MA", A=young.llogl(1)).cells
+    for out in (op.maximal(f).cells,
+                op.maximal(f.map(np.sqrt)).cells ** 2.0):  # M_delta, 1/2
+        assert np.allclose(out, 2.0, rtol=1e-9)
+    # the Orlicz maximal operator rescales a constant by 1 / A^{-1}(1), the
+    # same factor on every cell
+    ma = op.maximal(f, young.llogl(1)).cells
     assert np.allclose(ma, ma[0], rtol=1e-9)
     assert ma[0] >= 2.0
 
 
 def test_maximal_indicator_quarter(unit_grid):
     f = parse_profile("indicator(0,0.25)", unit_grid)
-    m = op.maximal(f, "M").cells
+    m = op.maximal(f).cells
     assert np.allclose(m[:16], 1.0)
     assert np.allclose(m[16:32], 0.5)
     assert np.allclose(m[32:], 0.25)
@@ -548,50 +548,25 @@ def test_maximal_indicator_quarter(unit_grid):
 def test_maximal_orlicz_dominates_plain(unit_grid, rng):
     # A(t) >= t pointwise forces M f <= M_A f
     f = GridFunction(unit_grid, rng.lognormal(0.0, 1.0, unit_grid.shape))
-    m = op.maximal(f, "M").cells
-    ma = op.maximal(f, "MA", A=young.llogl(1)).cells
+    m = op.maximal(f).cells
+    ma = op.maximal(f, young.llogl(1)).cells
     assert np.all(m <= ma * (1 + 1e-9))
 
 
 def test_maximal_power_fast_path(unit_grid, rng):
     f = GridFunction(unit_grid, rng.lognormal(0.0, 1.0, unit_grid.shape))
-    ma = op.maximal(f, "MA", A=young.power(2)).cells
-    msq = op.maximal(f.map(np.square), "M").cells ** 0.5
+    ma = op.maximal(f, young.power(2)).cells
+    msq = op.maximal(f.map(np.square)).cells ** 0.5
     assert np.allclose(ma, msq, rtol=1e-12)
 
 
 def test_maximal_shifted_dominates_base(unit_grid, rng):
+    # the maximal operator of the weight constants' scope (base and shifted
+    # lattices, as A1 takes it) dominates the base-lattice one
     f = GridFunction(unit_grid, rng.lognormal(0.0, 1.0, unit_grid.shape))
-    base = op.maximal(f, "M", shifted=False).cells
-    shf = op.maximal(f, "M", shifted=True).cells
+    base = op.maximal(f).cells
+    shf = scope_max(unit_grid, True, block_mean, np.abs(f.cells))
     assert np.all(shf >= base - 1e-12)
-
-
-def test_maximal_rejects_bad_variant(unit_grid):
-    f = parse_profile("const(1)", unit_grid)
-    with pytest.raises(op.OperatorError):
-        op.maximal(f, "Mdelta", delta=1.5)
-    with pytest.raises(op.OperatorError):
-        op.maximal(f, "MQ")
-
-
-def test_maximal_weighted_needs_a_weight(unit_grid):
-    f = parse_profile("const(1)", unit_grid)
-    with pytest.raises(op.OperatorError, match="weight"):
-        op.maximal(f, "MAW", A=young.llogl(1))
-
-
-@pytest.mark.parametrize("grid", [Grid(1, (0.5,), 1.0, 6),
-                                  Grid(1, (0.0,), 2.0, 6)],
-                         ids=["moved", "wider"])
-def test_maximal_weighted_rejects_a_weight_on_another_grid(unit_grid, grid):
-    # the same shape, read cell by cell, is not the same weight
-    f = parse_profile("const(1)", unit_grid)
-    w = parse_profile("const(2)", grid)
-    with pytest.raises(op.OperatorError, match="grid"):
-        op.maximal(f, "MAW", A=young.llogl(1), w=w)
-    same = parse_profile("const(2)", Grid(1, (0.0,), 1.0, 6))
-    assert op.maximal(f, "MAW", A=young.llogl(1), w=same).cells.size == 64
 
 
 # -- truncation maximal and frozen bounds --------------------------------------
@@ -690,9 +665,9 @@ def test_truncation_frozen_bounds():
     tf = op.apply_operator(K, f)
     mt = op.grand_maximal_truncated(op.truncation(K, grid), f.cells[None],
                                     Q0)[0]
-    maf = op.maximal(f, "MA", A=A).cells
-    md = op.maximal(tf, "Mdelta", delta=0.5).cells
-    mf = op.maximal(f, "M").cells
+    maf = op.maximal(f, A).cells
+    md = op.maximal(tf.map(lambda c: np.abs(c) ** 0.5)).cells ** 2.0
+    mf = op.maximal(f).cells
     rhs = h_est * maf + md + mf
     ratio = float((mt / np.where(rhs > 0, rhs, 1.0)).max())
     assert ratio <= FROZEN["lemmatec2_c"]

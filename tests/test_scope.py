@@ -20,6 +20,10 @@ from sparsedom.dyadic import (Grid, GridFunction, block_mean, cube_slices,
 GRIDS = [Grid(1, (-0.5,), 1.0, 5), Grid(2, (-0.5, -0.5), 1.0, 3)]
 CASES = [(g, sh) for g in GRIDS for sh in (False, True)]
 IDS = [f"{g.n}d-L{g.level}-{'shifted' if sh else 'base'}" for g, sh in CASES]
+# the maximal operator runs on the base lattice, the weight constants and
+# the BMO norm on the base and shifted lattices
+BASE_CASES, BASE_IDS = CASES[::2], IDS[::2]
+FULL_CASES, FULL_IDS = CASES[1::2], IDS[1::2]
 
 
 def _pointwise(grid, shifted, cube_value):
@@ -79,8 +83,9 @@ def test_scope_max_reduces_each_scope_cube_once(grid, shifted):
 
 @pytest.mark.parametrize("grid,shifted", CASES, ids=IDS)
 def test_scope_luxemburg_one_call_per_maximal(grid, shifted, monkeypatch):
-    # MA, MAW and ApBump make one Luxemburg call over every level and
-    # tiling, bitwise equal to one call per level and tiling
+    # the Orlicz maximal operator (base lattice) and ApBump (with shifted
+    # lattices) make one Luxemburg call over every level and tiling,
+    # bitwise equal to one call per level and tiling
     f, w = _data(grid, 6)
     v, p, A = np.abs(f.cells), 2.5, young.llogl(1)
     bump = w.cells ** (-1.0 / p)
@@ -91,36 +96,29 @@ def test_scope_luxemburg_one_call_per_maximal(grid, shifted, monkeypatch):
         return lambda *groups: np.concatenate(
             [reduce(*([x] for x in g)) for g in zip(*groups)])
 
-    want = [
-        scope_max(grid, shifted, per_tiling(lambda m, x: real(x, m, A)), v),
-        scope_max(grid, shifted,
-                  per_tiling(lambda m, x, wt: real(x, wt, A)), v, w.cells),
-        scope_max(grid, shifted,
-                  per_tiling(lambda m, a, u: block_mean(m, a)
-                             * real(u, m, A) ** p), w.cells, bump).max(),
-    ]
+    if shifted:
+        want = scope_max(grid, True,
+                         per_tiling(lambda m, a, u: block_mean(m, a)
+                                    * real(u, m, A) ** p),
+                         w.cells, bump).max()
+    else:
+        want = scope_max(grid, False,
+                         per_tiling(lambda m, x: real(x, m, A)), v)
     monkeypatch.setattr(young, "luxemburg_norm_batch",
                         lambda *a: calls.append(1) or real(*a))
-    runs = [
-        lambda: op.maximal(f, "MA", A=A, shifted=shifted).cells,
-        lambda: op.maximal(f, "MAW", A=A, w=w, shifted=shifted).cells,
-        lambda: np.float64(W.weight_constant(w, "ApBump", p=p, C=A,
-                                             shifted=shifted)),
-    ]
-    for run, x in zip(runs, want):
-        calls.clear()
-        assert run().tobytes() == x.tobytes()
-        assert calls == [1]
+    got = (np.float64(W.weight_constant(w, "ApBump", p=p, C=A)) if shifted
+           else op.maximal(f, A).cells)
+    assert got.tobytes() == want.tobytes()
+    assert calls == [1]
 
 
-
-def _per_tiling_norms(grid, shifted, A, v, w=None):
-    """MA (or MAW with w) with one Luxemburg call per level and tiling and
-    no floor: every cube's norm."""
-    def norms(m, x, *wt):
+def _per_tiling_norms(grid, A, v):
+    """M_A with one Luxemburg call per level and tiling and no floor: every
+    cube's norm."""
+    def norms(m, x):
         return np.concatenate([young.luxemburg_norm_batch(xb, mb, A)
-                               for xb, mb in zip(x, *wt or [m])])
-    return scope_max(grid, shifted, norms, v, *([] if w is None else [w]))
+                               for xb, mb in zip(x, m)])
+    return scope_max(grid, False, norms, v)
 
 
 PRUNE_GAUGES = [young.llogl(1), young.lll(1, 1.5), young.expl(1),
@@ -128,13 +126,13 @@ PRUNE_GAUGES = [young.llogl(1), young.lll(1, 1.5), young.expl(1),
 
 
 @pytest.mark.parametrize("data", ["normal", "constant", "zero-cells"])
-@pytest.mark.parametrize("grid,shifted", CASES, ids=IDS)
+@pytest.mark.parametrize("grid,shifted", BASE_CASES, ids=BASE_IDS)
 def test_scope_luxemburg_pruned_maximal_bitwise(grid, shifted, data,
                                                 monkeypatch):
     # cubes below their floor come back -inf, and the max loses no bit:
     # constant data ties every cube, where no cube may be closed
     rng = np.random.default_rng(8)
-    f, w = _data(grid, 8)
+    f, _ = _data(grid, 8)
     if data == "constant":
         f = GridFunction(grid, np.full(grid.shape, 0.3))
     elif data == "zero-cells":
@@ -150,12 +148,8 @@ def test_scope_luxemburg_pruned_maximal_bitwise(grid, shifted, data,
     monkeypatch.setattr(young, "luxemburg_norm_batch", spy)
     v = np.abs(f.cells)
     for A in PRUNE_GAUGES:
-        for got, want in (
-                (op.maximal(f, "MA", A=A, shifted=shifted),
-                 _per_tiling_norms(grid, shifted, A, v)),
-                (op.maximal(f, "MAW", A=A, w=w, shifted=shifted),
-                 _per_tiling_norms(grid, shifted, A, v, w.cells))):
-            assert got.cells.tobytes() == want.tobytes()
+        assert op.maximal(f, A).cells.tobytes() == \
+            _per_tiling_norms(grid, A, v).tobytes()
     if data == "constant":
         assert not any(closed)
     else:
@@ -165,22 +159,21 @@ def test_scope_luxemburg_pruned_maximal_bitwise(grid, shifted, data,
 @pytest.mark.parametrize("grid,shifted", CASES, ids=IDS)
 def test_scope_broadcast_masks_keep_maximal_bits(grid, shifted, monkeypatch):
     # a tiling inside the domain gets a read-only broadcast of 1.0 as its
-    # mask; every maximal operator, weight constant and the BMO norm give
-    # the bits they give with every mask a contiguous array
+    # mask; the maximal operator (base lattice: M, M_delta at delta = 1/2
+    # and M_A), the weight constants and the BMO norm (with shifted
+    # lattices) give the bits they give with every mask a contiguous array
     f, w = _data(grid, 12)
-    runs = [lambda: op.maximal(f, "M", shifted=shifted).cells,
-            lambda: op.maximal(f, "Mdelta", delta=0.5,
-                               shifted=shifted).cells,
-            lambda: np.float64(W.weight_constant(w, "Ap", p=2.5,
-                                                 shifted=shifted)),
-            lambda: np.float64(W.weight_constant(w, "A1", shifted=shifted)),
-            lambda: np.float64(W.weight_constant(
-                w, "ApBump", p=2.5, C=young.llogl(1), shifted=shifted)),
-            lambda: np.float64(W.bmo_norm(f, shifted=shifted))]
-    for A in PRUNE_GAUGES:
-        runs += [lambda A=A: op.maximal(f, "MA", A=A, shifted=shifted).cells,
-                 lambda A=A: op.maximal(f, "MAW", A=A, w=w,
-                                        shifted=shifted).cells]
+    if shifted:
+        runs = [lambda: np.float64(W.weight_constant(w, "Ap", p=2.5)),
+                lambda: np.float64(W.weight_constant(w, "A1")),
+                lambda: np.float64(W.weight_constant(w, "ApBump", p=2.5,
+                                                     C=young.llogl(1))),
+                lambda: np.float64(W.bmo_norm(f))]
+    else:
+        root = f.map(lambda c: np.abs(c) ** 0.5)
+        runs = [lambda: op.maximal(f).cells,
+                lambda: op.maximal(root).cells ** 2.0]
+        runs += [lambda A=A: op.maximal(f, A).cells for A in PRUNE_GAUGES]
     want = [run().tobytes() for run in runs]
     real, broadcast = dyadic.scope_max, []
 
@@ -199,24 +192,21 @@ def test_scope_broadcast_masks_keep_maximal_bits(grid, shifted, monkeypatch):
         len(broadcast)
 
 
-@pytest.mark.parametrize("variant,A", [
-    pytest.param(v, A, id=f"{v}-{young.format_young(A)}")
-    for v, A in (("MA", young.lll(1, 1.5)), ("MA", young.llogl(1.5)),
-                 ("MAW", young.llogl(1.5)))])
-def test_maximal_peak_memory_capped(variant, A):
+@pytest.mark.parametrize("A", [young.lll(1, 1.5), young.llogl(1.5)],
+                         ids=lambda A: f"MA-{young.format_young(A)}")
+def test_maximal_peak_memory_capped(A):
     # plane's endpoint maximal operators on its weight (2D L7, 128 KiB per
     # array) hold their blocks, the floors and the unit-scale values of
-    # the open rows: at most 24 times the bytes of their data (f, and w
-    # for MAW).  Copied masks, outputs made before reduce and full
-    # unit-scale copies of every block took 52 (MA) and 30 (MAW)
+    # the open rows: at most 24 times the bytes of their data.  Copied
+    # masks, outputs made before reduce and full unit-scale copies of
+    # every block took 52
     grid = Grid(2, (-0.5, -0.5), 1.0, 7)
     w = W.parse_profile("power_abs(0.5)", grid)
-    kw, data = ({"w": w}, 2 * w.cells.nbytes) if variant == "MAW" else \
-        ({}, w.cells.nbytes)
-    want = op.maximal(w, variant, A=A, **kw).cells  # and A^-1(1) cached
+    data = w.cells.nbytes
+    want = op.maximal(w, A).cells  # and A^-1(1) cached
     tracemalloc.start()
     try:
-        got = op.maximal(w, variant, A=A, **kw).cells
+        got = op.maximal(w, A).cells
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -241,12 +231,12 @@ def test_scope_luxemburg_evaluations_per_cell_on_plane_endpoint(A,
         return real(self, t)
 
     monkeypatch.setattr(young.YoungFunction, "_eval_raw", counting)
-    op.maximal(w, "MA", A=A)
+    op.maximal(w, A)
     assert count[0] <= 4.5 * (grid.level + 1) * 4 ** grid.level
 
-@pytest.mark.parametrize("grid,shifted", CASES, ids=IDS)
+@pytest.mark.parametrize("grid,shifted", BASE_CASES, ids=BASE_IDS)
 def test_maximal_variants_match_brute_force(grid, shifted):
-    f, w = _data(grid, 3)
+    f, _ = _data(grid, 3)
     v = np.abs(f.cells)
     A = young.llogl(1)
 
@@ -256,26 +246,40 @@ def test_maximal_variants_match_brute_force(grid, shifted):
     def orlicz(sl):
         return young.luxemburg_norm(v[sl].ravel(), np.ones(v[sl].size), A)
 
-    def weighted(sl):
-        return young.luxemburg_norm(v[sl].ravel(), w.cells[sl].ravel(), A)
-
     def delta_mean(sl):
         return float((v[sl] ** 0.5).mean())
 
     cases = [
-        (op.maximal(f, "M", shifted=shifted), _pointwise(grid, shifted, mean)),
-        (op.maximal(f, "MA", A=A, shifted=shifted),
-         _pointwise(grid, shifted, orlicz)),
-        (op.maximal(f, "MAW", A=A, w=w, shifted=shifted),
-         _pointwise(grid, shifted, weighted)),
-        (op.maximal(f, "Mdelta", delta=0.5, shifted=shifted),
-         _pointwise(grid, shifted, delta_mean) ** 2.0),
+        (op.maximal(f).cells, _pointwise(grid, False, mean)),
+        (op.maximal(f, A).cells, _pointwise(grid, False, orlicz)),
+        (op.maximal(GridFunction(grid, v ** 0.5)).cells ** 2.0,
+         _pointwise(grid, False, delta_mean) ** 2.0),
     ]
     for got, want in cases:
-        assert np.allclose(got.cells, want, rtol=1e-10, atol=0.0)
+        assert np.allclose(got, want, rtol=1e-10, atol=0.0)
 
 
-@pytest.mark.parametrize("grid,shifted", CASES, ids=IDS)
+@pytest.mark.parametrize("delta", [1.0, 0.5, 0.25])
+@pytest.mark.parametrize("grid", GRIDS + [Grid(2, (-0.5, -0.5), 1.0, 7)],
+                         ids=["1d-L5", "2d-L3", "2d-L7"])
+def test_maximal_power_gauges_keep_block_mean_bits(grid, delta):
+    # M f is maximal(f), and M_delta f = M(|f|^delta)^(1/delta) is maximal
+    # of |f|^delta to the 1/delta: both keep the bits of the block means
+    # over the base lattice, and a power gauge t^r those of M(|f|^r)^(1/r)
+    f, _ = _data(grid, 9)
+    v = np.abs(f.cells)
+    got = [op.maximal(GridFunction(grid, v ** delta)).cells ** (1.0 / delta),
+           op.maximal(f, young.power(1.0 / delta)).cells]
+    want = [scope_max(grid, False, block_mean, v ** delta) ** (1.0 / delta),
+            scope_max(grid, False, block_mean, v ** (1.0 / delta))
+            ** delta]
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    if delta == 1.0:
+        assert op.maximal(f).cells.tobytes() == \
+            scope_max(grid, False, block_mean, v).tobytes()
+
+
+@pytest.mark.parametrize("grid,shifted", FULL_CASES, ids=FULL_IDS)
 def test_weight_constants_and_bmo_match_brute_force(grid, shifted):
     f, w = _data(grid, 4)
     p = 2.5
@@ -293,35 +297,41 @@ def test_weight_constants_and_bmo_match_brute_force(grid, shifted):
     def osc(sl):
         return float(np.abs(f.cells[sl] - f.cells[sl].mean()).mean())
 
-    assert W.weight_constant(w, "Ap", p=p, shifted=shifted) == \
+    def mean_w(sl):
+        return float(w.cells[sl].mean())
+
+    assert W.weight_constant(w, "Ap", p=p) == \
         pytest.approx(_sup(grid, shifted, ap), rel=1e-12)
-    assert W.weight_constant(w, "ApBump", p=p, C=C, shifted=shifted) == \
+    assert W.weight_constant(w, "A1") == pytest.approx(
+        float((_pointwise(grid, shifted, mean_w) / w.cells).max()), rel=1e-12)
+    assert W.weight_constant(w, "ApBump", p=p, C=C) == \
         pytest.approx(_sup(grid, shifted, ap_bump), rel=1e-10)
-    assert W.bmo_norm(f, shifted=shifted) == \
+    assert W.bmo_norm(f) == \
         pytest.approx(_sup(grid, shifted, osc), rel=1e-12)
 
 
 @pytest.mark.parametrize("sigma", [1.0, 3.0])
-@pytest.mark.parametrize("grid,shifted", CASES, ids=IDS)
+@pytest.mark.parametrize("grid,shifted", FULL_CASES, ids=FULL_IDS)
 def test_fujii_wilson_matches_brute_force(grid, shifted, sigma):
     rng = np.random.default_rng(5)
     w = GridFunction(grid, rng.lognormal(0.0, sigma, grid.shape))
 
     def ratio(sl):
         # w(Q)^-1 int_Q M(w chi_Q), with the maximal operator on the grid
+        # over the same scope
         chi = np.zeros(grid.shape)
         chi[sl] = w.cells[sl]
-        m = op.maximal(GridFunction(grid, chi), "M", shifted=shifted)
-        return float(m.cells[sl].sum()) / float(w.cells[sl].sum())
+        m = _pointwise(grid, shifted, lambda s: float(chi[s].mean()))
+        return float(m[sl].sum()) / float(w.cells[sl].sum())
 
-    assert W.weight_constant(w, "AinfFW", shifted=shifted) == \
+    assert W.weight_constant(w, "AinfFW") == \
         pytest.approx(_sup(grid, shifted, ratio), rel=1e-12)
     one = GridFunction(grid, np.ones(grid.shape))
-    assert W.weight_constant(one, "AinfFW", shifted=shifted) == 1.0
+    assert W.weight_constant(one, "AinfFW") == 1.0
 
 
 
-def _fujii_wilson_per_cell(w, shifted):
+def _fujii_wilson_per_cell(w):
     """The per-cell pass that the cube-pair pass of weights._fujii_wilson
     replaced, kept as its reference: every (Q tiling, cell) pair is one
     copy of the cells, and each R tiling updates its running max with
@@ -334,7 +344,7 @@ def _fujii_wilson_per_cell(w, shifted):
     qlo, qhi, qlev, qid = [], [], [], []
     nq = 0
     for k in range(L + 1):
-        for side, origin in scope_tilings(grid, k, shifted):
+        for side, origin in scope_tilings(grid, k, True):
             o = np.array(origin)[:, None]
             q = (cells - o) // side
             counts = [-(-(N - c) // side) for c in origin]
@@ -352,7 +362,7 @@ def _fujii_wilson_per_cell(w, shifted):
     for k in range(L + 1):
         j = np.maximum(qlev, k)
         shift, base, c = L - j, offsets[j], 1 << j
-        for side, origin in scope_tilings(grid, k, shifted):
+        for side, origin in scope_tilings(grid, k, True):
             o = np.array(origin)[:, None]
             rlo = o + (x - o) // side * side
             rhi = np.minimum(rlo + side, N)
@@ -382,9 +392,8 @@ def test_fujii_wilson_bitwise_per_cell_reference():
                    np.ones(grid.shape)]
         for cells in tables:
             w = GridFunction(grid, cells)
-            for shifted in (False, True):
-                assert W.weight_constant(w, "AinfFW", shifted=shifted) == \
-                    _fujii_wilson_per_cell(w, shifted), (grid, shifted)
+            assert W.weight_constant(w, "AinfFW") == \
+                _fujii_wilson_per_cell(w), grid
 
 
 def test_fujii_wilson_peak_memory_capped():
@@ -395,7 +404,7 @@ def test_fujii_wilson_peak_memory_capped():
                                                               grid.shape))
     tracemalloc.start()
     try:
-        W.weight_constant(w, "AinfFW", shifted=True)
+        W.weight_constant(w, "AinfFW")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
