@@ -9,15 +9,17 @@ block, or the spectrum of a profile segment) and then multiplies it into
 any number of rows of data.  The truncation maximal operator is prepared
 once per kernel and grid (`truncation`): it evaluates the profile once and
 keeps each level's product for every later cube, and one call takes a
-stack of arrays (a node's commutator splits).  A kernel applied to a
-whole grid goes through `_pair`, which prepares T and T* together: a
-matrix kernel is its matrix, a convolution kernel two products, one per
-half of the displacements, joined by a flip identity that keeps odd
-kernels exactly odd on even data.  apply_operator prepares T for one
-application, the L2 power iteration T and T* for all its steps, a
-commutator T for its m+1 splits.  Small 1D products are one dense block,
-all others FFT products: O(N log N) per axis from O(N) kernel
-evaluations.  The smoothness estimate evaluates the kernel for all
+stack of arrays (a node's commutator splits).  Its FFT levels go in runs
+of cubes whose windows hold about as many cells as the data; a dense level
+stays whole, since a dense product's bits depend on its row count.  A
+kernel applied to a whole grid goes through `_pair`, which prepares T and
+T* together: a matrix kernel is its matrix, a convolution kernel two
+products, one per half of the displacements, joined by a flip identity
+that keeps odd kernels exactly odd on even data.  apply_operator prepares
+T for one application, the L2 power iteration T and T* for all its
+steps, a commutator T for its m+1 splits.  Small 1D products are one
+dense block, all others FFT products: O(N log N) per axis from O(N)
+kernel evaluations.  The smoothness estimate evaluates the kernel for all
 sampled cubes of one side in one broadcast call per annulus, and takes
 all its Luxemburg norms in one batch.  The one dyadic maximal operator,
 `maximal(f, A)`, is the Orlicz maximal operator M_A over the base lattice
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import literal, young
 from .dyadic import (BASE, Cube, Grid, GridFunction, block_mean, cube_slices,
@@ -493,9 +495,10 @@ class Truncation:
     """M_{T,.} for one kernel on one grid, prepared by `truncation` for any
     base-lattice cube Q0 and any number of stacked data arrays."""
     grid: Grid
-    # (G, d, s, j) -> T of the rows of G on the cells of their cubes: see
-    # truncation
+    # (G, d, s, j) -> T of the rows of G on the cells of their cubes, and s ->
+    # whether a level of side s is one product call: see truncation
     product: object
+    whole: object
 
 
 def truncation(K: Kernel, grid: Grid) -> Truncation:
@@ -509,9 +512,9 @@ def truncation(K: Kernel, grid: Grid) -> Truncation:
     cube, shaped (H, cubes) + (s,)*n, cell volume not included.  The
     profile is evaluated once; each level's _toeplitz_product is made the
     first time its (window, d, rows) is asked for and kept.  An FFT product
-    takes all H arrays in one call (pocketfft gives each row the bits it
-    has alone).  A dense block, and a matrix kernel, multiply one array at
-    a time: a dense product's bits depend on how many rows it multiplies.
+    takes all H arrays and any run of cubes in one call (pocketfft gives
+    each row its own bits), a dense block or a matrix kernel one array and
+    a whole level at a time (whole(s)): their bits depend on the row count.
     """
     if K.n != grid.n:
         raise OperatorError("kernel dimension does not match grid")
@@ -526,7 +529,7 @@ def truncation(K: Kernel, grid: Grid) -> Truncation:
             j = j[0] + s * np.arange(G.shape[1])
             blk = sliding_window_view(Mp, (s, G.shape[2]))[j, j + N - d[0]]
             return np.stack([(blk @ g[..., None])[..., 0] for g in G])
-        return Truncation(grid, product)
+        return Truncation(grid, product, lambda s: True)
     kprof = K.profile(grid)
     products = {}
 
@@ -542,7 +545,7 @@ def truncation(K: Kernel, grid: Grid) -> Truncation:
             return np.stack([apply(g) for g in G])
         return apply(G.reshape((-1,) + window)).reshape(
             G.shape[:2] + (s,) * grid.n)
-    return Truncation(grid, product)
+    return Truncation(grid, product, lambda s: _dense(kprof, (3 * s,), (s,)))
 
 
 def grand_maximal_truncated(T: Truncation, F: np.ndarray,
@@ -554,9 +557,11 @@ def grand_maximal_truncated(T: Truncation, F: np.ndarray,
     T is truncation(K, grid); F has shape (H,) + grid.shape and so has the
     result.  F is read on 3Q0 (clipped to the domain) only.  Computed level
     by level via T(f chi_{3Q0 \\ 3Q}) = T(f chi_{3Q0}) - T(f chi_{3Q}),
-    with one product for all the cubes Q of a level; the windows, the
-    differences and the cube maxima of a level are made once for all H
-    arrays.
+    for all H arrays at once.  A level's windows, product, differences (in
+    place) and cube maxima go in runs of rows of cubes along the first
+    axis, each freed before the next, whose windows hold at most F's cells
+    plus one row: only the root and its children split.  A dense level is
+    one run (T.whole): its product's bits depend on its row count.
     """
     grid = T.grid
     if Q0.lattice != BASE:
@@ -577,27 +582,52 @@ def grand_maximal_truncated(T: Truncation, F: np.ndarray,
     out = np.zeros(F.shape)
     q0 = out[every + cube_slices(Q0, grid)]
     axes = (0,) + tuple(range(1, 2 * n + 1, 2)) + tuple(range(2, 2 * n + 1, 2))
+    runs = -(-(3 * S) ** n // F[0].size)
+    kids = [every + tuple(slice(i, None, 2) for i in o)
+            for o in product((0, 1), repeat=n)]
+    acc = np.zeros((H,) + (1,) * n)  # Q0's own term, |T(0)|
     for k in range(Q0.level + 1, grid.level + 1):
         s = S >> (k - Q0.level)
         c = S // s
         # (H,) + (S,)*n arrays seen as (H,) + (c,)*n cubes of (s,)*n cells;
         # splitting axes keeps a view a view
         split = (H,) + tuple(x for _ in range(n) for x in (c, s))
-        # f chi_{3q} for each cube q of side s in Q0, in row-major order:
-        # per axis, windows of 3s cells every s cells from cell S - s
-        wins = np.ascontiguousarray(as_strided(
-            g[every + (slice(S - s, None),) * n],
-            (H,) + (c,) * n + (3 * s,) * n,
-            g.strides[:1] + tuple(st * s for st in g.strides[1:])
-            + g.strides[1:]))
-        part = T.product(wins.reshape((H, -1) + wins.shape[n + 1:]),
-                         (s,) * n, s, Q0.origin)
-        diff = np.abs(base.reshape(split).transpose(axes)
-                      - part.reshape((H,) + (c,) * n + (s,) * n) * vol)
-        view = q0.reshape(split).transpose(axes)
-        np.maximum(view, diff.max(axis=tuple(range(n + 1, 2 * n + 1)),
-                                  keepdims=True), out=view)
+        based = base.reshape(split).transpose(axes)
+        # a view of f chi_{3q} for each cube q of side s in Q0: per axis,
+        # windows of 3s cells every s cells from cell S - s
+        wins = np.ndarray((H,) + (c,) * n + (3 * s,) * n, g.dtype, g,
+                          (S - s) * sum(g.strides[1:]), g.strides[:1] + tuple(
+                              x * s for x in g.strides[1:]) + g.strides[1:])
+        level = q0 if s == 1 else np.empty((H,) + (c,) * n)  # cube maxima
+        step = c if runs == 1 or T.whole(s) else -(-c // runs)
+        for a in range(0, c, step):
+            run = every + (slice(a, a + step),)
+            part = T.product(np.ascontiguousarray(wins[run]).reshape(
+                (H, -1) + (3 * s,) * n), (s,) * n, s, (Q0.origin[0] + a * s,)
+                + Q0.origin[1:]).reshape((H, -1) + (c,) * (n - 1) + (s,) * n)
+            part *= vol
+            np.subtract(based[run], part, out=part)
+            level[run] = _cube_max(np.abs(part, out=part), n)
+            del part
+        for kid in kids:  # each cube takes its parent's max
+            np.maximum(level[kid], acc, out=level[kid])
+        acc = level
     return out
+
+
+def _cube_max(x: np.ndarray, n: int) -> np.ndarray:
+    """The max over the last n axes of x; in cubes of at most 16 cells by
+    halving, cell axes first, into arrays whose fast axis runs over the
+    cubes (numpy reduces a short last axis one cube at a time)."""
+    if x.shape[-1] ** n > 16:
+        return x.max(axis=tuple(range(-n, 0)))
+    x = x.transpose(tuple(range(-n, 0)) + tuple(range(x.ndim - n)))
+    for _ in range(n):
+        while len(x) > 1:
+            h = len(x) // 2
+            x = np.maximum(x[:h], x[h:], out=np.empty((h,) + x.shape[1:]))
+        x = x[0]
+    return x
 
 
 # -- kernel smoothness (annulus sums) ----------------------------------------
@@ -717,8 +747,8 @@ def _annulus_sums(K: Kernel, A, grid: Grid, cubes: list, pairs: list,
             owners.append((k, js))
     terms = [[] for _ in cubes]
     if blocks:
-        norms = young.luxemburg_norm_batch(
-            blocks, [np.full(b.shape, grid.cell_volume) for b in blocks], A)
+        norms = young.luxemburg_norm_batch(blocks, [np.broadcast_to(
+            grid.cell_volume, b.shape) for b in blocks], A)
         start = 0
         for k, js in owners:
             for j in js:

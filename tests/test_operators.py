@@ -2,10 +2,11 @@
 annulus smoothness estimate."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from sparsedom import operators as op
 from sparsedom import young
@@ -643,6 +644,99 @@ def test_truncation_stack_equals_one_row_calls(L, rng):
                         op.truncation(K, grid), F[i][None], Q0)[0]
                     assert got[i].tobytes() == one.tobytes(), \
                         (K.family, name, H, i)
+
+
+def _gmt_whole_levels(T, F, Q0):
+    """grand_maximal_truncated as it was with one product per level: all
+    the cubes of a level in one product call, the differences in new
+    arrays, and each level's cube maxima (numpy's reduce) broadcast over
+    the cells of Q0."""
+    grid = T.grid
+    n, S, H = grid.n, Q0.side, len(F)
+    vol = grid.cell_volume
+    s3 = cube_slices(dilate(Q0, 3), grid)
+    inner = tuple(slice(a.start - o + S, a.stop - o + S)
+                  for a, o in zip(s3, Q0.origin))
+    every = (slice(None),)
+    g = np.zeros((H,) + (3 * S,) * n)
+    g[every + inner] = F[every + s3]
+    d0 = tuple(o - a.start for a, o in zip(s3, Q0.origin))
+    base = T.product(g[every + (None,) + inner], d0, S, Q0.origin)[:, 0] * vol
+    out = np.zeros(F.shape)
+    q0 = out[every + cube_slices(Q0, grid)]
+    axes = (0,) + tuple(range(1, 2 * n + 1, 2)) + tuple(range(2, 2 * n + 1, 2))
+    for k in range(Q0.level + 1, grid.level + 1):
+        s = S >> (k - Q0.level)
+        c = S // s
+        split = (H,) + tuple(x for _ in range(n) for x in (c, s))
+        wins = np.ascontiguousarray(as_strided(
+            g[every + (slice(S - s, None),) * n],
+            (H,) + (c,) * n + (3 * s,) * n,
+            g.strides[:1] + tuple(st * s for st in g.strides[1:])
+            + g.strides[1:]))
+        part = T.product(wins.reshape((H, -1) + wins.shape[n + 1:]),
+                         (s,) * n, s, Q0.origin)
+        diff = np.abs(base.reshape(split).transpose(axes)
+                      - part.reshape((H,) + (c,) * n + (s,) * n) * vol)
+        view = q0.reshape(split).transpose(axes)
+        np.maximum(view, diff.max(axis=tuple(range(n + 1, 2 * n + 1)),
+                                  keepdims=True), out=view)
+    return out
+
+
+@pytest.mark.parametrize("L", (5, 8, 10, 12))
+def test_truncation_bitwise_whole_level_reference(L, rng):
+    # FFT levels split into runs of cubes, differences made in place in the
+    # product, cube maxima by halving and taken coarse to fine: the bits of
+    # one product per level.  L = 8 has dense levels and one FFT level, L =
+    # 10 and 12 several FFT levels whose root and depth-1 runs split; L = 5
+    # a 2D kernel (all FFT levels, the root in up to 9 runs) and a matrix
+    # kernel
+    unit = Grid(1, (-0.5,), 1.0, L)
+    cases = [(op.make_hilbert(), unit), (op.make_dini(), unit),
+             (op.make_counter(), Grid(1, (-6.0,), 12.0, L))]
+    if L == 5:
+        cases = [(op.make_homog(_asymmetric_table()),
+                  Grid(2, (-0.5, -0.5), 1.0, L)),
+                 (op.make_matrix(rng.standard_normal((1 << L, 1 << L))),
+                  unit)]
+    for K, grid in cases:
+        T = op.truncation(K, grid)
+        N, n = grid.cells_per_side, grid.n
+        cubes = dict(_gmt_cubes(grid),
+                     depth1=Cube(BASE, 1, (N // 2,) * n, N // 2))
+        for name, Q0 in cubes.items():
+            for H in (1, 2, 3):
+                F = rng.standard_normal((H,) + grid.shape)
+                got = op.grand_maximal_truncated(T, F, Q0)
+                want = _gmt_whole_levels(T, F, Q0)
+                assert got.tobytes() == want.tobytes(), (K.family, name, H)
+
+
+@pytest.mark.parametrize("n,L,H,cap", [(1, 12, 1, 12), (1, 12, 3, 12),
+                                       (2, 6, 2, 40)])
+def test_truncation_peak_memory_capped(n, L, H, cap, rng):
+    # a warm call on the root holds at most cap times the bytes of its data:
+    # its FFT levels run in runs of cubes whose windows hold about F's
+    # cells, each run's difference made in place and freed before the
+    # next.  One product per level, its windows padded whole and its
+    # differences in new arrays, held 21.1 times F in 1D and 101 in 2D
+    if n == 1:
+        K, grid = op.make_hilbert(), Grid(1, (-0.5,), 1.0, L)
+    else:
+        K = op.make_homog(_asymmetric_table())
+        grid = Grid(2, (-0.5, -0.5), 1.0, L)
+    T = op.truncation(K, grid)
+    F = rng.standard_normal((H,) + grid.shape)
+    want = op.grand_maximal_truncated(T, F, grid.root_cube())
+    tracemalloc.start()
+    try:
+        got = op.grand_maximal_truncated(T, F, grid.root_cube())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak <= cap * F.nbytes, peak / F.nbytes
 
 
 def test_grand_maximal_rejects_shifted_cube(sym_grid):
