@@ -185,12 +185,15 @@ def make_homog(omega_samples) -> Kernel:
     omp = np.concatenate([om, om[:1]])
 
     def conv(u1, u2, h):
-        rho2 = u1 * u1 + u2 * u2
-        ang = np.mod(np.arctan2(u2, u1), 2 * math.pi)
-        omv = np.interp(ang, theta, omp)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(rho2 == 0.0, 0.0,
-                           omv / np.where(rho2 == 0.0, 1.0, rho2))
+        # in place, in this order: Omega at the angle reduced mod 2pi, over
+        # rho2 with its zero cells set to 1, then those cells set to 0
+        ang = np.asarray(np.arctan2(u2, u1))
+        omv = np.interp(np.mod(ang, 2 * math.pi, out=ang), theta, omp)
+        rho2 = np.add(u1 * u1, u2 * u2, out=ang)  # the cells of ang
+        zero = rho2 == 0.0
+        rho2[zero] = 1.0
+        out = np.divide(omv, rho2, out=rho2)
+        out[zero] = 0.0
         return out
     return Kernel("homog", 2, True, conv=conv,
                   params={"samples": tuple(om.tolist())})
@@ -260,7 +263,8 @@ def _pair(K: Kernel, grid: Grid) -> tuple:
     + H(RK, f) + R H(K, Rf), from one evaluation of its profile.  R
     reverses every axis.  H sums over the displacements i - j after 0 in
     row-major order: one prepared _toeplitz_product of a copy of the
-    profile zeroed up to its center, so the two halves serve both T and T*.
+    profile zeroed up to its center and one of the profile itself zeroed
+    from it on, seen reversed: two halves for both T and T*, one copy.
     For odd K (RK = -K) and even f the second H is the first with every
     input negated, which a dense or FFT product negates exactly, so T f is
     exactly odd.  Both products need C-contiguous data: numpy's matmul on a
@@ -279,13 +283,13 @@ def _pair(K: Kernel, grid: Grid) -> tuple:
     shape = grid.shape
     flip = (slice(None, None, -1),) * grid.n
     zero = (0,) * grid.n
-
-    def half(kp):
-        kz = kp.copy()
-        kz.flat[:kz.size // 2 + 1] = 0.0
-        return _toeplitz_product(kz, shape, zero, shape)
-    center = kprof.flat[kprof.size // 2]
-    h, hr = half(kprof), half(kprof[flip])
+    mid = kprof.size // 2
+    center = kprof.flat[mid]
+    kz = kprof.copy()
+    kz.flat[:mid + 1] = 0.0
+    h = _toeplitz_product(kz, shape, zero, shape)
+    kprof.flat[mid:] = 0.0
+    hr = _toeplitz_product(kprof[flip], shape, zero, shape)
 
     def joined(h1, h2):
         def apply(cells):
@@ -365,24 +369,34 @@ def _fft_product(kprof: np.ndarray, window: tuple, d: tuple, rows: tuple):
     """_toeplitz_product by circulant embedding.  Per axis, the profile
     segment kprof[N+d-W : N-1+d+R] (W the window, R the rows) convolved
     with G holds the product at offsets W-1 .. W-2+R, free of wrap-around
-    at any period >= W+R-1; the segment's rfftn, made here once, and one
-    of all rows of G use the least power of two that long.  Negating the
-    profile negates every rounded step, so the odd kernels of _pair stay
-    exactly odd.
+    at any period >= W+R-1; the segment's transform, made here once, and
+    one of all rows of G use the least power of two that long, in rfftn's
+    and irfftn's stages: in 2D an rfft of the last axis into a zeroed
+    buffer, an fft of the first axis in place, back an ifft in place and
+    an irfft of the kept rows only.  pocketfft pads with zeros inside and
+    transforms each line on its own, so no bit moves.  Negating the
+    profile negates every rounded step: _pair's odd kernels stay odd.
     """
     N = (kprof.shape[0] + 1) // 2
     seg = kprof[tuple(slice(N + e - w, N - 1 + e + r)
                       for e, w, r in zip(d, window, rows))]
     P = tuple(1 << (w + r - 2).bit_length() for w, r in zip(window, rows))
-    axes = tuple(range(1, len(window) + 1))
-    spectrum = np.fft.rfftn(seg[None], P, axes=axes)
-    keep = (slice(None),) + tuple(slice(w - 1, w - 1 + r)
-                                  for w, r in zip(window, rows))
+    keep = [slice(w - 1, w - 1 + r) for w, r in zip(window, rows)]
+
+    def forward(G):
+        if len(P) == 1:
+            return np.fft.rfft(G, P[0])
+        buf = np.zeros((len(G), P[0], P[1] // 2 + 1), complex)
+        np.fft.rfft(G, P[1], out=buf[:, :G.shape[1]])
+        return np.fft.fft(buf, P[0], axis=1, out=buf)
+    spectrum = forward(seg[None])
 
     def apply(G):
-        prod = np.fft.rfftn(G, P, axes=axes)
+        prod = forward(G)
         prod *= spectrum
-        return np.fft.irfftn(prod, P, axes=axes)[keep]
+        if len(P) == 2:
+            prod = np.fft.ifft(prod, P[0], axis=1, out=prod)[:, keep[0]]
+        return np.fft.irfft(prod, P[-1])[..., keep[-1]]
     return apply
 
 
@@ -437,7 +451,8 @@ def commutator_apply(K: Kernel, spec: CommutatorSpec, f: GridFunction,
     out = np.zeros(grid.shape)
     for h in range(spec.m + 1):
         tf = T(bc**h * f.cells)
-        out += ((-1) ** h) * math.comb(spec.m, h) * bc ** (spec.m - h) * tf
+        tf *= ((-1) ** h) * math.comb(spec.m, h) * bc ** (spec.m - h)
+        out += tf
     return GridFunction(grid, out)
 
 

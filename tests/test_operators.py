@@ -77,6 +77,46 @@ def test_homog_requires_mean_zero():
     assert K.n == 2
 
 
+def _homog_where(om):
+    """make_homog's profile as one expression of new arrays: the oracle
+    the in-place evaluation is tested against."""
+    M = len(om)
+    theta = np.arange(M + 1) * (2 * math.pi / M)
+    omp = np.concatenate([om, om[:1]])
+
+    def conv(u1, u2, h):
+        rho2 = u1 * u1 + u2 * u2
+        ang = np.mod(np.arctan2(u2, u1), 2 * math.pi)
+        omv = np.interp(ang, theta, omp)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(rho2 == 0.0, 0.0,
+                            omv / np.where(rho2 == 0.0, 1.0, rho2))
+    return conv
+
+
+@pytest.mark.parametrize("L", (5, 7))
+def test_homog_profile_bitwise_reference(L):
+    # the angle reduced in place, the interpolated table divided in place
+    # by rho2 with its zero cells set to 1 and then zeroed: the bits of
+    # the np.where expression, on the profile and at u = 0 and on both
+    # axes, where the angle is +-0 or +-pi
+    om = _asymmetric_table()
+    K, want = op.make_homog(om), _homog_where(om)
+    grid = Grid(2, (-0.5, -0.5), 1.0, L)
+    N, h = grid.cells_per_side, grid.cell_width
+    d = np.arange(-(N - 1), N) * h
+    ref = want(d[:, None], d[None, :], h)
+    ref[N - 1, N - 1] = 0.0  # the singular center
+    assert K.profile(grid).tobytes() == ref.tobytes()
+    axis = np.array([-1.0, -0.0, 0.0, 0.5, 3.0]) * h
+    for u1, u2 in ((axis[:, None], axis[None, :]),
+                   (axis[None, :], axis[:, None])):
+        assert K.conv(u1, u2, h).tobytes() == want(u1, u2, h).tobytes()
+    for x in ((0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, h), (-h, -0.0)):
+        got = K.evaluate(x, (0.0, 0.0), h)
+        assert got.tobytes() == want(*map(np.asarray, x), h).tobytes(), x
+
+
 def test_constant_kernel_integrates(sym_grid):
     kone = op.Kernel("one", 1, False, conv=lambda u, h: np.ones_like(u))
     f = grid_function(sym_grid, lambda x: x ** 2)
@@ -385,6 +425,68 @@ def test_toeplitz_rows_split_keeps_every_bit(rng, monkeypatch):
         assert np.abs(fft - got).max() <= 1e-13 * np.abs(got).max(), case
 
 
+def _fft_product_rfftn(kprof, window, d, rows):
+    """_fft_product as one rfftn of the segment and of the data, a product
+    and one irfftn of every row, then the kept rows cut out: the oracle
+    the staged, in-place transforms are tested against."""
+    N = (kprof.shape[0] + 1) // 2
+    seg = kprof[tuple(slice(N + e - w, N - 1 + e + r)
+                      for e, w, r in zip(d, window, rows))]
+    P = tuple(1 << (w + r - 2).bit_length() for w, r in zip(window, rows))
+    axes = tuple(range(1, len(window) + 1))
+    spectrum = np.fft.rfftn(seg[None], P, axes=axes)
+    keep = (slice(None),) + tuple(slice(w - 1, w - 1 + r)
+                                  for w, r in zip(window, rows))
+
+    def apply(G):
+        prod = np.fft.rfftn(G, P, axes=axes)
+        prod *= spectrum
+        return np.fft.irfftn(prod, P, axes=axes)[keep]
+    return apply
+
+
+def _fft_product_cases(rng):
+    """(case, kprof, window, d, rows): _pair's halves (the profile zeroed
+    up to its center, and zeroed from it on and reversed; d = 0, rows the
+    window) and the truncation operator's windows (d = s, 3s cells, s
+    rows; on a clipped 3Q0, 2s cells from d = s or 0), for 1D kernels at
+    L = 8 and the 2D homogeneous kernel at L = 5."""
+    cases = [(K, grid) for K, grid in _conv_kernels(8, rng)[:3]]
+    cases.append((op.make_homog(_asymmetric_table()),
+                  Grid(2, (-0.5, -0.5), 1.0, 5)))
+    for K, grid in cases:
+        n, N = grid.n, grid.cells_per_side
+        kprof = K.profile(grid)
+        mid = kprof.size // 2
+        kz, kr = kprof.copy(), kprof.copy()
+        kz.flat[:mid + 1] = 0.0
+        kr.flat[mid:] = 0.0
+        flip = (slice(None, None, -1),) * n
+        for name, kp in (("half", kz), ("reversed half", kr[flip])):
+            yield f"{K.family} {name}", kp, grid.shape, (0,) * n, grid.shape
+        for s in (1, 4, N // 4, N // 2):
+            yield (f"{K.family} s={s}", kprof, (3 * s,) * n, (s,) * n,
+                   (s,) * n)
+        s = N // 4
+        yield (f"{K.family} clipped s={s}", kprof,
+               (2 * s,) + (3 * s,) * (n - 1), (0,) + (s,) * (n - 1), (s,) * n)
+
+
+def test_fft_product_bitwise_rfftn_reference(rng):
+    # rfft and irfft in 1D; in 2D the rfft into one zeroed buffer, the
+    # fft and ifft of the first axis in place and the irfft of the kept
+    # rows only: the bytes of rfftn, a product and a full irfftn, for 1,
+    # 2 and 5 data rows
+    for case, kp, window, d, rows in _fft_product_cases(rng):
+        got_fn = op._fft_product(kp, window, d, rows)
+        want_fn = _fft_product_rfftn(kp, window, d, rows)
+        for m in (1, 2, 5):
+            G = rng.standard_normal((m,) + window)
+            got, want = got_fn(G), want_fn(G)
+            assert got.shape == want.shape, (case, m)
+            assert got.tobytes() == want.tobytes(), (case, m)
+
+
 def test_apply_operator_linear(sym_grid, rng):
     K = op.make_dini()
     a = GridFunction(sym_grid, rng.standard_normal(sym_grid.shape))
@@ -515,6 +617,30 @@ def test_commutator_apply_prepares_once(rng, monkeypatch):
             case = (K.family, grid.n, grid.level, m)
             assert got.tobytes() == want.tobytes(), case
             assert len(calls) == (K.matrix is None), case
+
+
+def test_commutator_peak_memory_capped():
+    # plane's endpoint_czo input (homog with its seed-0 table cos(2 theta),
+    # m = 1, 2D L7): a warm call holds at most 22 times the bytes of f.
+    # Its peak is one 2D apply of T: the FFT products transform in place
+    # in one buffer and invert only the kept rows, and the profile is made
+    # and split in place.  rfftn/irfftn with new arrays, the profile and
+    # its two halves as copies, held 26.2 times f
+    theta = np.arange(64) * (2 * math.pi / 64)
+    K = op.make_homog(np.cos(2 * theta))
+    grid = Grid(2, (-0.5, -0.5), 1.0, 7)
+    f = parse_profile("indicator(0,0,0.25,0.25)", grid)
+    b = parse_profile("log_abs", grid)
+    spec, center = op.CommutatorSpec(b, 1), float(b.cells.mean())
+    want = op.commutator_apply(K, spec, f, center).cells
+    tracemalloc.start()
+    try:
+        got = op.commutator_apply(K, spec, f, center).cells
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak <= 22 * f.cells.nbytes, peak / f.cells.nbytes
 
 
 def test_commutator_spec_order_range(sym_grid):
@@ -714,13 +840,15 @@ def test_truncation_bitwise_whole_level_reference(L, rng):
 
 
 @pytest.mark.parametrize("n,L,H,cap", [(1, 12, 1, 12), (1, 12, 3, 12),
-                                       (2, 6, 2, 40)])
+                                       (2, 6, 2, 28)])
 def test_truncation_peak_memory_capped(n, L, H, cap, rng):
     # a warm call on the root holds at most cap times the bytes of its data:
     # its FFT levels run in runs of cubes whose windows hold about F's
     # cells, each run's difference made in place and freed before the
-    # next.  One product per level, its windows padded whole and its
-    # differences in new arrays, held 21.1 times F in 1D and 101 in 2D
+    # next, and a 2D product transforms in place in one buffer and
+    # inverts only its kept rows.  One product per level, its windows
+    # padded whole and its differences in new arrays, held 21.1 times F in
+    # 1D and 101 in 2D; with rfftn/irfftn's new arrays, 39.8 in 2D
     if n == 1:
         K, grid = op.make_hilbert(), Grid(1, (-0.5,), 1.0, L)
     else:
