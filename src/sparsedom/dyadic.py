@@ -400,24 +400,33 @@ def scope_max(grid: Grid, shifted: bool, reduce, *arrays) -> np.ndarray:
     for shape, dom, tilings in levels:
         top = np.full(shape, -np.inf) if shifted else out
         for win, split in tilings:
-            view = top[win].reshape(split)
-            stop = start + view.size // split[1] ** n
-            part = vals[start:stop].reshape(
-                [x for c in split[::2] for x in (c, 1)])
-            np.maximum(view, part, out=view)
+            stop = start + math.prod(split[::2])
+            spread_max(top[win], split, vals[start:stop])
             start = stop
         if shifted:
             np.maximum(out, top[dom], out=out)
     return out
 
 
-def scope_min(grid: Grid, cells: np.ndarray) -> np.ndarray:
-    """The min of cells over each base-lattice cube: one value per row of
-    scope_max's reduce without shifted lattices, in the same order."""
-    within = tuple(range(1, 2 * grid.n, 2))
-    return np.concatenate([cells.reshape(split).min(axis=within).ravel()
-                           for _, _, tilings in _scope_frames(grid, False)
-                           for _, split in tilings])
+def base_blocks(grid: Grid, cells: np.ndarray):
+    """Per base-lattice level, root first: its split (cubes, side per
+    axis), the block scope_max hands its reduce without shifted lattices,
+    and that block's mask, a broadcast of 1.0."""
+    n, N = grid.n, grid.cells_per_side
+    axes = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
+    ones = np.broadcast_to(1.0, (N ** n,) * 2)  # a slice costs less
+    for k in range(grid.level + 1):
+        c, s = 1 << k, 1 << (grid.level - k)
+        yield [c, s] * n, cells.reshape([c, s] * n).transpose(axes).reshape(
+            -1, s ** n), ones[:c ** n, :s ** n]
+
+
+def spread_max(out: np.ndarray, split: list, values: np.ndarray) -> None:
+    """Raises out, at each cell, to the value of the cube of split that
+    contains it (values: one per cube, in block order)."""
+    view = out.reshape(split)
+    np.maximum(view, values.reshape([x for c in split[::2] for x in (c, 1)]),
+               out=view)
 
 
 def block_mean(masks: list, values: list) -> np.ndarray:

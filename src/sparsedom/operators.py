@@ -40,8 +40,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import literal, young
-from .dyadic import (BASE, Cube, Grid, GridFunction, block_mean, cube_slices,
-                     dilate, is_clipped, scope_max, scope_min)
+from .dyadic import (BASE, Cube, Grid, GridFunction, base_blocks, block_mean,
+                     cube_slices, dilate, is_clipped, spread_max)
 
 E = math.e
 
@@ -288,6 +288,7 @@ def _pair(K: Kernel, grid: Grid) -> tuple:
     kz = kprof.copy()
     kz.flat[:mid + 1] = 0.0
     h = _toeplitz_product(kz, shape, zero, shape)
+    del kz  # freed before the second half is prepared
     kprof.flat[mid:] = 0.0
     hr = _toeplitz_product(kprof[flip], shape, zero, shape)
 
@@ -481,24 +482,35 @@ def maximal(f: GridFunction, A=young.power(1)) -> GridFunction:
 
     A power gauge t^r takes block means, M(|f|^r)^(1/r).  Any other gauge
     takes exact norms only of the cubes that can attain the max somewhere.
-    A first scope_max pass, with no gauge evaluated, gives each cell the
-    largest Jensen bound avg|f| / A^-1(1) over the cubes containing it; by
-    Jensen's inequality a cube's norm is at least its bound.  A cube's
-    floor is the least of these over its cells, and luxemburg_norm_batch
-    closes a cube whose norm lies certainly below its floor.  At each cell
-    of such a cube another cube's norm is larger, so the max loses no bit.
+    Block means give each cell the largest Jensen bound avg|f| / A^-1(1)
+    over the cubes containing it; a cube's norm is at least its own bound,
+    so one certainly below the least bound over its cells (its floor)
+    attains no max.  One level at a time, young.luxemburg_close closes
+    such cubes and keeps the open rows with their Jensen state, before the
+    next block is made; one young.luxemburg_replay then takes the open
+    rows of every level, each bitwise its norm alone.
     """
     grid = f.grid
     vals = np.abs(f.cells)
-    if A.family == young.POWER and A.params[1] == 1.0:
-        r = A.params[0]
-        out = scope_max(grid, False, block_mean, vals ** r) ** (1.0 / r)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            floor = scope_min(grid, scope_max(grid, False, block_mean, vals)
-                              / A.inverse_one)
-        out = scope_max(grid, False, lambda m, v: young.luxemburg_norm_batch(
-            v, m, A, floor), vals)
+    power = A.family == young.POWER and A.params[1] == 1.0
+    out = np.full(grid.shape, -np.inf)
+    for split, block, ones in base_blocks(grid, vals ** A.params[0] if power
+                                          else vals):
+        spread_max(out, split, block_mean([ones], [block]))
+    if power:
+        return GridFunction(grid, out ** (1.0 / A.params[0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out /= A.inverse_one  # the Jensen bounds
+    within, levels = tuple(range(1, 2 * grid.n, 2)), []
+    for split, block, ones in base_blocks(grid, vals):
+        norms, rows = young.luxemburg_jensen(block, ones, A)
+        rows = young.luxemburg_close(norms, rows,
+                                     out.reshape(split).min(axis=within))
+        levels.append((split, norms, rows))
+    young.luxemburg_replay([level[1:] for level in levels], A)
+    out.fill(-np.inf)
+    for split, norms, _ in levels:
+        spread_max(out, split, norms)
     return GridFunction(grid, out)
 
 
@@ -582,18 +594,19 @@ def grand_maximal_truncated(T: Truncation, F: np.ndarray,
     if Q0.lattice != BASE:
         raise OperatorError("the truncation maximal operator needs a "
                             "base-lattice cube Q0")
-    n, S, H = grid.n, Q0.side, len(F)
+    n, S, H, N = grid.n, Q0.side, len(F), grid.cells_per_side
     vol = grid.cell_volume
-    # f chi_{3Q0} on the cells o-S .. o+2S-1 per axis, zero outside the
-    # domain; T(f chi_{3Q0}) on Q0 reads only the cells inside it
     s3 = cube_slices(dilate(Q0, 3), grid)
-    inner = tuple(slice(a.start - o + S, a.stop - o + S)
-                  for a, o in zip(s3, Q0.origin))
     every = (slice(None),)
-    g = np.zeros((H,) + (3 * S,) * n)
-    g[every + inner] = F[every + s3]
     d0 = tuple(o - a.start for a, o in zip(s3, Q0.origin))
-    base = T.product(g[every + (None,) + inner], d0, S, Q0.origin)[:, 0] * vol
+    base = T.product(F[every + (None,) + s3], d0, S, Q0.origin)[:, 0] * vol
+    # T(f chi_{3Q0}) read F on 3Q0; the levels' windows read only the cells
+    # o-S/2 .. o+3S/2-1 per axis: f chi_{3Q0} there, 0 outside the domain
+    h = S // 2
+    cut = [(max(o - h, 0), min(o + S + h, N), o - h) for o in Q0.origin]
+    g = np.zeros((H,) + (2 * S,) * n)
+    g[every + tuple(slice(a - z, b - z) for a, b, z in cut)] = \
+        F[every + tuple(slice(a, b) for a, b, _ in cut)]
     out = np.zeros(F.shape)
     q0 = out[every + cube_slices(Q0, grid)]
     axes = (0,) + tuple(range(1, 2 * n + 1, 2)) + tuple(range(2, 2 * n + 1, 2))
@@ -609,9 +622,9 @@ def grand_maximal_truncated(T: Truncation, F: np.ndarray,
         split = (H,) + tuple(x for _ in range(n) for x in (c, s))
         based = base.reshape(split).transpose(axes)
         # a view of f chi_{3q} for each cube q of side s in Q0: per axis,
-        # windows of 3s cells every s cells from cell S - s
+        # windows of 3s cells every s cells from frame cell S/2 - s
         wins = np.ndarray((H,) + (c,) * n + (3 * s,) * n, g.dtype, g,
-                          (S - s) * sum(g.strides[1:]), g.strides[:1] + tuple(
+                          (h - s) * sum(g.strides[1:]), g.strides[:1] + tuple(
                               x * s for x in g.strides[1:]) + g.strides[1:])
         level = q0 if s == 1 else np.empty((H,) + (c,) * n)  # cube maxima
         step = c if runs == 1 or T.whole(s) else -(-c // runs)

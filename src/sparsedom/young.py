@@ -10,6 +10,7 @@ maximal operators, kernel smoothness sums) is built on these.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -437,7 +438,7 @@ _LUX_ROWS = 8  # a call of at most this many rows runs row by row
 _LUX_FLOOR_TOL = 1e-9  # a row closes where bound (1 + tol) < floor (1 - tol)
 
 
-def luxemburg_norm_batch(values, measures, A: YoungFunction, floor=None):
+def luxemburg_norm_batch(values, measures, A: YoungFunction):
     """Vectorized Luxemburg norms for a stack of same-size cubes, or for
     several such stacks whose cube sizes differ.
 
@@ -454,138 +455,151 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction, floor=None):
     a row by 2^k, where that is exact, scales its norm by 2^k bit for bit,
     subnormal rows included.
 
-    Estimate, certify, replay: a per-row secant from hi and Jensen's point
-    avg|v| / A^-1(1) estimates the root, certified at est (1 -+ eta).  a is
-    (1 - delta) times the largest lam evaluated with modular > 1, b is
-    (1 + delta) times the smallest with modular <= 1, and the replayed
-    bisection evaluates only the mids in [a, b].  No bit moves: A(t)/t is
-    nondecreasing, so a factor 1 -+ delta (450 ulp) in lam moves the
-    modular past all rounding.  A cell of measure 0 counts in hi but not in
-    the modular, which it would make NaN (0 inf) where A overflows.
-    One loop serves every row, but each group's rows are summed in that
-    group's own array, so every row sum keeps its pairwise order and every
-    row is bitwise its norm alone.  A call of at most _LUX_ROWS rows, where
-    numpy's per-call cost outweighs the arithmetic, runs the same steps
-    row by row in _luxemburg_rows, with the same bits.
+    Jensen stage, then replay: luxemburg_jensen checks and scales each
+    group and takes each row's modular at Jensen's point avg|v| / A^-1(1),
+    and luxemburg_replay runs one loop over every group's rows from that
+    state.  A per-row secant from hi and Jensen's point estimates the root,
+    certified at est (1 -+ eta).  a is (1 - delta) times the largest lam
+    evaluated with modular > 1, b is (1 + delta) times the smallest with
+    modular <= 1, Jensen's among them, and the replayed bisection evaluates
+    only the mids in [a, b].  No bit moves: A(t)/t is nondecreasing, so a
+    factor 1 -+ delta (450 ulp) in lam moves the modular past all rounding.
+    A cell of measure 0 counts in hi but not in the modular, which it would
+    make NaN (0 inf) where A overflows.  Each group's rows are summed in
+    that group's own array, so every row sum keeps its pairwise order and
+    every row is bitwise its norm alone, whichever rows share the replay:
+    rows dropped between the stages (luxemburg_close) move no other bit.  A
+    replay of at most _LUX_ROWS rows, where numpy's per-call cost outweighs
+    the arithmetic, runs the same steps row by row in _luxemburg_rows.
 
-    floor, if given, holds one value per row, group after group: a row
-    whose norm lies certainly below its floor may come back as -inf
-    instead (a cube that attains no maximum), and every other row keeps
-    its bits.  Once every row is validated, each row's modular is taken at
-    Jensen's point lam_J first.  A(t)/t is nondecreasing (A convex with
-    A(0) = 0), so modular(t lam) <= modular(lam) / t for t >= 1 and the
-    norm is at most max(1, modular(lam_J)) lam_J, or the replay's lower
-    end where the root lies below that (_below_floor).  A row closes where
-    this bound, widened by 1e-9 relative, lies below its floor narrowed by
-    as much; it runs no other step.  Every other row runs the hi check,
-    secant, certificates and replay as without a floor.  Like the
-    certificates, the margin assumes measures that are normal floats or 0.
-
-    Memory: validation and max|v| are reductions, which copy nothing.
-    Jensen's pass unit-scales at most _LUX_CELLS cells (or one row) at a
-    time, and the unit-scale |v| of the rows that stay open is then made
-    once, the one copy of the values a call holds.
+    Memory: validation and max|v| are reductions.  The unit-scale |v| of
+    the nonzero rows is the one copy of the values a call holds; Jensen's
+    modulars take at most _LUX_CELLS cells (or one row) at a time.
     """
     if not isinstance(values, list):
         values, measures = [values], [measures]
-    v = [np.asarray(x, dtype=float) for x in values]
-    mu = [np.asarray(x, dtype=float) for x in measures]
+    stacks = [luxemburg_jensen(x, m, A) for x, m in zip(values, measures)]
+    luxemburg_replay(stacks, A)
+    return np.concatenate([norms for norms, _ in stacks])
+
+
+# one stack's rows in the Jensen state, in unit scale: indices, |v| scaled
+# by 2^-e (0 where the measure is 0), measures, totals, exponents e, the
+# replay's upper end hi, Jensen's point lam and the modular mj there
+LuxemburgRows = namedtuple("LuxemburgRows", "i v mu tot e hi lam mj")
+
+
+def luxemburg_jensen(values, measures, A: YoungFunction) -> tuple:
+    """luxemburg_norm_batch's Jensen stage on one stack, checked first:
+    (norms, rows), norms final where no replay runs (a zero row, an L^inf
+    gauge) and rows, a LuxemburgRows, the state of the other rows."""
+    x, mu = np.asarray(values, dtype=float), np.asarray(measures, dtype=float)
     # min and max carry NaN, so the reductions see every non-finite cell
-    invalid = False
-    for m in mu:
-        if m.size:
-            invalid |= not 0.0 <= float(m.min()) <= float(m.max()) < math.inf
+    invalid = mu.size and not 0.0 <= float(mu.min()) <= float(mu.max()) \
+        < math.inf
     # max|v| from max v and -min v; abs makes a -0.0 of a zero row +0.0
-    vmax = np.abs(np.concatenate([np.maximum(x.max(axis=1, initial=0.0),
-                                             -x.min(axis=1, initial=0.0))
-                                  for x in v]))
+    vmax = x.max(axis=1, initial=0.0)
+    np.abs(np.maximum(vmax, -x.min(axis=1, initial=0.0), out=vmax), out=vmax)
     if invalid or not np.isfinite(vmax).all():
         raise YoungError("non-finite cell value or measure, or measure < 0")
-    tot = [m.sum(axis=1) for m in mu]
-    if any(np.any(t <= 0) for t in tot):
+    # measures repeating one row (a broadcast) have one total
+    tot = mu.sum(axis=1) if mu.strides[0] else \
+        np.ndarray(len(mu), float, mu[:1].sum(axis=1), 0, (0,))
+    if np.any(tot <= 0):
         raise YoungError("cube has nonpositive measure")
-    vmax, e = np.frexp(vmax)
-    fl = np.full(vmax.size, -np.inf) if floor is None else \
-        np.asarray(floor, dtype=float).ravel()
-    if fl.size != vmax.size:
-        raise YoungError("one floor per row")
-    starts = np.cumsum([0] + [len(x) for x in v])
-    # a zero row's norm is 0, and so is its mantissa: vmax takes the norms
-    act = vmax > 0
-    if not np.any(act):
-        return vmax
+    # a zero row's norm is 0, and so is its mantissa
+    norms, e = np.frexp(vmax)
+    i = np.flatnonzero(norms)
     if A.family == LINF:
-        vmax[act] = np.ldexp(vmax[act] / A.params[0], e[act])
-        return vmax
-    scale = max(1.0, 1.0 / A.inverse_one)
+        norms[i] = np.ldexp(norms[i] / A.params[0], e[i])
+        i = i[:0]
+    r = slice(None) if i.size == norms.size else i
+    e, v, mu, tot = e[r], _unit_rows(x, mu, r, e[r]), _take(mu, r), tot[r]
+    lam, mj = np.empty(i.size), np.empty(i.size)
+    step = min(_LUX_BLOCK, max(1, _LUX_CELLS // max(1, x.shape[1])))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for c in range(0, i.size, step):
+            vr, mr, tr = v[c:c + step], mu[c:c + step], tot[c:c + step]
+            lj = lam[c:c + step] = (vr * mr).sum(axis=1) / tr / A.inverse_one
+            mj[c:c + step] = (A._eval_raw(vr / lj[:, None]) * mr).sum(axis=1) \
+                / tr
+    scale = max(1.0, 1.0 / A.inverse_one) if i.size else 1.0
+    return norms, LuxemburgRows(i, v, mu, tot, e, norms[i] * scale, lam, mj)
 
-    def rows_of(keep):
-        # the rows where keep: unit-scale values, measures, totals
-        k = [slice(None) if keep[p:q].all() else np.flatnonzero(keep[p:q])
-             for p, q in zip(starts, starts[1:])]
-        return ([_unit_rows(x, m, r, e[p:q][r])
-                 for x, m, r, p, q in zip(v, mu, k, starts, starts[1:])],
-                [_take(m, r) for m, r in zip(mu, k)],
-                [t[r] for t, r in zip(tot, k)])
 
-    if np.count_nonzero(act) <= _LUX_ROWS:
-        rows = [r for g in zip(*rows_of(act)) for r in zip(*g)]
-        vmax[act] = np.ldexp(_luxemburg_rows(
-            [(*r, x, f) for r, x, f in zip(
-                rows, vmax[act], np.ldexp(fl[act], -e[act]))], A), e[act])
-        return vmax
+def luxemburg_close(norms, rows: LuxemburgRows, floor) -> LuxemburgRows:
+    """The closure stage of a maximum over a stack's norms: each row of
+    luxemburg_jensen whose norm lies certainly below its floor (one floor
+    per row of the stack) closes, with norm -inf, and the open rows are
+    returned.  A(t)/t is nondecreasing, so the norm is at most max(1, mj)
+    lam, or the replay's lower end of at most 4e-18 hi where the root lies
+    below that; a row closes where this bound, widened by _LUX_FLOOR_TOL
+    relative, lies below its floor in unit scale narrowed by as much.  A
+    NaN modular (lam = 0) counts as 1 and a NaN floor closes nothing.  Like
+    the certificates, the margin assumes measures that are normal floats
+    or 0."""
+    floor = np.asarray(floor, dtype=float).ravel()
+    if floor.size != norms.size:
+        raise YoungError("one floor per row")
+    bound = np.fmax(rows.mj, 1.0) * rows.lam
+    np.maximum(bound, 4e-18 * rows.hi, out=bound)
+    bound *= 1.0 + _LUX_FLOOR_TOL
+    floor = floor[rows.i]
+    np.ldexp(floor, -rows.e, out=floor)
+    floor *= 1.0 - _LUX_FLOOR_TOL
+    shut = bound < floor
+    norms[rows.i[shut]] = -np.inf
+    keep = np.flatnonzero(~shut)
+    return LuxemburgRows(*(_take(x, keep) for x in rows))
+
+
+def luxemburg_replay(stacks, A: YoungFunction) -> None:
+    """luxemburg_norm_batch's replay stage: one loop over the rows of every
+    (norms, rows) pair given, writing each row's norm into its norms."""
+    i, v, mu, tot, e, hi, lam, mj = zip(*(rows for _, rows in stacks))
+    e, hi, lam, mj = map(np.concatenate, (e, hi, lam, mj))
+    if hi.size > _LUX_ROWS:
+        hi = _luxemburg_vectorized(v, mu, tot, hi, lam, mj, A)
+    elif hi.size:
+        hi = _luxemburg_rows(list(zip(
+            [r for g in zip(v, mu, tot) for r in zip(*g)], hi, lam, mj)), A)
+    hi, stop = np.ldexp(hi, e), 0
+    for (norms, _), k in zip(stacks, i):
+        norms[k] = hi[stop:stop + k.size]
+        stop += k.size
+
+
+def _luxemburg_vectorized(v, mu, tot, hi, lam, mj, A: YoungFunction):
+    """luxemburg_replay's unit-scale norms in one numpy loop over rows."""
+    n = hi.size
+    starts = np.cumsum([0] + [len(x) for x in v])
+
+    def groups(i):
+        # (span of i, v, mu, tot) of the rows i (sorted) per group; a run
+        # of rows is a view
+        cut = (0, i.size) if len(v) == 1 else np.searchsorted(i, starts)
+        for g, (p, q) in enumerate(zip(cut[:-1], cut[1:])):
+            if p < q:
+                r0, r1 = i[p] - starts[g], i[q - 1] - starts[g] + 1
+                r = slice(r0, r1) if r1 - r0 == q - p \
+                    else i[p:q] - starts[g]
+                yield slice(p, q), v[g][r], _take(mu[g], r), tot[g][r]
+
+    def record(i, lam, m):
+        # the modular m of rows i at lam, as certificates
+        up, dn = m > 1.0, m <= 1.0
+        a[i[up]] = np.maximum(a[i[up]], lam[up] * (1.0 - _LUX_DELTA))
+        b[i[dn]] = np.minimum(b[i[dn]], lam[dn] * (1.0 + _LUX_DELTA))
+
+    def certify(i, lam):
+        # the modular of rows i at lam, recorded as certificates
+        m = np.empty(i.size)
+        for s, vi, mi, ti in groups(i):
+            m[s] = (A._eval_raw(vi / lam[s, None]) * mi).sum(axis=1) / ti
+        record(i, lam, m)
+        return m
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # Jensen's point of every row and its modular there first, in
-        # chunks of at most _LUX_CELLS cells (or one row) and _LUX_BLOCK
-        # rows, which bounds the memory
-        lam, mj = np.zeros(act.size), np.zeros(act.size)
-        for x, m, t, p, q in zip(v, mu, tot, starts, starts[1:]):
-            step = min(_LUX_BLOCK, max(1, _LUX_CELLS // max(1, x.shape[1])))
-            rows = None if act[p:q].all() else np.flatnonzero(act[p:q])
-            for c in range(0, q - p if rows is None else rows.size, step):
-                r = slice(c, c + step) if rows is None else rows[c:c + step]
-                vr, mr, tr = _unit_rows(x, m, r, e[p:q][r]), _take(m, r), \
-                    t[r]
-                lj = lam[p:q][r] = (vr * mr).sum(axis=1) / tr / A.inverse_one
-                mj[p:q][r] = (A._eval_raw(vr / lj[:, None]) * mr).sum(axis=1) \
-                    / tr
-        # a row certainly below its floor closes, and the open rows go on
-        # alone, each as it would without a floor.  The floors in unit
-        # scale; only one of at least 2e-18, so a normal float and exact,
-        # can close a row
-        keep = act & ~_below_floor(mj, lam, vmax * scale, np.ldexp(fl, -e))
-        lam, mj = lam[keep], mj[keep]
-        v, mu, tot = rows_of(keep)
-        starts = np.cumsum([0] + [len(x) for x in v])
-        e, hi = e[keep], vmax[keep] * scale
-        n = hi.size
-
-        def groups(i):
-            # (span of i, v, mu, tot) of the rows i (sorted) per group; a
-            # run of rows is a view
-            cut = (0, i.size) if len(v) == 1 else np.searchsorted(i, starts)
-            for g, (p, q) in enumerate(zip(cut[:-1], cut[1:])):
-                if p < q:
-                    r0, r1 = i[p] - starts[g], i[q - 1] - starts[g] + 1
-                    r = slice(r0, r1) if r1 - r0 == q - p \
-                        else i[p:q] - starts[g]
-                    yield slice(p, q), v[g][r], _take(mu[g], r), tot[g][r]
-
-        def record(i, lam, m):
-            # the modular m of rows i at lam, as certificates
-            up, dn = m > 1.0, m <= 1.0
-            a[i[up]] = np.maximum(a[i[up]], lam[up] * (1.0 - _LUX_DELTA))
-            b[i[dn]] = np.minimum(b[i[dn]], lam[dn] * (1.0 + _LUX_DELTA))
-
-        def certify(i, lam):
-            # the modular of rows i at lam, recorded as certificates
-            m = np.empty(i.size)
-            for s, vi, mi, ti in groups(i):
-                m[s] = (A._eval_raw(vi / lam[s, None]) * mi).sum(axis=1) / ti
-            record(i, lam, m)
-            return m
-
         a, b = np.zeros(n), np.full(n, np.inf)
         record(np.arange(n), lam, mj)
         bad = np.zeros(n, bool)
@@ -633,9 +647,7 @@ def luxemburg_norm_batch(values, measures, A: YoungFunction, floor=None):
                 live &= ~(hi / lo - 1.0 <= 1e-12)
                 if not live.any():
                     break
-    vmax[act & ~keep] = -np.inf
-    vmax[keep] = np.ldexp(hi, e)
-    return vmax
+    return hi
 
 
 def _take(x, r):
@@ -658,22 +670,10 @@ def _unit_rows(x, mu, r, e):
     return y
 
 
-def _below_floor(m, lam, hi, floor):
-    """Whether a norm lies certainly below floor, from its unit-scale row's
-    modular m at lam and initial upper end hi: the norm is at most
-    max(1, m) lam, or the replay's lower end of at most 4e-18 hi where the
-    root lies below it, and that bound widened by _LUX_FLOOR_TOL must lie
-    below the floor narrowed by as much.  A NaN modular (lam = 0) counts as
-    1 and a NaN floor closes nothing.  One expression for numpy rows and
-    Python floats, so both paths close the same rows."""
-    bound = np.maximum(np.fmax(m, 1.0) * lam, 4e-18 * hi)
-    return bound * (1.0 + _LUX_FLOOR_TOL) < floor * (1.0 - _LUX_FLOOR_TOL)
-
-
 def _luxemburg_rows(rows, A: YoungFunction) -> list:
-    """luxemburg_norm_batch's norms of unit-scale rows (v, mu, tot, vmax,
-    floor), one row at a time: the same floor test, hi, bad, Jensen start,
-    secant, certificates and replay, with the control flow in Python floats
+    """luxemburg_replay's norms of unit-scale rows ((v, mu, tot), hi, lam,
+    mj), one row at a time: the same Jensen certificate, bad, secant,
+    certificates and replay, with the control flow in Python floats
     and numpy only for the row's modular, the same expression on the same
     row.  Python's *, / and sqrt round as numpy's do, and the estimate only
     places certificates, so math.log and math.exp there move no bit.  Where
@@ -688,29 +688,27 @@ def _luxemburg_rows(rows, A: YoungFunction) -> list:
         except OverflowError:
             return float(np.exp(x))
 
-    scale = max(1.0, 1.0 / A.inverse_one)
     out = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for v, mu, tot, vmax, floor in rows:
-            tot, hi = float(tot), float(vmax) * scale
+        for (v, mu, tot), hi, lam, m in rows:
+            tot, hi, lam = float(tot), float(hi), float(lam)
             a, b = 0.0, math.inf
 
-            def certify(lam):
-                # the modular at lam, recorded as a certificate
+            def record(lam, m):
+                # the modular m at lam, as a certificate
                 nonlocal a, b
-                m = float((A._eval_raw(v / lam) * mu).sum()) / tot
                 if m > 1.0:
                     a = max(a, lam * (1.0 - _LUX_DELTA))
                 elif m <= 1.0:
                     b = min(b, lam * (1.0 + _LUX_DELTA))
                 return m
 
-            lam = float((v * mu).sum()) / tot / A.inverse_one
-            m = certify(lam)
-            if floor > -math.inf and _below_floor(m, lam, hi, floor):
-                out.append(-math.inf)
-                continue
-            g1 = log(m)
+            def certify(lam):
+                # the modular at lam, recorded as a certificate
+                return record(lam, float((A._eval_raw(v / lam) * mu).sum())
+                              / tot)
+
+            g1 = log(record(lam, float(m)))
             m = certify(hi)
             bad = m > 1.0 + 1e-9
             x0, g0, x1 = log(hi), log(m), log(lam)

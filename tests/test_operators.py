@@ -643,6 +643,26 @@ def test_commutator_peak_memory_capped():
     assert peak <= 22 * f.cells.nbytes, peak / f.cells.nbytes
 
 
+def test_pair_preparation_peak_memory_capped():
+    # preparing plane's endpoint_czo pair (homog, 2D L7) holds at most 12.5
+    # times the bytes of an f (12.1 measured; 8.1 stay held): the profile's
+    # zeroed copy for the first half is freed before the second half is
+    # prepared.  Held through both, it peaked at 16.0
+    theta = np.arange(64) * (2 * math.pi / 64)
+    K = op.make_homog(np.cos(2 * theta))
+    grid = Grid(2, (-0.5, -0.5), 1.0, 7)
+    f = parse_profile("indicator(0,0,0.25,0.25)", grid)
+    want = op._pair(K, grid)[0](f.cells)
+    tracemalloc.start()
+    try:
+        T, _ = op._pair(K, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T(f.cells).tobytes() == want.tobytes()
+    assert peak <= 12.5 * f.cells.nbytes, peak / f.cells.nbytes
+
+
 def test_commutator_spec_order_range(sym_grid):
     b = parse_profile("const(0)", sym_grid)
     with pytest.raises(op.OperatorError):
@@ -839,16 +859,19 @@ def test_truncation_bitwise_whole_level_reference(L, rng):
                 assert got.tobytes() == want.tobytes(), (K.family, name, H)
 
 
-@pytest.mark.parametrize("n,L,H,cap", [(1, 12, 1, 12), (1, 12, 3, 12),
-                                       (2, 6, 2, 28)])
+@pytest.mark.parametrize("n,L,H,cap", [(1, 12, 1, 10.5), (1, 12, 3, 10.5),
+                                       (2, 6, 2, 22)])
 def test_truncation_peak_memory_capped(n, L, H, cap, rng):
-    # a warm call on the root holds at most cap times the bytes of its data:
-    # its FFT levels run in runs of cubes whose windows hold about F's
-    # cells, each run's difference made in place and freed before the
-    # next, and a 2D product transforms in place in one buffer and
-    # inverts only its kept rows.  One product per level, its windows
-    # padded whole and its differences in new arrays, held 21.1 times F in
-    # 1D and 101 in 2D; with rfftn/irfftn's new arrays, 39.8 in 2D
+    # a warm call on the root holds at most cap times the bytes of its data
+    # (9.8-9.9 in 1D and 20.7 in 2D measured): its FFT levels run in runs
+    # of cubes whose windows hold about F's cells, each run's difference
+    # made in place and freed before the next, a 2D product transforms in
+    # place in one buffer and inverts only its kept rows, and the levels'
+    # zero frame holds (2S)^n cells per array, where their windows lie.
+    # One product per level, its windows padded whole and its differences
+    # in new arrays, held 21.1 times F in 1D and 101 in 2D; with
+    # rfftn/irfftn's new arrays, 39.8 in 2D; with a frame of all of 3Q0,
+    # (3S)^n cells, 10.8-10.9 in 1D and 25.7 in 2D
     if n == 1:
         K, grid = op.make_hilbert(), Grid(1, (-0.5,), 1.0, L)
     else:

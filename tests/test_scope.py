@@ -84,12 +84,13 @@ def test_scope_max_reduces_each_scope_cube_once(grid, shifted):
 @pytest.mark.parametrize("grid,shifted", CASES, ids=IDS)
 def test_scope_luxemburg_one_call_per_maximal(grid, shifted, monkeypatch):
     # the Orlicz maximal operator (base lattice) and ApBump (with shifted
-    # lattices) make one Luxemburg call over every level and tiling,
+    # lattices) make one Luxemburg replay over every level and tiling,
     # bitwise equal to one call per level and tiling
     f, w = _data(grid, 6)
     v, p, A = np.abs(f.cells), 2.5, young.llogl(1)
     bump = w.cells ** (-1.0 / p)
-    real, calls = young.luxemburg_norm_batch, []
+    real, replay = young.luxemburg_norm_batch, young.luxemburg_replay
+    calls = []
 
     def per_tiling(reduce):
         # reduce(masks, *blocks) on each level and tiling alone
@@ -104,8 +105,8 @@ def test_scope_luxemburg_one_call_per_maximal(grid, shifted, monkeypatch):
     else:
         want = scope_max(grid, False,
                          per_tiling(lambda m, x: real(x, m, A)), v)
-    monkeypatch.setattr(young, "luxemburg_norm_batch",
-                        lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(young, "luxemburg_replay",
+                        lambda *a: calls.append(1) or replay(*a))
     got = (np.float64(W.weight_constant(w, "ApBump", p=p, C=A)) if shifted
            else op.maximal(f, A).cells)
     assert got.tobytes() == want.tobytes()
@@ -129,8 +130,9 @@ PRUNE_GAUGES = [young.llogl(1), young.lll(1, 1.5), young.expl(1),
 @pytest.mark.parametrize("grid,shifted", BASE_CASES, ids=BASE_IDS)
 def test_scope_luxemburg_pruned_maximal_bitwise(grid, shifted, data,
                                                 monkeypatch):
-    # cubes below their floor come back -inf, and the max loses no bit:
-    # constant data ties every cube, where no cube may be closed
+    # the closure stage closes cubes below their floor (norm -inf), and the
+    # max loses no bit: constant data ties every cube, where no cube may be
+    # closed
     rng = np.random.default_rng(8)
     f, _ = _data(grid, 8)
     if data == "constant":
@@ -138,14 +140,14 @@ def test_scope_luxemburg_pruned_maximal_bitwise(grid, shifted, data,
     elif data == "zero-cells":
         f = GridFunction(grid, np.where(rng.random(grid.shape) < 0.5, 0.0,
                                         f.cells))
-    real, closed = young.luxemburg_norm_batch, []
+    real, closed = young.luxemburg_close, []
 
-    def spy(*args):
-        out = real(*args)
-        closed.append(int(np.isneginf(out).sum()))
+    def spy(norms, rows, floor):
+        out = real(norms, rows, floor)
+        closed.append(int(np.isneginf(norms).sum()))
         return out
 
-    monkeypatch.setattr(young, "luxemburg_norm_batch", spy)
+    monkeypatch.setattr(young, "luxemburg_close", spy)
     v = np.abs(f.cells)
     for A in PRUNE_GAUGES:
         assert op.maximal(f, A).cells.tobytes() == \
@@ -156,11 +158,73 @@ def test_scope_luxemburg_pruned_maximal_bitwise(grid, shifted, data,
         assert sum(closed) > 0
 
 
+def _whole_call_maximal(f, A):
+    """M_A f as the maximal operator made it with one Luxemburg call: one
+    scope_max pass of block means for the Jensen bounds, their min over
+    each cube as its floor (scope_min), and one scope_max pass whose reduce
+    holds every level's block and closes the rows below their floors
+    inside the call, between its Jensen stage and its replay."""
+    grid, vals = f.grid, np.abs(f.cells)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bounds = scope_max(grid, False, block_mean, vals) / A.inverse_one
+    within = tuple(range(1, 2 * grid.n, 2))
+    floors = [bounds.reshape(split).min(axis=within).ravel()
+              for split, _, _ in dyadic.base_blocks(grid, bounds)]
+
+    def reduce(masks, blocks):
+        stacks = [young.luxemburg_jensen(x, m, A)
+                  for m, x in zip(masks, blocks)]
+        stacks = [(norms, young.luxemburg_close(norms, rows, floor))
+                  for (norms, rows), floor in zip(stacks, floors)]
+        young.luxemburg_replay(stacks, A)
+        return np.concatenate([norms for norms, _ in stacks])
+
+    return scope_max(grid, False, reduce, vals)
+
+
+ORACLE_GRIDS = ([Grid(1, (-0.5,), 1.0, L) for L in (5, 6, 7, 8)]
+                + [Grid(2, (-0.5, -0.5), 1.0, L) for L in (3, 4, 5, 6, 7)])
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS,
+                         ids=lambda g: f"{g.n}d-L{g.level}")
+def test_scope_luxemburg_level_closures_match_whole_call(grid, monkeypatch):
+    # the maximal operator closes its cubes level by level, each level's
+    # block dropped before the next: the same cubes close as in one call
+    # over every level, and the max has its bits, on all-zero data, data
+    # with zero cells, and that data times 2^60 and 2^-60
+    rng = np.random.default_rng(grid.level)
+    cells = np.where(rng.random(grid.shape) < 0.4, 0.0,
+                     rng.standard_normal(grid.shape))
+    real, closed = young.luxemburg_close, []
+
+    def spy(norms, rows, floor):
+        out = real(norms, rows, floor)
+        closed.append(int(np.isneginf(norms).sum()))
+        return out
+
+    monkeypatch.setattr(young, "luxemburg_close", spy)
+    gauges = [young.lll(1, 1.5), young.llogl(1), young.expl(1),
+              young.compose(young.llogl(1), young.power(2))]
+    for data in (np.zeros(grid.shape), cells, np.ldexp(cells, 60),
+                 np.ldexp(cells, -60)):
+        f = GridFunction(grid, data)
+        for A in gauges:
+            closed.clear()
+            got = op.maximal(f, A).cells
+            shut = closed[:]
+            closed.clear()
+            assert got.tobytes() == _whole_call_maximal(f, A).tobytes()
+            assert shut == closed
+            assert (sum(shut) > 0) == bool(data.any())
+
+
 @pytest.mark.parametrize("grid,shifted", CASES, ids=IDS)
 def test_scope_broadcast_masks_keep_maximal_bits(grid, shifted, monkeypatch):
     # a tiling inside the domain gets a read-only broadcast of 1.0 as its
-    # mask; the maximal operator (base lattice: M, M_delta at delta = 1/2
-    # and M_A), the weight constants and the BMO norm (with shifted
+    # mask, and so does every level of the maximal operator (base lattice:
+    # M, M_delta at delta = 1/2 and M_A, its block means and its Jensen
+    # stage); it and the weight constants and the BMO norm (with shifted
     # lattices) give the bits they give with every mask a contiguous array
     f, w = _data(grid, 12)
     if shifted:
@@ -183,11 +247,25 @@ def test_scope_broadcast_masks_keep_maximal_bits(grid, shifted, monkeypatch):
             return reduce([np.array(m) for m in masks], *blocks)
         return real(grid, shifted, copied, *arrays)
 
-    monkeypatch.setattr(op, "scope_max", dense)
-    monkeypatch.setattr(W, "scope_max", dense)
+    mean, jensen = op.block_mean, young.luxemburg_jensen
+
+    def dense_mean(masks, values):
+        broadcast.extend(m.strides == (0, 0) for m in masks)
+        return mean([np.array(m) for m in masks], values)
+
+    def dense_jensen(values, measures, A):
+        broadcast.append(measures.strides == (0, 0))
+        return jensen(values, np.array(measures), A)
+
+    if shifted:
+        monkeypatch.setattr(W, "scope_max", dense)
+    else:
+        monkeypatch.setattr(op, "block_mean", dense_mean)
+        monkeypatch.setattr(young, "luxemburg_jensen", dense_jensen)
     assert [run().tobytes() for run in runs] == want
     # every mask without shifted lattices, and each level's base tiling
     # (one of 1 + 3^n) with them
+    assert broadcast
     assert sum(broadcast) * (1 + 3 ** grid.n if shifted else 1) == \
         len(broadcast)
 
@@ -196,10 +274,12 @@ def test_scope_broadcast_masks_keep_maximal_bits(grid, shifted, monkeypatch):
                          ids=lambda A: f"MA-{young.format_young(A)}")
 def test_maximal_peak_memory_capped(A):
     # plane's endpoint maximal operators on its weight (2D L7, 128 KiB per
-    # array) hold their blocks, the floors and the unit-scale values of
-    # the open rows: at most 24 times the bytes of their data.  Copied
+    # array) hold one level's block and Jensen state at a time, the floors
+    # and the unit-scale values of the open rows: at most 18 times the
+    # bytes of their data (15.9 measured).  Every level's blocks and
+    # Jensen state held through one Luxemburg call took 21.7; copied
     # masks, outputs made before reduce and full unit-scale copies of
-    # every block took 52
+    # every block 52
     grid = Grid(2, (-0.5, -0.5), 1.0, 7)
     w = W.parse_profile("power_abs(0.5)", grid)
     data = w.cells.nbytes
@@ -211,7 +291,7 @@ def test_maximal_peak_memory_capped(A):
     finally:
         tracemalloc.stop()
     assert got.tobytes() == want.tobytes()
-    assert peak <= 24 * data
+    assert peak <= 18 * data
 
 
 @pytest.mark.parametrize("A", [young.lll(1, 1.5), young.llogl(1.5)],

@@ -620,6 +620,15 @@ def test_luxemburg_batch_rejects_negative_measure():
 # -- floors: rows that cannot attain a maximum --------------------------------
 
 
+def _closed_norms(vals, mu, A, floor):
+    """The norms of luxemburg_norm_batch's two stages with the closure stage
+    between them: -inf on the rows it closes."""
+    norms, rows = young.luxemburg_jensen(vals, mu, A)
+    young.luxemburg_replay([(norms, young.luxemburg_close(norms, rows,
+                                                          floor))], A)
+    return norms
+
+
 @pytest.mark.parametrize("lux_rows", [8, 0], ids=["rows", "vectorized"])
 @pytest.mark.parametrize("A", LUX_GAUGES, ids=young.format_young)
 @settings(max_examples=5)
@@ -628,7 +637,8 @@ def test_luxemburg_batch_rejects_negative_measure():
 def test_luxemburg_floor_of_minus_inf_moves_no_bit(A, lux_rows, n, seed,
                                                    c_exp, spread_exp):
     # no floor, or -inf on every row, closes nothing: the call is the
-    # bisection's, row by row and vectorized
+    # bisection's, row by row and vectorized, with the closure stage
+    # between Jensen's and the replay
     rng = np.random.default_rng(seed)
     vals, mu = _lux_rows(n, rng, 10.0 ** c_exp, 10.0 ** spread_exp)
     pick = rng.choice(len(vals), min(len(vals), 8 if lux_rows else 64),
@@ -637,9 +647,9 @@ def test_luxemburg_floor_of_minus_inf_moves_no_bit(A, lux_rows, n, seed,
     want = _bisection_reference(vals, mu, A).tobytes()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(young, "_LUX_ROWS", lux_rows)
-        for floor in (None, np.full(len(vals), -np.inf)):
-            assert young.luxemburg_norm_batch(vals, mu, A,
-                                              floor).tobytes() == want
+        assert young.luxemburg_norm_batch(vals, mu, A).tobytes() == want
+        assert _closed_norms(vals, mu, A,
+                             np.full(len(vals), -np.inf)).tobytes() == want
 
 
 @pytest.mark.parametrize("lux_rows", [8, 0], ids=["rows", "vectorized"])
@@ -665,7 +675,7 @@ def test_luxemburg_floor_closes_only_rows_below_it(A, lux_rows, n, seed,
         floor = want * np.r_[1e3, rng.choice(factors, len(vals) - 1)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(young, "_LUX_ROWS", lux_rows)
-        got = young.luxemburg_norm_batch(vals, mu, A, floor)
+        got = _closed_norms(vals, mu, A, floor)
     shut = np.isneginf(got)
     assert np.all(want[shut] < floor[shut])
     assert got[~shut].tobytes() == want[~shut].tobytes()
@@ -675,19 +685,19 @@ def test_luxemburg_floor_closes_only_rows_below_it(A, lux_rows, n, seed,
 @pytest.mark.parametrize("lux_rows", [8, 0], ids=["rows", "vectorized"])
 def test_luxemburg_floor_rows_validated_first(lux_rows, monkeypatch):
     # a floor of inf would close every row, but a cube of measure 0 or a
-    # non-finite cell raises before any row is closed
+    # non-finite cell raises in the Jensen stage, before any row is closed
     monkeypatch.setattr(young, "_LUX_ROWS", lux_rows)
     A, top = young.llogl(1), np.full(3, np.inf)
     vals, mu = np.ones((3, 4)), np.ones((3, 4))
-    assert np.isneginf(young.luxemburg_norm_batch(vals, mu, A, top)).all()
+    assert np.isneginf(_closed_norms(vals, mu, A, top)).all()
     mu[2] = 0.0
     with pytest.raises(young.YoungError, match="measure"):
-        young.luxemburg_norm_batch(vals, mu, A, top)
+        _closed_norms(vals, mu, A, top)
     mu[2], vals[1, 3] = 1.0, np.inf
     with pytest.raises(young.YoungError, match="non-finite"):
-        young.luxemburg_norm_batch(vals, mu, A, top)
+        _closed_norms(vals, mu, A, top)
     with pytest.raises(young.YoungError, match="floor"):
-        young.luxemburg_norm_batch(np.ones((3, 4)), mu, A, top[:2])
+        _closed_norms(np.ones((3, 4)), mu, A, top[:2])
 
 # -- Holder defect ------------------------------------------------------------
 
