@@ -372,11 +372,15 @@ def _fft_product(kprof: np.ndarray, window: tuple, d: tuple, rows: tuple):
     with G holds the product at offsets W-1 .. W-2+R, free of wrap-around
     at any period >= W+R-1; the segment's transform, made here once, and
     one of all rows of G use the least power of two that long, in rfftn's
-    and irfftn's stages: in 2D an rfft of the last axis into a zeroed
-    buffer, an fft of the first axis in place, back an ifft in place and
-    an irfft of the kept rows only.  pocketfft pads with zeros inside and
-    transforms each line on its own, so no bit moves.  Negating the
-    profile negates every rounded step: _pair's odd kernels stay odd.
+    and irfftn's stages.  G is read in place, views included.  In 1D its
+    rows go into one zeroed buffer, transformed, multiplied row by row (a
+    product broadcast over rows takes a ufunc buffer of up to 8192
+    elements) and inverted back into it; in 2D an rfft of the last axis
+    into a zeroed buffer, an fft of the first axis in place, back an ifft
+    in place and an irfft of the kept rows.  pocketfft transforms each line
+    on its own and each product element is one rounded step, so no bit
+    moves.  Negating the profile negates every rounded step: _pair's odd
+    kernels stay odd.
     """
     N = (kprof.shape[0] + 1) // 2
     seg = kprof[tuple(slice(N + e - w, N - 1 + e + r)
@@ -385,19 +389,23 @@ def _fft_product(kprof: np.ndarray, window: tuple, d: tuple, rows: tuple):
     keep = [slice(w - 1, w - 1 + r) for w, r in zip(window, rows)]
 
     def forward(G):
-        if len(P) == 1:
-            return np.fft.rfft(G, P[0])
-        buf = np.zeros((len(G), P[0], P[1] // 2 + 1), complex)
-        np.fft.rfft(G, P[1], out=buf[:, :G.shape[1]])
-        return np.fft.fft(buf, P[0], axis=1, out=buf)
-    spectrum = forward(seg[None])
+        buf = np.zeros(G.shape[:-2] + (P[0], P[1] // 2 + 1), complex)
+        np.fft.rfft(G, P[1], out=buf[..., :G.shape[-2], :])
+        return np.fft.fft(buf, P[0], axis=-2, out=buf)
+    spectrum = np.fft.rfft(seg, P[0]) if len(P) == 1 else forward(seg)
 
     def apply(G):
+        if len(P) == 1:
+            buf = np.zeros(G.shape[:-1] + P)
+            buf[..., :window[0]] = G
+            prod = np.fft.rfft(buf)
+            for row in prod.reshape(-1, len(spectrum)):
+                row *= spectrum
+            return np.fft.irfft(prod, P[0], out=buf)[..., keep[0]]
         prod = forward(G)
         prod *= spectrum
-        if len(P) == 2:
-            prod = np.fft.ifft(prod, P[0], axis=1, out=prod)[:, keep[0]]
-        return np.fft.irfft(prod, P[-1])[..., keep[-1]]
+        prod = np.fft.ifft(prod, P[0], axis=-2, out=prod)[..., keep[0], :]
+        return np.fft.irfft(prod, P[1])[..., keep[1]]
     return apply
 
 
@@ -532,16 +540,17 @@ def truncation(K: Kernel, grid: Grid) -> Truncation:
     """The kernel side of the truncation maximal operator of K on a grid,
     prepared once for every call of grand_maximal_truncated on it.
 
-    Its product(G, d, s, j) takes G of shape (H, cubes) + window: H stacked
-    arrays, each cut into the windows of a row of cubes of side s whose
-    first cube starts at cell j (per axis, the window starts d cells before
-    its cube).  It returns T of each window on the (s,)*n cells of its
-    cube, shaped (H, cubes) + (s,)*n, cell volume not included.  The
-    profile is evaluated once; each level's _toeplitz_product is made the
-    first time its (window, d, rows) is asked for and kept.  An FFT product
-    takes all H arrays and any run of cubes in one call (pocketfft gives
-    each row its own bits), a dense block or a matrix kernel one array and
-    a whole level at a time (whole(s)): their bits depend on the row count.
+    Its product(G, d, s, j) takes G of shape (H,) + cubes + window, a view
+    as well: H stacked arrays, each cut into the windows of rows of cubes
+    of side s whose first cube starts at cell j (per axis, the window
+    starts d cells before its cube).  It returns T of each window on the
+    (s,)*n cells of its cube, shaped (H,) + cubes + (s,)*n, cell volume not
+    included.  The profile is evaluated once; each level's
+    _toeplitz_product is made the first time its (window, d, rows) is asked
+    for and kept.  An FFT product reads any arrays and run of cubes in
+    place in one call (pocketfft gives each row its own bits), a dense
+    block (from a contiguous copy) or a matrix kernel one array's whole
+    level at a time (whole(s)): their bits depend on layout and row count.
     """
     if K.n != grid.n:
         raise OperatorError("kernel dimension does not match grid")
@@ -561,7 +570,7 @@ def truncation(K: Kernel, grid: Grid) -> Truncation:
     products = {}
 
     def product(G, d, s, j):
-        window = G.shape[2:]
+        window = G.shape[-grid.n:]
         key = (window, d, s)
         if key not in products:
             rows = (s,) * grid.n
@@ -569,9 +578,8 @@ def truncation(K: Kernel, grid: Grid) -> Truncation:
                              _dense(kprof, window, rows))
         apply, dense = products[key]
         if dense:
-            return np.stack([apply(g) for g in G])
-        return apply(G.reshape((-1,) + window)).reshape(
-            G.shape[:2] + (s,) * grid.n)
+            return np.stack([apply(np.ascontiguousarray(g)) for g in G])
+        return apply(G)
     return Truncation(grid, product, lambda s: _dense(kprof, (3 * s,), (s,)))
 
 
@@ -584,11 +592,13 @@ def grand_maximal_truncated(T: Truncation, F: np.ndarray,
     T is truncation(K, grid); F has shape (H,) + grid.shape and so has the
     result.  F is read on 3Q0 (clipped to the domain) only.  Computed level
     by level via T(f chi_{3Q0 \\ 3Q}) = T(f chi_{3Q0}) - T(f chi_{3Q}),
-    for all H arrays at once.  A level's windows, product, differences (in
-    place) and cube maxima go in runs of rows of cubes along the first
-    axis, each freed before the next, whose windows hold at most F's cells
-    plus one row: only the root and its children split.  A dense level is
-    one run (T.whole): its product's bits depend on its row count.
+    for all H arrays at once.  A level's windows, views of one zero frame
+    read in place, product, differences (in place) and cube maxima go in
+    runs, each freed before the next, whose windows hold about F's cells:
+    whole arrays where they fit (per), else one array's rows of cubes
+    along the first axis in `runs` runs, at most F's cells plus one row.
+    A dense level is one run (T.whole): its product's bits depend on its
+    row count.  FFT products give each row its own bits, whatever the run.
     """
     grid = T.grid
     if Q0.lattice != BASE:
@@ -610,7 +620,8 @@ def grand_maximal_truncated(T: Truncation, F: np.ndarray,
     out = np.zeros(F.shape)
     q0 = out[every + cube_slices(Q0, grid)]
     axes = (0,) + tuple(range(1, 2 * n + 1, 2)) + tuple(range(2, 2 * n + 1, 2))
-    runs = -(-(3 * S) ** n // F[0].size)
+    per = max(1, F.size // (3 * S) ** n)
+    runs = -(-(3 * S) ** n // F.size)
     kids = [every + tuple(slice(i, None, 2) for i in o)
             for o in product((0, 1), repeat=n)]
     acc = np.zeros((H,) + (1,) * n)  # Q0's own term, |T(0)|
@@ -627,12 +638,11 @@ def grand_maximal_truncated(T: Truncation, F: np.ndarray,
                           (h - s) * sum(g.strides[1:]), g.strides[:1] + tuple(
                               x * s for x in g.strides[1:]) + g.strides[1:])
         level = q0 if s == 1 else np.empty((H,) + (c,) * n)  # cube maxima
-        step = c if runs == 1 or T.whole(s) else -(-c // runs)
-        for a in range(0, c, step):
-            run = every + (slice(a, a + step),)
-            part = T.product(np.ascontiguousarray(wins[run]).reshape(
-                (H, -1) + (3 * s,) * n), (s,) * n, s, (Q0.origin[0] + a * s,)
-                + Q0.origin[1:]).reshape((H, -1) + (c,) * (n - 1) + (s,) * n)
+        step, each = (c, H) if T.whole(s) else (-(-c // runs), per)
+        for run in product([slice(i, i + each) for i in range(0, H, each)],
+                           [slice(a, a + step) for a in range(0, c, step)]):
+            part = T.product(wins[run], (s,) * n, s, (
+                Q0.origin[0] + run[1].start * s,) + Q0.origin[1:])
             part *= vol
             np.subtract(based[run], part, out=part)
             level[run] = _cube_max(np.abs(part, out=part), n)

@@ -97,9 +97,9 @@ def _local_data(T, f, b, m, A, Q0):
     b3 = float(b.cells[s3].mean())
     osc = np.abs(b.cells - b3)
     gs = np.stack([osc ** h * f3 for h in range(m + 1)])
-    rows = np.stack([g[s3].ravel() for g in gs])
+    rows = gs[(slice(None),) + s3].reshape(m + 1, -1)  # a view in 1D
     norms = young.luxemburg_norm_batch(
-        rows, np.full(rows.shape, grid.cell_volume), A).tolist()
+        rows, np.broadcast_to(grid.cell_volume, rows.shape), A).tolist()
     live = [h for h, norm in enumerate(norms) if norm > 0]
     mts = [None] * (m + 1)
     if live:

@@ -6,8 +6,8 @@ import pytest
 from sparsedom import operators as op
 from sparsedom import sparse_engine as eng
 from sparsedom import young
-from sparsedom.dyadic import (Grid, GridFunction, check_sparse, cube_mask,
-                              cube_slices)
+from sparsedom.dyadic import (BASE, Cube, Grid, GridFunction, check_sparse,
+                              cube_mask, cube_slices, dilate)
 from sparsedom.operators import (counter_young, hormander_estimate,
                                  make_counter, make_hilbert, operator_norm_l2,
                                  parse_kernel)
@@ -205,3 +205,46 @@ def test_truncation_builds_each_level_product_once(monkeypatch):
                                 grid.root_cube())
     assert len(rep.form.family.cubes) > 1
     assert builds and len(set(builds)) == len(builds)
+
+
+def _local_norms_stacked(f, b, m, A, Q0):
+    """_local_data's norms as they were taken from copies: the rows of
+    3Q0 stacked and a full array of cell measures."""
+    grid = f.grid
+    s3 = cube_slices(dilate(Q0, 3), grid)
+    f3 = np.zeros(grid.shape)
+    f3[s3] = f.cells[s3]
+    osc = np.abs(b.cells - float(b.cells[s3].mean()))
+    gs = np.stack([osc ** h * f3 for h in range(m + 1)])
+    rows = np.stack([g[s3].ravel() for g in gs])
+    return young.luxemburg_norm_batch(
+        rows, np.full(rows.shape, grid.cell_volume), A)
+
+
+def test_local_data_norms_match_stacked_copies(rng):
+    # the node's rows read as a view of its stacked splits (a copy in 2D)
+    # and broadcast cell measures give the norms of the stacked copies,
+    # bit for bit: on inner, clipped and root nodes, and on rows of zeros
+    # (f zero on 3Q0, or b constant there so that every split h >= 1 is 0)
+    A = young.llogl(1)
+    line = Grid(1, (-0.5,), 1.0, 8)
+    plane = Grid(2, (-0.5, -0.5), 1.0, 4)
+    homog = op.make_homog(np.cos(2 * np.arange(16) * np.pi / 8))
+    for K, grid in ((make_hilbert(), line), (homog, plane)):
+        T = op.truncation(K, grid)
+        N, n = grid.cells_per_side, grid.n
+        noisy = rng.standard_normal(grid.shape)
+        left = np.indices(grid.shape)[0] < N // 2
+        f_left, b_const = noisy * left, np.where(left, 1.5, noisy)
+        nodes = [grid.root_cube(), Cube(BASE, 2, (N // 4,) * n, N // 4),
+                 Cube(BASE, 2, (0,) * n, N // 4),
+                 Cube(BASE, 2, (3 * N // 4,) * n, N // 4)]
+        for fc, bc in ((noisy, rng.standard_normal(grid.shape)),
+                       (f_left, noisy), (noisy, b_const)):
+            f, b = GridFunction(grid, fc), GridFunction(grid, bc)
+            for Q0 in nodes:
+                for m in (0, 2):
+                    norms = eng._local_data(T, f, b, m, A, Q0)[3]
+                    want = _local_norms_stacked(f, b, m, A, Q0)
+                    assert np.array(norms).tobytes() == want.tobytes(), \
+                        (K.family, Q0, m)

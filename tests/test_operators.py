@@ -487,6 +487,61 @@ def test_fft_product_bitwise_rfftn_reference(rng):
             assert got.tobytes() == want.tobytes(), (case, m)
 
 
+def _fft_product_new_arrays(kprof, window, d, rows):
+    """The 1D _fft_product with new arrays: rfft of contiguous rows padded
+    by pocketfft, a product broadcast over the rows, a new irfft."""
+    N = (kprof.shape[0] + 1) // 2
+    (e,), (w,), (r,) = d, window, rows
+    P = 1 << (w + r - 2).bit_length()
+    spectrum = np.fft.rfft(kprof[N + e - w:N - 1 + e + r][None], P)
+
+    def apply(G):
+        prod = np.fft.rfft(np.ascontiguousarray(G).reshape(-1, w), P)
+        prod *= spectrum
+        return np.fft.irfft(prod, P)[:, w - 1:w - 1 + r].reshape(
+            G.shape[:-1] + (r,))
+    return apply
+
+
+@pytest.mark.parametrize("L", (8, 9, 10, 11, 12))
+def test_fft_product_reads_window_views_in_place(L, rng):
+    # the truncation operator's windows, (H, cubes, 3s) views of a frame
+    # that overlap by 2s cells, go to the product as they are: written
+    # into one zeroed buffer, multiplied row by row and inverted back into
+    # it, they give the bytes of rfft, a broadcast product and irfft on a
+    # contiguous copy; and the 2D product the bytes of rfftn and irfftn
+    N = 1 << L
+    grid = Grid(1, (-0.5,), 1.0, L)
+    for K in (op.make_hilbert(), op.make_dini()):
+        kprof = K.profile(grid)
+        for s in (N // 2, N // 8, 128):
+            c = N // s
+            for H in (1, 3):
+                frame = rng.standard_normal((H, 2 * N))
+                st = frame.strides
+                G = np.ndarray((H, c, 3 * s), float, frame,
+                               (N // 2 - s) * st[1], (st[0], s * st[1], st[1]))
+                got = op._fft_product(kprof, (3 * s,), (s,), (s,))(G)
+                want = _fft_product_new_arrays(kprof, (3 * s,), (s,), (s,))(G)
+                assert got.shape == (H, c, s), (K.family, s, H)
+                assert got.tobytes() == want.tobytes(), (K.family, s, H)
+    if L == 8:
+        grid = Grid(2, (-0.5, -0.5), 1.0, 5)
+        kprof = op.make_homog(_asymmetric_table()).profile(grid)
+        s, c = 4, 8
+        frame = rng.standard_normal((2, 64, 64))
+        st = frame.strides
+        G = np.ndarray((2, c, c, 3 * s, 3 * s), float, frame,
+                       (16 - s) * (st[1] + st[2]),
+                       (st[0], s * st[1], s * st[2], st[1], st[2]))
+        window, d = (3 * s,) * 2, (s,) * 2
+        got = op._fft_product(kprof, window, d, d)(G)
+        want = _fft_product_rfftn(kprof, window, d, d)(
+            np.ascontiguousarray(G).reshape((-1,) + window))
+        assert got.shape == (2, c, c, s, s)
+        assert got.tobytes() == want.reshape(got.shape).tobytes()
+
+
 def test_apply_operator_linear(sym_grid, rng):
     K = op.make_dini()
     a = GridFunction(sym_grid, rng.standard_normal(sym_grid.shape))
@@ -859,17 +914,21 @@ def test_truncation_bitwise_whole_level_reference(L, rng):
                 assert got.tobytes() == want.tobytes(), (K.family, name, H)
 
 
-@pytest.mark.parametrize("n,L,H,cap", [(1, 12, 1, 10.5), (1, 12, 3, 10.5),
-                                       (2, 6, 2, 22)])
+@pytest.mark.parametrize("n,L,H,cap", [(1, 12, 1, 10.5), (1, 12, 3, 7.5),
+                                       (2, 6, 2, 15)])
 def test_truncation_peak_memory_capped(n, L, H, cap, rng):
     # a warm call on the root holds at most cap times the bytes of its data
-    # (9.8-9.9 in 1D and 20.7 in 2D measured): its FFT levels run in runs
-    # of cubes whose windows hold about F's cells, each run's difference
-    # made in place and freed before the next, a 2D product transforms in
-    # place in one buffer and inverts only its kept rows, and the levels'
-    # zero frame holds (2S)^n cells per array, where their windows lie.
-    # One product per level, its windows padded whole and its differences
-    # in new arrays, held 21.1 times F in 1D and 101 in 2D; with
+    # (8.9 in 1D at H = 1, 6.8 at H = 3 and 11.1 in 2D measured): its FFT
+    # levels read their windows in place, in runs of whole arrays or of
+    # one array's rows of cubes whose windows hold about F's cells, a 1D
+    # product multiplies row by row and inverts into its padded buffer, a
+    # 2D product transforms in place in one buffer and inverts only its
+    # kept rows, each run's difference is made in place and freed before
+    # the next, and the levels' zero frame holds (2S)^n cells per array,
+    # where their windows lie.  With a contiguous copy of each run's
+    # windows over all H arrays and new arrays out of irfft, 9.8-9.9 in 1D
+    # and 20.7 in 2D; one product per level, its windows padded whole and
+    # its differences in new arrays, 21.1 in 1D and 101 in 2D; with
     # rfftn/irfftn's new arrays, 39.8 in 2D; with a frame of all of 3Q0,
     # (3S)^n cells, 10.8-10.9 in 1D and 25.7 in 2D
     if n == 1:
