@@ -317,13 +317,13 @@ def _toeplitz_product(kprof: np.ndarray, window: tuple, d: tuple,
     have one entry per axis of kprof, G is (data rows,) + window, and every
     d+t-u must lie in [-(N-1), N-1].
 
-    An all-zero profile makes no product.  A 1D block of at most _CHUNK
-    elements (every 1D product up to L = 7) is copied out of the profile
-    and multiplied into the rows of G by BLAS; a profile zero at every
-    displacement <= 0 keeps only the block columns u < d + rows.  These
-    are the products constants_unit's released table hash was computed
-    with, and on small blocks they beat the FFT.  Every other product is
-    _fft_product.
+    An all-zero profile makes zeros shaped as an FFT product's.  A 1D
+    block of at most _CHUNK elements (every 1D product up to L = 7) is
+    copied out of the profile and multiplied into the rows of G by BLAS;
+    a profile zero at every displacement <= 0 keeps only the block columns
+    u < d + rows.  These are the products constants_unit's released table
+    hash was computed with, and on small blocks they beat the FFT.  Every
+    other product is _fft_product.
 
     The rows of G go to BLAS in near-equal runs of at most
     _GEMM_ONE_THREAD multiply-adds, so every product runs on the calling
@@ -338,7 +338,7 @@ def _toeplitz_product(kprof: np.ndarray, window: tuple, d: tuple,
     _CHUNK.
     """
     if not kprof.any():
-        return lambda G: np.zeros((G.shape[0], *rows))
+        return lambda G: np.zeros(G.shape[:G.ndim - len(window)] + rows)
     if not _dense(kprof, window, rows):
         return _fft_product(kprof, window, d, rows)
     width = window[-1]

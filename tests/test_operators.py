@@ -487,29 +487,14 @@ def test_fft_product_bitwise_rfftn_reference(rng):
             assert got.tobytes() == want.tobytes(), (case, m)
 
 
-def _fft_product_new_arrays(kprof, window, d, rows):
-    """The 1D _fft_product with new arrays: rfft of contiguous rows padded
-    by pocketfft, a product broadcast over the rows, a new irfft."""
-    N = (kprof.shape[0] + 1) // 2
-    (e,), (w,), (r,) = d, window, rows
-    P = 1 << (w + r - 2).bit_length()
-    spectrum = np.fft.rfft(kprof[N + e - w:N - 1 + e + r][None], P)
-
-    def apply(G):
-        prod = np.fft.rfft(np.ascontiguousarray(G).reshape(-1, w), P)
-        prod *= spectrum
-        return np.fft.irfft(prod, P)[:, w - 1:w - 1 + r].reshape(
-            G.shape[:-1] + (r,))
-    return apply
-
-
 @pytest.mark.parametrize("L", (8, 9, 10, 11, 12))
 def test_fft_product_reads_window_views_in_place(L, rng):
-    # the truncation operator's windows, (H, cubes, 3s) views of a frame
-    # that overlap by 2s cells, go to the product as they are: written
-    # into one zeroed buffer, multiplied row by row and inverted back into
-    # it, they give the bytes of rfft, a broadcast product and irfft on a
-    # contiguous copy; and the 2D product the bytes of rfftn and irfftn
+    # the truncation operator's windows, (H,) + cubes + window views of a
+    # frame that overlap by 2s cells, go to the product as they are: 1D
+    # rows written into one zeroed buffer, multiplied row by row and
+    # inverted back into it, and the 2D product's staged transforms, give
+    # the bytes of rfftn, a broadcast product and irfftn on a contiguous
+    # copy
     N = 1 << L
     grid = Grid(1, (-0.5,), 1.0, L)
     for K in (op.make_hilbert(), op.make_dini()):
@@ -522,9 +507,11 @@ def test_fft_product_reads_window_views_in_place(L, rng):
                 G = np.ndarray((H, c, 3 * s), float, frame,
                                (N // 2 - s) * st[1], (st[0], s * st[1], st[1]))
                 got = op._fft_product(kprof, (3 * s,), (s,), (s,))(G)
-                want = _fft_product_new_arrays(kprof, (3 * s,), (s,), (s,))(G)
+                want = _fft_product_rfftn(kprof, (3 * s,), (s,), (s,))(
+                    np.ascontiguousarray(G).reshape(-1, 3 * s))
                 assert got.shape == (H, c, s), (K.family, s, H)
-                assert got.tobytes() == want.tobytes(), (K.family, s, H)
+                assert got.tobytes() == want.reshape(got.shape).tobytes(), \
+                    (K.family, s, H)
     if L == 8:
         grid = Grid(2, (-0.5, -0.5), 1.0, 5)
         kprof = op.make_homog(_asymmetric_table()).profile(grid)
@@ -925,12 +912,7 @@ def test_truncation_peak_memory_capped(n, L, H, cap, rng):
     # 2D product transforms in place in one buffer and inverts only its
     # kept rows, each run's difference is made in place and freed before
     # the next, and the levels' zero frame holds (2S)^n cells per array,
-    # where their windows lie.  With a contiguous copy of each run's
-    # windows over all H arrays and new arrays out of irfft, 9.8-9.9 in 1D
-    # and 20.7 in 2D; one product per level, its windows padded whole and
-    # its differences in new arrays, 21.1 in 1D and 101 in 2D; with
-    # rfftn/irfftn's new arrays, 39.8 in 2D; with a frame of all of 3Q0,
-    # (3S)^n cells, 10.8-10.9 in 1D and 25.7 in 2D
+    # where their windows lie
     if n == 1:
         K, grid = op.make_hilbert(), Grid(1, (-0.5,), 1.0, L)
     else:
@@ -947,6 +929,27 @@ def test_truncation_peak_memory_capped(n, L, H, cap, rng):
         tracemalloc.stop()
     assert got.tobytes() == want.tobytes()
     assert peak <= cap * F.nbytes, peak / F.nbytes
+
+
+def test_truncation_zero_kernel_is_zero(rng):
+    # a kernel whose profile is all zero on the grid (an all-zero angular
+    # table; the counter kernel's support, |x - y - 4| < 1, off the unit
+    # grid) makes products of zeros shaped as the FFT products: every
+    # level, dense and FFT, 1D and 2D, gives 0
+    cases = [(op.make_homog(np.zeros(48)), Grid(2, (-0.5, -0.5), 1.0, 5)),
+             (op.make_counter(), Grid(1, (-0.5,), 1.0, 8))]
+    for K, grid in cases:
+        assert not K.profile(grid).any(), K.family
+        T = op.truncation(K, grid)
+        N, n = grid.cells_per_side, grid.n
+        cubes = dict(_gmt_cubes(grid),
+                     depth1=Cube(BASE, 1, (N // 2,) * n, N // 2))
+        for name, Q0 in cubes.items():
+            for H in (1, 3):
+                F = rng.standard_normal((H,) + grid.shape)
+                got = op.grand_maximal_truncated(T, F, Q0)
+                assert got.shape == F.shape, (K.family, name, H)
+                assert not got.any(), (K.family, name, H)
 
 
 def test_grand_maximal_rejects_shifted_cube(sym_grid):
