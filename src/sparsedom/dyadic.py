@@ -323,102 +323,52 @@ def scope_tilings(grid: Grid, k: int, shifted: bool) -> list:
     return out
 
 
-def _scope_frames(grid: Grid, shifted: bool):
-    """The frames of scope_max, level by level: the frame's shape, the
-    domain's slices in it, and per tiling of scope_tilings its window on
-    the frame with the window's split into (cubes, side) per axis."""
+def scope_blocks(grid: Grid, shifted: bool, *arrays):
+    """The cubes of scope_cubes per level, root first, and per tiling of
+    scope_tilings: yields (split, mask, *blocks), split the tiling's
+    (cubes, side) per axis.
+
+    Blocks hold the arrays over the tiling as (cubes, side**n), each row in
+    the cube's row-major cell order; cells outside the domain read 0, and
+    mask is 1 on domain cells and 0 on them.  With shifted lattices, per
+    level of side s, each array is copied once into a zero frame with
+    margins 2s before and 3s after the domain on every axis, and every
+    tiling is a reshape of that frame; without them a block is a view of
+    the array where the reshape allows (every level in 1D).  The base
+    tiling's mask is a read-only slice of one np.broadcast_to(1.0, ...);
+    a shifted tiling, clipped since 3s does not divide the domain's side,
+    has its block of a zero-one frame.  Blocks may not be written to.
+    """
     n, N = grid.n, grid.cells_per_side
+    axes = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
+    ones = np.broadcast_to(1.0, (N ** n,) * 2)  # a slice costs less
     for k in range(grid.level + 1):
         s = 1 << (grid.level - k)
         lo, hi = (2 * s, 3 * s) if shifted else (0, 0)
-        tilings = []
-        for side, origin in scope_tilings(grid, k, shifted):
-            origin = [o + lo for o in origin]  # in frame coordinates
-            # the cubes of this tiling that meet the domain, per axis
-            counts = [-(-(lo + N - o) // side) for o in origin]
-            win = tuple(slice(o, o + c * side) for o, c in zip(origin, counts))
-            tilings.append((win, [x for c in counts for x in (c, side)]))
-        yield (lo + N + hi,) * n, (slice(lo, lo + N),) * n, tilings
-
-
-def scope_max(grid: Grid, shifted: bool, reduce, *arrays) -> np.ndarray:
-    """At each cell, the max over the scope cubes containing it (those of
-    scope_cubes) of reduce(masks, *blocks), an array with one value per
-    cube.
-
-    Blocks stack the arrays over one tiling of a level as (cubes, side**n),
-    each row in the cube's row-major cell order; cells outside the domain
-    read 0, and mask is 1 on domain cells and 0 on them.  With shifted
-    lattices, per level of side s, each array is copied once into a zero
-    frame with margins 2s before and 3s after the domain on every axis, so
-    the base tiling (origin at the domain) and the shifted tilings of
-    scope_tilings are all reshapes of that frame.  Without them the frame
-    is the array itself, and a block is a view of it where the reshape
-    allows (every level in 1D).  A tiling whose window lies inside the
-    domain has a read-only mask sliced from np.broadcast_to(1.0, ...),
-    which holds no cells; a clipped one has its block of a zero-one frame.
-    reduce is called once, with row groups: masks and each of blocks are
-    lists with one 2D block per level and tiling, in the same order, and it
-    returns the values of all their rows, group after group, as one flat
-    array.  It may not write to its blocks.  The maxima are made only after
-    reduce returns, one level at a time, so only the blocks are held
-    through it.
-    """
-    n = grid.n
-    axes = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
-    # one broadcast for every mask inside the domain: a slice of it costs
-    # a tenth of a broadcast_to call
-    ones = np.broadcast_to(1.0, (grid.cells_per_side ** n,) * 2)
-    groups, levels = [], []
-    for shape, dom, tilings in _scope_frames(grid, shifted):
+        shape, dom = (lo + N + hi,) * n, (slice(lo, lo + N),) * n
+        frames, mask = arrays, None
         if shifted:
             frames = []
             for a in arrays:
                 fr = np.zeros(shape)
                 fr[dom] = a
                 frames.append(fr)
-        else:
-            frames = [np.asarray(a, dtype=float) for a in arrays]
-        mask = None
-        for win, split in tilings:
-            rows = (-1, split[1] ** n)
-            if all(d.start <= w.start and w.stop <= d.stop
-                   for w, d in zip(win, dom)):
-                m = ones[:math.prod(split[::2]), :rows[1]]
+        for side, origin in scope_tilings(grid, k, shifted):
+            # per axis, the cubes of this tiling that meet the domain
+            counts = [-(-(N - o) // side) for o in origin]
+            split = [x for c in counts for x in (c, side)]
+            win = tuple(slice(lo + o, lo + o + c * side)
+                        for o, c in zip(origin, counts))
+            rows = (-1, side ** n)
+            if side == s:  # the base tiling, inside the domain
+                m = ones[:math.prod(counts), :rows[1]]
             else:
                 if mask is None:
                     mask = np.zeros(shape)
                     mask[dom] = 1.0
                 m = mask[win].reshape(split).transpose(axes).reshape(rows)
-            groups.append([m] + [fr[win].reshape(split).transpose(axes)
-                                 .reshape(rows) for fr in frames])
-        levels.append((shape, dom, tilings))
-    vals = reduce(*map(list, zip(*groups)))
-    del groups
-    out = np.full(grid.shape, -np.inf)
-    start = 0
-    for shape, dom, tilings in levels:
-        top = np.full(shape, -np.inf) if shifted else out
-        for win, split in tilings:
-            stop = start + math.prod(split[::2])
-            spread_max(top[win], split, vals[start:stop])
-            start = stop
-        if shifted:
-            np.maximum(out, top[dom], out=out)
-    return out
-
-
-def base_blocks(grid: Grid, cells: np.ndarray):
-    """Per base-lattice level, root first: its split (cubes, side per
-    axis), the block scope_max hands its reduce without shifted lattices,
-    and that block's mask, a broadcast of 1.0."""
-    n, N = grid.n, grid.cells_per_side
-    axes = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
-    ones = np.broadcast_to(1.0, (N ** n,) * 2)  # a slice costs less
-    for k in range(grid.level + 1):
-        c, s = 1 << k, 1 << (grid.level - k)
-        yield [c, s] * n, cells.reshape([c, s] * n).transpose(axes).reshape(
-            -1, s ** n), ones[:c ** n, :s ** n]
+            yield (split, m, *[fr[win].reshape(split).transpose(axes)
+                               .reshape(rows) for fr in frames])
 
 
 def spread_max(out: np.ndarray, split: list, values: np.ndarray) -> None:
@@ -429,11 +379,10 @@ def spread_max(out: np.ndarray, split: list, values: np.ndarray) -> None:
                out=view)
 
 
-def block_mean(masks: list, values: list) -> np.ndarray:
-    """Per-cube averages over the domain cells of scope_max's row groups,
-    group after group."""
-    return np.concatenate([(v * m).sum(axis=1) / m.sum(axis=1)
-                           for m, v in zip(masks, values)])
+def block_mean(mask: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Per-cube averages over the domain cells of a block of
+    scope_blocks."""
+    return (block * mask).sum(axis=1) / mask.sum(axis=1)
 
 
 def descendants(cube: Cube, max_level: int) -> list:

@@ -40,8 +40,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import literal, young
-from .dyadic import (BASE, Cube, Grid, GridFunction, base_blocks, block_mean,
-                     cube_slices, dilate, is_clipped, spread_max)
+from .dyadic import (BASE, Cube, Grid, GridFunction, block_mean, cube_slices,
+                     dilate, is_clipped, scope_blocks, spread_max)
 
 E = math.e
 
@@ -502,15 +502,15 @@ def maximal(f: GridFunction, A=young.power(1)) -> GridFunction:
     vals = np.abs(f.cells)
     power = A.family == young.POWER and A.params[1] == 1.0
     out = np.full(grid.shape, -np.inf)
-    for split, block, ones in base_blocks(grid, vals ** A.params[0] if power
-                                          else vals):
-        spread_max(out, split, block_mean([ones], [block]))
+    for split, ones, block in scope_blocks(
+            grid, False, vals ** A.params[0] if power else vals):
+        spread_max(out, split, block_mean(ones, block))
     if power:
         return GridFunction(grid, out ** (1.0 / A.params[0]))
     with np.errstate(divide="ignore", invalid="ignore"):
         out /= A.inverse_one  # the Jensen bounds
     within, levels = tuple(range(1, 2 * grid.n, 2)), []
-    for split, block, ones in base_blocks(grid, vals):
+    for split, ones, block in scope_blocks(grid, False, vals):
         norms, rows = young.luxemburg_jensen(block, ones, A)
         rows = young.luxemburg_close(norms, rows,
                                      out.reshape(split).min(axis=within))

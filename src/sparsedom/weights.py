@@ -2,7 +2,10 @@
 level-set decay profiles and exponential-class oscillation norms.
 
 All cube suprema run over the base dyadic lattice plus the 3^n shifted
-lattices down to cell scale, clipped at the domain boundary.
+lattices down to cell scale, clipped at the domain boundary, one tiling of
+dyadic.scope_blocks at a time.  [w]_A1 = sup_x M w(x) / w(x) is taken per
+cube as max_Q avg_Q w / min_{x in Q} w(x): rounded division is monotone in
+each argument, so both forms are the max of the same rounded quotients.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import numpy as np
 
 from . import literal, young
 from .dyadic import (Cube, Grid, GridFunction, block_mean, cube_slices,
-                     cube_values, scope_max, scope_tilings)
+                     cube_values, scope_blocks, scope_tilings)
 
 
 class WeightError(ValueError):
@@ -46,24 +49,21 @@ def weight_constant(w: GridFunction, kind: str, p: float = None,
         if p is None or p <= 1:
             raise WeightError("Ap needs p > 1")
         dual = sigma_dual(w, p).cells
-        return float(scope_max(
-            grid, True,
-            lambda m, a, d: block_mean(m, a) * block_mean(m, d) ** (p - 1.0),
-            w.cells, dual).max())
+        return _scope_sup(grid, lambda m, a, d: block_mean(m, a)
+                          * block_mean(m, d) ** (p - 1.0), w.cells, dual)
     if kind == "A1":
-        mw = scope_max(grid, True, block_mean, w.cells)
-        return float((mw / w.cells).max())
+        return _scope_sup(grid, lambda m, a: block_mean(m, a) / a.min(
+            axis=1, initial=np.inf, where=m > 0), w.cells)
     if kind == "AinfFW":
         return _fujii_wilson(w)
     if kind == "ApBump":
         if p is None or p <= 1 or C is None:
             raise WeightError("ApBump needs p > 1 and a bump Young function")
-        bump = w.cells ** (-1.0 / p)
-        return float(scope_max(
-            grid, True,
-            lambda m, a, u: (block_mean(m, a)
-                             * young.luxemburg_norm_batch(u, m, C) ** p),
-            w.cells, bump).max())
+        masks, means, bumps = zip(*[
+            (m, block_mean(m, a), u) for _, m, a, u in scope_blocks(
+                grid, True, w.cells, w.cells ** (-1.0 / p))])
+        return float((np.concatenate(means) * young.luxemburg_norm_batch(
+            list(bumps), list(masks), C) ** p).max())
     raise WeightError(f"unknown weight constant kind {kind!r}")
 
 
@@ -213,13 +213,17 @@ def reverse_holder_check(w: GridFunction, Q: Cube, tau_n: float,
 
 def bmo_norm(b: GridFunction) -> float:
     """sup over scope cubes of the mean oscillation (1/|Q|) int_Q |b - b_Q|."""
-    def osc(m, v):
-        means = np.split(block_mean(m, v),
-                         np.cumsum([len(x) for x in v])[:-1])
-        return block_mean(m, [np.abs(x - c[:, None])
-                              for x, c in zip(v, means)])
+    return _scope_sup(b.grid, lambda m, v: block_mean(
+        m, np.abs(v - block_mean(m, v)[:, None])), b.cells)
 
-    return float(scope_max(b.grid, True, osc, b.cells).max())
+
+def _scope_sup(grid: Grid, value, *arrays) -> float:
+    """The max of value(mask, *blocks), one value per cube, over the blocks
+    of scope_blocks with shifted lattices, one tiling at a time.  A NaN
+    anywhere gives NaN, as np.max does."""
+    return float(np.max([value(m, *blocks).max()
+                         for _, m, *blocks in scope_blocks(grid, True,
+                                                           *arrays)]))
 
 
 @dataclass(frozen=True)

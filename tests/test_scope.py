@@ -1,4 +1,4 @@
-"""dyadic.scope_max and its callers against brute force over scope_cubes.
+"""dyadic.scope_blocks and its callers against brute force over scope_cubes.
 
 Every oracle walks dyadic.scope_cubes one cube at a time and reads the
 cube's cells with cube_slices, so shifted cubes clipped at the domain
@@ -15,7 +15,8 @@ from sparsedom import operators as op
 from sparsedom import weights as W
 from sparsedom import young
 from sparsedom.dyadic import (Grid, GridFunction, block_mean, cube_slices,
-                              scope_cubes, scope_max, scope_tilings)
+                              scope_blocks, scope_cubes, scope_tilings,
+                              spread_max)
 
 GRIDS = [Grid(1, (-0.5,), 1.0, 5), Grid(2, (-0.5, -0.5), 1.0, 3)]
 CASES = [(g, sh) for g in GRIDS for sh in (False, True)]
@@ -49,6 +50,28 @@ def _block(q, sl, cells):
     return block.ravel()
 
 
+def _spread(grid, shifted, value, *arrays):
+    """At each cell, the max of value(mask, *blocks) over the scope cubes
+    containing it: per level, the values of each tiling of scope_blocks
+    spread into a -inf frame of its layout, and the frame's domain cells
+    raise the output."""
+    n, N = grid.n, grid.cells_per_side
+    out = np.full(grid.shape, -np.inf)
+    blocks = scope_blocks(grid, shifted, *arrays)
+    for k in range(grid.level + 1):
+        s = 1 << (grid.level - k)
+        lo = 2 * s if shifted else 0
+        top = np.full((N + 5 * s if shifted else N,) * n, -np.inf)
+        for side, origin in scope_tilings(grid, k, shifted):
+            split, m, *b = next(blocks)
+            win = tuple(slice(o + lo, o + lo + c * side)
+                        for o, c in zip(origin, split[::2]))
+            spread_max(top[win], split, value(m, *b))
+        np.maximum(out, top[(slice(lo, lo + N),) * n], out=out)
+    assert next(blocks, None) is None
+    return out
+
+
 def _data(grid, seed):
     rng = np.random.default_rng(seed)
     f = GridFunction(grid, rng.standard_normal(grid.shape))
@@ -57,24 +80,21 @@ def _data(grid, seed):
 
 
 @pytest.mark.parametrize("grid,shifted", CASES, ids=IDS)
-def test_scope_max_reduces_each_scope_cube_once(grid, shifted):
+def test_scope_blocks_yield_each_scope_cube_once(grid, shifted):
     # cells carry their own ids, so a block row names its cube's cells in
-    # block order, with 0 on padding
+    # block order, with 0 on padding, and its mask row the domain cells
     ids = np.arange(1.0, grid.cells_per_side ** grid.n + 1).reshape(grid.shape)
     ones = np.ones(grid.shape)
-    seen, calls = [], []
-
-    def record(m, v):
-        # one call, with one 2D block per level and tiling
-        calls.append(len(v))
-        for mb, vb in zip(m, v):
-            seen.extend(zip(map(tuple, mb), map(tuple, vb)))
-        return np.zeros(sum(map(len, v)))
-
-    scope_max(grid, shifted, record, ids)
-    tilings = sum(len(scope_tilings(grid, k, shifted))
-                  for k in range(grid.level + 1))
-    assert calls == [tilings]
+    seen, sides = [], []
+    for split, m, v in scope_blocks(grid, shifted, ids):
+        # one 2D block per level and tiling, (cubes, side**n) as split says
+        assert m.shape == v.shape == (np.prod(split[::2]),
+                                      split[1] ** grid.n)
+        sides.append(split[1::2])
+        seen.extend(zip(map(tuple, m), map(tuple, v)))
+    # level by level, root first, in the order of scope_tilings
+    assert sides == [[side] * grid.n for k in range(grid.level + 1)
+                     for side, _ in scope_tilings(grid, k, shifted)]
     want = [(tuple(_block(q, sl, ones)), tuple(_block(q, sl, ids)))
             for q in scope_cubes(grid, shifted=shifted)
             for sl in [cube_slices(q, grid)]]
@@ -92,19 +112,13 @@ def test_scope_luxemburg_one_call_per_maximal(grid, shifted, monkeypatch):
     real, replay = young.luxemburg_norm_batch, young.luxemburg_replay
     calls = []
 
-    def per_tiling(reduce):
-        # reduce(masks, *blocks) on each level and tiling alone
-        return lambda *groups: np.concatenate(
-            [reduce(*([x] for x in g)) for g in zip(*groups)])
-
+    # one Luxemburg call on each level and tiling alone
     if shifted:
-        want = scope_max(grid, True,
-                         per_tiling(lambda m, a, u: block_mean(m, a)
-                                    * real(u, m, A) ** p),
-                         w.cells, bump).max()
+        want = _spread(grid, True,
+                       lambda m, a, u: block_mean(m, a) * real(u, m, A) ** p,
+                       w.cells, bump).max()
     else:
-        want = scope_max(grid, False,
-                         per_tiling(lambda m, x: real(x, m, A)), v)
+        want = _spread(grid, False, lambda m, x: real(x, m, A), v)
     monkeypatch.setattr(young, "luxemburg_replay",
                         lambda *a: calls.append(1) or replay(*a))
     got = (np.float64(W.weight_constant(w, "ApBump", p=p, C=A)) if shifted
@@ -116,10 +130,8 @@ def test_scope_luxemburg_one_call_per_maximal(grid, shifted, monkeypatch):
 def _per_tiling_norms(grid, A, v):
     """M_A with one Luxemburg call per level and tiling and no floor: every
     cube's norm."""
-    def norms(m, x):
-        return np.concatenate([young.luxemburg_norm_batch(xb, mb, A)
-                               for xb, mb in zip(x, m)])
-    return scope_max(grid, False, norms, v)
+    return _spread(grid, False,
+                   lambda m, x: young.luxemburg_norm_batch(x, m, A), v)
 
 
 PRUNE_GAUGES = [young.llogl(1), young.lll(1, 1.5), young.expl(1),
@@ -160,26 +172,24 @@ def test_scope_luxemburg_pruned_maximal_bitwise(grid, shifted, data,
 
 def _whole_call_maximal(f, A):
     """M_A f as the maximal operator made it with one Luxemburg call: one
-    scope_max pass of block means for the Jensen bounds, their min over
-    each cube as its floor (scope_min), and one scope_max pass whose reduce
-    holds every level's block and closes the rows below their floors
-    inside the call, between its Jensen stage and its replay."""
+    pass of block means for the Jensen bounds, their min over each cube as
+    its floor (scope_min), and one call that holds every level's block and
+    closes the rows below their floors between its Jensen stage and its
+    replay."""
     grid, vals = f.grid, np.abs(f.cells)
     with np.errstate(divide="ignore", invalid="ignore"):
-        bounds = scope_max(grid, False, block_mean, vals) / A.inverse_one
+        bounds = _spread(grid, False, block_mean, vals) / A.inverse_one
     within = tuple(range(1, 2 * grid.n, 2))
-    floors = [bounds.reshape(split).min(axis=within).ravel()
-              for split, _, _ in dyadic.base_blocks(grid, bounds)]
-
-    def reduce(masks, blocks):
-        stacks = [young.luxemburg_jensen(x, m, A)
-                  for m, x in zip(masks, blocks)]
-        stacks = [(norms, young.luxemburg_close(norms, rows, floor))
-                  for (norms, rows), floor in zip(stacks, floors)]
-        young.luxemburg_replay(stacks, A)
-        return np.concatenate([norms for norms, _ in stacks])
-
-    return scope_max(grid, False, reduce, vals)
+    levels = list(scope_blocks(grid, False, vals))
+    stacks = [young.luxemburg_jensen(x, m, A) for _, m, x in levels]
+    stacks = [(norms, young.luxemburg_close(
+        norms, rows, bounds.reshape(split).min(axis=within).ravel()))
+        for (norms, rows), (split, _, _) in zip(stacks, levels)]
+    young.luxemburg_replay(stacks, A)
+    out = np.full(grid.shape, -np.inf)
+    for (split, _, _), (norms, _) in zip(levels, stacks):
+        spread_max(out, split, norms)
+    return out
 
 
 ORACLE_GRIDS = ([Grid(1, (-0.5,), 1.0, L) for L in (5, 6, 7, 8)]
@@ -239,26 +249,25 @@ def test_scope_broadcast_masks_keep_maximal_bits(grid, shifted, monkeypatch):
                 lambda: op.maximal(root).cells ** 2.0]
         runs += [lambda A=A: op.maximal(f, A).cells for A in PRUNE_GAUGES]
     want = [run().tobytes() for run in runs]
-    real, broadcast = dyadic.scope_max, []
+    real, broadcast = dyadic.scope_blocks, []
 
-    def dense(grid, shifted, reduce, *arrays):
-        def copied(masks, *blocks):
-            broadcast.extend(m.strides == (0, 0) for m in masks)
-            return reduce([np.array(m) for m in masks], *blocks)
-        return real(grid, shifted, copied, *arrays)
+    def dense(grid, shifted, *arrays):
+        for split, m, *blocks in real(grid, shifted, *arrays):
+            broadcast.append(m.strides == (0, 0))
+            yield (split, np.array(m), *blocks)
 
     mean, jensen = op.block_mean, young.luxemburg_jensen
 
-    def dense_mean(masks, values):
-        broadcast.extend(m.strides == (0, 0) for m in masks)
-        return mean([np.array(m) for m in masks], values)
+    def dense_mean(mask, values):
+        broadcast.append(mask.strides == (0, 0))
+        return mean(np.array(mask), values)
 
     def dense_jensen(values, measures, A):
         broadcast.append(measures.strides == (0, 0))
         return jensen(values, np.array(measures), A)
 
     if shifted:
-        monkeypatch.setattr(W, "scope_max", dense)
+        monkeypatch.setattr(W, "scope_blocks", dense)
     else:
         monkeypatch.setattr(op, "block_mean", dense_mean)
         monkeypatch.setattr(young, "luxemburg_jensen", dense_jensen)
@@ -350,13 +359,12 @@ def test_maximal_power_gauges_keep_block_mean_bits(grid, delta):
     v = np.abs(f.cells)
     got = [op.maximal(GridFunction(grid, v ** delta)).cells ** (1.0 / delta),
            op.maximal(f, young.power(1.0 / delta)).cells]
-    want = [scope_max(grid, False, block_mean, v ** delta) ** (1.0 / delta),
-            scope_max(grid, False, block_mean, v ** (1.0 / delta))
-            ** delta]
+    want = [_spread(grid, False, block_mean, v ** delta) ** (1.0 / delta),
+            _spread(grid, False, block_mean, v ** (1.0 / delta)) ** delta]
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
     if delta == 1.0:
         assert op.maximal(f).cells.tobytes() == \
-            scope_max(grid, False, block_mean, v).tobytes()
+            _spread(grid, False, block_mean, v).tobytes()
 
 
 @pytest.mark.parametrize("grid,shifted", FULL_CASES, ids=FULL_IDS)
@@ -388,6 +396,86 @@ def test_weight_constants_and_bmo_match_brute_force(grid, shifted):
         pytest.approx(_sup(grid, shifted, ap_bump), rel=1e-10)
     assert W.bmo_norm(f) == \
         pytest.approx(_sup(grid, shifted, osc), rel=1e-12)
+
+
+def _a1_tables(grid):
+    """Weights for the A1 tests: lognormal at sigma 0.3 and 3, one with a
+    cell of 1e-300, and each of them times 2^60 and 2^-60."""
+    rng = np.random.default_rng(grid.n * 16 + grid.level)
+    tables = [rng.lognormal(0.0, sigma, grid.shape) for sigma in (0.3, 3.0)]
+    tiny = rng.lognormal(0.0, 1.0, grid.shape)
+    tiny.flat[rng.integers(tiny.size)] = 1e-300
+    tables.append(tiny)
+    return [np.ldexp(t, e) for t in tables for e in (0, 60, -60)]
+
+
+A1_GRIDS = ([Grid(1, (-0.5,), 1.0, L) for L in range(1, 11)]
+            + [Grid(2, (-0.5, -0.5), 1.0, L) for L in range(1, 7)])
+
+
+@pytest.mark.parametrize("grid", A1_GRIDS, ids=lambda g: f"{g.n}d-L{g.level}")
+def test_a1_per_cube_keeps_per_cell_bits(grid):
+    # A1 is max_Q avg_Q w / min over Q's domain cells of w; rounded division
+    # is monotone in each argument, so it has the bits of max_x M w(x) / w(x)
+    # with M w spread to the cells, level by level through the frames
+    for cells in _a1_tables(grid):
+        w = GridFunction(grid, cells)
+        want = (_spread(grid, True, block_mean, cells) / cells).max()
+        assert np.float64(W.weight_constant(w, "A1")).tobytes() == \
+            want.tobytes()
+
+
+@pytest.mark.parametrize("grid", [Grid(1, (-0.5,), 1.0, 7),
+                                  Grid(2, (-0.5, -0.5), 1.0, 4)],
+                         ids=["1d-L7", "2d-L4"])
+def test_a1_and_bmo_exact_under_power_of_two_scaling(grid):
+    # sums, means, minima and their quotients commute with a power of two:
+    # A1 is the same under w -> 2^k w, the BMO norm scales by 2^k
+    rng = np.random.default_rng(grid.level)
+    w = rng.lognormal(0.0, 2.0, grid.shape)
+    b = rng.standard_normal(grid.shape)
+    a1 = W.weight_constant(GridFunction(grid, w), "A1")
+    bmo = W.bmo_norm(GridFunction(grid, b))
+    for k in (-60, -7, 1, 60):
+        assert W.weight_constant(GridFunction(grid, np.ldexp(w, k)),
+                                 "A1") == a1
+        assert W.bmo_norm(GridFunction(grid, np.ldexp(b, k))) == \
+            np.ldexp(bmo, k)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["1d-L5", "2d-L3"])
+def test_bmo_norm_of_nan_cell_is_nan(grid):
+    # a NaN anywhere gives NaN, as the max over every cell does, wherever
+    # the cell lies and whichever tiling meets it first
+    b = np.random.default_rng(2).standard_normal(grid.shape)
+    for at in (0, b.size // 2 + 1, b.size - 1):
+        c = b.copy()
+        c.flat[at] = np.nan
+        assert np.isnan(W.bmo_norm(GridFunction(grid, c)))
+
+
+@pytest.mark.parametrize("kind,cap", [("A1", 115), ("Ap", 170),
+                                      ("BMO", 115)])
+def test_weight_constants_peak_memory_capped(kind, cap):
+    # at 2D L7 (128 KiB of data) one level's frames and one tiling's blocks
+    # live at a time, and nothing is spread back to the cells: A1 and the
+    # BMO norm hold 108 times the data, Ap 163 (the coarse levels' zero
+    # frames of (6N)^2 cells and their masks)
+    grid = Grid(2, (-0.5, -0.5), 1.0, 7)
+    w = GridFunction(grid, np.random.default_rng(7).lognormal(0.0, 1.0,
+                                                              grid.shape))
+    run = {"A1": lambda: W.weight_constant(w, "A1"),
+           "Ap": lambda: W.weight_constant(w, "Ap", p=2.5),
+           "BMO": lambda: W.bmo_norm(w)}[kind]
+    want = run()
+    tracemalloc.start()
+    try:
+        got = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= cap * w.cells.nbytes
 
 
 @pytest.mark.parametrize("sigma", [1.0, 3.0])
