@@ -118,6 +118,8 @@ def _validate(scn: Scenario):
         raise ScenarioError("cf needs p > 0")
     if scn.kind == "endpoint_czo" and scn.eps <= 0:
         raise ScenarioError("endpoint_czo needs eps > 0")
+    if scn.kind == "endpoint" and scn.m >= 1 and scn.eps <= 0:
+        raise ScenarioError("endpoint with m >= 1 needs eps > 0")
     if scn.kind == "counterexample":
         if scn.r <= 1:
             raise ScenarioError("counterexample needs r > 1")
@@ -128,8 +130,8 @@ def _validate(scn: Scenario):
         if not scn.p / rp < scn.gamma < 1.0:
             raise ScenarioError(
                 "counterexample needs p/r' < gamma < 1")
-    if scn.kind in ("strong",) and scn.p / max(scn.r, 1.0) <= 1.0:
-        raise ScenarioError("strong needs p/r > 1")
+    if scn.kind == "strong" and not 1.0 <= scn.r < scn.p:
+        raise ScenarioError("strong needs 1 <= r < p")
 
 
 def _young_of(scn: Scenario, text: str) -> young.YoungFunction:

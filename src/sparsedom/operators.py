@@ -13,20 +13,20 @@ stack of arrays (a node's commutator splits).  Its FFT levels go in runs
 of cubes whose windows hold about as many cells as the data; a dense level
 stays whole, since a dense product's bits depend on its row count.  A
 kernel applied to a whole grid goes through `_pair`, which prepares T and
-T* together: a matrix kernel is its matrix, a convolution kernel two
-products, one per half of the displacements, joined by a flip identity
-that keeps odd kernels exactly odd on even data.  apply_operator prepares
-T for one application, the L2 power iteration T and T* for all its
-steps, a commutator T for its m+1 splits.  Small 1D products are one
-dense block, all others FFT products: O(N log N) per axis from O(N)
-kernel evaluations.  The smoothness estimate evaluates the kernel for all
-sampled cubes of one side in one broadcast call per annulus, and takes
-all its Luxemburg norms in one batch.  The one dyadic maximal operator,
-`maximal(f, A)`, is the Orlicz maximal operator M_A over the base lattice
-(M for the default A(t) = t).  It takes all its norms in one batch too,
-and bisects only the cubes that can attain the max: a cube whose norm
-lies certainly below, at each of its cells, the Jensen lower bound of
-another cube containing that cell is closed unbisected.
+T* together: two products, one per half of the displacements, joined by
+a flip identity that keeps odd kernels exactly odd on even data.
+apply_operator prepares T for one application, the L2 power iteration T
+and T* for all its steps, a commutator T for its m+1 splits.  Small 1D
+products are one dense block, all others FFT products: O(N log N) per
+axis from O(N) kernel evaluations.  The smoothness estimate evaluates
+the kernel for all sampled cubes of one side in one broadcast call per
+annulus, and takes all its Luxemburg norms in one batch.  The one dyadic
+maximal operator, `maximal(f, A)`, is the Orlicz maximal operator M_A
+over the base lattice (M for the default A(t) = t).  It takes all its
+norms in one batch too, and bisects only the cubes that can attain the
+max: a cube whose norm lies certainly below, at each of its cells, the
+Jensen lower bound of another cube containing that cell is closed
+unbisected.
 """
 
 from __future__ import annotations
@@ -52,24 +52,20 @@ class OperatorError(ValueError):
 
 @dataclass(eq=False)
 class Kernel:
-    """Evaluation contract K(x, y) with singularity metadata.
+    """Convolution kernel K(x, y) = conv(x - y) with singularity metadata.
 
-    Convolution kernels carry ``conv(u, h)``: the profile at displacement
-    u = x - y, with h the cell width used to regularize off-diagonal
-    singularities (h = 0 means no regularization).  Explicit kernels carry
-    a cell matrix instead.
+    ``conv(u, h)`` is the profile at displacement u = x - y, with h the
+    cell width used to regularize off-diagonal singularities (h = 0 means
+    no regularization).
     """
 
     family: str
     n: int
     singular: bool
-    conv: object = None   # callable (u array, h) -> values
-    matrix: object = None  # ndarray (cells, cells)
+    conv: object  # callable (u array, h) -> values
     params: dict = field(default_factory=dict)
 
     def evaluate(self, x, y, h: float = 0.0):
-        if self.matrix is not None:
-            raise OperatorError("matrix kernels have no pointwise evaluator")
         if self.n == 1:
             return self.conv(np.asarray(x, dtype=float)
                              - np.asarray(y, dtype=float), h)
@@ -79,13 +75,12 @@ class Kernel:
 
     def spec(self, grid: Grid) -> tuple:
         """Canonical content key of the kernel on a grid: family and params,
-        or for a kernel without params a sha256 of its matrix or of its
-        profile on the grid."""
+        or for a kernel without params a sha256 of its profile on the
+        grid."""
         if self.params:
             return (self.family, self.n, self.singular,
                     tuple(sorted(self.params.items())))
-        data = self.matrix if self.matrix is not None else self.profile(grid)
-        digest = hashlib.sha256(np.ascontiguousarray(data).tobytes())
+        digest = hashlib.sha256(self.profile(grid).tobytes())
         return (self.family, self.n, self.singular, digest.hexdigest())
 
     def profile(self, grid: Grid) -> np.ndarray:
@@ -199,13 +194,6 @@ def make_homog(omega_samples) -> Kernel:
                   params={"samples": tuple(om.tolist())})
 
 
-def make_matrix(mat) -> Kernel:
-    m = np.asarray(mat, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise OperatorError("matrix kernel must be square")
-    return Kernel("matrix", 1, False, matrix=m)
-
-
 # family -> (constructor, keys in argument order with their defaults); a
 # key without a default (None) takes a path, the others a number
 _KERNELS = {
@@ -214,15 +202,13 @@ _KERNELS = {
     "counter": (make_counter, {"r": 2.0, "beta": 1.0, "eta": 4.0}),
     "homog": (lambda p: make_homog(np.loadtxt(p, delimiter=",", ndmin=1)),
               {"omega_table": None}),
-    "matrix": (lambda p: make_matrix(np.loadtxt(p, delimiter=",", ndmin=2)),
-               {"path": None}),
 }
 
 
 def parse_kernel(text: str) -> Kernel:
     """Scenario grammar (see `literal`): hilbert | dini(omega=power(d),ck=c)
-    | homog(omega_table=path) | counter(r=..,beta=..,eta=..)
-    | matrix(path=csv).  Every argument is a key its family knows."""
+    | homog(omega_table=path) | counter(r=..,beta=..,eta=..).  Every
+    argument is a key its family knows."""
     name, args, kwargs, shift = literal.parse(text, OperatorError)
     if name not in _KERNELS:
         raise OperatorError(f"unknown kernel family {name!r}")
@@ -258,25 +244,19 @@ def _pair(K: Kernel, grid: Grid) -> tuple:
     """T and T* on cell arrays of the grid, cell volume included, each
     prepared once for any number of applications.
 
-    A matrix kernel is its matrix and its transpose.  A convolution kernel
-    is applied as T f = K(0) f + H(K, f) + R H(RK, Rf) and T* f = K(0) f
-    + H(RK, f) + R H(K, Rf), from one evaluation of its profile.  R
-    reverses every axis.  H sums over the displacements i - j after 0 in
-    row-major order: one prepared _toeplitz_product of a copy of the
-    profile zeroed up to its center and one of the profile itself zeroed
-    from it on, seen reversed: two halves for both T and T*, one copy.
+    The kernel is applied as T f = K(0) f + H(K, f) + R H(RK, Rf) and
+    T* f = K(0) f + H(RK, f) + R H(K, Rf), from one evaluation of its
+    profile.  R reverses every axis.  H sums over the displacements i - j
+    after 0 in row-major order: one prepared _toeplitz_product of a copy
+    of the profile zeroed up to its center and one of the profile itself
+    zeroed from it on, seen reversed: two halves for both T and T*, one
+    copy.
     For odd K (RK = -K) and even f the second H is the first with every
     input negated, which a dense or FFT product negates exactly, so T f is
     exactly odd.  Both products need C-contiguous data: numpy's matmul on a
     reversed view sums in another order.
     """
     vol = grid.cell_volume
-    if K.matrix is not None:
-        M = K.matrix
-        if M.shape[0] != math.prod(grid.shape):
-            raise OperatorError("matrix kernel size does not match grid")
-        return (lambda c: (M @ c.ravel()).reshape(grid.shape) * vol,
-                lambda c: (M.T @ c.ravel()).reshape(grid.shape) * vol)
     if K.n != grid.n:
         raise OperatorError("kernel dimension does not match grid")
     kprof = K.profile(grid)
@@ -530,7 +510,7 @@ class Truncation:
     """M_{T,.} for one kernel on one grid, prepared by `truncation` for any
     base-lattice cube Q0 and any number of stacked data arrays."""
     grid: Grid
-    # (G, d, s, j) -> T of the rows of G on the cells of their cubes, and s ->
+    # (G, d, s) -> T of the rows of G on the cells of their cubes, and s ->
     # whether a level of side s is one product call: see truncation
     product: object
     whole: object
@@ -540,36 +520,23 @@ def truncation(K: Kernel, grid: Grid) -> Truncation:
     """The kernel side of the truncation maximal operator of K on a grid,
     prepared once for every call of grand_maximal_truncated on it.
 
-    Its product(G, d, s, j) takes G of shape (H,) + cubes + window, a view
-    as well: H stacked arrays, each cut into the windows of rows of cubes
-    of side s whose first cube starts at cell j (per axis, the window
-    starts d cells before its cube).  It returns T of each window on the
-    (s,)*n cells of its cube, shaped (H,) + cubes + (s,)*n, cell volume not
-    included.  The profile is evaluated once; each level's
-    _toeplitz_product is made the first time its (window, d, rows) is asked
-    for and kept.  An FFT product reads any arrays and run of cubes in
-    place in one call (pocketfft gives each row its own bits), a dense
-    block (from a contiguous copy) or a matrix kernel one array's whole
-    level at a time (whole(s)): their bits depend on layout and row count.
+    Its product(G, d, s) takes G of shape (H,) + cubes + window, a view as
+    well: H stacked arrays, each cut into the windows of cubes of side s
+    (per axis, the window starts d cells before its cube).  It returns T
+    of each window on the (s,)*n cells of its cube, shaped (H,) + cubes +
+    (s,)*n, cell volume not included.  The profile is evaluated once;
+    each level's _toeplitz_product is made the first time its (window, d,
+    rows) is asked for and kept.  An FFT product reads any arrays and run
+    of cubes in place in one call (pocketfft gives each row its own bits),
+    a dense block (from a contiguous copy) one array's whole level at a
+    time (whole(s)): its bits depend on layout and row count.
     """
     if K.n != grid.n:
         raise OperatorError("kernel dimension does not match grid")
-    N = grid.cells_per_side
-    if K.matrix is not None:
-        if K.matrix.shape[0] != N:
-            raise OperatorError("matrix kernel size does not match grid")
-        Mp = np.pad(K.matrix, ((0, 0), (N, N)))  # cell c in column N + c
-
-        def product(G, d, s, j):
-            # the rows of the i-th cube and the columns of its window
-            j = j[0] + s * np.arange(G.shape[1])
-            blk = sliding_window_view(Mp, (s, G.shape[2]))[j, j + N - d[0]]
-            return np.stack([(blk @ g[..., None])[..., 0] for g in G])
-        return Truncation(grid, product, lambda s: True)
     kprof = K.profile(grid)
     products = {}
 
-    def product(G, d, s, j):
+    def product(G, d, s):
         window = G.shape[-grid.n:]
         key = (window, d, s)
         if key not in products:
@@ -609,7 +576,7 @@ def grand_maximal_truncated(T: Truncation, F: np.ndarray,
     s3 = cube_slices(dilate(Q0, 3), grid)
     every = (slice(None),)
     d0 = tuple(o - a.start for a, o in zip(s3, Q0.origin))
-    base = T.product(F[every + (None,) + s3], d0, S, Q0.origin)[:, 0] * vol
+    base = T.product(F[every + (None,) + s3], d0, S)[:, 0] * vol
     # T(f chi_{3Q0}) read F on 3Q0; the levels' windows read only the cells
     # o-S/2 .. o+3S/2-1 per axis: f chi_{3Q0} there, 0 outside the domain
     h = S // 2
@@ -641,8 +608,7 @@ def grand_maximal_truncated(T: Truncation, F: np.ndarray,
         step, each = (c, H) if T.whole(s) else (-(-c // runs), per)
         for run in product([slice(i, i + each) for i in range(0, H, each)],
                            [slice(a, a + step) for a in range(0, c, step)]):
-            part = T.product(wins[run], (s,) * n, s, (
-                Q0.origin[0] + run[1].start * s,) + Q0.origin[1:])
+            part = T.product(wins[run], (s,) * n, s)
             part *= vol
             np.subtract(based[run], part, out=part)
             level[run] = _cube_max(np.abs(part, out=part), n)
@@ -687,8 +653,6 @@ def hormander_estimate(K: Kernel, A, grid: Grid, cube_budget: int = 64,
     order, then pair order, first strict maximum), is the same as a
     cube-by-cube computation.
     """
-    if K.matrix is not None:
-        raise OperatorError("smoothness estimate needs a pointwise kernel")
     if k_max < 2:
         raise OperatorError("k_max must be >= 2")
     cand = _smoothness_cubes(grid, cube_budget, seed)

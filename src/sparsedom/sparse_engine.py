@@ -74,11 +74,8 @@ def estimate_ct(K: Kernel, A: young.YoungFunction, grid: Grid,
     of cubes."""
     key = (K.spec(grid), grid, A, seed)
     if key not in _ct_cache:
-        if K.matrix is not None:
-            h, tail = 0.0, 0.0
-        else:
-            h, tail = hormander_estimate(K, A, grid, cube_budget=24, k_max=6,
-                                         seed=seed)
+        h, tail = hormander_estimate(K, A, grid, cube_budget=24, k_max=6,
+                                     seed=seed)
         l2 = operator_norm_l2(K, grid)
         _ct_cache[key] = {"hormander": h, "hormander_tail": tail,
                           "l2_norm": l2, "ct": h + l2}

@@ -27,7 +27,6 @@ POWER = "power"
 LLOGL = "llogl"
 EXPL = "expl"
 LLL = "lll"
-PHI = "phi"
 COMPOSE = "compose"
 PROD = "prod"
 TABLE = "table"
@@ -95,9 +94,6 @@ class YoungFunction:
         if f == LLL:
             l, a = self.params
             return t * np.log(E + t) ** l * np.log(E + np.log(E + t)) ** a
-        if f == PHI:
-            (j,) = self.params
-            return t * np.log(E + t) ** j
         if f == COMPOSE:
             outer, inner = self.parts
             return outer._eval(inner._eval(t))
@@ -221,10 +217,8 @@ def lll(l: float, alpha: float) -> YoungFunction:
     return YoungFunction(LLL, (float(l), float(alpha)))
 
 
-def phi_j(j: float) -> YoungFunction:
-    if j < 0:
-        raise YoungError("phi index must be >= 0")
-    return YoungFunction(PHI, (float(j),))
+# the paper's Phi_j(t) = t log(e+t)^j is llogl(j)
+phi_j = llogl
 
 
 def compose(outer: YoungFunction, inner: YoungFunction) -> YoungFunction:
@@ -908,13 +902,14 @@ def kappa_phi(A: YoungFunction, phi: YoungFunction, m: int = 0,
 # literal name -> (constructor, argument kind, fewest and most arguments)
 _FAMILIES = {POWER: (power, float, 1, 2), LLOGL: (llogl, float, 1, 1),
              EXPL: (expl, float, 1, 1), LLL: (lll, float, 2, 2),
-             PHI: (phi_j, float, 1, 1), PROD: (prod, tuple, 2, 2),
+             "phi": (llogl, float, 1, 1), PROD: (prod, tuple, 2, 2),
              COMPOSE: (compose, tuple, 2, 2)}
 
 
 def parse_young(expr: str) -> YoungFunction:
-    """Parse `power(r[,c])`, `llogl(a)`, `expl(g)`, `lll(l,a)`, `phi(j)`,
-    `prod(e1,e2)`, `compose(e1,e2)` expressions (grammar in `literal`)."""
+    """Parse `power(r[,c])`, `llogl(a)`, `expl(g)`, `lll(l,a)`, `phi(j)`
+    (a name for llogl(j)), `prod(e1,e2)`, `compose(e1,e2)` expressions
+    (grammar in `literal`)."""
     return _from_literal(literal.parse(expr, YoungError))
 
 

@@ -152,13 +152,18 @@ def test_criterion_3_sparse_domination_battery():
 
 def test_criterion_4_commutator_identity():
     t0 = time.monotonic()
-    grid = Grid(1, (0.0,), 1.0, 3)
+    # hilbert and dini through dense blocks (L = 3) and FFT products (L =
+    # 9), the 2D homogeneous kernel (cos 2 theta) through 2D FFT products
+    theta = np.arange(64) * (2 * math.pi / 64)
+    cases = [(K, Grid(1, (-0.5,), 1.0, L))
+             for K in (op.make_hilbert(), op.make_dini()) for L in (3, 9)]
+    cases += [(op.make_homog(np.cos(2 * theta)),
+               Grid(2, (-0.5, -0.5), 1.0, L)) for L in (3, 5)]
     rng = np.random.default_rng(13)
     worst = 0.0
-    for trial in range(3):
-        K = op.make_matrix(rng.standard_normal((8, 8)))
-        f = GridFunction(grid, rng.standard_normal(8))
-        b = GridFunction(grid, rng.standard_normal(8))
+    for K, grid in cases:
+        f = GridFunction(grid, rng.standard_normal(grid.shape))
+        b = GridFunction(grid, rng.standard_normal(grid.shape))
         for m in (1, 2, 3):
             spec = op.CommutatorSpec(b, m)
             lhs = op.commutator_apply(K, spec, f).cells

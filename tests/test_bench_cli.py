@@ -71,6 +71,13 @@ def test_unknown_and_unread_scenario_keys_rejected(tmp_path, capsys):
     # malformed literals: a wrong arity, and a key the kernel does not have
     ("sparse_hilbert_m0", "gauge_a", "llogl(1,2)"),
     ("strong_dini_m1", "kernel", "dini(omega=power(0.5),ck=1,delta=0.3)"),
+    # a cell matrix is no kernel family
+    ("strong_hilbert_m0", "kernel", "matrix(path=m.csv)"),
+    # values that would fail at run time: the strong bound's gauge
+    # constant needs r >= 1, the loglog bump of m >= 1 a positive eps
+    ("strong_hilbert_m0", "r", "0.5"),
+    ("endpoint_dini_m1", "eps", "0"),
+    ("endpoint_dini_m1", "eps", "-2"),
 ])
 def test_malformed_scenario_values_exit_2(tmp_path, capsys, name, key,
                                           value):
@@ -331,23 +338,36 @@ def test_cli_battery_directory_name_with_glob_characters(tmp_path):
     assert list(summary["scenarios"]) == ["constants_unit"]
 
 
-@pytest.mark.parametrize("key, literal", [("gauge_a", "llogl(1,2)"),
-                                          ("kernel", "hilbert(x=1)"),
-                                          ("f", "indicator(0)")])
-def test_cli_battery_parses_every_literal_first(tmp_path, key, literal):
-    # a malformed literal in the last scenario is a scenario error before
-    # any scenario runs: no report directory and no battery.json
+def _assert_battery_stops_on(tmp_path, name, key, value):
+    """A battery of cf_hilbert_m0 and, last, the named released scenario
+    with key set to value: a scenario error before any scenario runs, so
+    no report directory and no battery.json."""
     bat = tmp_path / "bat"
     bat.mkdir()
     shutil.copy(os.path.join(BATTERY_DIR, "cf_hilbert_m0.ini"), bat)
     cp = configparser.ConfigParser()
-    cp.read(os.path.join(BATTERY_DIR, "sparse_hilbert_m0.ini"))
-    cp["scenario"][key] = literal
+    cp.read(os.path.join(BATTERY_DIR, name + ".ini"))
+    cp["scenario"][key] = value
     with open(bat / "zz_bad.ini", "w") as fh:
         cp.write(fh)
     out = tmp_path / "bat_out"
     assert cli.main(["battery", str(bat), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, literal", [("gauge_a", "llogl(1,2)"),
+                                          ("kernel", "hilbert(x=1)"),
+                                          ("f", "indicator(0)")])
+def test_cli_battery_parses_every_literal_first(tmp_path, key, literal):
+    _assert_battery_stops_on(tmp_path, "sparse_hilbert_m0", key, literal)
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("strong_hilbert_m0", "r", "0.5"), ("endpoint_dini_m1", "eps", "0"),
+    ("endpoint_dini_m1", "eps", "-2")])
+def test_cli_battery_validates_every_scenario_first(tmp_path, name, key,
+                                                    value):
+    _assert_battery_stops_on(tmp_path, name, key, value)
 
 
 def test_cli_level_override(tmp_path):

@@ -57,12 +57,13 @@ def test_parse_kernel_grammar(tmp_path):
     assert K.params == {"delta": 0.5, "c_k": 2.0}
     K = op.parse_kernel("counter(r=2,beta=1,eta=4)")
     assert K.params["eta"] == 4.0
-    path = tmp_path / "m.csv"
-    np.savetxt(path, np.eye(4), delimiter=",")
-    assert op.parse_kernel(f"matrix(path={path})").matrix.shape == (4, 4)
     # `name` and `name()` are one literal
     assert op.parse_kernel("hilbert()").family == "hilbert"
-    for bad in ("sobolev", "dini(omega=exp(1))", "homog()", "dini(0.5)",
+    # every kernel is a convolution kernel: a cell matrix is no family
+    path = tmp_path / "m.csv"
+    np.savetxt(path, np.eye(4), delimiter=",")
+    for bad in (f"matrix(path={path})", "sobolev", "dini(omega=exp(1))",
+                "homog()", "dini(0.5)",
                 "dini(omega=power(0.5),ck=1,delta=0.3)",
                 "counter(r=2,zeta=1)", "dini(omega=power(0.5,1))",
                 "dini(ck=1,ck=2)", "counter(r=inf)", "hilbert+1"):
@@ -194,13 +195,10 @@ def _conv_kernels(L, rng):
 
 
 def _oracle_kernels(L, rng):
-    """The 1D convolution kernels at level L, a random matrix kernel, and
-    at L <= 5 a 2D homogeneous kernel with an asymmetric angular part (2D
-    products are all FFT products)."""
-    N = 1 << L
-    out = _conv_kernels(L, rng) + [
-        (op.make_matrix(rng.standard_normal((N, N))),
-         Grid(1, (-0.5,), 1.0, L))]
+    """The 1D convolution kernels at level L and at L <= 5 a 2D homogeneous
+    kernel with an asymmetric angular part (2D products are all FFT
+    products)."""
+    out = _conv_kernels(L, rng)
     if L <= 5:
         out.append((op.make_homog(_asymmetric_table()),
                     Grid(2, (-0.5, -0.5), 1.0, L)))
@@ -210,8 +208,6 @@ def _oracle_kernels(L, rng):
 def _dense(K, grid):
     """The matrix K(x_i, y_j) |cell| over the cells in row-major order,
     evaluated at the exact lattice displacements (i - j) h."""
-    if K.matrix is not None:
-        return K.matrix * grid.cell_volume
     h = grid.cell_width
     idx = np.indices(grid.shape).reshape(grid.n, -1)
     u = [np.subtract.outer(i, i) * h for i in idx]
@@ -267,18 +263,14 @@ def _convolve(kprof, cells):
 
 def _power_loop(K, grid):
     """operator_norm_l2 as 20 power iterations of apply_operator then T*,
-    with T* the transposed matrix or the convolution with the profile
-    reversed along every axis, evaluated and prepared anew at each step."""
+    with T* the convolution with the profile reversed along every axis,
+    evaluated and prepared anew at each step."""
     v = np.random.default_rng(12345).standard_normal(grid.shape)
     v /= np.linalg.norm(v)
     sigma = 0.0
     for _ in range(20):
         tv = op.apply_operator(K, GridFunction(grid, v)).cells
-        if K.matrix is not None:
-            w = (K.matrix.T @ tv.ravel()).reshape(grid.shape)
-        else:
-            w = _convolve(K.profile(grid)[(slice(None, None, -1),) * grid.n],
-                          tv)
+        w = _convolve(K.profile(grid)[(slice(None, None, -1),) * grid.n], tv)
         w = w * grid.cell_volume
         nw = np.linalg.norm(w)
         if nw == 0.0:
@@ -290,14 +282,12 @@ def _power_loop(K, grid):
 
 def _l2_cases(rng):
     """1D convolution kernels at L = 6, 7 (dense products) and 8, 10 (FFT
-    products), the 2D homogeneous kernel at L = 3, 4 and a matrix kernel."""
+    products) and the 2D homogeneous kernel at L = 3, 4."""
     for L in (6, 7, 8, 10):
         yield from _conv_kernels(L, rng)
     for L in (3, 4):
         yield (op.make_homog(_asymmetric_table()),
                Grid(2, (-0.5, -0.5), 1.0, L))
-    yield (op.make_matrix(rng.standard_normal((64, 64))),
-           Grid(1, (0.0,), 1.0, 6))
 
 
 def test_operator_norm_l2_bitwise_power_loop(rng, monkeypatch):
@@ -313,7 +303,7 @@ def test_operator_norm_l2_bitwise_power_loop(rng, monkeypatch):
             got = op.operator_norm_l2(K, grid)
         case = (K.family, grid.n, grid.level)
         assert got.hex() == want.hex(), case
-        assert len(calls) == (K.matrix is None), case
+        assert len(calls) == 1, case
 
 
 def _toeplitz_rows_full(kprof, G, d, rows):
@@ -540,17 +530,6 @@ def test_apply_operator_linear(sym_grid, rng):
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
-def test_matrix_kernel_application(rng):
-    grid = Grid(1, (0.0,), 1.0, 3)
-    M = rng.standard_normal((8, 8))
-    K = op.make_matrix(M)
-    f = GridFunction(grid, rng.standard_normal(8))
-    out = op.apply_operator(K, f).cells
-    assert np.allclose(out, (M @ f.cells) * grid.cell_volume)
-    with pytest.raises(op.OperatorError):
-        op.make_matrix(np.zeros((2, 3)))
-
-
 def test_apply_windowed_matches_restriction(sym_grid, rng):
     K = op.make_hilbert()
     f = GridFunction(sym_grid, rng.standard_normal(sym_grid.shape))
@@ -604,17 +583,23 @@ def test_commutator_constant_symbol_vanishes(sym_grid, rng):
 
 
 def test_commutator_binomial_matches_recursion(rng):
-    grid = Grid(1, (0.0,), 1.0, 3)
-    M = rng.standard_normal((8, 8))
-    K = op.make_matrix(M)
-    f = GridFunction(grid, rng.standard_normal(8))
-    b = GridFunction(grid, rng.standard_normal(8))
-    for m in (1, 2, 3):
-        spec = op.CommutatorSpec(b, m)
-        lhs = op.commutator_apply(K, spec, f).cells
-        rhs = op.commutator_recursive(K, spec, f).cells
-        scale = max(float(np.abs(rhs).max()), 1.0)
-        assert np.abs(lhs - rhs).max() <= 1e-12 * scale
+    # hilbert and dini through dense blocks (L = 3) and FFT products (L =
+    # 9), the 2D homogeneous kernel through 2D FFT products
+    theta = np.arange(64) * (2 * math.pi / 64)
+    cases = [(K, Grid(1, (-0.5,), 1.0, L))
+             for K in (op.make_hilbert(), op.make_dini()) for L in (3, 9)]
+    cases += [(op.make_homog(np.cos(2 * theta)),
+               Grid(2, (-0.5, -0.5), 1.0, L)) for L in (3, 5)]
+    for K, grid in cases:
+        f = GridFunction(grid, rng.standard_normal(grid.shape))
+        b = GridFunction(grid, rng.standard_normal(grid.shape))
+        for m in (1, 2, 3):
+            spec = op.CommutatorSpec(b, m)
+            lhs = op.commutator_apply(K, spec, f).cells
+            rhs = op.commutator_recursive(K, spec, f).cells
+            scale = max(float(np.abs(rhs).max()), 1.0)
+            assert np.abs(lhs - rhs).max() <= 1e-12 * scale, \
+                (K.family, grid.level, m)
 
 
 def test_commutator_center_invariance(sym_grid, rng):
@@ -658,7 +643,7 @@ def test_commutator_apply_prepares_once(rng, monkeypatch):
                 got = op.commutator_apply(K, spec, f, center=0.3).cells
             case = (K.family, grid.n, grid.level, m)
             assert got.tobytes() == want.tobytes(), case
-            assert len(calls) == (K.matrix is None), case
+            assert len(calls) == 1, case
 
 
 def test_commutator_peak_memory_capped():
@@ -848,7 +833,7 @@ def _gmt_whole_levels(T, F, Q0):
     g = np.zeros((H,) + (3 * S,) * n)
     g[every + inner] = F[every + s3]
     d0 = tuple(o - a.start for a, o in zip(s3, Q0.origin))
-    base = T.product(g[every + (None,) + inner], d0, S, Q0.origin)[:, 0] * vol
+    base = T.product(g[every + (None,) + inner], d0, S)[:, 0] * vol
     out = np.zeros(F.shape)
     q0 = out[every + cube_slices(Q0, grid)]
     axes = (0,) + tuple(range(1, 2 * n + 1, 2)) + tuple(range(2, 2 * n + 1, 2))
@@ -862,7 +847,7 @@ def _gmt_whole_levels(T, F, Q0):
             g.strides[:1] + tuple(st * s for st in g.strides[1:])
             + g.strides[1:]))
         part = T.product(wins.reshape((H, -1) + wins.shape[n + 1:]),
-                         (s,) * n, s, Q0.origin)
+                         (s,) * n, s)
         diff = np.abs(base.reshape(split).transpose(axes)
                       - part.reshape((H,) + (c,) * n + (s,) * n) * vol)
         view = q0.reshape(split).transpose(axes)
@@ -877,16 +862,13 @@ def test_truncation_bitwise_whole_level_reference(L, rng):
     # product, cube maxima by halving and taken coarse to fine: the bits of
     # one product per level.  L = 8 has dense levels and one FFT level, L =
     # 10 and 12 several FFT levels whose root and depth-1 runs split; L = 5
-    # a 2D kernel (all FFT levels, the root in up to 9 runs) and a matrix
-    # kernel
+    # a 2D kernel (all FFT levels, the root in up to 9 runs)
     unit = Grid(1, (-0.5,), 1.0, L)
     cases = [(op.make_hilbert(), unit), (op.make_dini(), unit),
              (op.make_counter(), Grid(1, (-6.0,), 12.0, L))]
     if L == 5:
         cases = [(op.make_homog(_asymmetric_table()),
-                  Grid(2, (-0.5, -0.5), 1.0, L)),
-                 (op.make_matrix(rng.standard_normal((1 << L, 1 << L))),
-                  unit)]
+                  Grid(2, (-0.5, -0.5), 1.0, L))]
     for K, grid in cases:
         T = op.truncation(K, grid)
         N, n = grid.cells_per_side, grid.n
@@ -1176,9 +1158,6 @@ def test_omega_modulus_matches_rotation_loop():
 
 
 def test_hormander_input_checks(sym_grid):
-    K = op.make_matrix(np.eye(64))
-    with pytest.raises(op.OperatorError):
-        op.hormander_estimate(K, young.power(1), sym_grid)
     with pytest.raises(op.OperatorError):
         op.hormander_estimate(op.make_hilbert(), young.power(1), sym_grid,
                               k_max=1)

@@ -371,7 +371,8 @@ LUX_GAUGES = [
     young.expl(1),  # saturates at t = 700
     young.expl(2),
     young.lll(1, 1.5),
-    young.phi_j(2),
+    # phi_j(2) is llogl(2); its id keeps the paper's name
+    pytest.param(young.phi_j(2), id="phi(2)"),
     young.compose(young.llogl(1), young.power(2)),
     young.prod(young.power(1.5), young.llogl(1)),
     counter_young(2.0, 1.0),
@@ -857,10 +858,12 @@ def test_kappa_iterated_split_converges():
 
 def test_parse_format_round_trip():
     for expr in ("power(2)", "power(3,0.7)", "llogl(1.5)", "expl(2)",
-                 "lll(1,1.5)", "phi(3)", "prod(power(1.5),llogl(1))",
+                 "lll(1,1.5)", "prod(power(1.5),llogl(1))",
                  "compose(llogl(1),power(2))"):
         A = young.parse_young(expr)
         assert young.format_young(A) == expr
+    # phi(j) is a name for llogl(j), the same formula
+    assert young.parse_young("phi(3)") == young.llogl(3)
     # the two families with no literal of their own
     assert young.format_young(young.complementary(young.power(1))) \
         == "linf(1)"
