@@ -132,6 +132,8 @@ def _validate(scn: Scenario):
                 "counterexample needs p/r' < gamma < 1")
     if scn.kind == "strong" and not 1.0 <= scn.r < scn.p:
         raise ScenarioError("strong needs 1 <= r < p")
+    if scn.kind == "constants" and scn.r < 1:
+        raise ScenarioError("constants needs r >= 1")
 
 
 def _young_of(scn: Scenario, text: str) -> young.YoungFunction:
@@ -533,7 +535,7 @@ def constants_dump(scn: Scenario) -> dict:
         info = estimate_ct(K, A, grid, scn.seed)
         entries.append(("T", f"hormander_L{L}", info["hormander"]))
         entries.append(("T", f"l2_norm_L{L}", info["l2_norm"]))
-    kra, finite = young.krA_constant(A, max(scn.r, 1.0))
+    kra, finite = young.krA_constant(A, scn.r)
     entries.append(("A", f"k_{scn.r:g}_A", kra if finite else math.inf))
     if scn.phi:
         phi = _young_of(scn, scn.phi)

@@ -19,8 +19,8 @@ import os
 import sys
 import time
 
-from .bench import (Scenario, ScenarioError, _write_atomic, check_literals,
-                    parse_scenario, run_scenario)
+from .bench import (Scenario, ScenarioError, _validate, _write_atomic,
+                    check_literals, parse_scenario, run_scenario)
 from .frozen import BATTERY_VERSION
 
 
@@ -86,6 +86,7 @@ def cmd_run(args) -> int:
 def cmd_constants(args) -> int:
     scn = _load(args.scenario, args.level, args.seed)
     scn.kind = "constants"
+    _validate(scn)  # again, under the kind it now runs as
     out_dir = args.out or _default_out(args.scenario)
     run_scenario(scn, out_dir=out_dir)
     with open(os.path.join(out_dir, "constants.csv")) as fh:

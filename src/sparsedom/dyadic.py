@@ -24,10 +24,6 @@ class GeometryError(ValueError):
     pass
 
 
-class BoundaryError(GeometryError):
-    """A dilated cube exits the root domain."""
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform dyadic grid over a root cube in dimension n in {1, 2}."""
@@ -100,29 +96,6 @@ class Cube:
     def __str__(self):
         coords = ",".join(str(c) for c in self.origin)
         return f"[{self.lattice}:{self.level}:({coords})]"
-
-
-def parse_cube(text: str) -> Cube:
-    """Inverse of str(cube) given the grid level: `[lattice:k:(i,j)]`.
-
-    The side is reconstructed from the lattice id and level at attach time
-    by attach_side(grid).
-    """
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise GeometryError(f"bad cube literal {text!r}")
-    lat_s, lev_s, coord_s = text[1:-1].split(":")
-    coord_s = coord_s.strip()
-    if not (coord_s.startswith("(") and coord_s.endswith(")")):
-        raise GeometryError(f"bad cube coordinates in {text!r}")
-    origin = tuple(int(c) for c in coord_s[1:-1].split(","))
-    return Cube(int(lat_s), int(lev_s), origin, 0)
-
-
-def attach_side(cube: Cube, grid: Grid) -> Cube:
-    s = 1 << (grid.level - cube.level)
-    side = s if cube.lattice == BASE else 3 * s
-    return Cube(cube.lattice, cube.level, cube.origin, side)
 
 
 def cube_slices(cube: Cube, grid: Grid) -> tuple:
@@ -204,9 +177,6 @@ class GridFunction:
         arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
 
-    def map(self, fn) -> "GridFunction":
-        return GridFunction(self.grid, fn(self.cells))
-
 
 def grid_function(grid: Grid, fn) -> GridFunction:
     """Sample fn at cell centers (midpoint rule cell averages)."""
@@ -232,16 +202,6 @@ class DyadicLattice:
     grid: Grid
     lattice_id: int
     digits: tuple
-
-    def member(self, cube: Cube) -> bool:
-        k = cube.level
-        if k < 0 or k > self.grid.level:
-            return False
-        s = 1 << (self.grid.level - k)
-        if cube.side != 3 * s:
-            return False
-        return all((o - d * s) % (3 * s) == 0
-                   for o, d in zip(cube.origin, self.digits))
 
     def cubes_at_level(self, k: int) -> list:
         """Members meeting the root domain, clipped reads via cube_slices."""
@@ -270,22 +230,6 @@ def build_lattices(grid: Grid) -> list:
         out.append(DyadicLattice(grid, lat, digits))
     out.sort(key=lambda d: d.lattice_id)
     return out
-
-
-def enclosing_cube(Q: Cube, lattices: list) -> Cube:
-    """The shifted-lattice cube R with 3Q subset of R and |R| <= 9^n |Q|.
-
-    Tie-break is deterministic: the tripled cube itself, which lives in
-    exactly one lattice.
-    """
-    grid = lattices[0].grid
-    R = triple(Q, grid)
-    if is_clipped(R, grid):
-        raise BoundaryError(f"3Q of {Q} exits the root domain")
-    for lat in lattices:
-        if lat.member(R):
-            return R
-    raise GeometryError(f"tripled cube {R} not found in any lattice")
 
 
 def base_cubes(grid: Grid, min_level: int = 0) -> list:

@@ -772,37 +772,3 @@ def _annulus_sums(K: Kernel, A, grid: Grid, cubes: list, pairs: list,
         out.append((totals.tolist(), tails))
     return out
 
-
-# -- angular modulus for homogeneous kernels ---------------------------------
-
-
-def omega_modulus(omega_samples, B, t: float) -> float:
-    """sup over 16 rotations 0 < |y| <= t of the Luxemburg B-norm on the
-    circle of Omega(. + y) - Omega(.)."""
-    om = np.asarray(omega_samples, dtype=float)
-    if t <= 0:
-        return 0.0
-    M = len(om)
-    dtheta = 2 * math.pi / M
-    angles = np.linspace(0.0, t, 17)[1:]
-    theta_grid = np.arange(M) * dtheta
-    theta_ext = np.concatenate([theta_grid, [2 * math.pi]])
-    om_ext = np.concatenate([om, om[:1]])
-    rotated = np.interp(np.mod(theta_grid + angles[:, None], 2 * math.pi),
-                        theta_ext, om_ext)
-    return float(young.luxemburg_norm_batch(
-        rotated - om, np.full(rotated.shape, dtheta), B).max())
-
-
-def dini_integral(omega_samples, B) -> tuple:
-    """Quadrature of int_0^1 omega(t) dt / t on 40 log-spaced points of
-    [1e-4, 1], plus a convergence verdict from the small-t chunk decay."""
-    ts = np.geomspace(1e-4, 1.0, 40)
-    vals = np.array([omega_modulus(omega_samples, B, t) for t in ts])
-    u = np.log(ts)
-    chunk = 0.5 * (vals[1:] + vals[:-1]) * np.diff(u)
-    value = float(chunk.sum())
-    head = chunk[:6]
-    converged = bool(head.sum() <= 0.05 * max(value, 1e-300)) or \
-        bool(head[0] < 0.5 * head[-1])
-    return value, converged

@@ -105,21 +105,6 @@ def _local_data(T, f, b, m, A, Q0):
     return f3, b3, osc, norms, mts
 
 
-def exceptional_set(K: Kernel, f: GridFunction, b: GridFunction, h: int,
-                    Q0: Cube, alpha: float,
-                    A: young.YoungFunction) -> np.ndarray:
-    """Cells of Q0 where either the local product |b - b_3Q0|^h |f| or its
-    truncation maximal exceeds alpha times the reference 3Q0 norm."""
-    if alpha <= 0:
-        raise EngineError("alpha must be positive")
-    grid = f.grid
-    ct = estimate_ct(K, A, grid)["ct"]
-    f3, b3, osc, norms, mts = _local_data(truncation(K, grid), f, b, h, A,
-                                          Q0)
-    return _exceptional_mask(grid, Q0, osc, f3, norms[h], mts[h], h,
-                             alpha, ct)
-
-
 def _exceptional_mask(grid, Q0, osc, f3, norm, mt, h, alpha, ct):
     mask = np.zeros(grid.shape, dtype=bool)
     if norm == 0.0:

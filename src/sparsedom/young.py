@@ -19,7 +19,7 @@ import numpy as np
 from . import literal
 
 E = math.e
-# the upper end of the t range of bp_check, krA_constant and kappa_phi
+# the upper end of the t range of krA_constant and kappa_phi
 T_MAX = 1e12
 
 # Catalog family tags.
@@ -30,7 +30,6 @@ LLL = "lll"
 COMPOSE = "compose"
 PROD = "prod"
 TABLE = "table"
-LINF = "linf"  # conjugate of t -> c*t; Luxemburg norm degenerates to sup
 
 
 class YoungError(ValueError):
@@ -109,9 +108,6 @@ class YoungFunction:
                 slope = (ky[-1] - ky[-2]) / (kt[-1] - kt[-2])
                 y = np.where(hi, ky[-1] + slope * (t - kt[-1]), y)
             return y
-        if f == LINF:
-            (c,) = self.params
-            return np.where(t <= c, 0.0, np.inf)
         raise YoungError(f"unknown family {f!r}")
 
     # -- inverse ------------------------------------------------------------
@@ -154,10 +150,6 @@ class YoungFunction:
                     raise RangeError("inverse beyond tabulated range")
                 out = np.where(hi, kt[-1] + (y - ky[-1]) / slope, out)
             return out
-        if f == LINF:
-            # generalized inverse of the L^inf indicator: constant c
-            (c,) = self.params
-            return np.full_like(y, c)
         if f == COMPOSE:
             outer, inner = self.parts
             return inner._inverse(outer._inverse(y))
@@ -274,7 +266,7 @@ def from_inverse(inv) -> YoungFunction:
     return tabulated(t[keep], u[keep])
 
 
-# -- complementary (conjugate) function -------------------------------------
+# -- conjugate function -----------------------------------------------------
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -292,7 +284,12 @@ def conjugate_value(A: YoungFunction, t):
     pos = np.flatnonzero(t > 0)
     tp = t.ravel()[pos]
     if A.family == POWER:
-        out[pos] = complementary(A)._eval(tp)
+        r, c = A.params
+        if r == 1.0:  # A = c t: the conjugate is 0 up to c and +inf above
+            out[pos] = np.where(tp <= c, 0.0, np.inf)
+        else:
+            rp = r / (r - 1.0)
+            out[pos] = 1.0 / (rp * (c * r) ** (rp / r)) * tp ** rp
     else:
         hi, act = np.ones_like(tp), np.arange(tp.size)
         while act.size:  # s t - A(s) decreases once A(s)/s >= t
@@ -383,27 +380,6 @@ def _golden_min(fn, a, b, iters: int, tol):
     return out
 
 
-def complementary(A: YoungFunction) -> YoungFunction:
-    """Complementary function Abar(t) = sup_s {s t - A(s)}: closed form for
-    power laws, else conjugate_value on 1024 log-spaced points of
-    [1e-6, 1e9] (finite entries only), wrapped as TabulatedConvex."""
-    if A.family == POWER:
-        r, c = A.params
-        if r == 1.0:
-            return YoungFunction(LINF, (c,))
-        rp = r / (r - 1.0)
-        return power(rp, 1.0 / (rp * (c * r) ** (rp / r)))
-    ts = np.geomspace(1e-6, 1e9, 1024)
-    ys = conjugate_value(A, ts)
-    ts, ys = ts[np.isfinite(ys)], ys[np.isfinite(ys)]
-    if len(ys) < 2:
-        raise UnboundedConjugateError(
-            "conjugate overflows on the whole tabulation range")
-    keep = np.concatenate([[True], np.diff(ys) > 0])
-    # drop a flat initial segment (conjugate may vanish near 0)
-    return tabulated(ts[keep], ys[keep])
-
-
 # -- Luxemburg norms --------------------------------------------------------
 
 
@@ -485,8 +461,8 @@ LuxemburgRows = namedtuple("LuxemburgRows", "i v mu tot e hi lam mj")
 
 def luxemburg_jensen(values, measures, A: YoungFunction) -> tuple:
     """luxemburg_norm_batch's Jensen stage on one stack, checked first:
-    (norms, rows), norms final where no replay runs (a zero row, an L^inf
-    gauge) and rows, a LuxemburgRows, the state of the other rows."""
+    (norms, rows), norms final where no replay runs (a zero row) and rows,
+    a LuxemburgRows, the state of the other rows."""
     x, mu = np.asarray(values, dtype=float), np.asarray(measures, dtype=float)
     # min and max carry NaN, so the reductions see every non-finite cell
     invalid = mu.size and not 0.0 <= float(mu.min()) <= float(mu.max()) \
@@ -504,9 +480,6 @@ def luxemburg_jensen(values, measures, A: YoungFunction) -> tuple:
     # a zero row's norm is 0, and so is its mantissa
     norms, e = np.frexp(vmax)
     i = np.flatnonzero(norms)
-    if A.family == LINF:
-        norms[i] = np.ldexp(norms[i] / A.params[0], e[i])
-        i = i[:0]
     r = slice(None) if i.size == norms.size else i
     e, v, mu, tot = e[r], _unit_rows(x, mu, r, e[r]), _take(mu, r), tot[r]
     lam, mj = np.empty(i.size), np.empty(i.size)
@@ -740,77 +713,7 @@ def _luxemburg_rows(rows, A: YoungFunction) -> list:
     return out
 
 
-def holder_defect(f_vals, g_vals, measures, A: YoungFunction) -> float:
-    """Ratio avg|fg| / (||f||_A ||g||_Abar) over one cube; <= 2 always."""
-    f = np.asarray(f_vals, dtype=float)
-    g = np.asarray(g_vals, dtype=float)
-    mu = np.asarray(measures, dtype=float)
-    avg = float((np.abs(f * g) * mu).sum()) / float(mu.sum())
-    nf = luxemburg_norm(f, mu, A)
-    ng = luxemburg_norm(g, mu, complementary(A))
-    if nf == 0.0 or ng == 0.0:
-        return 0.0
-    return avg / (nf * ng)
-
-
-# -- class certificates and endpoint constants ------------------------------
-
-
-@dataclass(frozen=True)
-class YoungClassCertificate:
-    p0: float
-    p1: float
-    t_A: float
-    c_A_p0: float
-    c_A_p1: float
-    verified_on: tuple  # (t_lo, t_hi, npoints)
-
-
-class CertificateError(YoungError):
-    def __init__(self, msg, t_violate):
-        super().__init__(msg)
-        self.t_violate = t_violate
-
-
-def young_class_certificate(A: YoungFunction, p0: float,
-                            p1: float) -> YoungClassCertificate:
-    """Smallest grid constants with t^{p0} <= c A(t) above t_A and
-    t^{p1} <= c A(t) below it."""
-    if not (1.0 <= p0 <= p1):
-        raise YoungError("need 1 <= p0 <= p1")
-    t_A, cap, on = 1.0, 1e12, (1e-6, 1e9, 400)
-    ts = np.geomspace(*on)
-    hi_t = ts[ts > t_A]
-    lo_t = ts[ts <= t_A]
-    c0 = c1 = 1.0
-    if len(hi_t):
-        ratios = hi_t**p0 / A._eval(hi_t)
-        # no finite constant if the ratio is still climbing at the far end
-        if ratios[-1] >= ratios[:-1].max(initial=0.0) and ratios[-1] > cap / 1e6:
-            raise CertificateError("t^p0 <= c A(t) fails as t -> inf",
-                                   float(hi_t[-1]))
-        if len(ratios) >= 2 and ratios[-1] > 1.001 * ratios[-2] and \
-                ratios[-1] == ratios.max():
-            raise CertificateError("t^p0 / A(t) increasing at grid end",
-                                   float(hi_t[-1]))
-        c0 = float(max(ratios.max(), 1.0))
-    if len(lo_t):
-        ratios = lo_t**p1 / A._eval(lo_t)
-        if ratios[0] >= ratios[1:].max(initial=0.0) and ratios[0] > cap / 1e6:
-            raise CertificateError("t^p1 <= c A(t) fails as t -> 0",
-                                   float(lo_t[0]))
-        c1 = float(max(ratios.max(), 1.0))
-    if max(c0, c1) > cap:
-        raise CertificateError("no finite certificate on the grid", None)
-    return YoungClassCertificate(p0, p1, t_A, c0, c1, on)
-
-
-def bp_check(A: YoungFunction, p: float):
-    """Partial integral of A(t) / t^{p+1} over [1, T_MAX] plus a tail
-    verdict: (value, converged)."""
-    if p <= 1:
-        raise YoungError("need p > 1")
-    return _log_quadrature(lambda t: A._eval(t) / t ** (p + 1.0), T_MAX)
+# -- endpoint constants -----------------------------------------------------
 
 
 def krA_constant(A: YoungFunction, r: float):

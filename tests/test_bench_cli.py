@@ -78,6 +78,8 @@ def test_unknown_and_unread_scenario_keys_rejected(tmp_path, capsys):
     ("strong_hilbert_m0", "r", "0.5"),
     ("endpoint_dini_m1", "eps", "0"),
     ("endpoint_dini_m1", "eps", "-2"),
+    # a constants table's k_r(A) needs r >= 1 too; it was taken at r = 1
+    ("constants_unit", "r", "0.5"),
 ])
 def test_malformed_scenario_values_exit_2(tmp_path, capsys, name, key,
                                           value):
@@ -368,6 +370,20 @@ def test_cli_battery_parses_every_literal_first(tmp_path, key, literal):
 def test_cli_battery_validates_every_scenario_first(tmp_path, name, key,
                                                     value):
     _assert_battery_stops_on(tmp_path, name, key, value)
+
+
+def test_cli_constants_validates_the_kind_it_forces(tmp_path, capsys):
+    # r = 0.5 is in range for cf, but `lab constants` runs the scenario as
+    # a constants table, whose k_r(A) needs r >= 1
+    cp = configparser.ConfigParser()
+    cp.read(os.path.join(BATTERY_DIR, "cf_hilbert_m0.ini"))
+    cp["scenario"]["r"] = "0.5"
+    ini, out = tmp_path / "r.ini", tmp_path / "o"
+    with open(ini, "w") as fh:
+        cp.write(fh)
+    assert cli.main(["constants", str(ini), "--out", str(out)]) == 2
+    assert "constants needs r >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_level_override(tmp_path):

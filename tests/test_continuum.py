@@ -81,3 +81,22 @@ def test_dini_of_indicator_converges_at_second_order():
     for coarse, fine in zip(errors, errors[1:]):
         assert fine * 10 <= coarse, errors
     assert errors[-1] <= 3e-7, errors
+
+
+def test_weighted_norm_of_hilbert_rises_below_the_continuum_norm():
+    # On L^2(|x|^alpha) the norm of the 1/u kernel is
+    # pi max(cot, tan)(pi (1 - alpha) / 4) (a Mellin transform; Hardy,
+    # Littlewood and Polya, ch. IX), pi cot(pi / 8) = 7.5845 at alpha = 1/2.
+    # The lab's norm, the top singular value of w^(1/2) T w^(-1/2) with
+    # w = |x|^(1/2) on [-1/2, 1/2), rises toward it slowly.  Measured:
+    # 3.993, 4.329, 4.614, 4.862 and 5.081 at L = 5-9.
+    norms = []
+    for L in range(5, 10):
+        grid = Grid(1, (-0.5,), 1.0, L)
+        K = op.make_hilbert()
+        T = np.column_stack([op.apply_operator(K, GridFunction(grid, e)).cells
+                             for e in np.eye(grid.cells_per_side)])
+        s = np.abs(grid.cell_centers()) ** 0.25  # w^(1/2)
+        norms.append(float(np.linalg.norm(s[:, None] * T / s, 2)))
+    assert all(a < b for a, b in zip(norms, norms[1:])), norms
+    assert norms[-1] < np.pi / np.tan(np.pi / 8), norms

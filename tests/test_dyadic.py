@@ -72,7 +72,8 @@ def test_triple_lands_in_exactly_one_lattice(k, pos):
     origin = ((pos * s) % 64,)
     q = dy.Cube(dy.BASE, k, origin, s)
     t = dy.triple(q, grid)
-    hits = [lat for lat in dy.build_lattices(grid) if lat.member(t)]
+    hits = [lat for lat in dy.build_lattices(grid)
+            if t in lat.cubes_at_level(k)]
     assert len(hits) == 1
     assert hits[0].lattice_id == t.lattice
 
@@ -83,23 +84,9 @@ def test_triple_unique_lattice_2d(k, i, j):
     s = 1 << (3 - k)
     q = dy.Cube(dy.BASE, k, ((i * s) % 8, (j * s) % 8), s)
     t = dy.triple(q, grid)
-    hits = [lat for lat in dy.build_lattices(grid) if lat.member(t)]
+    hits = [lat for lat in dy.build_lattices(grid)
+            if t in lat.cubes_at_level(k)]
     assert len(hits) == 1
-
-
-def test_enclosing_cube_contains_and_bounds(unit_grid):
-    lats = dy.build_lattices(unit_grid)
-    q = dy.Cube(dy.BASE, 3, (16,), 8)
-    R = dy.enclosing_cube(q, lats)
-    assert dy.contains(R, q)
-    assert R.cell_count() <= 9 ** unit_grid.n * q.cell_count()
-    assert not dy.is_clipped(R, unit_grid)
-
-
-def test_enclosing_cube_root_exits_domain(unit_grid):
-    lats = dy.build_lattices(unit_grid)
-    with pytest.raises(dy.BoundaryError):
-        dy.enclosing_cube(unit_grid.root_cube(), lats)
 
 
 def test_dilate_margins():
@@ -109,24 +96,6 @@ def test_dilate_margins():
     odd = dy.Cube(dy.BASE, 4, (8,), 1)
     with pytest.raises(dy.GeometryError):
         dy.dilate(odd, 2)
-
-
-def test_parse_cube_round_trip(unit_grid):
-    for q in (dy.Cube(dy.BASE, 2, (16,), 16), dy.Cube(4, 1, (-32,), 96)):
-        back = dy.attach_side(dy.parse_cube(str(q)), unit_grid)
-        # parse keeps lattice/level/origin; attach_side restores the side
-        assert back.lattice == q.lattice
-        assert back.level == q.level
-        assert back.origin == q.origin
-        if q.lattice == dy.BASE:
-            assert back.side == q.side
-
-
-def test_parse_cube_rejects_garbage():
-    with pytest.raises(dy.GeometryError):
-        dy.parse_cube("0:1:(2)")
-    with pytest.raises(dy.GeometryError):
-        dy.parse_cube("[0:1:2]")
 
 
 def test_grid_function_checks_shape(unit_grid):

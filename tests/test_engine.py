@@ -26,17 +26,16 @@ def _setup(level=7):
     return grid, K, f, b, Q0
 
 
-def test_exceptional_set_rejects_bad_alpha():
-    grid, K, f, b, Q0 = _setup()
-    with pytest.raises(eng.EngineError):
-        eng.exceptional_set(K, f, b, 0, Q0, 0.0, young.llogl(1))
-
-
 def test_exceptional_set_monotone_in_alpha():
+    # the mask build_sparse_family takes at each alpha, for the split h = 0
     grid, K, f, b, Q0 = _setup()
     A = young.llogl(1)
-    e1 = eng.exceptional_set(K, f, b, 0, Q0, 1.0, A)
-    e4 = eng.exceptional_set(K, f, b, 0, Q0, 4.0, A)
+    ct = eng.estimate_ct(K, A, grid)["ct"]
+    f3, _, osc, norms, mts = eng._local_data(op.truncation(K, grid), f, b,
+                                             0, A, Q0)
+    e1, e4 = (eng._exceptional_mask(grid, Q0, osc, f3, norms[0], mts[0], 0,
+                                    alpha, ct) for alpha in (1.0, 4.0))
+    assert e4.sum() < e1.sum()
     assert np.all(e4 <= e1)
     assert np.all(e1 <= cube_mask(Q0, grid))
 

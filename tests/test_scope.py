@@ -244,7 +244,7 @@ def test_scope_broadcast_masks_keep_maximal_bits(grid, shifted, monkeypatch):
                                                      C=young.llogl(1))),
                 lambda: np.float64(W.bmo_norm(f))]
     else:
-        root = f.map(lambda c: np.abs(c) ** 0.5)
+        root = GridFunction(f.grid, np.abs(f.cells) ** 0.5)
         runs = [lambda: op.maximal(f).cells,
                 lambda: op.maximal(root).cells ** 2.0]
         runs += [lambda A=A: op.maximal(f, A).cells for A in PRUNE_GAUGES]

@@ -1,5 +1,5 @@
-"""Young-function algebra: evaluation, conjugates, Luxemburg norms,
-class certificates and the endpoint integral constants."""
+"""Young-function algebra: evaluation, conjugates, Luxemburg norms, the
+growth constant k_r(A) and the integrals of the log-quadrature."""
 
 import math
 
@@ -154,9 +154,6 @@ def test_unbounded_conjugate_is_inf_not_a_number():
     assert np.isinf(young.conjugate_value(young.llogl(1), np.array([1e3]))[0])
     with pytest.raises(young.UnboundedConjugateError):
         young.conjugate_value(young.llogl(1), 1e3)
-    # A = 0 up to 2 and +inf above: a finite sup at the domain's edge
-    linf = young.complementary(young.power(1, 2.0))
-    assert young.conjugate_value(linf, 3.0) == 6.0
 
 
 @pytest.mark.parametrize("A", CATALOG, ids=young.format_young)
@@ -171,13 +168,6 @@ def test_conjugates_array_call_matches_scalar_calls(A):
             assert young.conjugate_value(A, t) == v
     inv = young.conjugate_inverse_value(A, ts)
     assert [young.conjugate_inverse_value(A, t) for t in ts] == inv.tolist()
-
-
-def test_conjugate_involution_exact_for_powers():
-    A = young.power(2, 1.0)
-    back = young.complementary(young.complementary(A))
-    for t in (0.3, 1.0, 12.0):
-        assert back(t) == pytest.approx(A(t), rel=1e-12)
 
 
 def test_inverse_product_bracket_spot_values():
@@ -319,9 +309,6 @@ def _bisection_reference(values, measures, A):
     if not np.any(act):
         return out
     v, mu, tot, vmax = v[act], mu[act], tot[act], vmax[act]
-    if A.family == young.LINF:
-        out[act] = vmax / A.params[0]
-        return out
     hi = vmax * max(1.0, 1.0 / A.inverse_one)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         bad = (A._eval(v / hi[:, None]) * mu).sum(axis=1) / tot > 1.0 + 1e-9
@@ -364,6 +351,17 @@ class _Wobbly(young.YoungFunction):
         return super()._eval_raw(t) * (1.0 + 3e-14 * h)
 
 
+def _tabulated_conjugate(A):
+    """The conjugate of A tabulated at its finite values on 1024
+    log-spaced points of [1e-6, 1e9], where it rises: a convex table whose
+    slopes span many decades."""
+    ts = np.geomspace(1e-6, 1e9, 1024)
+    ys = young.conjugate_value(A, ts)
+    ts, ys = ts[np.isfinite(ys)], ys[np.isfinite(ys)]
+    keep = np.concatenate([[True], np.diff(ys) > 0])
+    return young.tabulated(ts[keep], ys[keep])
+
+
 LUX_GAUGES = [
     young.power(2),
     young.power(20),  # overflows on cells of measure 0
@@ -376,8 +374,7 @@ LUX_GAUGES = [
     young.compose(young.llogl(1), young.power(2)),
     young.prod(young.power(1.5), young.llogl(1)),
     counter_young(2.0, 1.0),
-    young.complementary(young.llogl(1)),  # a tabulated conjugate
-    young.complementary(young.power(1, 2.0)),  # linf
+    _tabulated_conjugate(young.llogl(1)),  # a steep table
     pytest.param(_with_inverse_one(young.llogl(1), 3.0), id="bad-root-inside"),
     pytest.param(_with_inverse_one(young.power(2), 10.0), id="bad-root-far"),
     pytest.param(_Wobbly(young.LLOGL, (1.0,)), id="wobbly-llogl(1)"),
@@ -470,8 +467,7 @@ def test_luxemburg_small_batch_bitwise_equals_bisection(A, n, rows, seed,
                    lambda r, B: calls.append(len(r)) or real(r, B))
         got = young.luxemburg_norm_batch(vals, mu, A)
         active = int((np.abs(vals).max(axis=1) > 0).sum())
-        assert calls == ([active] if active and A.family != young.LINF
-                         else [])
+        assert calls == ([active] if active else [])
     assert got.tobytes() == _bisection_reference(vals, mu, A).tobytes()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(young, "_LUX_ROWS", 0)
@@ -680,7 +676,7 @@ def test_luxemburg_floor_closes_only_rows_below_it(A, lux_rows, n, seed,
     shut = np.isneginf(got)
     assert np.all(want[shut] < floor[shut])
     assert got[~shut].tobytes() == want[~shut].tobytes()
-    assert shut[0] == (A.family != young.LINF)
+    assert shut[0]
 
 
 @pytest.mark.parametrize("lux_rows", [8, 0], ids=["rows", "vectorized"])
@@ -700,60 +696,19 @@ def test_luxemburg_floor_rows_validated_first(lux_rows, monkeypatch):
     with pytest.raises(young.YoungError, match="floor"):
         _closed_norms(np.ones((3, 4)), mu, A, top[:2])
 
-# -- Holder defect ------------------------------------------------------------
+# -- growth constants and integrals ------------------------------------------
 
 
-def test_holder_defect_constants():
-    mu = np.full(16, 1.0 / 16)
-    ones = np.ones(16)
-    assert young.holder_defect(ones, ones, mu, young.power(2)) <= 2.0 + 1e-9
-
-
-def test_holder_defect_random_signs(rng):
-    f = rng.choice([-1.0, 1.0], 64)
-    g = rng.choice([-1.0, 1.0], 64)
-    mu = np.full(64, 1.0 / 64)
-    assert young.holder_defect(f, g, mu, young.power(2)) <= 2.001
-
-
-def test_holder_defect_disjoint_supports():
-    f = np.concatenate([np.ones(8), np.zeros(8)])
-    g = np.concatenate([np.zeros(8), np.ones(8)])
-    mu = np.full(16, 1.0 / 16)
-    assert young.holder_defect(f, g, mu, young.power(2)) == 0.0
-
-
-def test_holder_defect_catalog_random(rng):
-    mu = np.full(32, 1.0 / 32)
-    for A in (young.power(2), young.llogl(1), young.expl(1)):
-        f = rng.lognormal(0.0, 1.0, 32)
-        g = rng.lognormal(0.0, 1.0, 32)
-        assert young.holder_defect(f, g, mu, A) <= 2.0 + 1e-6
-
-
-# -- class certificates, growth constants, integrals --------------------------
-
-
-def test_certificate_power_is_tight():
-    cert = young.young_class_certificate(young.power(2), 2.0, 2.0)
-    assert cert.c_A_p0 == pytest.approx(1.0, rel=1e-9)
-    assert cert.c_A_p1 == pytest.approx(1.0, rel=1e-9)
-
-
-def test_certificate_llogl_finite():
-    cert = young.young_class_certificate(young.llogl(1), 1.0, 1.0)
-    assert cert.c_A_p0 >= 1.0 and math.isfinite(cert.c_A_p0)
-    assert math.isfinite(cert.c_A_p1)
-
-
-def test_certificate_fails_above_growth():
-    with pytest.raises(young.CertificateError):
-        young.young_class_certificate(young.power(2), 3.0, 3.0)
+def _bp(A, p):
+    """The B_p integral of A over [1, T_MAX], A(t) / t^(p+1), on the
+    log-quadrature: (value, converged)."""
+    return young._log_quadrature(lambda t: A._eval(t) / t ** (p + 1.0),
+                                 young.T_MAX)
 
 
 def test_bp_power_closed_form():
     for r, p in ((1.0, 2.5), (2.0, 3.0)):
-        val, conv = young.bp_check(young.power(r), p)
+        val, conv = _bp(young.power(r), p)
         assert conv
         assert val == pytest.approx(1.0 / (p - r), rel=1e-5)
 
@@ -761,7 +716,7 @@ def test_bp_power_closed_form():
 def test_bp_power_truncated_closed_form():
     # int_1^T t^(r-p-1) dt = (1 - T^(r-p)) / (p - r), T = 1e12
     for r, p in ((1.0, 2.5), (2.0, 3.0), (1.5, 4.0)):
-        val, conv = young.bp_check(young.power(r), p)
+        val, conv = _bp(young.power(r), p)
         assert conv
         assert val == pytest.approx((1.0 - 1e12 ** (r - p)) / (p - r),
                                     rel=1e-12)
@@ -782,7 +737,7 @@ def test_log_quadrature_matches_quad_reference():
     assert not conv
     assert kap == pytest.approx(
         _quad_chunks(lambda t: 1.0 / (t * math.log(E + t))), rel=1e-12)
-    val, conv = young.bp_check(young.llogl(1), 2.0)
+    val, conv = _bp(young.llogl(1), 2.0)
     assert conv
     assert val == pytest.approx(
         _quad_chunks(lambda t: math.log(E + t) / t**2), rel=1e-12)
@@ -801,12 +756,12 @@ def test_log_quadrature_gauss_exact_to_degree_47():
 
 
 def test_bp_critical_exponent_diverges():
-    _, conv = young.bp_check(young.power(2), 2.0)
+    _, conv = _bp(young.power(2), 2.0)
     assert not conv
 
 
 def test_bp_llogl_converges():
-    val, conv = young.bp_check(young.llogl(1), 2.0)
+    val, conv = _bp(young.llogl(1), 2.0)
     assert conv and val > 0
 
 
@@ -864,9 +819,7 @@ def test_parse_format_round_trip():
         assert young.format_young(A) == expr
     # phi(j) is a name for llogl(j), the same formula
     assert young.parse_young("phi(3)") == young.llogl(3)
-    # the two families with no literal of their own
-    assert young.format_young(young.complementary(young.power(1))) \
-        == "linf(1)"
+    # the family with no literal of its own
     table = young.tabulated([1.0, 2.0, 3.0], [1.0, 3.0, 6.0])
     assert young.format_young(table) == "table[4 knots]"
 
