@@ -289,7 +289,12 @@ def conjugate_value(A: YoungFunction, t):
             out[pos] = np.where(tp <= c, 0.0, np.inf)
         else:
             rp = r / (r - 1.0)
-            out[pos] = 1.0 / (rp * (c * r) ** (rp / r)) * tp ** rp
+            try:
+                out[pos] = 1.0 / (rp * (c * r) ** (rp / r)) * tp ** rp
+            except (OverflowError, ZeroDivisionError):
+                # (c r)^(r'/r) over- or underflows a float: scale t first
+                with np.errstate(over="ignore"):
+                    out[pos] = (tp / (c * r) ** (1.0 / r)) ** rp / rp
     else:
         hi, act = np.ones_like(tp), np.arange(tp.size)
         while act.size:  # s t - A(s) decreases once A(s)/s >= t

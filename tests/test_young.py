@@ -142,6 +142,21 @@ def test_conjugate_of_linear_growth():
         young.conjugate_value(A, 3.0)
 
 
+def test_conjugate_of_power_near_linear_growth():
+    # r' = 10001: (c r)^(r'/r) is past a float, the conjugate is not
+    A = young.power(1.0001, 5.0)
+    assert young.conjugate_value(A, np.array([1.0, 10.0])).tolist() == \
+        [0.0, np.inf]
+    assert young.conjugate_value(A, 1.0) == 0.0
+    with pytest.raises(young.UnboundedConjugateError):
+        young.conjugate_value(A, 10.0)
+    # and where it underflows, its reciprocal is past a float
+    A = young.power(1.0001, 1e-5)
+    assert young.conjugate_value(A, np.array([1e-6, 1.0])).tolist() == \
+        [0.0, np.inf]
+    assert young.conjugate_value(A, 1e-6) == 0.0
+
+
 def test_unbounded_conjugate_is_inf_not_a_number():
     # final slope 2: the sup of s t - A(s) is +inf for every t > 2
     A = young.tabulated([0, 1, 2, 3], [0, 1, 3, 5])
