@@ -120,11 +120,6 @@ def is_clipped(cube: Cube, grid: Grid) -> bool:
     return any(c < 0 or c + cube.side > N for c in cube.origin)
 
 
-def contains(outer: Cube, inner: Cube) -> bool:
-    return all(o <= i and i + inner.side <= o + outer.side
-               for o, i in zip(outer.origin, inner.origin))
-
-
 def children(cube: Cube) -> list:
     """The 2^n dyadic children of a base-lattice cube."""
     if cube.lattice != BASE:
@@ -137,19 +132,6 @@ def children(cube: Cube) -> list:
         o = tuple(c + d * h for c, d in zip(cube.origin, offs))
         out.append(Cube(BASE, cube.level + 1, o, h))
     return out
-
-
-def triple(cube: Cube, grid: Grid) -> Cube:
-    """3Q of a base-lattice cube, as a member of its shifted lattice."""
-    if cube.lattice != BASE:
-        raise GeometryError("triple is defined on the base lattice")
-    s = cube.side
-    origin = tuple(c - s for c in cube.origin)
-    digits = tuple((o // s) % 3 for o in origin)
-    lat = 0
-    for d in digits:
-        lat = lat * 3 + d
-    return Cube(lat, cube.level, origin, 3 * s)
 
 
 def dilate(cube: Cube, factor: int) -> Cube:
@@ -176,16 +158,6 @@ class GridFunction:
                 f"cell array shape {arr.shape} != grid shape {self.grid.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
-
-
-def grid_function(grid: Grid, fn) -> GridFunction:
-    """Sample fn at cell centers (midpoint rule cell averages)."""
-    if grid.n == 1:
-        x = grid.cell_centers(0)
-        return GridFunction(grid, np.asarray(fn(x), dtype=float))
-    x = grid.cell_centers(0)[:, None]
-    y = grid.cell_centers(1)[None, :]
-    return GridFunction(grid, np.asarray(fn(x, y), dtype=float))
 
 
 # -- shifted lattices ---------------------------------------------------------
@@ -327,17 +299,6 @@ def block_mean(mask: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Per-cube averages over the domain cells of a block of
     scope_blocks."""
     return (block * mask).sum(axis=1) / mask.sum(axis=1)
-
-
-def descendants(cube: Cube, max_level: int) -> list:
-    out = []
-    stack = [cube]
-    while stack:
-        q = stack.pop()
-        out.append(q)
-        if q.level < max_level:
-            stack.extend(reversed(children(q)))
-    return out
 
 
 # -- Calderon-Zygmund decomposition ------------------------------------------

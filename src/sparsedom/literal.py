@@ -3,10 +3,10 @@
     literal := name [ "(" [ arg { "," arg } ] ")" ] [ "+" number ]
     arg     := key "=" arg | number | literal | string
 
-Names and keys are [a-z_]+; a number is [-+0-9.eE]+, so inf and nan are not
-numbers.  `name` and `name()` are one literal.  An argument that opens a
-parenthesis after a name is a nested literal; any other argument that is not
-a number is a bare string (a path) up to the next "," or ")".
+Names and keys are [a-z_]+; a number is a finite [-+0-9.eE]+: inf and nan are
+strings, 1e999 an error.  `name` and `name()` are one literal.  An argument
+that opens a parenthesis after a name is a nested literal; any other argument
+that is not a number is a bare string (a path) up to the next "," or ")".
 """
 
 import re
@@ -71,6 +71,8 @@ def _literal(s: str, pos: int, error: type):
 
 def _number(raw: str, error: type) -> float:
     try:
-        return float(raw)
+        if abs(x := float(raw)) < float("inf"):  # 1e999 overflows to inf
+            return x
     except ValueError:
-        raise error(f"expected a number, got {raw!r}") from None
+        pass
+    raise error(f"expected a finite number, got {raw!r}")

@@ -65,14 +65,6 @@ class Kernel:
     conv: object  # callable (u array, h) -> values
     params: dict = field(default_factory=dict)
 
-    def evaluate(self, x, y, h: float = 0.0):
-        if self.n == 1:
-            return self.conv(np.asarray(x, dtype=float)
-                             - np.asarray(y, dtype=float), h)
-        u1 = np.asarray(x[0], dtype=float) - np.asarray(y[0], dtype=float)
-        u2 = np.asarray(x[1], dtype=float) - np.asarray(y[1], dtype=float)
-        return self.conv(u1, u2, h)
-
     def spec(self, grid: Grid) -> tuple:
         """Canonical content key of the kernel on a grid: family and params,
         or for a kernel without params a sha256 of its profile on the
@@ -167,14 +159,14 @@ def make_counter(r: float = 2.0, beta: float = 1.0, eta: float = 4.0) -> Kernel:
 def make_homog(omega_samples) -> Kernel:
     """Homogeneous kernel Omega((x-y)/|x-y|) / |x-y|^2 in the plane.
 
-    omega_samples are values on a uniform angular grid over [0, 2pi); the
-    profile is interpolated periodically.  Mean zero is required.
+    omega_samples are finite values of mean zero on a uniform angular
+    grid over [0, 2pi); the profile is interpolated periodically.
     """
     om = np.asarray(omega_samples, dtype=float)
     if om.ndim != 1 or len(om) < 4:
         raise OperatorError("need at least 4 angular samples")
-    if abs(om.mean()) > 1e-10:
-        raise OperatorError("angular part must have mean zero")
+    if not (np.all(np.isfinite(om)) and abs(om.mean()) <= 1e-10):
+        raise OperatorError("angular samples must be finite, of mean zero")
     M = len(om)
     theta = np.arange(M + 1) * (2 * math.pi / M)
     omp = np.concatenate([om, om[:1]])
@@ -443,20 +435,6 @@ def commutator_apply(K: Kernel, spec: CommutatorSpec, f: GridFunction,
         tf *= ((-1) ** h) * math.comb(spec.m, h) * bc ** (spec.m - h)
         out += tf
     return GridFunction(grid, out)
-
-
-def commutator_recursive(K: Kernel, spec: CommutatorSpec,
-                         f: GridFunction) -> GridFunction:
-    """Direct recursion T_b^m f = b T_b^(m-1) f - T_b^(m-1)(b f); the oracle
-    the expansion is tested against."""
-    if spec.m == 0:
-        return apply_operator(K, f)
-    grid = f.grid
-    inner = CommutatorSpec(spec.b, spec.m - 1)
-    t1 = commutator_recursive(K, inner, f).cells
-    t2 = commutator_recursive(
-        K, inner, GridFunction(grid, spec.b.cells * f.cells)).cells
-    return GridFunction(grid, spec.b.cells * t1 - t2)
 
 
 # -- the dyadic maximal operator ----------------------------------------------

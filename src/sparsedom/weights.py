@@ -1,5 +1,5 @@
-"""Muckenhoupt constants, reverse Holder and absorption checks, BMO norms,
-level-set decay profiles and exponential-class oscillation norms.
+"""Muckenhoupt, bump and Fujii-Wilson weight constants, dual weights, BMO
+norms and the profile literals of scenario files.
 
 All cube suprema run over the base dyadic lattice plus the 3^n shifted
 lattices down to cell scale, clipped at the domain boundary, one tiling of
@@ -10,13 +10,11 @@ each argument, so both forms are the max of the same rounded quotients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import literal, young
-from .dyadic import (Cube, Grid, GridFunction, block_mean, cube_slices,
-                     cube_values, scope_blocks, scope_tilings)
+from .dyadic import (Grid, GridFunction, block_mean, scope_blocks,
+                     scope_tilings)
 
 
 class WeightError(ValueError):
@@ -177,40 +175,6 @@ def sigma_dual(w: GridFunction, p: float, r: float = 1.0) -> GridFunction:
     return GridFunction(w.grid, sig)
 
 
-def absorption_check(w: GridFunction, Q: Cube, E: np.ndarray,
-                     c_n: float, ainf: float = None) -> tuple:
-    """w(E)/w(Q) <= 2 (|E|/|Q|)^(1/(c_n [w]_Ainf)): returns (lhs, rhs, pass)."""
-    as_weight(w)
-    grid = w.grid
-    sl = cube_slices(Q, grid)
-    qmask = np.zeros(grid.shape, dtype=bool)
-    qmask[sl] = True
-    if np.any(E & ~qmask):
-        raise WeightError("E must lie inside Q")
-    wq = float(w.cells[qmask].sum())
-    we = float(w.cells[E].sum())
-    lhs = we / wq
-    frac = float(E.sum()) / float(qmask.sum())
-    if ainf is None:
-        ainf = weight_constant(w, "AinfFW")
-    rhs = 2.0 * frac ** (1.0 / (c_n * ainf))
-    return lhs, rhs, bool(lhs <= rhs * (1 + 1e-12))
-
-
-def reverse_holder_check(w: GridFunction, Q: Cube, tau_n: float,
-                         ainf: float = None) -> tuple:
-    """(avg w^r)^(1/r) <= 2 avg w at r = 1 + 1/(tau_n [w]_Ainf):
-    returns (r_w, lhs, rhs, pass)."""
-    as_weight(w)
-    vals = cube_values(w, Q).ravel()
-    if ainf is None:
-        ainf = weight_constant(w, "AinfFW")
-    r = 1.0 + 1.0 / (tau_n * ainf)
-    lhs = float((vals ** r).mean()) ** (1.0 / r)
-    rhs = 2.0 * float(vals.mean())
-    return r, lhs, rhs, bool(lhs <= rhs * (1 + 1e-12))
-
-
 def bmo_norm(b: GridFunction) -> float:
     """sup over scope cubes of the mean oscillation (1/|Q|) int_Q |b - b_Q|."""
     return _scope_sup(b.grid, lambda m, v: block_mean(
@@ -224,47 +188,6 @@ def _scope_sup(grid: Grid, value, *arrays) -> float:
     return float(np.max([value(m, *blocks).max()
                          for _, m, *blocks in scope_blocks(grid, True,
                                                            *arrays)]))
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    slope: float
-    intercept: float
-    residual: float
-    n_points: int
-
-
-def jn_profile(b: GridFunction, Q: Cube) -> DecayFit:
-    """Least-squares fit of log(|{|b - b_Q| > alpha}| / |Q|) against alpha.
-
-    Raises on constant b (no level sets to fit)."""
-    vals = cube_values(b, Q)
-    vals = np.abs(vals - vals.mean()).ravel()
-    top = float(vals.max())
-    if top <= 0:
-        raise WeightError("oscillation vanishes, nothing to fit")
-    alphas = np.linspace(0.0, top, 33)[:-1]
-    meas = np.array([(vals > a).mean() for a in alphas])
-    keep = meas > 0
-    alphas, meas = alphas[keep], meas[keep]
-    if len(alphas) < 2:
-        raise WeightError("level sets collapse immediately, nothing to fit")
-    y = np.log(meas)
-    slope, intercept = np.polyfit(alphas, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * alphas + intercept)) ** 2)))
-    return DecayFit(float(slope), float(intercept), resid, len(alphas))
-
-
-def osc_exp_norm(b: GridFunction, Q: Cube, w: GridFunction, j: int) -> float:
-    """Weighted Luxemburg norm of |b - b_Q|^j in the exponential class
-    exp(t^(1/j)) - 1 over Q."""
-    if j < 1:
-        raise WeightError("j must be >= 1")
-    as_weight(w)
-    vals = cube_values(b, Q)
-    osc = np.abs(vals - vals.mean()).ravel()
-    mu = cube_values(w, Q).ravel() * b.grid.cell_volume
-    return young.luxemburg_norm(osc ** j, mu, young.expl(1.0 / j))
 
 
 # -- scenario literals ---------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Young-function algebra: evaluation, conjugates, Luxemburg norms and the
-endpoint constants used throughout the lab.
+"""Young-function algebra: evaluation, conjugate inverses, Luxemburg norms
+and the endpoint constants used throughout the lab.
 
 A Young function here is a convex increasing A:[0,inf) -> [0,inf) with
 A(0) = 0, drawn from a closed catalog of parametric families plus a
@@ -34,10 +34,6 @@ TABLE = "table"
 
 class YoungError(ValueError):
     pass
-
-
-class UnboundedConjugateError(YoungError):
-    """Raised when sup_s {s t - A(s)} = +inf inside the requested range."""
 
 
 class RangeError(YoungError):
@@ -267,58 +263,6 @@ def from_inverse(inv) -> YoungFunction:
 
 
 # -- conjugate function -----------------------------------------------------
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def conjugate_value(A: YoungFunction, t):
-    """Legendre transform sup_{s>0} {s t - A(s)}, elementwise: a doubling
-    bracket in s, then golden-section search on the concave s t - A(s);
-    closed form for power laws.  Where the sup is +inf, or too large for a
-    float, an array call gives +inf and a scalar call raises
-    UnboundedConjugateError."""
-    scalar = np.isscalar(t)
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise YoungError("conjugate requested at negative t")
-    out = np.zeros(t.size)
-    pos = np.flatnonzero(t > 0)
-    tp = t.ravel()[pos]
-    if A.family == POWER:
-        r, c = A.params
-        if r == 1.0:  # A = c t: the conjugate is 0 up to c and +inf above
-            out[pos] = np.where(tp <= c, 0.0, np.inf)
-        else:
-            rp = r / (r - 1.0)
-            try:
-                out[pos] = 1.0 / (rp * (c * r) ** (rp / r)) * tp ** rp
-            except (OverflowError, ZeroDivisionError):
-                # (c r)^(r'/r) over- or underflows a float: scale t first
-                with np.errstate(over="ignore"):
-                    out[pos] = (tp / (c * r) ** (1.0 / r)) ** rp / rp
-    else:
-        hi, act = np.ones_like(tp), np.arange(tp.size)
-        while act.size:  # s t - A(s) decreases once A(s)/s >= t
-            av = A._eval(hi[act])
-            act = act[np.isfinite(av) & (av < tp[act] * hi[act])]
-            hi[act] *= 2.0
-            act = act[np.isfinite(hi[act])]
-        # a bracket that closes only where s t overflows: sup out of range
-        fin = np.isfinite(tp * hi)
-        out[pos] = np.inf
-        tp, hi = tp[fin], hi[fin]
-
-        def obj(s, i):
-            # overflow-safe s t - A(s); the sup never sits where A overflows
-            v, st = A._eval(s), s * tp[i]
-            return np.where(np.isfinite(v) & np.isfinite(st), st - v, -np.inf)
-
-        s = _golden_min(lambda s, i: -obj(s, i), np.zeros_like(hi), hi, 200,
-                        lambda b: 1e-14 * np.maximum(b, 1.0))
-        out[pos[fin]] = np.maximum(obj(s, np.arange(tp.size)), 0.0)
-    if scalar and np.isinf(out[0]):
-        raise UnboundedConjugateError(
-            f"conjugate of {format_young(A)} is unbounded at t={float(t)}")
-    return float(out[0]) if scalar else out.reshape(t.shape)
 
 
 def conjugate_inverse_value(A: YoungFunction, y):
@@ -828,12 +772,3 @@ def _from_literal(lit: tuple) -> YoungFunction:
     args = literal.positional(lit, kind, lo, hi, YoungError)
     return make(*(map(_from_literal, args) if kind is tuple else args))
 
-
-def format_young(A: YoungFunction) -> str:
-    if A.family == TABLE:
-        return f"table[{len(A.knots_t)} knots]"
-    params = A.params
-    if A.family == POWER and params[1] == 1.0:
-        params = params[:1]  # power's default c = 1 is left out
-    args = [format_young(B) for B in A.parts] + [f"{p:g}" for p in params]
-    return f"{A.family}({','.join(args)})"

@@ -1,0 +1,154 @@
+"""Reference forms that the tests compare the package against.
+
+No program path runs these: each is the direct form of something the
+package computes another way (a commutator by recursion, a Legendre
+transform by search, a kernel at points), or a helper that only tests
+need (cube relations, sampled functions, gauge names for test ids).
+"""
+
+import numpy as np
+
+from sparsedom import young
+from sparsedom.dyadic import (BASE, Cube, GeometryError, Grid, GridFunction,
+                              children)
+from sparsedom.operators import CommutatorSpec, Kernel, apply_operator
+
+# -- Young functions ----------------------------------------------------------
+
+
+class UnboundedConjugateError(young.YoungError):
+    """Raised when sup_s {s t - A(s)} = +inf inside the requested range."""
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def conjugate_value(A: young.YoungFunction, t):
+    """Legendre transform sup_{s>0} {s t - A(s)}, elementwise: a doubling
+    bracket in s, then golden-section search on the concave s t - A(s);
+    closed form for power laws.  Where the sup is +inf, or too large for a
+    float, an array call gives +inf and a scalar call raises
+    UnboundedConjugateError."""
+    scalar = np.isscalar(t)
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise young.YoungError("conjugate requested at negative t")
+    out = np.zeros(t.size)
+    pos = np.flatnonzero(t > 0)
+    tp = t.ravel()[pos]
+    if A.family == young.POWER:
+        r, c = A.params
+        if r == 1.0:  # A = c t: the conjugate is 0 up to c and +inf above
+            out[pos] = np.where(tp <= c, 0.0, np.inf)
+        else:
+            rp = r / (r - 1.0)
+            try:
+                out[pos] = 1.0 / (rp * (c * r) ** (rp / r)) * tp ** rp
+            except (OverflowError, ZeroDivisionError):
+                # (c r)^(r'/r) over- or underflows a float: scale t first
+                with np.errstate(over="ignore"):
+                    out[pos] = (tp / (c * r) ** (1.0 / r)) ** rp / rp
+    else:
+        hi, act = np.ones_like(tp), np.arange(tp.size)
+        while act.size:  # s t - A(s) decreases once A(s)/s >= t
+            av = A._eval(hi[act])
+            act = act[np.isfinite(av) & (av < tp[act] * hi[act])]
+            hi[act] *= 2.0
+            act = act[np.isfinite(hi[act])]
+        # a bracket that closes only where s t overflows: sup out of range
+        fin = np.isfinite(tp * hi)
+        out[pos] = np.inf
+        tp, hi = tp[fin], hi[fin]
+
+        def obj(s, i):
+            # overflow-safe s t - A(s); the sup never sits where A overflows
+            v, st = A._eval(s), s * tp[i]
+            return np.where(np.isfinite(v) & np.isfinite(st), st - v, -np.inf)
+
+        s = young._golden_min(lambda s, i: -obj(s, i), np.zeros_like(hi), hi,
+                              200, lambda b: 1e-14 * np.maximum(b, 1.0))
+        out[pos[fin]] = np.maximum(obj(s, np.arange(tp.size)), 0.0)
+    if scalar and np.isinf(out[0]):
+        raise UnboundedConjugateError(
+            f"conjugate of {format_young(A)} is unbounded at t={float(t)}")
+    return float(out[0]) if scalar else out.reshape(t.shape)
+
+
+def format_young(A: young.YoungFunction) -> str:
+    """The literal of a catalog gauge, which young.parse_young reads back;
+    a tabulated gauge has none and is named by its knot count."""
+    if A.family == young.TABLE:
+        return f"table[{len(A.knots_t)} knots]"
+    params = A.params
+    if A.family == young.POWER and params[1] == 1.0:
+        params = params[:1]  # power's default c = 1 is left out
+    args = [format_young(B) for B in A.parts] + [f"{p:g}" for p in params]
+    return f"{A.family}({','.join(args)})"
+
+
+# -- operators ----------------------------------------------------------------
+
+
+def evaluate(K: Kernel, x, y, h: float = 0.0):
+    """K(x, y) = conv(x - y) at points, with h the regularizing cell
+    width (h = 0 means no regularization)."""
+    if K.n == 1:
+        return K.conv(np.asarray(x, dtype=float)
+                      - np.asarray(y, dtype=float), h)
+    u1 = np.asarray(x[0], dtype=float) - np.asarray(y[0], dtype=float)
+    u2 = np.asarray(x[1], dtype=float) - np.asarray(y[1], dtype=float)
+    return K.conv(u1, u2, h)
+
+
+def commutator_recursive(K: Kernel, spec: CommutatorSpec,
+                         f: GridFunction) -> GridFunction:
+    """Direct recursion T_b^m f = b T_b^(m-1) f - T_b^(m-1)(b f); the oracle
+    the expansion is tested against."""
+    if spec.m == 0:
+        return apply_operator(K, f)
+    grid = f.grid
+    inner = CommutatorSpec(spec.b, spec.m - 1)
+    t1 = commutator_recursive(K, inner, f).cells
+    t2 = commutator_recursive(
+        K, inner, GridFunction(grid, spec.b.cells * f.cells)).cells
+    return GridFunction(grid, spec.b.cells * t1 - t2)
+
+
+# -- grids and cubes ----------------------------------------------------------
+
+
+def grid_function(grid: Grid, fn) -> GridFunction:
+    """Sample fn at cell centers (midpoint rule cell averages)."""
+    if grid.n == 1:
+        x = grid.cell_centers(0)
+        return GridFunction(grid, np.asarray(fn(x), dtype=float))
+    x = grid.cell_centers(0)[:, None]
+    y = grid.cell_centers(1)[None, :]
+    return GridFunction(grid, np.asarray(fn(x, y), dtype=float))
+
+
+def contains(outer: Cube, inner: Cube) -> bool:
+    return all(o <= i and i + inner.side <= o + outer.side
+               for o, i in zip(outer.origin, inner.origin))
+
+
+def triple(cube: Cube, grid: Grid) -> Cube:
+    """3Q of a base-lattice cube, as a member of its shifted lattice."""
+    if cube.lattice != BASE:
+        raise GeometryError("triple is defined on the base lattice")
+    s = cube.side
+    origin = tuple(c - s for c in cube.origin)
+    digits = tuple((o // s) % 3 for o in origin)
+    lat = 0
+    for d in digits:
+        lat = lat * 3 + d
+    return Cube(lat, cube.level, origin, 3 * s)
+
+
+def descendants(cube: Cube, max_level: int) -> list:
+    out = []
+    stack = [cube]
+    while stack:
+        q = stack.pop()
+        out.append(q)
+        if q.level < max_level:
+            stack.extend(reversed(children(q)))
+    return out

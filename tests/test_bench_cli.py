@@ -73,6 +73,9 @@ def test_unknown_and_unread_scenario_keys_rejected(tmp_path, capsys):
     ("strong_dini_m1", "kernel", "dini(omega=power(0.5),ck=1,delta=0.3)"),
     # a cell matrix is no kernel family
     ("strong_hilbert_m0", "kernel", "matrix(path=m.csv)"),
+    # a number past the float range, in a gauge and in a kernel
+    ("sparse_hilbert_m0", "gauge_a", "power(1e999)"),
+    ("sparse_counter_m0", "kernel", "counter(r=2,beta=1,eta=1e999)"),
     # values that would fail at run time: the strong bound's gauge
     # constant needs r >= 1, the loglog bump of m >= 1 a positive eps
     ("strong_hilbert_m0", "r", "0.5"),

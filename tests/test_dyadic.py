@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from sparsedom import dyadic as dy
 
+from oracles import contains, descendants, grid_function, triple
+
 
 def test_grid_rejects_bad_parameters():
     with pytest.raises(dy.GeometryError):
@@ -71,7 +73,7 @@ def test_triple_lands_in_exactly_one_lattice(k, pos):
     s = 1 << (6 - k)
     origin = ((pos * s) % 64,)
     q = dy.Cube(dy.BASE, k, origin, s)
-    t = dy.triple(q, grid)
+    t = triple(q, grid)
     hits = [lat for lat in dy.build_lattices(grid)
             if t in lat.cubes_at_level(k)]
     assert len(hits) == 1
@@ -83,7 +85,7 @@ def test_triple_unique_lattice_2d(k, i, j):
     grid = dy.Grid(2, (0.0, 0.0), 1.0, 3)
     s = 1 << (3 - k)
     q = dy.Cube(dy.BASE, k, ((i * s) % 8, (j * s) % 8), s)
-    t = dy.triple(q, grid)
+    t = triple(q, grid)
     hits = [lat for lat in dy.build_lattices(grid)
             if t in lat.cubes_at_level(k)]
     assert len(hits) == 1
@@ -101,7 +103,7 @@ def test_dilate_margins():
 def test_grid_function_checks_shape(unit_grid):
     with pytest.raises(dy.GeometryError):
         dy.GridFunction(unit_grid, np.zeros(3))
-    f = dy.grid_function(unit_grid, lambda x: x * 0 + 1.0)
+    f = grid_function(unit_grid, lambda x: x * 0 + 1.0)
     with pytest.raises(ValueError):
         f.cells[0] = 2.0
 
@@ -109,7 +111,7 @@ def test_grid_function_checks_shape(unit_grid):
 def test_descendants_count(unit_grid):
     q = dy.Cube(dy.BASE, 4, (0,), 4)
     # levels 4, 5, 6: 1 + 2 + 4 cubes
-    assert len(dy.descendants(q, 6)) == 7
+    assert len(descendants(q, 6)) == 7
 
 
 def test_base_cubes_count(unit_grid):
@@ -132,10 +134,10 @@ def _brute_cz(g, Q0, lam):
     """Oracle: all dyadic subcubes of Q0 with average above lam, filtered to
     the maximal ones (no strict ancestor also selected)."""
     grid = g.grid
-    hits = [q for q in dy.descendants(Q0, grid.level)
+    hits = [q for q in descendants(Q0, grid.level)
             if float(dy.cube_values(g, q).mean()) > lam]
     out = [q for q in hits
-           if not any(o != q and dy.contains(o, q) for o in hits)]
+           if not any(o != q and contains(o, q) for o in hits)]
     out.sort(key=dy.Cube.sort_key)
     return out
 
@@ -161,7 +163,7 @@ def test_cz_selected_averages_bracket(unit_grid, rng):
     Q0 = unit_grid.root_cube()
     lam = 2.0 * float(cells.mean())
     sel = dy.cz_decompose(g, Q0, lam)
-    by_key = {q.sort_key(): q for q in dy.descendants(Q0, unit_grid.level)}
+    by_key = {q.sort_key(): q for q in descendants(Q0, unit_grid.level)}
     for q in sel:
         assert float(dy.cube_values(g, q).mean()) > lam
         if q.level > 0:
@@ -171,17 +173,17 @@ def test_cz_selected_averages_bracket(unit_grid, rng):
 
 
 def test_cz_root_selected_when_average_large(unit_grid):
-    g = dy.grid_function(unit_grid, lambda x: x * 0 + 5.0)
+    g = grid_function(unit_grid, lambda x: x * 0 + 5.0)
     Q0 = unit_grid.root_cube()
     assert dy.cz_decompose(g, Q0, 1.0) == [Q0]
 
 
 def test_cz_rejects_bad_input(unit_grid):
-    g = dy.grid_function(unit_grid, lambda x: x * 0 + 1.0)
+    g = grid_function(unit_grid, lambda x: x * 0 + 1.0)
     Q0 = unit_grid.root_cube()
     with pytest.raises(dy.GeometryError):
         dy.cz_decompose(g, Q0, 0.0)
-    neg = dy.grid_function(unit_grid, lambda x: x - 0.5)
+    neg = grid_function(unit_grid, lambda x: x - 0.5)
     with pytest.raises(dy.GeometryError):
         dy.cz_decompose(neg, Q0, 1.0)
 

@@ -41,7 +41,9 @@ def test_grammar_tuples():
 
 @pytest.mark.parametrize("text", ["", "1.5", "Hilbert", "f(", "f(1", "f(1,)",
                                   "f(1))", "f(1)x", "f(1e)", "f(a=1,a=2)",
-                                  "f(1)+", "f(1)+x", "f(g(1)(2))"])
+                                  "f(1)+", "f(1)+x", "f(g(1)(2))",
+                                  # past the float range: no finite number
+                                  "f(1e999)", "f(a=-1e999)", "f(1)+1e999"])
 def test_grammar_rejects_with_the_callers_error(text):
     with pytest.raises(LiteralError):
         _parse(text)

@@ -11,17 +11,19 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from sparsedom import operators as op
 from sparsedom import young
 from sparsedom.dyadic import (BASE, Cube, Grid, GridFunction, base_cubes,
-                              cube_slices, descendants, dilate, grid_function,
-                              is_clipped, triple)
+                              cube_slices, dilate, is_clipped)
 from sparsedom.frozen import FROZEN
 from sparsedom.weights import parse_profile, weight_constant
+
+from oracles import (commutator_recursive, descendants, evaluate,
+                     grid_function, triple)
 
 
 def test_hilbert_pointwise():
     K = op.make_hilbert()
-    assert K.evaluate(2.0, 0.0) == 0.5
-    assert K.evaluate(0.0, 2.0) == -0.5
-    assert K.evaluate(1.0, 1.0) == 0.0
+    assert evaluate(K, 2.0, 0.0) == 0.5
+    assert evaluate(K, 0.0, 2.0) == -0.5
+    assert evaluate(K, 1.0, 1.0) == 0.0
 
 
 def test_counter_radial_arithmetic():
@@ -39,7 +41,7 @@ def test_counter_radial_arithmetic():
 def test_counter_kernel_support():
     K = op.make_counter(2.0, 1.0, eta=4.0)
     u = np.array([2.0, 3.5, 4.5, 5.5])
-    vals = K.evaluate(u, np.zeros(4))
+    vals = evaluate(K, u, np.zeros(4))
     assert vals[0] == 0.0 and vals[3] == 0.0
     assert vals[1] > 0.0 and vals[2] > 0.0
 
@@ -78,6 +80,13 @@ def test_homog_requires_mean_zero():
     assert K.n == 2
 
 
+def test_homog_rejects_non_finite_samples():
+    # their mean is NaN, which no mean-zero comparison catches
+    for bad in ([1.0, np.nan, -1.0, 0.0], [np.inf, -np.inf, 0.0, 0.0]):
+        with pytest.raises(op.OperatorError, match="finite"):
+            op.make_homog(bad)
+
+
 def _homog_where(om):
     """make_homog's profile as one expression of new arrays: the oracle
     the in-place evaluation is tested against."""
@@ -114,7 +123,7 @@ def test_homog_profile_bitwise_reference(L):
                    (axis[None, :], axis[:, None])):
         assert K.conv(u1, u2, h).tobytes() == want(u1, u2, h).tobytes()
     for x in ((0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, h), (-h, -0.0)):
-        got = K.evaluate(x, (0.0, 0.0), h)
+        got = evaluate(K, x, (0.0, 0.0), h)
         assert got.tobytes() == want(*map(np.asarray, x), h).tobytes(), x
 
 
@@ -596,7 +605,7 @@ def test_commutator_binomial_matches_recursion(rng):
         for m in (1, 2, 3):
             spec = op.CommutatorSpec(b, m)
             lhs = op.commutator_apply(K, spec, f).cells
-            rhs = op.commutator_recursive(K, spec, f).cells
+            rhs = commutator_recursive(K, spec, f).cells
             scale = max(float(np.abs(rhs).max()), 1.0)
             assert np.abs(lhs - rhs).max() <= 1e-12 * scale, \
                 (K.family, grid.level, m)
@@ -1040,7 +1049,7 @@ def _annulus_reference(K, A, grid, q, x, z, k_max):
         ys = [grid.cell_centers(i)[idx[i]] for i in range(n)]
         y = ys[0] if n == 1 else ys
         px, pz = (xc[0], zc[0]) if n == 1 else (xc, zc)
-        d = K.evaluate(px, y, h) - K.evaluate(pz, y, h)
+        d = evaluate(K, px, y, h) - evaluate(K, pz, y, h)
         inner = np.ones(d.shape, dtype=bool)
         for i in range(n):
             inner &= (idx[i] >= small.origin[i]) \

@@ -18,6 +18,8 @@ from sparsedom.dyadic import (Grid, GridFunction, block_mean, cube_slices,
                               scope_blocks, scope_cubes, scope_tilings,
                               spread_max)
 
+from oracles import format_young
+
 GRIDS = [Grid(1, (-0.5,), 1.0, 5), Grid(2, (-0.5, -0.5), 1.0, 3)]
 CASES = [(g, sh) for g in GRIDS for sh in (False, True)]
 IDS = [f"{g.n}d-L{g.level}-{'shifted' if sh else 'base'}" for g, sh in CASES]
@@ -280,7 +282,7 @@ def test_scope_broadcast_masks_keep_maximal_bits(grid, shifted, monkeypatch):
 
 
 @pytest.mark.parametrize("A", [young.lll(1, 1.5), young.llogl(1.5)],
-                         ids=lambda A: f"MA-{young.format_young(A)}")
+                         ids=lambda A: f"MA-{format_young(A)}")
 def test_maximal_peak_memory_capped(A):
     # plane's endpoint maximal operators on its weight (2D L7, 128 KiB per
     # array) hold one level's block and Jensen state at a time, the floors
@@ -304,7 +306,7 @@ def test_maximal_peak_memory_capped(A):
 
 
 @pytest.mark.parametrize("A", [young.lll(1, 1.5), young.llogl(1.5)],
-                         ids=young.format_young)
+                         ids=format_young)
 def test_scope_luxemburg_evaluations_per_cell_on_plane_endpoint(A,
                                                                  monkeypatch):
     # plane's endpoint maximal operator on its weight (2D L7, base

@@ -7,13 +7,11 @@ bodies until nothing new is reached, and fails on any top-level function,
 class or method left over.  Names resolve by spelling: a bare name reaches
 the top-level definitions of that name in any module, an attribute or a
 string (the tracer binds by string) also reaches methods, and a reached
-class brings its body and its dunder methods.  This over-approximates the
-call graph: a flagged name is unreached unless a computed string looks it
-up.
-
-ORACLES are kept for the tests only: each is the reference that a test
-compares live code against.  They and what they use are exempt, and an
-oracle the program comes to reach leaves the list.
+class brings its body and its dunder methods.  An import statement uses
+no name: a definition that is imported and never used is unreached.  This
+over-approximates the call graph: a flagged name is unreached unless a
+computed string looks it up.  The references that tests compare the
+package against live in tests/oracles.py, outside the package.
 """
 
 import ast
@@ -22,15 +20,12 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sparsedom"
 
-ORACLES = ("operators.commutator_recursive", "operators.Kernel.evaluate",
-           "dyadic.grid_function", "dyadic.descendants", "dyadic.contains",
-           "dyadic.triple", "young.conjugate_value")
-
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _names(nodes):
-    """(bare names, attribute-like names) used anywhere under nodes."""
+    """(bare names, attribute-like names) used anywhere under nodes; a
+    name that an import statement binds counts only where it is used."""
     bare, attrs = set(), set()
     for node in nodes:
         for sub in ast.walk(node):
@@ -38,9 +33,6 @@ def _names(nodes):
                 bare.add(sub.id)
             elif isinstance(sub, ast.Attribute):
                 attrs.add(sub.attr)
-            elif isinstance(sub, ast.alias):
-                bare.update((sub.asname or sub.name).split("."))
-                attrs.update(sub.name.split("."))
             elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
                 attrs.update(p for p in sub.value.split(".")
                              if p.isidentifier())
@@ -103,12 +95,5 @@ def _program_roots(tables):
 
 def test_every_definition_is_reached():
     defs, tables = _definitions()
-    bare, attrs = _program_roots(tables)
-    program = _reach(defs, bare, attrs)
-    oracles = {k.rsplit(".", 1)[1] for k in ORACLES}
-    reached = _reach(defs, bare | oracles, attrs | oracles)
-    unreached = sorted(set(defs) - reached)
+    unreached = sorted(set(defs) - _reach(defs, *_program_roots(tables)))
     assert not unreached, f"no program path reaches {unreached}"
-    assert set(ORACLES) <= set(defs), "an oracle is no longer defined"
-    assert not program & set(ORACLES), \
-        f"the program reaches oracles {sorted(program & set(ORACLES))}"

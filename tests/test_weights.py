@@ -1,6 +1,9 @@
-"""Weight constants, reverse Holder, absorption, BMO and oscillation norms."""
+"""Weight constants, BMO norms and profile literals, and the reverse Holder,
+absorption and oscillation-norm checks of scripts/fit_constants.py."""
 
+import importlib.util
 import math
+import os
 import warnings
 
 import numpy as np
@@ -13,6 +16,12 @@ from sparsedom import young
 from sparsedom.dyadic import Grid, GridFunction
 from sparsedom.frozen import FROZEN
 from sparsedom.operators import counter_young
+
+_SPEC = importlib.util.spec_from_file_location(
+    "fit_constants", os.path.join(os.path.dirname(__file__), "..", "scripts",
+                                  "fit_constants.py"))
+fit = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(fit)
 
 
 def test_unit_weight_constants_are_one(unit_grid):
@@ -126,13 +135,13 @@ def test_absorption_extreme_sets(unit_grid, rng):
     Q = unit_grid.root_cube()
     c_n = FROZEN["absorption_c_n"][1]
     full = np.ones(unit_grid.shape, dtype=bool)
-    lhs, rhs, ok = W.absorption_check(w, Q, full, c_n)
+    lhs, rhs, ok = fit.absorption_check(w, Q, full, c_n)
     assert (lhs, rhs, ok) == (1.0, 2.0, True)
     empty = np.zeros(unit_grid.shape, dtype=bool)
-    assert W.absorption_check(w, Q, empty, c_n)[2]
+    assert fit.absorption_check(w, Q, empty, c_n)[2]
     rand = np.zeros(unit_grid.shape, dtype=bool)
     rand.ravel()[rng.permutation(64)[:16]] = True
-    assert W.absorption_check(w, Q, rand, c_n)[2]
+    assert fit.absorption_check(w, Q, rand, c_n)[2]
 
 
 def test_absorption_rejects_outside_sets(unit_grid):
@@ -144,7 +153,7 @@ def test_absorption_rejects_outside_sets(unit_grid):
     from sparsedom.dyadic import children
     small = children(Q)[1]
     with pytest.raises(W.WeightError):
-        W.absorption_check(w, small, half, 1.0)
+        fit.absorption_check(w, small, half, 1.0)
 
 
 def test_reverse_holder_passes_at_frozen(unit_grid, rng):
@@ -154,7 +163,7 @@ def test_reverse_holder_passes_at_frozen(unit_grid, rng):
                   rng.lognormal(0.0, 0.5, unit_grid.shape),
                   np.abs(unit_grid.cell_centers(0) - 0.5) ** 0.5 + 0.01):
         w = GridFunction(unit_grid, cells)
-        r, lhs, rhs, ok = W.reverse_holder_check(w, Q, tau)
+        r, lhs, rhs, ok = fit.reverse_holder_check(w, Q, tau)
         assert r > 1.0
         assert ok, (lhs, rhs)
 
@@ -164,22 +173,9 @@ def test_reverse_holder_breaks_at_small_tau(unit_grid):
     cells = 1.0 + 1000.0 * (np.arange(64) < 4)
     w = GridFunction(unit_grid, cells)
     Q = unit_grid.root_cube()
-    r, lhs, rhs, ok = W.reverse_holder_check(w, Q, 0.05)
+    r, lhs, rhs, ok = fit.reverse_holder_check(w, Q, 0.05)
     assert not ok
     assert lhs > rhs
-
-
-def test_jn_profile_decay(sym_grid):
-    b = W.parse_profile("log_abs", sym_grid)
-    fit = W.jn_profile(b, sym_grid.root_cube())
-    assert fit.slope < 0
-    assert fit.n_points >= 8
-
-
-def test_jn_profile_rejects_constant(sym_grid):
-    b = W.parse_profile("const(1)", sym_grid)
-    with pytest.raises(W.WeightError):
-        W.jn_profile(b, sym_grid.root_cube())
 
 
 def test_jn_frozen_envelope(sym_grid):
@@ -201,7 +197,7 @@ def test_jn_frozen_envelope(sym_grid):
 def test_osc_exp_norm_constant_b_zero(sym_grid):
     one = W.parse_profile("const(1)", sym_grid)
     b = W.parse_profile("const(4)", sym_grid)
-    assert W.osc_exp_norm(b, sym_grid.root_cube(), one, 1) == 0.0
+    assert fit.osc_exp_norm(b, sym_grid.root_cube(), one, 1) == 0.0
 
 
 def test_osc_exp_norm_power_identity(sym_grid):
@@ -210,16 +206,16 @@ def test_osc_exp_norm_power_identity(sym_grid):
     one = W.parse_profile("const(1)", sym_grid)
     b = W.parse_profile("log_abs", sym_grid)
     Q = sym_grid.root_cube()
-    v1 = W.osc_exp_norm(b, Q, one, 1)
+    v1 = fit.osc_exp_norm(b, Q, one, 1)
     for j in (1, 2, 3):
-        vj = W.osc_exp_norm(b, Q, one, j)
+        vj = fit.osc_exp_norm(b, Q, one, j)
         assert vj == pytest.approx(v1 ** j, rel=1e-8)
 
 
 def test_osc_exp_norm_rejects_bad_order(sym_grid):
     one = W.parse_profile("const(1)", sym_grid)
     with pytest.raises(W.WeightError):
-        W.osc_exp_norm(one, sym_grid.root_cube(), one, 0)
+        fit.osc_exp_norm(one, sym_grid.root_cube(), one, 0)
 
 
 # -- literals -------------------------------------------------------------------
