@@ -144,17 +144,6 @@ def _young_of(scn: Scenario, text: str) -> young.YoungFunction:
     return _literal_of(young.parse_young, text)
 
 
-def check_literals(scn: Scenario):
-    """Parse every literal of a scenario, a failure being a scenario
-    error: its kernel, its gauges, and its profiles on each grid level."""
-    _literal_of(parse_kernel, scn.kernel)
-    for text in (scn.A, scn.B, scn.phi):
-        if text:
-            _young_of(scn, text)
-    for L in scn.levels:
-        _level(scn, L, "f", "b", "w")
-
-
 def _literal_of(parse, text: str, *args):
     """parse(text, *args), where a failure is a scenario error."""
     try:
@@ -547,8 +536,7 @@ def constants_dump(scn: Scenario) -> dict:
     blob = json.dumps(entries, sort_keys=True).encode()
     consts = {f"{obj}.{name}": v for obj, name, v in entries}
     consts["table_hash"] = hashlib.sha256(blob).hexdigest()
-    return {"rows": rows, "constants": consts, "pass": True,
-            "entries": entries}
+    return {"rows": rows, "constants": consts, "pass": True}
 
 
 # -- released domination battery ----------------------------------------------
@@ -635,18 +623,23 @@ def run_scenario(scn: Scenario, out_dir: str = None,
     if result.get("vacuous"):
         report["vacuous"] = True
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_atomic(os.path.join(out_dir, "report.json"),
-                      json.dumps(report, sort_keys=True, indent=2) + "\n")
-        _write_atomic(os.path.join(out_dir, "plot.csv"),
-                      _plot_csv(result["rows"]))
-        if scn.kind == "constants":
-            _write_atomic(os.path.join(out_dir, "constants.csv"),
-                          _constants_csv(result["entries"]))
+        write_report(out_dir, report)
         if dump_family and result.get("reports"):
             fam = result["reports"][-1].form
             _write_atomic(dump_family, _family_json(fam))
     return report
+
+
+def write_report(out_dir: str, report: dict):
+    """report.json, plot.csv and, for a constants table, constants.csv."""
+    os.makedirs(out_dir, exist_ok=True)
+    _write_atomic(os.path.join(out_dir, "report.json"),
+                  json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write_atomic(os.path.join(out_dir, "plot.csv"),
+                  _plot_csv(report["rows"]))
+    if report["kind"] == "constants":
+        _write_atomic(os.path.join(out_dir, "constants.csv"),
+                      _constants_csv(report["rows"]))
 
 
 def _plot_csv(rows) -> str:
@@ -659,12 +652,12 @@ def _plot_csv(rows) -> str:
     return buf.getvalue()
 
 
-def _constants_csv(entries) -> str:
+def _constants_csv(rows) -> str:
     buf = io.StringIO()
     wr = csv.writer(buf, lineterminator="\n")
     wr.writerow(["object", "constant", "value"])
-    for obj, name, v in entries:
-        wr.writerow([obj, name, repr(v)])
+    for r in rows:
+        wr.writerow([r["object"], r["constant"], repr(r["lhs"])])
     return buf.getvalue()
 
 

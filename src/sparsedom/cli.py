@@ -20,7 +20,7 @@ import sys
 import time
 
 from .bench import (Scenario, ScenarioError, _validate, _write_atomic,
-                    check_literals, parse_scenario, run_scenario)
+                    parse_scenario, run_scenario, write_report)
 from .frozen import BATTERY_VERSION
 
 
@@ -110,24 +110,28 @@ def cmd_battery(args) -> int:
     paths = sorted(glob.glob(os.path.join(glob.escape(args.directory),
                                           "*.ini")))
     out_root = args.out or "battery.out"
-    # every scenario and literal parses before the first report is written
-    scenarios = []
-    for path in paths:
-        scn = _load(path, args.level, args.seed)
-        check_literals(scn)
-        scenarios.append((os.path.splitext(os.path.basename(path))[0], scn))
-    os.makedirs(out_root, exist_ok=True)
-    results = {}
-    for name, scn in scenarios:
+    # every scenario parses and validates before the first runs, and every
+    # one runs before the first report is written: an error anywhere
+    # leaves no output
+    scenarios = [(path, _load(path, args.level, args.seed)) for path in paths]
+    reports = {}
+    for path, scn in scenarios:
         t0 = time.monotonic()
-        rep = run_scenario(scn, out_dir=os.path.join(out_root, name))
-        results[name] = {"kind": rep["kind"], "pass": rep["pass"]}
-        print(f"{name}: {'pass' if rep['pass'] else 'FAIL'} "
+        try:
+            rep = run_scenario(scn)
+        except (OSError, ValueError) as exc:
+            raise ScenarioError(f"{path}: {exc}") from exc
+        reports[scn.name] = rep
+        print(f"{scn.name}: {'pass' if rep['pass'] else 'FAIL'} "
               f"({time.monotonic() - t0:.1f}s)", file=sys.stderr)
+    os.makedirs(out_root, exist_ok=True)
+    for name, rep in reports.items():
+        write_report(os.path.join(out_root, name), rep)
     summary = {
         "battery_version": BATTERY_VERSION,
-        "scenarios": results,
-        "pass": all(v["pass"] for v in results.values()),
+        "scenarios": {name: {"kind": rep["kind"], "pass": rep["pass"]}
+                      for name, rep in reports.items()},
+        "pass": all(rep["pass"] for rep in reports.values()),
     }
     _write_atomic(os.path.join(out_root, "battery.json"),
                   json.dumps(summary, sort_keys=True, indent=2) + "\n")

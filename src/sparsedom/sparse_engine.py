@@ -83,10 +83,10 @@ def estimate_ct(K: Kernel, A: young.YoungFunction, grid: Grid,
 
 
 def _local_data(T, f, b, m, A, Q0):
-    """Per-node quantities: 3Q0-clipped f, oscillation powers, norms and the
-    truncation maximal values for each commutator split h (None where the
-    split's norm is 0).  T is the prepared truncation(K, grid): one
-    grand_maximal_truncated call takes every split of positive norm."""
+    """Per-node quantities: b's average over 3Q0, the norms of the splits
+    g_h = |b - b_3Q0|^h f chi_3Q0, h = 0..m, and, stacked for the splits of
+    positive norm (None if none is), |g_h| and the truncation maximal
+    values on Q0's cells.  T is the prepared truncation(K, grid)."""
     grid = f.grid
     s3 = cube_slices(dilate(Q0, 3), grid)
     f3 = np.zeros(grid.shape)
@@ -98,22 +98,17 @@ def _local_data(T, f, b, m, A, Q0):
     norms = young.luxemburg_norm_batch(
         rows, np.broadcast_to(grid.cell_volume, rows.shape), A).tolist()
     live = [h for h, norm in enumerate(norms) if norm > 0]
-    mts = [None] * (m + 1)
-    if live:
-        for h, mt in zip(live, grand_maximal_truncated(T, gs[live], Q0)):
-            mts[h] = mt
-    return f3, b3, osc, norms, mts
+    if not live:
+        return b3, norms, None, None
+    gs = gs[live]
+    sl = (slice(None),) + cube_slices(Q0, grid)
+    return b3, norms, np.abs(gs[sl]), grand_maximal_truncated(T, gs, Q0)[sl]
 
 
-def _exceptional_mask(grid, Q0, osc, f3, norm, mt, h, alpha, ct):
-    mask = np.zeros(grid.shape, dtype=bool)
-    if norm == 0.0:
-        return mask
-    sl = cube_slices(Q0, grid)
-    local = osc[sl] ** h * np.abs(f3[sl])
-    mask[sl] = local > alpha * norm
-    mask[sl] |= mt[sl] > alpha * ct * norm
-    return mask
+def _exceptional(g, mt, norm, alpha, ct):
+    """Q's cells where, for some split h of norm N_h, |g_h| > alpha N_h or
+    the truncation maximal value of g_h is > alpha ct N_h."""
+    return ((g > alpha * norm) | (mt > alpha * ct * norm)).any(axis=0)
 
 
 def build_sparse_family(K: Kernel, b: GridFunction, m: int,
@@ -144,23 +139,19 @@ def build_sparse_family(K: Kernel, b: GridFunction, m: int,
         if len(form.family.cubes) >= NODE_BUDGET:
             form.exhausted = True
             break
-        f3, b3, osc, norms, mts = _local_data(T, f, b, m, A, q)
+        b3, norms, g, mt = _local_data(T, f, b, m, A, q)
         form.family.cubes.append(q)
         form.coeffs[q] = tuple(norms)
         form.b_avgs[q] = b3
 
         children = []
-        if q.side > 1 and any(v > 0 for v in norms):
-            qsl = cube_slices(q, grid)
-            qcells = int(np.prod([s.stop - s.start for s in qsl]))
+        if q.side > 1 and g is not None:
+            qcells = q.cell_count()
             target = qcells / float(1 << (n + 2))
+            live = np.reshape([v for v in norms if v > 0], (-1,) + (1,) * n)
             alpha = 1.0
             while True:
-                E = np.zeros(grid.shape, dtype=bool)
-                for h in range(m + 1):
-                    if norms[h] > 0:
-                        E |= _exceptional_mask(grid, q, osc, f3, norms[h],
-                                               mts[h], h, alpha, ct)
+                E = _exceptional(g, mt, live, alpha, ct)
                 if E.sum() <= target or alpha >= ALPHA_CAP:
                     break
                 alpha *= 2.0
@@ -168,17 +159,18 @@ def build_sparse_family(K: Kernel, b: GridFunction, m: int,
             if E.sum() > target:
                 # alpha cap hit without reaching the measure budget
                 form.exhausted = True
-                E = np.zeros(grid.shape, dtype=bool)
-            if E.any():
-                chi = GridFunction(grid, E.astype(float))
-                children = cz_decompose(chi, q, 1.0 / (1 << (n + 1)))
+            elif E.any():
+                chi = np.zeros(grid.shape)
+                chi[cube_slices(q, grid)] = E
+                children = cz_decompose(GridFunction(grid, chi), q,
+                                        1.0 / (1 << (n + 1)))
                 kid_cells = sum(c.cell_count() for c in children)
                 if kid_cells > qcells / 2:
                     raise EngineError("child measure exceeds half the node")
                 form.child_fraction[q] = kid_cells / qcells
         witness = cube_mask(q, grid)
         for c in children:
-            witness &= ~cube_mask(c, grid)
+            witness[cube_slices(c, grid)] = False
         form.family.certificate[q] = witness
         stack.extend(sorted(children, key=Cube.sort_key, reverse=True))
     form.family.cubes.sort(key=Cube.sort_key)

@@ -2,15 +2,16 @@
 
 No program path runs these: each is the direct form of something the
 package computes another way (a commutator by recursion, a Legendre
-transform by search, a kernel at points), or a helper that only tests
-need (cube relations, sampled functions, gauge names for test ids).
+transform by search, a kernel at points, a node's exceptional set on the
+whole grid), or a helper that only tests need (cube relations, sampled
+functions, gauge names for test ids).
 """
 
 import numpy as np
 
 from sparsedom import young
 from sparsedom.dyadic import (BASE, Cube, GeometryError, Grid, GridFunction,
-                              children)
+                              children, cube_slices)
 from sparsedom.operators import CommutatorSpec, Kernel, apply_operator
 
 # -- Young functions ----------------------------------------------------------
@@ -110,6 +111,25 @@ def commutator_recursive(K: Kernel, spec: CommutatorSpec,
     t2 = commutator_recursive(
         K, inner, GridFunction(grid, spec.b.cells * f.cells)).cells
     return GridFunction(grid, spec.b.cells * t1 - t2)
+
+
+# -- the sparse engine --------------------------------------------------------
+
+
+def exceptional_mask(grid, Q0, osc, f3, norm, mt, h, alpha, ct):
+    """The exceptional set of the split h at one node, on the whole grid:
+    the cells x of Q0 with osc^h |f3| > alpha norm or mt > alpha ct norm,
+    where osc = |b - b_3Q0|, f3 is f clipped to 3Q0, mt the full-grid
+    truncation maximal values of osc^h f3 and norm its Luxemburg norm over
+    3Q0; empty when norm is 0."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    if norm == 0.0:
+        return mask
+    sl = cube_slices(Q0, grid)
+    local = osc[sl] ** h * np.abs(f3[sl])
+    mask[sl] = local > alpha * norm
+    mask[sl] |= mt[sl] > alpha * ct * norm
+    return mask
 
 
 # -- grids and cubes ----------------------------------------------------------

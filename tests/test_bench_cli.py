@@ -345,8 +345,8 @@ def test_cli_battery_directory_name_with_glob_characters(tmp_path):
 
 def _assert_battery_stops_on(tmp_path, name, key, value):
     """A battery of cf_hilbert_m0 and, last, the named released scenario
-    with key set to value: a scenario error before any scenario runs, so
-    no report directory and no battery.json."""
+    with key set to value: a scenario error before any report is written,
+    so no report directory and no battery.json."""
     bat = tmp_path / "bat"
     bat.mkdir()
     shutil.copy(os.path.join(BATTERY_DIR, "cf_hilbert_m0.ini"), bat)
@@ -373,6 +373,25 @@ def test_cli_battery_parses_every_literal_first(tmp_path, key, literal):
 def test_cli_battery_validates_every_scenario_first(tmp_path, name, key,
                                                     value):
     _assert_battery_stops_on(tmp_path, name, key, value)
+
+
+@pytest.mark.parametrize("name, key, value, error", [
+    ("cf_hilbert_m0", "kernel", "homog(omega_table={omega})",
+     "kernel dimension does not match grid"),
+    ("counterexample_weak", "side", "8", "grid must cover |x| <= 6"),
+    ("strong_hilbert_m0", "w", "const(0)", "dual weight sigma")])
+def test_cli_battery_runs_every_scenario_before_writing(tmp_path, capsys,
+                                                        name, key, value,
+                                                        error):
+    # valid and in range, but the last scenario fails when it runs: a 2D
+    # kernel on a 1D grid, a grid that does not cover |x| <= 6 for the
+    # shifted counter kernel, a weight whose dual is infinite
+    omega = tmp_path / "omega.csv"
+    omega.write_text(",".join(repr(float(v)) for v in
+                              np.cos(2 * np.arange(16) * np.pi / 8)) + "\n")
+    _assert_battery_stops_on(tmp_path, name, key, value.format(omega=omega))
+    err = capsys.readouterr().err
+    assert "zz_bad.ini: " in err and error in err
 
 
 def test_cli_constants_validates_the_kind_it_forces(tmp_path, capsys):

@@ -13,6 +13,8 @@ from sparsedom.operators import (counter_young, hormander_estimate,
                                  parse_kernel)
 from sparsedom.weights import parse_profile
 
+from oracles import exceptional_mask
+
 
 def _setup(level=7):
     grid = Grid(1, (-0.5,), 1.0, level)
@@ -31,10 +33,11 @@ def test_exceptional_set_monotone_in_alpha():
     grid, K, f, b, Q0 = _setup()
     A = young.llogl(1)
     ct = eng.estimate_ct(K, A, grid)["ct"]
-    f3, _, osc, norms, mts = eng._local_data(op.truncation(K, grid), f, b,
-                                             0, A, Q0)
-    e1, e4 = (eng._exceptional_mask(grid, Q0, osc, f3, norms[0], mts[0], 0,
-                                    alpha, ct) for alpha in (1.0, 4.0))
+    _, norms, g, mt = eng._local_data(op.truncation(K, grid), f, b, 0, A, Q0)
+    e1, e4 = (np.zeros(grid.shape, dtype=bool) for _ in range(2))
+    for e, alpha in ((e1, 1.0), (e4, 4.0)):
+        e[cube_slices(Q0, grid)] = eng._exceptional(g, mt, norms[0], alpha,
+                                                    ct)
     assert e4.sum() < e1.sum()
     assert np.all(e4 <= e1)
     assert np.all(e1 <= cube_mask(Q0, grid))
@@ -243,7 +246,54 @@ def test_local_data_norms_match_stacked_copies(rng):
             f, b = GridFunction(grid, fc), GridFunction(grid, bc)
             for Q0 in nodes:
                 for m in (0, 2):
-                    norms = eng._local_data(T, f, b, m, A, Q0)[3]
+                    norms = eng._local_data(T, f, b, m, A, Q0)[1]
                     want = _local_norms_stacked(f, b, m, A, Q0)
                     assert np.array(norms).tobytes() == want.tobytes(), \
                         (K.family, Q0, m)
+
+
+def test_exceptional_matches_full_grid_masks(rng):
+    # a node's exceptional set, tested on its own cells for all splits at
+    # once, is the union of the splits' full-grid masks, which hold no cell
+    # off the node: in 1D and 2D, for m = 0..2 and alpha = 1..8, with the
+    # splits h >= 1 of norm 0 where b is constant on 3Q
+    A = young.llogl(1)
+    line = Grid(1, (-0.5,), 1.0, 8)
+    plane = Grid(2, (-0.5, -0.5), 1.0, 4)
+    homog = op.make_homog(np.cos(2 * np.arange(16) * np.pi / 8))
+    sizes, dead = set(), 0
+    for K, grid in ((make_hilbert(), line), (homog, plane)):
+        T = op.truncation(K, grid)
+        ct = eng.estimate_ct(K, A, grid)["ct"]
+        N, n = grid.cells_per_side, grid.n
+        noisy = rng.standard_normal(grid.shape)
+        b_const = np.where(np.indices(grid.shape)[0] < N // 2, 1.5, noisy)
+        f = GridFunction(grid, noisy)
+        for bc in (rng.standard_normal(grid.shape), b_const):
+            b = GridFunction(grid, bc)
+            for Q in (grid.root_cube(), Cube(BASE, 3, (N // 8,) * n, N // 8)):
+                s3 = cube_slices(dilate(Q, 3), grid)
+                f3 = np.zeros(grid.shape)
+                f3[s3] = f.cells[s3]
+                osc = np.abs(b.cells - float(b.cells[s3].mean()))
+                for m in (0, 1, 2):
+                    _, norms, g, mt = eng._local_data(T, f, b, m, A, Q)
+                    live = [h for h in range(m + 1) if norms[h] > 0]
+                    dead += m + 1 - len(live)
+                    mts = dict(zip(live, op.grand_maximal_truncated(
+                        T, np.stack([osc ** h * f3 for h in live]), Q)))
+                    live_norms = np.reshape([norms[h] for h in live],
+                                            (-1,) + (1,) * n)
+                    for alpha in (1.0, 2.0, 4.0, 8.0):
+                        want = np.zeros(grid.shape, dtype=bool)
+                        for h in range(m + 1):
+                            want |= exceptional_mask(grid, Q, osc, f3,
+                                                     norms[h], mts.get(h), h,
+                                                     alpha, ct)
+                        got = eng._exceptional(g, mt, live_norms, alpha, ct)
+                        assert not (want & ~cube_mask(Q, grid)).any()
+                        assert np.array_equal(
+                            got, want[cube_slices(Q, grid)]), \
+                            (K.family, Q, m, alpha)
+                        sizes.add(int(want.sum()))
+    assert dead > 0 and len(sizes) > 2
