@@ -71,18 +71,18 @@ def parse_scenario(path: str) -> Scenario:
     try:
         read = cp.read(path)
     except configparser.Error as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+        raise ScenarioError(str(exc)) from exc
     if not read:
-        raise ScenarioError(f"cannot read scenario file {path}")
+        raise ScenarioError("cannot read scenario file")
     if "scenario" not in cp:
-        raise ScenarioError(f"{path}: missing [scenario] section")
+        raise ScenarioError("missing [scenario] section")
     sec = cp["scenario"]
     unread = sorted(set(sec) - _KEYS)
     if unread:
-        raise ScenarioError(f"{path}: keys not read: {', '.join(unread)}")
+        raise ScenarioError(f"keys not read: {', '.join(unread)}")
     kind = sec.get("kind", "").strip()
     if kind not in KINDS:
-        raise ScenarioError(f"{path}: unknown kind {kind!r}")
+        raise ScenarioError(f"unknown kind {kind!r}")
     name = os.path.splitext(os.path.basename(path))[0]
     scn = Scenario(name=name, kind=kind)
     if "levels" in sec:
@@ -478,7 +478,6 @@ def sparse_rows(scn: Scenario) -> dict:
     rows = []
     consts = {}
     cstars = []
-    families = []
     bound = FROZEN["domination_c_star"].get(scn.m, math.inf)
     ok = True
     for L in scn.levels:
@@ -486,7 +485,6 @@ def sparse_rows(scn: Scenario) -> dict:
         rep = domination_report(K, b, scn.m, A, f, grid.root_cube(),
                                 seed=scn.seed)
         cstars.append(rep.c_star)
-        families.append(rep)
         consts[f"c_star_L{L}"] = rep.c_star
         consts[f"family_size_L{L}"] = len(rep.form.family.cubes)
         consts[f"violations_L{L}"] = len(rep.violations)
@@ -502,7 +500,7 @@ def sparse_rows(scn: Scenario) -> dict:
         consts["c_star_stable"] = bool(stable)
         ok = ok and stable
     return {"rows": rows, "constants": consts, "pass": ok,
-            "reports": families}
+            "form": rep.form}  # the last level's
 
 
 def constants_dump(scn: Scenario) -> dict:
@@ -608,8 +606,9 @@ _DISPATCH = {
 KINDS = tuple(_DISPATCH)
 
 
-def run_scenario(scn: Scenario, out_dir: str = None,
-                 dump_family: str = None) -> dict:
+def run_scenario(scn: Scenario) -> tuple:
+    """The scenario's report and, for a sparse scenario, its last level's
+    SparseForm (None for the other kinds).  Nothing is written."""
     result = _DISPATCH[scn.kind](scn)
     report = {
         "battery_version": BATTERY_VERSION,
@@ -622,17 +621,16 @@ def run_scenario(scn: Scenario, out_dir: str = None,
     }
     if result.get("vacuous"):
         report["vacuous"] = True
-    if out_dir:
-        write_report(out_dir, report)
-        if dump_family and result.get("reports"):
-            fam = result["reports"][-1].form
-            _write_atomic(dump_family, _family_json(fam))
-    return report
+    return report, result.get("form")
 
 
-def write_report(out_dir: str, report: dict):
-    """report.json, plot.csv and, for a constants table, constants.csv."""
+def write_report(out_dir: str, report: dict, family=None):
+    """report.json, plot.csv and, for a constants table, constants.csv in
+    out_dir.  family = (path, SparseForm) is written first, so a family
+    that cannot be written leaves no report."""
     os.makedirs(out_dir, exist_ok=True)
+    if family:
+        _write_atomic(family[0], _family_json(family[1]))
     _write_atomic(os.path.join(out_dir, "report.json"),
                   json.dumps(report, sort_keys=True, indent=2) + "\n")
     _write_atomic(os.path.join(out_dir, "plot.csv"),

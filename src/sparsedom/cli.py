@@ -19,7 +19,7 @@ import os
 import sys
 import time
 
-from .bench import (Scenario, ScenarioError, _validate, _write_atomic,
+from .bench import (ScenarioError, _constants_csv, _validate, _write_atomic,
                     parse_scenario, run_scenario, write_report)
 from .frozen import BATTERY_VERSION
 
@@ -53,54 +53,65 @@ def _build_parser():
     return ap
 
 
-def _load(path: str, level: int | None, seed: int) -> Scenario:
-    scn = parse_scenario(path)
-    if level is not None:
-        scn.levels = (level,)
-    scn.seed = seed
-    return scn
+def _lab(args, paths, job) -> list:
+    """Loads the scenario at every path with the command line's level and
+    seed, runs them all, then writes each one, so an error anywhere leaves
+    no report.  job(scn) checks or adjusts a loaded scenario and gives its
+    output directory and family path (None: no family.json)."""
+    jobs, runs = [], []
+    try:  # an error while loading or running names its scenario file
+        for path in paths:
+            scn = parse_scenario(path)
+            if args.level is not None:
+                scn.levels = (args.level,)
+            scn.seed = args.seed
+            jobs.append((path, scn, *job(scn)))
+        for path, scn, out_dir, family in jobs:
+            t0 = time.monotonic()
+            report, form = run_scenario(scn)
+            print(f"{scn.name}: {'pass' if report['pass'] else 'FAIL'} "
+                  f"({time.monotonic() - t0:.1f}s)", file=sys.stderr)
+            runs.append((out_dir, report, (family, form) if family else None))
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+    for out_dir, report, family in runs:
+        write_report(out_dir, report, family)
+    return [report for _, report, _ in runs]
 
 
-def _default_out(path: str) -> str:
-    return os.path.splitext(os.path.basename(path))[0] + ".out"
-
-
-def _run_one(scn: Scenario, path: str, out, dump_family=None) -> dict:
-    out_dir = out or _default_out(path)
-    if dump_family is None and scn.kind == "sparse":
-        dump_family = os.path.join(out_dir, "family.json")
-    t0 = time.monotonic()
-    report = run_scenario(scn, out_dir=out_dir, dump_family=dump_family)
-    dt = time.monotonic() - t0
-    print(f"{scn.name}: {'pass' if report['pass'] else 'FAIL'} "
-          f"({dt:.1f}s)", file=sys.stderr)
-    return report
+def _outputs(args, scn, family=None) -> tuple:
+    """A single scenario's output directory, --out or <name>.out, and for a
+    sparse scenario its family path, family or family.json there."""
+    out_dir = args.out or scn.name + ".out"
+    if scn.kind == "sparse":
+        family = family or os.path.join(out_dir, "family.json")
+    return out_dir, family
 
 
 def cmd_run(args) -> int:
-    scn = _load(args.scenario, args.level, args.seed)
-    report = _run_one(scn, args.scenario, args.out)
+    (report,) = _lab(args, [args.scenario], lambda scn: _outputs(args, scn))
     return 0 if report["pass"] else 1
 
 
 def cmd_constants(args) -> int:
-    scn = _load(args.scenario, args.level, args.seed)
-    scn.kind = "constants"
-    _validate(scn)  # again, under the kind it now runs as
-    out_dir = args.out or _default_out(args.scenario)
-    run_scenario(scn, out_dir=out_dir)
-    with open(os.path.join(out_dir, "constants.csv")) as fh:
-        sys.stdout.write(fh.read())
+    def job(scn):
+        scn.kind = "constants"
+        _validate(scn)  # again, under the kind it now runs as
+        return _outputs(args, scn)
+
+    (report,) = _lab(args, [args.scenario], job)
+    sys.stdout.write(_constants_csv(report["rows"]))
     return 0
 
 
 def cmd_sparse(args) -> int:
-    scn = _load(args.scenario, args.level, args.seed)
-    if scn.kind != "sparse":
-        raise ScenarioError("the sparse command needs a kind = sparse "
-                            "scenario")
-    report = _run_one(scn, args.scenario, args.out,
-                      dump_family=args.dump_family)
+    def job(scn):
+        if scn.kind != "sparse":
+            raise ScenarioError("the sparse command needs a kind = sparse "
+                                "scenario")
+        return _outputs(args, scn, args.dump_family)
+
+    (report,) = _lab(args, [args.scenario], job)
     return 0 if report["pass"] else 1
 
 
@@ -110,28 +121,15 @@ def cmd_battery(args) -> int:
     paths = sorted(glob.glob(os.path.join(glob.escape(args.directory),
                                           "*.ini")))
     out_root = args.out or "battery.out"
-    # every scenario parses and validates before the first runs, and every
-    # one runs before the first report is written: an error anywhere
-    # leaves no output
-    scenarios = [(path, _load(path, args.level, args.seed)) for path in paths]
-    reports = {}
-    for path, scn in scenarios:
-        t0 = time.monotonic()
-        try:
-            rep = run_scenario(scn)
-        except (OSError, ValueError) as exc:
-            raise ScenarioError(f"{path}: {exc}") from exc
-        reports[scn.name] = rep
-        print(f"{scn.name}: {'pass' if rep['pass'] else 'FAIL'} "
-              f"({time.monotonic() - t0:.1f}s)", file=sys.stderr)
+    reports = _lab(args, paths,
+                   lambda scn: (os.path.join(out_root, scn.name), None))
     os.makedirs(out_root, exist_ok=True)
-    for name, rep in reports.items():
-        write_report(os.path.join(out_root, name), rep)
     summary = {
         "battery_version": BATTERY_VERSION,
-        "scenarios": {name: {"kind": rep["kind"], "pass": rep["pass"]}
-                      for name, rep in reports.items()},
-        "pass": all(rep["pass"] for rep in reports.values()),
+        "scenarios": {rep["scenario"]["name"]: {"kind": rep["kind"],
+                                                "pass": rep["pass"]}
+                      for rep in reports},
+        "pass": all(rep["pass"] for rep in reports),
     }
     _write_atomic(os.path.join(out_root, "battery.json"),
                   json.dumps(summary, sort_keys=True, indent=2) + "\n")

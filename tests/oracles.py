@@ -3,15 +3,16 @@
 No program path runs these: each is the direct form of something the
 package computes another way (a commutator by recursion, a Legendre
 transform by search, a kernel at points, a node's exceptional set on the
-whole grid), or a helper that only tests need (cube relations, sampled
-functions, gauge names for test ids).
+whole grid, a Calderon-Zygmund decomposition by search), or a helper that
+only tests need (cube relations, sampled functions, gauge names for test
+ids).
 """
 
 import numpy as np
 
 from sparsedom import young
 from sparsedom.dyadic import (BASE, Cube, GeometryError, Grid, GridFunction,
-                              children, cube_slices)
+                              children, cube_slices, cube_values)
 from sparsedom.operators import CommutatorSpec, Kernel, apply_operator
 
 # -- Young functions ----------------------------------------------------------
@@ -171,4 +172,15 @@ def descendants(cube: Cube, max_level: int) -> list:
         out.append(q)
         if q.level < max_level:
             stack.extend(reversed(children(q)))
+    return out
+
+
+def brute_cz(g: GridFunction, Q0: Cube, lam: float) -> list:
+    """All dyadic subcubes of Q0 with average above lam, filtered to the
+    maximal ones (no strict ancestor also selected), in sort_key order."""
+    hits = [q for q in descendants(Q0, g.grid.level)
+            if float(cube_values(g, q).mean()) > lam]
+    out = [q for q in hits
+           if not any(o != q and contains(o, q) for o in hits)]
+    out.sort(key=Cube.sort_key)
     return out

@@ -15,13 +15,12 @@ import numpy as np
 from sparsedom import bench, young
 from sparsedom import operators as op
 from sparsedom import weights as W
-from sparsedom.dyadic import (Grid, GridFunction, check_sparse, cz_decompose,
-                              cube_values)
+from sparsedom.dyadic import Grid, GridFunction, check_sparse, cz_decompose
 from sparsedom.frozen import FROZEN
 from sparsedom.sparse_engine import build_sparse_family
 from sparsedom.weights import parse_profile
 
-from oracles import commutator_recursive, contains, descendants
+from oracles import brute_cz, commutator_recursive
 
 BATTERY_DIR = os.path.join(os.path.dirname(__file__), "..", "battery")
 
@@ -77,15 +76,6 @@ def test_criterion_1_orlicz_calculus():
     assert ok
 
 
-def _brute_cz(g, Q0, lam):
-    hits = [q for q in descendants(Q0, g.grid.level)
-            if float(cube_values(g, q).mean()) > lam]
-    out = [q for q in hits
-           if not any(o != q and contains(o, q) for o in hits)]
-    out.sort(key=lambda q: q.sort_key())
-    return out
-
-
 def test_criterion_2_cz_and_sparse_structure():
     t0 = time.monotonic()
     grid = Grid(1, (0.0,), 1.0, 10)
@@ -102,7 +92,7 @@ def test_criterion_2_cz_and_sparse_structure():
             cells[o:o + s] += float(rng.uniform(0.5, 3.0))
         g = GridFunction(grid, cells)
         lam = float(rng.uniform(0.05, 2.0))
-        if cz_decompose(g, Q0, lam) != _brute_cz(g, Q0, lam):
+        if cz_decompose(g, Q0, lam) != brute_cz(g, Q0, lam):
             cz_ok = False
 
     fams_ok = True

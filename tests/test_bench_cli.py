@@ -95,7 +95,9 @@ def test_malformed_scenario_values_exit_2(tmp_path, capsys, name, key,
         cp.write(fh)
     out = tmp_path / "o"
     assert cli.main(["run", str(path), "--out", str(out)]) == 2
-    assert "error:" in capsys.readouterr().err
+    # one error line, and it names the scenario file
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -230,13 +232,15 @@ def test_strong_check_scales_linearly(tmp_path):
         assert b["ratio"] == pytest.approx(a["ratio"], rel=1e-12)
 
 
-def test_run_scenario_writes_reports(tmp_path):
+def test_write_report_writes_reports(tmp_path):
     path = os.path.join(BATTERY_DIR, "strong_hilbert_m0.ini")
     scn = bench.parse_scenario(path)
     scn.levels = (6,)
     out = tmp_path / "out"
-    rep = bench.run_scenario(scn, out_dir=str(out))
-    assert rep["pass"] is True
+    rep, form = bench.run_scenario(scn)
+    assert rep["pass"] is True and form is None
+    assert not out.exists()
+    bench.write_report(str(out), rep)
     data = json.loads((out / "report.json").read_text())
     assert data["kind"] == "strong"
     assert data["rows"]
@@ -252,7 +256,7 @@ def test_run_scenario_byte_deterministic(tmp_path):
         scn = bench.parse_scenario(path)
         scn.levels = (6,)
         out = tmp_path / sub
-        bench.run_scenario(scn, out_dir=str(out))
+        bench.write_report(str(out), bench.run_scenario(scn)[0])
         outs.append(out)
     for name in ("report.json", "plot.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
@@ -346,7 +350,7 @@ def test_cli_battery_directory_name_with_glob_characters(tmp_path):
 def _assert_battery_stops_on(tmp_path, name, key, value):
     """A battery of cf_hilbert_m0 and, last, the named released scenario
     with key set to value: a scenario error before any report is written,
-    so no report directory and no battery.json."""
+    so no report directory and no battery.json.  Returns the bad file."""
     bat = tmp_path / "bat"
     bat.mkdir()
     shutil.copy(os.path.join(BATTERY_DIR, "cf_hilbert_m0.ini"), bat)
@@ -358,6 +362,7 @@ def _assert_battery_stops_on(tmp_path, name, key, value):
     out = tmp_path / "bat_out"
     assert cli.main(["battery", str(bat), "--out", str(out)]) == 2
     assert not out.exists()
+    return bat / "zz_bad.ini"
 
 
 @pytest.mark.parametrize("key, literal", [("gauge_a", "llogl(1,2)"),
@@ -370,9 +375,12 @@ def test_cli_battery_parses_every_literal_first(tmp_path, key, literal):
 @pytest.mark.parametrize("name, key, value", [
     ("strong_hilbert_m0", "r", "0.5"), ("endpoint_dini_m1", "eps", "0"),
     ("endpoint_dini_m1", "eps", "-2")])
-def test_cli_battery_validates_every_scenario_first(tmp_path, name, key,
-                                                    value):
-    _assert_battery_stops_on(tmp_path, name, key, value)
+def test_cli_battery_validates_every_scenario_first(tmp_path, capsys, name,
+                                                    key, value):
+    bad = _assert_battery_stops_on(tmp_path, name, key, value)
+    # one error line, and it names the scenario file
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name, key, value, error", [
@@ -404,8 +412,19 @@ def test_cli_constants_validates_the_kind_it_forces(tmp_path, capsys):
     with open(ini, "w") as fh:
         cp.write(fh)
     assert cli.main(["constants", str(ini), "--out", str(out)]) == 2
-    assert "constants needs r >= 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        f"error: {ini}: constants needs r >= 1\n"
     assert not out.exists()
+
+
+def test_cli_sparse_unwritable_family_leaves_no_report(tmp_path):
+    path = os.path.join(BATTERY_DIR, "sparse_hilbert_m0.ini")
+    out = tmp_path / "sp_out"
+    assert cli.main(["sparse", path, "--level", "5", "--out", str(out),
+                     "--dump-family",
+                     str(tmp_path / "missing" / "family.json")]) == 2
+    assert not (out / "report.json").exists()
+    assert not (out / "plot.csv").exists()
 
 
 def test_cli_level_override(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sparsedom import dyadic as dy
 
-from oracles import contains, descendants, grid_function, triple
+from oracles import brute_cz, descendants, grid_function, triple
 
 
 def test_grid_rejects_bad_parameters():
@@ -130,18 +130,6 @@ def test_cubes_at_level_cover_domain(unit_grid):
 # -- Calderon-Zygmund decomposition ------------------------------------------
 
 
-def _brute_cz(g, Q0, lam):
-    """Oracle: all dyadic subcubes of Q0 with average above lam, filtered to
-    the maximal ones (no strict ancestor also selected)."""
-    grid = g.grid
-    hits = [q for q in descendants(Q0, grid.level)
-            if float(dy.cube_values(g, q).mean()) > lam]
-    out = [q for q in hits
-           if not any(o != q and contains(o, q) for o in hits)]
-    out.sort(key=dy.Cube.sort_key)
-    return out
-
-
 def test_cz_matches_brute_force_oracle(unit_grid, rng):
     Q0 = unit_grid.root_cube()
     for _ in range(30):
@@ -153,7 +141,7 @@ def test_cz_matches_brute_force_oracle(unit_grid, rng):
             cells[o:o + s] += float(rng.uniform(0.5, 3.0))
         g = dy.GridFunction(unit_grid, cells)
         lam = float(rng.uniform(0.05, 2.0))
-        assert dy.cz_decompose(g, Q0, lam) == _brute_cz(g, Q0, lam)
+        assert dy.cz_decompose(g, Q0, lam) == brute_cz(g, Q0, lam)
 
 
 def test_cz_selected_averages_bracket(unit_grid, rng):
