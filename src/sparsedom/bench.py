@@ -22,7 +22,7 @@ import numpy as np
 from . import young
 from .dyadic import Grid, GridFunction, cube_slices
 from .frozen import BATTERY_VERSION, FROZEN
-from .operators import (CommutatorSpec, apply_operator, commutator_apply,
+from .operators import (MAX_ORDER, apply_operator, commutator_apply,
                         counter_young, make_counter, maximal, parse_kernel)
 from .sparse_engine import build_sparse_family, domination_report, estimate_ct
 from .weights import bmo_norm, parse_profile, sigma_dual, weight_constant
@@ -34,10 +34,10 @@ class ScenarioError(ValueError):
 @dataclass
 class Scenario:
     name: str
-    kind: str
+    kind: str = ""  # one of KINDS: _validate checks it
     levels: tuple = (8,)
     dim: int = 1
-    origin: tuple = (0.0,)
+    origin: tuple = None  # (0.0,) * dim
     side: float = 1.0
     kernel: str = "hilbert"
     A: str = "power(1)"
@@ -56,14 +56,29 @@ class Scenario:
     lambda_points: int = 64
     seed: int = 0
 
+    def __post_init__(self):
+        if self.origin is None:
+            self.origin = (0.0,) * self.dim
+
     def grid(self, level: int) -> Grid:
         return Grid(self.dim, self.origin, self.side, level)
 
 
-_KEYMAP = {"kernel": "kernel", "gauge_a": "A", "gauge_b": "B", "phi": "phi",
-           "f": "f", "b": "b", "w": "w"}
-_KEYS = {"kind", "levels", "dim", "origin", "side", "m", "p", "r", "gamma",
-         "beta", "eps", "lambda_points", *_KEYMAP}
+def _list_of(read):
+    return lambda text: tuple(read(s) for s in text.split(","))
+
+
+# INI key -> (Scenario field, reader of its text), read in this order; a key
+# the file leaves out keeps the field's default
+_INI = {"kind": ("kind", str.strip), "levels": ("levels", _list_of(int)),
+        "dim": ("dim", int), "origin": ("origin", _list_of(float)),
+        "side": ("side", float), "kernel": ("kernel", str.strip),
+        "gauge_a": ("A", str.strip), "gauge_b": ("B", str.strip),
+        "phi": ("phi", str.strip), "f": ("f", str.strip),
+        "b": ("b", str.strip), "w": ("w", str.strip), "m": ("m", int),
+        "p": ("p", float), "r": ("r", float), "gamma": ("gamma", float),
+        "beta": ("beta", float), "eps": ("eps", float),
+        "lambda_points": ("lambda_points", int)}
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -77,41 +92,25 @@ def parse_scenario(path: str) -> Scenario:
     if "scenario" not in cp:
         raise ScenarioError("missing [scenario] section")
     sec = cp["scenario"]
-    unread = sorted(set(sec) - _KEYS)
+    unread = sorted(set(sec) - set(_INI))
     if unread:
         raise ScenarioError(f"keys not read: {', '.join(unread)}")
-    kind = sec.get("kind", "").strip()
-    if kind not in KINDS:
-        raise ScenarioError(f"unknown kind {kind!r}")
-    name = os.path.splitext(os.path.basename(path))[0]
-    scn = Scenario(name=name, kind=kind)
-    if "levels" in sec:
-        scn.levels = tuple(int(s) for s in sec["levels"].split(","))
-    scn.dim = sec.getint("dim", 1)
-    if "origin" in sec:
-        scn.origin = tuple(float(s) for s in sec["origin"].split(","))
-    else:
-        scn.origin = (0.0,) * scn.dim
-    scn.side = sec.getfloat("side", 1.0)
-    for key, attr in _KEYMAP.items():
-        if key in sec:
-            setattr(scn, attr, sec[key].strip())
-    scn.m = sec.getint("m", 0)
-    for key in ("p", "r", "gamma", "beta", "eps"):
-        if key in sec:
-            setattr(scn, key, sec.getfloat(key))
-    scn.lambda_points = sec.getint("lambda_points", 64)
+    scn = Scenario(os.path.splitext(os.path.basename(path))[0],
+                   **{field: conv(sec[key])
+                      for key, (field, conv) in _INI.items() if key in sec})
     _validate(scn)
     return scn
 
 
 def _validate(scn: Scenario):
+    if scn.kind not in KINDS:
+        raise ScenarioError(f"unknown kind {scn.kind!r}")
     if scn.dim not in (1, 2):
         raise ScenarioError("dim must be 1 or 2")
     if len(scn.origin) != scn.dim:
         raise ScenarioError("origin arity does not match dim")
-    if not 0 <= scn.m <= 4:
-        raise ScenarioError("m must be in 0..4")
+    if not 0 <= scn.m <= MAX_ORDER:
+        raise ScenarioError(f"m must be in 0..{MAX_ORDER}")
     if scn.lambda_points < 1:
         raise ScenarioError("lambda_points must be >= 1")
     if scn.kind == "cf" and scn.p <= 0:
@@ -161,8 +160,7 @@ def _level(scn: Scenario, L: int, *names: str) -> tuple:
 
 def _centred_commutator(K, b, m, f):
     """The cells of T_b^m f, with b centred at its mean over the grid."""
-    return commutator_apply(K, CommutatorSpec(b, m), f,
-                            float(b.cells.mean())).cells
+    return commutator_apply(K, b, m, f, float(b.cells.mean())).cells
 
 
 def _lp_norm(cells, wcells, p, vol):
@@ -626,9 +624,8 @@ def run_scenario(scn: Scenario) -> tuple:
 
 def write_report(out_dir: str, report: dict, family=None):
     """report.json, plot.csv and, for a constants table, constants.csv in
-    out_dir.  family = (path, SparseForm) is written first, so a family
-    that cannot be written leaves no report."""
-    os.makedirs(out_dir, exist_ok=True)
+    the existing directory out_dir.  family = (path, SparseForm) is written
+    first, so a family that cannot be written leaves no report."""
     if family:
         _write_atomic(family[0], _family_json(family[1]))
     _write_atomic(os.path.join(out_dir, "report.json"),

@@ -55,11 +55,12 @@ def _build_parser():
 
 def _lab(args, paths, job) -> list:
     """Loads the scenario at every path with the command line's level and
-    seed, runs them all, then writes each one, so an error anywhere leaves
-    no report.  job(scn) checks or adjusts a loaded scenario and gives its
-    output directory and family path (None: no family.json)."""
+    seed, runs them all, makes every output directory, then writes each
+    one, so an error before the writes leaves no report.  job(scn) checks
+    or adjusts a loaded scenario and gives its output directory and family
+    path (None: no family.json)."""
     jobs, runs = [], []
-    try:  # an error while loading or running names its scenario file
+    try:  # an error before the writes names its scenario file
         for path in paths:
             scn = parse_scenario(path)
             if args.level is not None:
@@ -72,6 +73,8 @@ def _lab(args, paths, job) -> list:
             print(f"{scn.name}: {'pass' if report['pass'] else 'FAIL'} "
                   f"({time.monotonic() - t0:.1f}s)", file=sys.stderr)
             runs.append((out_dir, report, (family, form) if family else None))
+        for path, _, out_dir, _ in jobs:
+            os.makedirs(out_dir, exist_ok=True)
     except (OSError, ValueError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     for out_dir, report, family in runs:

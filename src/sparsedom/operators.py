@@ -77,6 +77,8 @@ class Kernel:
 
     def profile(self, grid: Grid) -> np.ndarray:
         """Kernel values on the displacement lattice of a grid."""
+        if self.n != grid.n:
+            raise OperatorError("kernel dimension does not match grid")
         N = grid.cells_per_side
         # per axis, kprof[N-1+i-j] = K(x_i, y_j)
         d = np.arange(-(N - 1), N) * grid.cell_width
@@ -249,8 +251,6 @@ def _pair(K: Kernel, grid: Grid) -> tuple:
     reversed view sums in another order.
     """
     vol = grid.cell_volume
-    if K.n != grid.n:
-        raise OperatorError("kernel dimension does not match grid")
     kprof = K.profile(grid)
     shape = grid.shape
     flip = (slice(None, None, -1),) * grid.n
@@ -409,30 +409,26 @@ def operator_norm_l2(K: Kernel, grid: Grid) -> float:
 # -- commutators --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CommutatorSpec:
-    b: GridFunction
-    m: int
-
-    def __post_init__(self):
-        if not 0 <= self.m <= 4:
-            raise OperatorError("commutator order must be in 0..4")
+# the largest commutator order m of T_b^m that the lab takes
+MAX_ORDER = 4
 
 
-def commutator_apply(K: Kernel, spec: CommutatorSpec, f: GridFunction,
+def commutator_apply(K: Kernel, b: GridFunction, m: int, f: GridFunction,
                      center: float = 0.0) -> GridFunction:
     """T_b^m f via the binomial expansion in (b - c): m+1 applications of
     one prepared T.  Order 0 is apply_operator itself: summing into zeros
     could turn a -0.0 into +0.0."""
-    if spec.m == 0:
+    if not 0 <= m <= MAX_ORDER:
+        raise OperatorError(f"commutator order must be in 0..{MAX_ORDER}")
+    if m == 0:
         return apply_operator(K, f)
     grid = f.grid
     T = _pair(K, grid)[0]
-    bc = spec.b.cells - center
+    bc = b.cells - center
     out = np.zeros(grid.shape)
-    for h in range(spec.m + 1):
+    for h in range(m + 1):
         tf = T(bc**h * f.cells)
-        tf *= ((-1) ** h) * math.comb(spec.m, h) * bc ** (spec.m - h)
+        tf *= ((-1) ** h) * math.comb(m, h) * bc ** (m - h)
         out += tf
     return GridFunction(grid, out)
 
@@ -509,8 +505,6 @@ def truncation(K: Kernel, grid: Grid) -> Truncation:
     a dense block (from a contiguous copy) one array's whole level at a
     time (whole(s)): its bits depend on layout and row count.
     """
-    if K.n != grid.n:
-        raise OperatorError("kernel dimension does not match grid")
     kprof = K.profile(grid)
     products = {}
 

@@ -14,7 +14,7 @@ from . import young
 from .dyadic import (Cube, Grid, GridFunction, SparseCheck, SparseFamily,
                      check_sparse, cube_mask, cube_slices, cz_decompose,
                      dilate)
-from .operators import (CommutatorSpec, Kernel, commutator_apply,
+from .operators import (MAX_ORDER, Kernel, commutator_apply,
                         grand_maximal_truncated, hormander_estimate,
                         operator_norm_l2, truncation)
 
@@ -123,8 +123,8 @@ def build_sparse_family(K: Kernel, b: GridFunction, m: int,
     total measure is then at most half the node.  The node keeps the witness
     set Q minus its children.  seed goes to estimate_ct.
     """
-    if not 0 <= m <= 4:
-        raise EngineError("commutator order must be in 0..4")
+    if not 0 <= m <= MAX_ORDER:
+        raise EngineError(f"commutator order must be in 0..{MAX_ORDER}")
     grid = f.grid
     n = grid.n
     ct_info = estimate_ct(K, A, grid, seed)
@@ -212,7 +212,7 @@ def domination_report(K: Kernel, b: GridFunction, m: int,
     f3 = np.zeros(grid.shape)
     f3[s3] = f.cells[s3]
     center = form.b_avgs[Q0]
-    t = commutator_apply(K, CommutatorSpec(b, m), GridFunction(grid, f3),
+    t = commutator_apply(K, b, m, GridFunction(grid, f3),
                          center=center).cells
 
     sl = cube_slices(Q0, grid)

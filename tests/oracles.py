@@ -13,7 +13,7 @@ import numpy as np
 from sparsedom import young
 from sparsedom.dyadic import (BASE, Cube, GeometryError, Grid, GridFunction,
                               children, cube_slices, cube_values)
-from sparsedom.operators import CommutatorSpec, Kernel, apply_operator
+from sparsedom.operators import Kernel, apply_operator
 
 # -- Young functions ----------------------------------------------------------
 
@@ -100,18 +100,18 @@ def evaluate(K: Kernel, x, y, h: float = 0.0):
     return K.conv(u1, u2, h)
 
 
-def commutator_recursive(K: Kernel, spec: CommutatorSpec,
-                         f: GridFunction) -> GridFunction:
-    """Direct recursion T_b^m f = b T_b^(m-1) f - T_b^(m-1)(b f); the oracle
-    the expansion is tested against."""
-    if spec.m == 0:
+def commutator_recursive(K: Kernel, b: GridFunction, m: int,
+                         f: GridFunction, center: float = 0.0) -> GridFunction:
+    """Direct recursion T_b^m f = b T_b^(m-1) f - T_b^(m-1)(b f), b taken
+    less center; the oracle the expansion is tested against."""
+    if m == 0:
         return apply_operator(K, f)
     grid = f.grid
-    inner = CommutatorSpec(spec.b, spec.m - 1)
-    t1 = commutator_recursive(K, inner, f).cells
+    bc = b.cells - center
+    t1 = commutator_recursive(K, b, m - 1, f, center).cells
     t2 = commutator_recursive(
-        K, inner, GridFunction(grid, spec.b.cells * f.cells)).cells
-    return GridFunction(grid, spec.b.cells * t1 - t2)
+        K, b, m - 1, GridFunction(grid, bc * f.cells), center).cells
+    return GridFunction(grid, bc * t1 - t2)
 
 
 # -- the sparse engine --------------------------------------------------------

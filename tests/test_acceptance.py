@@ -157,9 +157,8 @@ def test_criterion_4_commutator_identity():
         f = GridFunction(grid, rng.standard_normal(grid.shape))
         b = GridFunction(grid, rng.standard_normal(grid.shape))
         for m in (1, 2, 3):
-            spec = op.CommutatorSpec(b, m)
-            lhs = op.commutator_apply(K, spec, f).cells
-            rhs = commutator_recursive(K, spec, f).cells
+            lhs = op.commutator_apply(K, b, m, f).cells
+            rhs = commutator_recursive(K, b, m, f).cells
             scale = max(float(np.abs(rhs).max()), 1.0)
             worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
     dt = time.monotonic() - t0

@@ -62,6 +62,57 @@ def test_unknown_and_unread_scenario_keys_rejected(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# every INI key, in the order the parser reads them, with its Scenario
+# field, a text and the value that text reads as
+_INI_VALUES = [
+    ("kind", "kind", "strong", "strong"),
+    ("levels", "levels", "5, 7", (5, 7)),
+    ("dim", "dim", "2", 2),
+    ("origin", "origin", "-0.25", (-0.25,)),
+    ("side", "side", "2.5", 2.5),
+    ("kernel", "kernel", "dini", "dini"),
+    ("gauge_a", "A", "llogl(1)", "llogl(1)"),
+    ("gauge_b", "B", "power(2)", "power(2)"),
+    ("phi", "phi", "power(3)", "power(3)"),
+    ("f", "f", "const(1)", "const(1)"),
+    ("b", "b", "log_abs", "log_abs"),
+    ("w", "w", "const(2)", "const(2)"),
+    ("m", "m", "3", 3),
+    ("p", "p", "3.5", 3.5),
+    ("r", "r", "0.5", 0.5),
+    ("gamma", "gamma", "0.5", 0.5),
+    ("beta", "beta", "2.5", 2.5),
+    ("eps", "eps", "0.25", 0.25),
+    ("lambda_points", "lambda_points", "7", 7),
+]
+
+
+def test_each_ini_key_fills_its_own_field(tmp_path):
+    assert [key for key, *_ in _INI_VALUES] == list(bench._INI)
+    names = [field for _, field, *_ in _INI_VALUES]
+    assert len(set(names)) == len(names)
+    assert set(names) <= {f.name for f in dataclasses.fields(bench.Scenario)}
+    for key, field, text, value in _INI_VALUES:
+        scn = bench.parse_scenario(_write_ini(tmp_path / "s.ini",
+                                              **{"kind": "cf", key: text}))
+        assert getattr(scn, field) == value, key
+        assert type(getattr(scn, field)) is type(value), key
+        # every other field as the dataclass gives it (dim = 2 with its
+        # origin (0.0, 0.0))
+        assert scn == bench.Scenario("s", **{"kind": "cf", field: value}), key
+
+
+def test_scenario_defaults_live_in_the_dataclass(tmp_path):
+    scn = bench.parse_scenario(_write_ini(tmp_path / "d.ini", kind="cf"))
+    defaults = {f.name: f.default for f in dataclasses.fields(bench.Scenario)}
+    assert dataclasses.asdict(scn) == {**defaults, "name": "d", "kind": "cf",
+                                       "origin": (0.0,)}
+    plane = bench.parse_scenario(_write_ini(tmp_path / "e.ini", kind="cf",
+                                            dim=2))
+    assert plane.origin == (0.0, 0.0)
+    assert plane.grid(3).origin == (0.0, 0.0)
+
+
 @pytest.mark.parametrize("name,key,value", [
     ("cf_hilbert_m0", "p", "0"),
     ("counterexample_weak", "r", "1"),
@@ -240,6 +291,7 @@ def test_write_report_writes_reports(tmp_path):
     rep, form = bench.run_scenario(scn)
     assert rep["pass"] is True and form is None
     assert not out.exists()
+    out.mkdir()
     bench.write_report(str(out), rep)
     data = json.loads((out / "report.json").read_text())
     assert data["kind"] == "strong"
@@ -256,6 +308,7 @@ def test_run_scenario_byte_deterministic(tmp_path):
         scn = bench.parse_scenario(path)
         scn.levels = (6,)
         out = tmp_path / sub
+        out.mkdir()
         bench.write_report(str(out), bench.run_scenario(scn)[0])
         outs.append(out)
     for name in ("report.json", "plot.csv"):
@@ -400,6 +453,25 @@ def test_cli_battery_runs_every_scenario_before_writing(tmp_path, capsys,
     _assert_battery_stops_on(tmp_path, name, key, value.format(omega=omega))
     err = capsys.readouterr().err
     assert "zz_bad.ini: " in err and error in err
+
+
+def test_cli_battery_blocked_output_directory_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    # an ordinary file where endpoint_czo_m1's output directory goes: every
+    # output directory is made before the first file is written, so the
+    # error names the scenario and no scenario's report is written; the
+    # directories made before it stay, empty
+    monkeypatch.chdir(os.path.join(BATTERY_DIR, ".."))
+    out = tmp_path / "D"
+    out.mkdir()
+    (out / "endpoint_czo_m1").write_text("")
+    assert cli.main(["battery", "battery", "--out", str(out)]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error: ")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: battery/endpoint_czo_m1.ini: ")
+    assert not list(out.glob("**/report.json"))
+    assert not (out / "battery.json").exists()
 
 
 def test_cli_constants_validates_the_kind_it_forces(tmp_path, capsys):

@@ -25,7 +25,7 @@ def test_commutator_of_hilbert_with_x_is_known(L):
     b = GridFunction(grid, x)
     want = {1: h * f.sum() - h * f, 2: h * (x * f.sum() - (x * f).sum())}
     for m, w in want.items():
-        got = op.commutator_apply(op.make_hilbert(), op.CommutatorSpec(b, m),
+        got = op.commutator_apply(op.make_hilbert(), b, m,
                                   GridFunction(grid, f)).cells
         assert np.abs(got - w).max() <= tol * np.abs(w).max(), m
 

@@ -577,8 +577,7 @@ def test_commutator_order_zero_is_operator(sym_grid, rng):
     K = op.make_hilbert()
     f = GridFunction(sym_grid, rng.standard_normal(sym_grid.shape))
     b = parse_profile("log_abs", sym_grid)
-    spec = op.CommutatorSpec(b, 0)
-    assert np.array_equal(op.commutator_apply(K, spec, f).cells,
+    assert np.array_equal(op.commutator_apply(K, b, 0, f).cells,
                           op.apply_operator(K, f).cells)
 
 
@@ -587,7 +586,7 @@ def test_commutator_constant_symbol_vanishes(sym_grid, rng):
     f = GridFunction(sym_grid, rng.standard_normal(sym_grid.shape))
     b = parse_profile("const(3)", sym_grid)
     for m in (1, 2):
-        out = op.commutator_apply(K, op.CommutatorSpec(b, m), f).cells
+        out = op.commutator_apply(K, b, m, f).cells
         assert np.allclose(out, 0.0, atol=1e-12)
 
 
@@ -603,9 +602,8 @@ def test_commutator_binomial_matches_recursion(rng):
         f = GridFunction(grid, rng.standard_normal(grid.shape))
         b = GridFunction(grid, rng.standard_normal(grid.shape))
         for m in (1, 2, 3):
-            spec = op.CommutatorSpec(b, m)
-            lhs = op.commutator_apply(K, spec, f).cells
-            rhs = commutator_recursive(K, spec, f).cells
+            lhs = op.commutator_apply(K, b, m, f).cells
+            rhs = commutator_recursive(K, b, m, f).cells
             scale = max(float(np.abs(rhs).max()), 1.0)
             assert np.abs(lhs - rhs).max() <= 1e-12 * scale, \
                 (K.family, grid.level, m)
@@ -616,22 +614,21 @@ def test_commutator_center_invariance(sym_grid, rng):
     K = op.make_hilbert()
     f = GridFunction(sym_grid, rng.standard_normal(sym_grid.shape))
     b = parse_profile("power_abs(0.5)", sym_grid)
-    spec = op.CommutatorSpec(b, 2)
-    v0 = op.commutator_apply(K, spec, f, center=0.0).cells
-    v1 = op.commutator_apply(K, spec, f, center=0.7).cells
+    v0 = op.commutator_apply(K, b, 2, f, center=0.0).cells
+    v1 = op.commutator_apply(K, b, 2, f, center=0.7).cells
     assert np.allclose(v0, v1, rtol=1e-9, atol=1e-12)
 
 
-def _commutator_loop(K, spec, f, center):
+def _commutator_loop(K, b, m, f, center):
     """commutator_apply as m+1 fresh apply_operator calls, each evaluating
     the profile and preparing its products anew."""
-    if spec.m == 0:
+    if m == 0:
         return op.apply_operator(K, f).cells
-    bc = spec.b.cells - center
+    bc = b.cells - center
     out = np.zeros(f.grid.shape)
-    for h in range(spec.m + 1):
+    for h in range(m + 1):
         tf = op.apply_operator(K, GridFunction(f.grid, bc**h * f.cells)).cells
-        out += ((-1) ** h) * math.comb(spec.m, h) * bc ** (spec.m - h) * tf
+        out += ((-1) ** h) * math.comb(m, h) * bc ** (m - h) * tf
     return out
 
 
@@ -643,13 +640,12 @@ def test_commutator_apply_prepares_once(rng, monkeypatch):
         f = GridFunction(grid, rng.standard_normal(grid.shape))
         b = GridFunction(grid, rng.standard_normal(grid.shape))
         for m in (0, 1, 2):
-            spec = op.CommutatorSpec(b, m)
-            want = _commutator_loop(K, spec, f, 0.3)
+            want = _commutator_loop(K, b, m, f, 0.3)
             calls = []
             with monkeypatch.context() as mp:
                 mp.setattr(op.Kernel, "profile",
                            lambda self, g: calls.append(g) or real(self, g))
-                got = op.commutator_apply(K, spec, f, center=0.3).cells
+                got = op.commutator_apply(K, b, m, f, center=0.3).cells
             case = (K.family, grid.n, grid.level, m)
             assert got.tobytes() == want.tobytes(), case
             assert len(calls) == 1, case
@@ -667,11 +663,11 @@ def test_commutator_peak_memory_capped():
     grid = Grid(2, (-0.5, -0.5), 1.0, 7)
     f = parse_profile("indicator(0,0,0.25,0.25)", grid)
     b = parse_profile("log_abs", grid)
-    spec, center = op.CommutatorSpec(b, 1), float(b.cells.mean())
-    want = op.commutator_apply(K, spec, f, center).cells
+    center = float(b.cells.mean())
+    want = op.commutator_apply(K, b, 1, f, center).cells
     tracemalloc.start()
     try:
-        got = op.commutator_apply(K, spec, f, center).cells
+        got = op.commutator_apply(K, b, 1, f, center).cells
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -699,10 +695,15 @@ def test_pair_preparation_peak_memory_capped():
     assert peak <= 12.5 * f.cells.nbytes, peak / f.cells.nbytes
 
 
-def test_commutator_spec_order_range(sym_grid):
+def test_commutator_order_range(sym_grid):
+    K = op.make_hilbert()
     b = parse_profile("const(0)", sym_grid)
-    with pytest.raises(op.OperatorError):
-        op.CommutatorSpec(b, 5)
+    f = parse_profile("indicator(0,0.25)", sym_grid)
+    for m in (-1, 5):
+        with pytest.raises(op.OperatorError, match=r"order must be in 0\.\.4"):
+            op.commutator_apply(K, b, m, f)
+    assert op.commutator_apply(K, b, op.MAX_ORDER, f).cells.shape == \
+        sym_grid.shape
 
 
 # -- maximal operators ---------------------------------------------------------
