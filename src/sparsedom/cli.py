@@ -75,7 +75,7 @@ def _lab(args, paths, job) -> list:
             runs.append((out_dir, report, (family, form) if family else None))
         for path, _, out_dir, _ in jobs:
             os.makedirs(out_dir, exist_ok=True)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:  # a level too large
         raise ScenarioError(f"{path}: {exc}") from exc
     for out_dir, report, family in runs:
         write_report(out_dir, report, family)
@@ -119,10 +119,10 @@ def cmd_sparse(args) -> int:
 
 
 def cmd_battery(args) -> int:
-    if not os.path.isdir(args.directory):
-        raise ScenarioError(f"not a directory: {args.directory}")
     paths = sorted(glob.glob(os.path.join(glob.escape(args.directory),
                                           "*.ini")))
+    if not paths:  # a missing or empty directory is no passing battery
+        raise ScenarioError(f"not a directory of .ini files: {args.directory}")
     out_root = args.out or "battery.out"
     reports = _lab(args, paths,
                    lambda scn: (os.path.join(out_root, scn.name), None))

@@ -109,6 +109,8 @@ class YoungFunction:
     # -- inverse ------------------------------------------------------------
 
     def inverse(self, y):
+        """A^-1(y), elementwise: a closed form, or _bisect_inverse (growth
+        table, windows, closed-form steps, replay) for llogl, lll, prod."""
         scalar = np.isscalar(y)
         y = np.asarray(y, dtype=float)
         if np.any(y < 0):
@@ -153,27 +155,62 @@ class YoungFunction:
 
 
 def _bisect_inverse(A: YoungFunction, y):
-    """Monotone bisection with exponential bracket growth, rel tol 1e-12."""
+    """A^-1(y), bit for bit the loop that doubles hi from 1 while A(hi) < y
+    (200 times at most), then halves [0, hi], lo up where A(mid) < y, until
+    hi - lo <= 1e-12 hi over the batch (100 steps at most).  Growth: hi =
+    2^k, k the first k <= 199 with not A(2^k) < y, else 200: A is
+    elementwise, so a search in one table of A on the powers of two gives
+    k (NaN sorts last).  Windows: a log-space secant from 2^(k-1) and 2^k,
+    and certificates at est (1 -+ eta), eta = _LUX_ETA, give a =
+    (1 - delta) max{t : A(t) < y}, b = (1 + delta) min{t : not A(t) < y}
+    over every t evaluated, delta = _LUX_DELTA.  A(t)/t is nondecreasing
+    (A convex, A(0) = 0), so 1 -+ delta (450 ulp) moves A past its
+    rounding; a NaN A(t), or t = inf, places none.  Certain steps: to step
+    39 the ends are multiples of w_j = 2^(k-j) with at most 39 significant
+    bits, so 0.5 (lo + hi) is exact and the stop test fails (2^-39 >
+    1e-12); while no multiple of w_j in (0, 2^k) lies in [a, b], lo_j =
+    clip(ceil(a / w_j) - 1, 0, 2^j - 1) w_j, hi_j = lo_j + w_j.  Replay:
+    the loop's body from each element's last such step, A only in [a, b]."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    out = np.zeros_like(y)
     pos = y > 0
     if not np.any(pos):
-        return out
+        return np.zeros_like(y)
     yp = y[pos]
-    hi = np.ones_like(yp)
-    for _ in range(200):
-        low = A._eval(hi) < yp
-        if not np.any(low):
-            break
-        hi[low] *= 2.0
-    lo = np.zeros_like(yp)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        up = A._eval(mid) < yp
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
-        if np.all(hi - lo <= 1e-12 * np.maximum(hi, 1e-300)):
-            break
+
+    def certify(i, t):
+        # A at t as certificates of elements i; the modular y / A(t)
+        v, yi = A._eval_raw(t), yp[i]
+        up, dn = v < yi, v >= yi
+        a[i] = np.maximum(a[i], np.where(up, t * (1.0 - _LUX_DELTA), 0.0))
+        b[i] = np.minimum(b[i], np.where(dn, t * (1.0 + _LUX_DELTA), np.inf))
+        return yi / v
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        tab = A._eval_raw(two := np.ldexp(1.0, np.arange(-1, 200)))
+        k = np.searchsorted(np.maximum.accumulate(tab[1:]), yp)
+        t0, v0, t1, v1 = two[k], tab[k], two[k + (k < 200)], tab[k + (k < 200)]
+        a = np.where(v0 < yp, t0 * (1.0 - _LUX_DELTA), 0.0)
+        b = np.where(v1 >= yp, t1 * (1.0 + _LUX_DELTA), np.inf)
+        _secant_certify(certify, np.arange(yp.size), np.log(t0),
+                        np.log(yp / v0), np.log(t1), np.log(yp / v1), a, b)
+        # p, q: how many multiples of w_39 in (0, 2^k) lie below a, up to b;
+        # shifted to step j they first differ at j = c + 1, c = 39 - d
+        p = np.clip(np.ceil(np.ldexp(a, 39 - k)) - 1.0, 0.0, 2.0**39 - 1.0)
+        q = np.minimum(np.floor(np.ldexp(b, 39 - k)), 2.0**39 - 1.0)
+        d = np.frexp(p.astype(np.int64) ^ q.astype(np.int64))[1]
+        lo = np.ldexp(np.floor(np.ldexp(p, -d)), k - 39 + d)
+        hi = lo + np.ldexp(1.0, k - 39 + d)
+        for j in range(40 - int(d.max()), 101):
+            i = np.flatnonzero(d > 39 - j) if j < 40 else np.s_[:]
+            mid = 0.5 * (lo[i] + hi[i])
+            up = mid < a[i]
+            e = np.flatnonzero(~(up | (mid > b[i])))
+            if e.size:
+                up[e] = A._eval_raw(mid[e]) < yp[i][e]
+            lo[i], hi[i] = np.where(up, mid, lo[i]), np.where(up, hi[i], mid)
+            if j >= 40 and np.all(hi - lo <= 1e-12 * np.maximum(hi, 1e-300)):
+                break
+    out = np.zeros_like(y)
     out[pos] = 0.5 * (lo + hi)
     return out
 
@@ -524,27 +561,10 @@ def _luxemburg_vectorized(v, mu, tot, hi, lam, mj, A: YoungFunction):
             m = certify(i := np.arange(j, min(j + _LUX_BLOCK, n)), hi[sl])
             # monotonicity sanity: the modular must not increase with lam
             bad[sl] = m > 1.0 + 1e-9
-            # a secant on g = log modular against x = log lam, from hi and
-            # Jensen's point; g falls with slope <= -1, that of A(t) = t
-            x0, g0, x1 = np.log(hi[sl]), np.log(m), np.log(lam[sl])
-            g1, est = np.log(mj[sl]), x1.copy()
-            for _ in range(_LUX_SECANT_STEPS):
-                s = (g1 - g0) / (x1 - x0)
-                x = x1 - g1 / np.where(s < 0.0, s, -1.0)
-                # stop at a small step or bracket; a step out of it bisects
-                la, lb = np.log(a[i]), np.log(b[i])
-                live = (np.abs(x - x1) > _LUX_STEP_TOL) & (lb - la > _LUX_ETA)
-                mid = 0.5 * (la + lb)
-                x = np.where(np.isfinite(mid) & ~((x > la) & (x < lb)), mid, x)
-                i, x, x0, g0 = i[live], x[live], x1[live], g1[live]
-                if not i.size:
-                    break
-                est[i - j], x1, g1 = x, x, np.log(certify(i, np.exp(x)))
-            # certify around est, inside the bracket; a root below lo at lo
-            est = np.exp(np.maximum(est, np.log(hi[sl] * 1e-18)))
-            for side in (1.0 - _LUX_ETA, 1.0 + _LUX_ETA):
-                k = np.flatnonzero((a[sl] < est * side) & (est * side < b[sl]))
-                certify(k + j, est[k] * side)
+            # the estimate from hi and Jensen's point, at least lo
+            _secant_certify(certify, i, np.log(hi[sl]), np.log(m),
+                            np.log(lam[sl]), np.log(mj[sl]), a, b,
+                            np.log(hi[sl] * 1e-18))
         hi = np.where(bad, 4.0 * hi, hi)
         lo = hi * 1e-18
         # replay; a row stops at its own step where hi/lo - 1 <= 1e-12, step
@@ -564,6 +584,35 @@ def _luxemburg_vectorized(v, mu, tot, hi, lam, mj, A: YoungFunction):
                 if not live.any():
                     break
     return hi
+
+
+def _secant_certify(certify, i, x0, g0, x1, g1, a, b, floor=-np.inf):
+    """Certificates in [a, b] from a secant on g = log m against x = log t
+    from (x0, g0), (x1, g1), m = certify(i, t) the modular, falling with
+    slope <= -1 (else stepping as -1).  An element stops at a step below
+    _LUX_STEP_TOL or a bracket log(b/a) below _LUX_ETA (a step out of it
+    bisects it), then certifies at est (1 -+ _LUX_ETA), est its last x, at
+    least floor."""
+    est, k, r = x1.copy(), i, np.arange(i.size)
+    for _ in range(_LUX_SECANT_STEPS):
+        s = (g1 - g0) / (x1 - x0)
+        x = x1 - g1 / np.where(s < 0.0, s, -1.0)
+        la, lb = np.log(a[k]), np.log(b[k])
+        live = (np.abs(x - x1) > _LUX_STEP_TOL) & (lb - la > _LUX_ETA)
+        if not ((x > la) & (x < lb)).all():
+            mid = 0.5 * (la + lb)
+            x = np.where(np.isfinite(mid) & ~((x > la) & (x < lb)), mid, x)
+        x0, g0 = x1, g1
+        if not live.all():
+            k, r, x, x0, g0 = k[live], r[live], x[live], x0[live], g0[live]
+            if not k.size:
+                break
+        est[r], x1, g1 = x, x, np.log(certify(k, np.exp(x)))
+    est = np.exp(np.maximum(est, floor))
+    for side in (1.0 - _LUX_ETA, 1.0 + _LUX_ETA):
+        r = np.flatnonzero((a[i] < est * side) & (est * side < b[i]))
+        if r.size:
+            certify(i[r], est[r] * side)
 
 
 def _take(x, r):

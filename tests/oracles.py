@@ -2,10 +2,10 @@
 
 No program path runs these: each is the direct form of something the
 package computes another way (a commutator by recursion, a Legendre
-transform by search, a kernel at points, a node's exceptional set on the
-whole grid, a Calderon-Zygmund decomposition by search), or a helper that
-only tests need (cube relations, sampled functions, gauge names for test
-ids).
+transform by search, a Young inverse by the plain bisection, a kernel at
+points, a node's exceptional set on the whole grid, a Calderon-Zygmund
+decomposition by search), or a helper that only tests need (cube
+relations, sampled functions, gauge names for test ids).
 """
 
 import numpy as np
@@ -72,6 +72,34 @@ def conjugate_value(A: young.YoungFunction, t):
         raise UnboundedConjugateError(
             f"conjugate of {format_young(A)} is unbounded at t={float(t)}")
     return float(out[0]) if scalar else out.reshape(t.shape)
+
+
+def bisect_inverse(A: young.YoungFunction, y):
+    """Monotone bisection with exponential bracket growth, rel tol 1e-12:
+    the loop that young._bisect_inverse replays, evaluating A on the whole
+    batch at every step."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    out = np.zeros_like(y)
+    pos = y > 0
+    if not np.any(pos):
+        return out
+    yp = y[pos]
+    hi = np.ones_like(yp)
+    for _ in range(200):
+        low = A._eval(hi) < yp
+        if not np.any(low):
+            break
+        hi[low] *= 2.0
+    lo = np.zeros_like(yp)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        up = A._eval(mid) < yp
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+        if np.all(hi - lo <= 1e-12 * np.maximum(hi, 1e-300)):
+            break
+    out[pos] = 0.5 * (lo + hi)
+    return out
 
 
 def format_young(A: young.YoungFunction) -> str:

@@ -372,14 +372,26 @@ def test_cli_sparse_rejects_other_kinds(tmp_path):
     assert cli.main(["sparse", path]) == 2
 
 
-def test_cli_battery_empty_directory(tmp_path):
+def test_cli_battery_empty_directory(tmp_path, capsys):
+    # a directory with no scenarios is no passing battery: exit 2, and no
+    # battery.json
     empty = tmp_path / "empty"
     empty.mkdir()
+    (empty / "notes.txt").write_text("not a scenario\n")
     out = tmp_path / "bat_out"
-    assert cli.main(["battery", str(empty), "--out", str(out)]) == 0
-    summary = json.loads((out / "battery.json").read_text())
-    assert summary["scenarios"] == {}
-    assert summary["pass"] is True
+    assert cli.main(["battery", str(empty), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_cli_run_unallocatable_level_exits_2(tmp_path, capsys):
+    # 1D L = 40 asks numpy for 8 TiB at once, which it refuses: a scenario
+    # error naming the file, not a traceback that exits 1
+    path = os.path.join(BATTERY_DIR, "strong_hilbert_m0.ini")
+    out = tmp_path / "l40"
+    assert cli.main(["run", path, "--level", "40", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not out.exists()
 
 
 def test_cli_battery_missing_directory(tmp_path, capsys):

@@ -1,17 +1,20 @@
 """Young-function algebra: evaluation, conjugates, Luxemburg norms, the
 growth constant k_r(A) and the integrals of the log-quadrature."""
 
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from sparsedom import young
+from sparsedom import bench, young
 from sparsedom.operators import counter_young
 
-from oracles import UnboundedConjugateError, conjugate_value, format_young
+from oracles import (UnboundedConjugateError, bisect_inverse,
+                     conjugate_value, format_young)
 
 E = math.e
 
@@ -102,6 +105,96 @@ def test_inverse_one_cached_bitwise(name):
     # the cached value stays out of == and hash, so equal gauges stay equal
     assert A == B and hash(A) == hash(B)
     assert {B: "key"}[A] == "key"
+
+
+# -- the inverse's bisection, against the plain loop -------------------------
+
+INVERSE_GAUGES = {
+    "llogl0": lambda: young.llogl(0),
+    "llogl1": lambda: young.llogl(1),
+    "llogl1.5": lambda: young.llogl(1.5),
+    "llogl2": lambda: young.llogl(2),
+    "lll0": lambda: young.lll(0, 1.5),
+    "lll1": lambda: young.lll(1, 1.5),
+    "prod": lambda: young.prod(young.llogl(1), young.power(2)),
+    "compose_outer": lambda: young.compose(young.llogl(1), young.power(2)),
+    "compose_inner": lambda: young.compose(young.power(1.5), young.lll(1, 2)),
+    "compose_both": lambda: young.compose(young.llogl(2), young.llogl(0.5)),
+}
+
+
+def _inverse_calls(run):
+    """The (A, y, A^-1(y)) of every _bisect_inverse call that run() makes."""
+    calls, real = [], young._bisect_inverse
+
+    def record(A, y):
+        out = real(A, y)
+        calls.append((A, np.array(y, dtype=float), out.copy()))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(young, "_bisect_inverse", record)
+        run()
+    return calls
+
+
+def _kappa_nodes():
+    """The 2664 quadrature nodes at which kappa_phi takes phi^-1."""
+    calls = _inverse_calls(lambda: young.kappa_phi(young.llogl(1),
+                                                   young.lll(1, 1.5)))
+    return calls[0][1]
+
+
+def _inverse_inputs():
+    rng = np.random.default_rng(46)
+    nodes = _kappa_nodes()
+    return {
+        "kappa_nodes": nodes,
+        "one": 1.0,
+        "geomspace": np.geomspace(1e-12, 1e14, 3000),
+        "uniform": rng.uniform(0.0, 50.0, 500),
+        "edges": np.array([0.0, 1e-300, 5e-324, 1e300, np.inf, np.nan,
+                           2.0**40, 1.5]),
+        "llogl1_inverse_of_nodes": young.llogl(1).inverse(nodes),
+        # roots exactly dyadic for llogl(0), A(t) = t: at a bracket end and
+        # at every step's midpoint
+        "dyadic": np.ldexp(np.arange(1.0, 2000.0, 3.0), -10),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_GAUGES))
+def test_bisect_inverse_bitwise_the_plain_loop(name, monkeypatch):
+    """The certify-and-replay inverse gives the plain bisection's bits, on
+    kappa's nodes, wide and edge inputs, dyadic roots and y = A(2^k),
+    through A.inverse, so compose gauges reach it through their parts."""
+    A = INVERSE_GAUGES[name]()
+    inputs = _inverse_inputs()
+    # y = B(2^k) exactly, B the gauge that inverts y first (a compose's
+    # outer part)
+    powers = np.ldexp(1.0, np.arange(-60, 200))
+    inputs["powers_of_two"] = (A.parts[0] if A.parts else A)._eval(powers)
+    for label, y in inputs.items():
+        # the batch, then scalars, each a batch of its own
+        for y in [y] + [float(v) for v in np.ravel(y)[::211]]:
+            got = A.inverse(y)
+            with monkeypatch.context() as mp:
+                mp.setattr(young, "_bisect_inverse", bisect_inverse)
+                want = A.inverse(y)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), \
+                (label, y)
+
+
+def test_bisect_inverse_bitwise_on_every_battery_call():
+    """Every inverse a battery pass takes, kappa_phi's node batches and each
+    gauge's A^-1(1), is the plain bisection's, bit for bit."""
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
+                                          "battery", "*.ini")))
+    calls = _inverse_calls(lambda: [bench.run_scenario(
+        bench.parse_scenario(p)) for p in paths])
+    sizes = sorted({y.size for _, y, _ in calls})
+    assert sizes[0] == 1 and sizes[-1] == 2664
+    for A, y, got in calls:
+        assert got.tobytes() == bisect_inverse(A, y).tobytes(), (A, y.size)
 
 
 def test_tabulated_rejects_bad_breakpoints():
